@@ -34,7 +34,13 @@ from .harness import (
     write_records,
     write_report,
 )
-from .io import export_mask, export_singular_values, export_support, save_tensor
+from .io import (
+    export_mask,
+    export_singular_values,
+    export_support,
+    save_tensor,
+    write_solver_trace,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,9 +139,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     cfg = _load(args)
-    if args.trace:
-        out = _outdir(args.out)
-        cfg = replace(cfg, solver=replace(cfg.solver, trace_path=str(out / "trace.csv")))
     snr_idx = _snr_index(cfg, args.snr)
     variant = args.variant if args.variant else cfg.estimator_variant
     parse_variant(variant)
@@ -155,6 +158,8 @@ def _cmd_estimate(args) -> int:
                 if sparse is not None
             ],
         )
+    if args.trace:
+        write_solver_trace(out / "trace.csv", artifacts["trace"])
     write_records(out / "records.csv", records)
     for r in records:
         line = (

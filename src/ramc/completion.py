@@ -1,11 +1,11 @@
 """Rank-aware low-rank matrix completion.
 
-Phase I of the estimation pipeline: singular-value based rank estimation
-with an Eckart-Young error factor, an autoregressive rank tracker for
-time-varying channels, and an augmented-Lagrangian block-coordinate
-solver that completes a masked observation matrix as a sum of rank-one
-factors with l1-shrunk weights; the achieved rank is however many
-weights remain positive at termination.
+Phase I of the estimation pipeline: singular-value based rank estimation,
+a rank tracker that carries the previous corrected rank across time
+steps, and an augmented-Lagrangian block-coordinate solver that
+completes a masked observation matrix as a sum of rank-one factors with
+l1-shrunk weights; the achieved rank is however many weights remain
+positive at termination.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from .errors import (
     DegenerateSystemError,
     InfeasibleMaskError,
 )
-from .frontend import ObservationSet, PilotBlock
-from .io import write_solver_trace
-from .numerics import RANK_TOLERANCE, pseudo_inverse, soft_shrink, svd
+from .frontend import ObservationSet
+from .numerics import svd
 
 # Consecutive zero-weight sweeps before a factor is dropped.
 DROP_STREAK = 3
@@ -34,33 +33,7 @@ _INNER_CAP = 40
 _INNER_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class RankEstimate:
-    """Rank decision with the data needed for its error bound.
-
-    ``value`` is the smallest k whose cumulative singular-value sum
-    reaches ``energy_ratio`` of the total; ``gap_rank`` is the secondary
-    largest-gap diagnostic (argmin of consecutive singular-value ratios);
-    ``error_factor`` is the Frobenius-norm fraction retained by the
-    leading ``value`` components.
-    """
-
-    value: int
-    singular_values: np.ndarray
-    energy_ratio: float
-    error_factor: float
-    gap_rank: int
-
-
-def _gap_rank(s: np.ndarray) -> int:
-    effective = s[s > RANK_TOLERANCE * s[0]]
-    if effective.size < 2:
-        return 1
-    ratios = effective[1:] / effective[:-1]
-    return int(np.argmin(ratios)) + 1
-
-
-def estimate_rank(m, xi: float = 0.95) -> RankEstimate:
+def estimate_rank(m, xi: float = 0.95) -> int:
     """Estimate rank as the smallest k retaining xi of the Frobenius energy.
 
     Energy means squared singular values.  The trace-norm reading fails
@@ -85,60 +58,23 @@ def estimate_rank(m, xi: float = 0.95) -> RankEstimate:
     if s.size == 0 or s[0] <= 0.0:
         raise DegenerateSystemError("cannot estimate the rank of a zero matrix", rank=0)
     energy = np.cumsum(s**2)
-    value = int(np.searchsorted(energy, xi * energy[-1])) + 1
-    value = min(value, s.size)
-    alpha = math.sqrt(energy[value - 1] / energy[-1])
-    return RankEstimate(
-        value=value,
-        singular_values=s,
-        energy_ratio=xi,
-        error_factor=alpha,
-        gap_rank=_gap_rank(s),
-    )
-
-
-def rank_error_bound(estimate: RankEstimate) -> float:
-    """Frobenius error of the best rank-``value`` approximation.
-
-    Equals sqrt(1 - alpha^2) * ||Y||_F, which is exact for SVD truncation
-    (Eckart-Young), not merely an upper bound.
-    """
-    total = math.sqrt(float(np.sum(estimate.singular_values**2)))
-    slack = max(1.0 - estimate.error_factor**2, 0.0)
-    return math.sqrt(slack) * total
+    return min(int(np.searchsorted(energy, xi * energy[-1])) + 1, s.size)
 
 
 @dataclass
 class RankTracker:
-    """Autoregressive predictor over a window of corrected rank values."""
+    """Window of corrected rank values; predicts the most recent one."""
 
-    order: int
-    coefficients: np.ndarray
-    innovation_scale: float
     rank_cap: int
     capacity: int = 64
     history: deque = field(init=False)
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ConfigError("tracker order must be >= 1")
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if coeffs.shape != (self.order,):
-            raise ConfigError(
-                f"expected {self.order} coefficients, got shape {coeffs.shape}"
-            )
-        if self.innovation_scale < 0:
-            raise ConfigError("innovation scale must be non-negative")
         if self.rank_cap < 1:
             raise ConfigError("rank cap must be >= 1")
-        if self.capacity < self.order:
-            raise ConfigError("history capacity below tracker order")
-        self.coefficients = coeffs
+        if self.capacity < 1:
+            raise ConfigError("history capacity must be >= 1")
         self.history = deque(maxlen=self.capacity)
-
-    @property
-    def ready(self) -> bool:
-        return len(self.history) >= self.order
 
     def record(self, value: int) -> None:
         """Append a corrected rank observation."""
@@ -146,63 +82,22 @@ class RankTracker:
 
 
 def persistence_tracker(rank_cap: int, capacity: int = 64) -> RankTracker:
-    """Order-1 random-walk tracker: predict the previous corrected rank."""
-    return RankTracker(
-        order=1,
-        coefficients=np.array([1.0]),
-        innovation_scale=0.0,
-        rank_cap=rank_cap,
-        capacity=capacity,
-    )
+    """Tracker that predicts the previous corrected rank."""
+    return RankTracker(rank_cap=rank_cap, capacity=capacity)
 
 
-def predict_rank(tracker: RankTracker, seed=None) -> int:
-    """One-step-ahead rank prediction, rounded and clamped to [1, cap].
+def predict_rank(tracker: RankTracker) -> int:
+    """Last recorded rank, clamped to [1, cap].
 
     Raises
     ------
     ColdStartError
-        When the history is shorter than the tracker order; callers fall
-        back to a data-driven estimate.
+        When nothing has been recorded yet; callers fall back to a
+        data-driven estimate.
     """
-    if not tracker.ready:
-        raise ColdStartError(
-            f"tracker needs {tracker.order} observations, has {len(tracker.history)}"
-        )
-    recent = np.array(list(tracker.history)[-tracker.order:], dtype=float)[::-1]
-    value = float(np.dot(tracker.coefficients, recent))
-    if tracker.innovation_scale > 0.0:
-        rng = np.random.default_rng(seed)
-        value += tracker.innovation_scale * rng.standard_normal()
-    return int(np.clip(round(value), 1, tracker.rank_cap))
-
-
-def fit_ar_coefficients(history, order: int) -> tuple[np.ndarray, float]:
-    """Least-squares AR(order) fit of a rank history.
-
-    Returns the lag coefficients (most recent lag first) and the standard
-    deviation of the fit residuals as the innovation scale.  A constant
-    history yields the persistence model exactly.
-    """
-    series = np.asarray(history, dtype=float)
-    if series.ndim != 1:
-        raise ConfigError("history must be one-dimensional")
-    if order < 1:
-        raise ConfigError("order must be >= 1")
-    if series.size < 3 * order:
-        raise ConfigError(
-            f"need at least {3 * order} samples to fit order {order}, "
-            f"got {series.size}"
-        )
-    if np.ptp(series) == 0.0:
-        coeffs = np.zeros(order)
-        coeffs[0] = 1.0
-        return coeffs, 0.0
-    y = series[order:]
-    x = np.column_stack([series[order - lag: series.size - lag] for lag in range(1, order + 1)])
-    coeffs, *_ = np.linalg.lstsq(x, y, rcond=None)
-    residual = y - x @ coeffs
-    return coeffs, float(np.std(residual))
+    if not tracker.history:
+        raise ColdStartError("tracker has no recorded rank yet")
+    return int(np.clip(tracker.history[-1], 1, tracker.rank_cap))
 
 
 @dataclass
@@ -210,28 +105,23 @@ class SolverOptions:
     """Tunable parameters of the completion solver.
 
     ``None`` values resolve against the data at solve time: epsilon to
-    1e-6 * ||Ytilde||_F, mu to 1/sqrt(max(rows, cols)) and nuclear_weight
-    to 0.1 * sigma_max of the zero-filled observation.
+    1e-6 * ||Ytilde||_F and mu to 1/sqrt(max(rows, cols)).
     """
 
     epsilon: float | None = None
     mu: float | None = None
-    nuclear_weight: float | None = None
     max_iters: int = 500
     energy_ratio: float = 0.95
     refine_without_l1: bool = True
     # Extra factors granted above tracker predictions so an understated
     # rank can grow back; consumed by pipeline drivers, not the solver.
     rank_headroom: int = 2
-    trace_path: str | None = None
 
     def __post_init__(self):
         if self.epsilon is not None and self.epsilon <= 0:
             raise ConfigError("epsilon must be positive")
         if self.mu is not None and self.mu < 0:
             raise ConfigError("mu must be non-negative")
-        if self.nuclear_weight is not None and self.nuclear_weight < 0:
-            raise ConfigError("nuclear weight must be non-negative")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
         if not 0.0 < self.energy_ratio <= 1.0:
@@ -248,10 +138,8 @@ class FactorizationState:
     right: np.ndarray
     weights: np.ndarray
     multiplier: np.ndarray
-    penalty: float
     iterate: np.ndarray
     active: np.ndarray
-    objective_log: list = field(default_factory=list)
 
     def model(self) -> np.ndarray:
         """Current low-rank reconstruction from the active factors."""
@@ -267,21 +155,18 @@ class FactorizationState:
 
 @dataclass(frozen=True)
 class CompletionResult:
-    """Output of the completion solver."""
+    """Output of the completion solver.
+
+    ``trace`` holds one (iteration, objective, feasibility, active rank)
+    row per sweep, plus one for the shrink-free refit when it runs.
+    """
 
     completed: np.ndarray
-    rank_estimate: RankEstimate
+    rank: int
     iterations: int
     final_residual: float
     converged: bool
-    state: FactorizationState | None = None
-
-
-def nuclear_objective(z, y_tilde, mask, weight: float) -> float:
-    """Data-fidelity plus weighted nuclear norm of a candidate completion."""
-    z = np.asarray(z)
-    fit = np.linalg.norm((z - y_tilde)[mask.observed]) ** 2
-    return float(fit + weight * np.sum(svd(z).s))
+    trace: tuple = ()
 
 
 def _lagrangian(y_hat, z, multiplier, mu_eff, weights) -> float:
@@ -314,39 +199,11 @@ def _update_factor(residual, u, v):
     return u, v, a
 
 
-def _estimate_from_weights(weights: np.ndarray, xi: float) -> RankEstimate:
-    s = np.sort(weights[weights > 0.0])[::-1]
-    if s.size == 0:
-        s = np.array([0.0])
-        return RankEstimate(
-            value=0, singular_values=s, energy_ratio=xi, error_factor=1.0, gap_rank=0
-        )
-    return RankEstimate(
-        value=s.size,
-        singular_values=s,
-        energy_ratio=xi,
-        error_factor=1.0,
-        gap_rank=_gap_rank(s),
-    )
-
-
-def _full_mask_result(y_tilde: np.ndarray, opts: SolverOptions) -> CompletionResult:
+def _full_mask_result(y_tilde: np.ndarray) -> CompletionResult:
     # A full mask pins every entry, so the constraint is the answer.
-    decomposition = svd(y_tilde)
-    rank = decomposition.rank
-    s = decomposition.s
-    energy = np.cumsum(s**2)
-    alpha = 1.0 if rank == 0 else math.sqrt(energy[rank - 1] / energy[-1])
-    estimate = RankEstimate(
-        value=rank,
-        singular_values=s,
-        energy_ratio=opts.energy_ratio,
-        error_factor=alpha,
-        gap_rank=_gap_rank(s) if rank > 0 else 0,
-    )
     return CompletionResult(
         completed=y_tilde.copy(),
-        rank_estimate=estimate,
+        rank=svd(y_tilde).rank,
         iterations=0,
         final_residual=0.0,
         converged=True,
@@ -395,14 +252,15 @@ def r1mc_complete(
         Masked observation; the mask must touch every row and column.
     rank_hint : int, optional
         Number of rank-one factors to allocate.  Defaults to the
-        singular-value rank estimate plus ``opts.rank_headroom``.
+        singular-value rank estimate of the zero-filled observation;
+        the harness adds ``opts.rank_headroom`` to its own hints, not here.
     opts : SolverOptions, optional
 
     Returns
     -------
     CompletionResult
         The low-rank completion, achieved rank, iteration count,
-        final observed-entry residual and convergence flag.
+        final observed-entry residual, convergence flag and trace.
     """
     opts = opts if opts is not None else SolverOptions()
     mask = incomplete.mask
@@ -411,7 +269,7 @@ def r1mc_complete(
     if not mask.covers_all_lines():
         raise InfeasibleMaskError("mask must touch every row and column")
     if mask.count == mask.observed.size:
-        return _full_mask_result(y_tilde, opts)
+        return _full_mask_result(y_tilde)
 
     norm_y = np.linalg.norm(y_tilde)
     eps = opts.epsilon if opts.epsilon is not None else 1e-6 * norm_y
@@ -424,14 +282,13 @@ def r1mc_complete(
             raise ConfigError(f"rank hint must be >= 1, got {rank_hint}")
         n_factors = min(rank_hint, cap)
     else:
-        n_factors = min(estimate_rank(y_tilde, opts.energy_ratio).value, cap)
+        n_factors = min(estimate_rank(y_tilde, opts.energy_ratio), cap)
 
     state = FactorizationState(
         left=init.u[:, :n_factors].copy(),
         right=init.v[:, :n_factors].copy(),
         weights=init.s[:n_factors].copy(),
         multiplier=np.zeros_like(y_tilde),
-        penalty=mu,
         iterate=y_tilde.copy(),
         active=np.ones(n_factors, dtype=bool),
     )
@@ -443,10 +300,6 @@ def r1mc_complete(
     iteration = 0
 
     for iteration in range(1, opts.max_iters + 1):
-        l_before = _lagrangian(
-            state.iterate, state.model(), state.multiplier, mu, state.weights[state.active]
-        )
-
         residual = state.iterate + state.multiplier
         for q in np.flatnonzero(state.active):
             u, v, a = _update_factor(residual, state.left[:, q], state.right[:, q])
@@ -467,7 +320,6 @@ def r1mc_complete(
         l_after = _lagrangian(
             y_new, z, state.multiplier, mu, state.weights[state.active]
         )
-        state.objective_log.append((l_before, l_after))
         state.multiplier = state.multiplier + mu * (y_new - z)
         state.iterate = y_new
 
@@ -492,26 +344,11 @@ def r1mc_complete(
 
     completed = state.model()
     final_residual = float(np.linalg.norm((completed - y_tilde)[observed]))
-    estimate = _estimate_from_weights(state.weights[state.active], opts.energy_ratio)
-    if opts.trace_path is not None:
-        write_solver_trace(opts.trace_path, trace)
     return CompletionResult(
         completed=completed,
-        rank_estimate=estimate,
+        rank=state.active_rank,
         iterations=iteration,
         final_residual=final_residual,
         converged=converged,
-        state=state,
-    )
-
-
-def refine_channel(completed, block: PilotBlock) -> np.ndarray:
-    """Invert the pilot frontend around a completed observation.
-
-    Accepts the completed matrix or a CompletionResult and applies
-    pseudo-inverses of the combiner and the effective precoder.
-    """
-    y = completed.completed if isinstance(completed, CompletionResult) else completed
-    return (
-        pseudo_inverse(block.w.conj().T) @ y @ pseudo_inverse(block.effective_precoder)
+        trace=tuple(trace),
     )

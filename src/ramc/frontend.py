@@ -9,7 +9,7 @@ and provides the coarse pseudo-inverse channel estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import dft
@@ -79,7 +79,6 @@ class ObservationSet:
     complete: np.ndarray
     mask: SamplingMask
     incomplete: np.ndarray
-    completed: np.ndarray | None = None
 
     def __post_init__(self):
         if self.complete.shape != (self.mask.rows, self.mask.cols):
@@ -242,10 +241,3 @@ def coarse_channel(obs: ObservationSet, block: PilotBlock) -> np.ndarray:
         @ obs.incomplete
         @ pseudo_inverse(block.effective_precoder)
     )
-
-
-def with_completed(obs: ObservationSet, completed: np.ndarray) -> ObservationSet:
-    """Return a copy of ``obs`` carrying a completed matrix."""
-    if completed.shape != obs.complete.shape:
-        raise ShapeError("completed matrix shape mismatch")
-    return replace(obs, completed=completed)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import channel as chan
 from .completion import (
-    SolverOptions,
+    RankTracker,
     estimate_rank,
     persistence_tracker,
     predict_rank,
@@ -28,7 +28,7 @@ from .completion import (
 from .config import ExperimentConfig, parse_variant, snr_to_linear
 from .errors import ColdStartError, ConfigError, DegenerateSystemError, RamcError, UndefinedMetricError
 from .frontend import coarse_channel, make_pilot_block, observe, subsample
-from .recovery import OmpOptions, estimate_phase2, somp_baseline
+from .recovery import estimate_phase2, somp_baseline
 
 NMSE_FLOOR_DB = -120.0
 
@@ -176,13 +176,6 @@ def _channel_track(cfg: ExperimentConfig, trial: int, dictionary):
     return track
 
 
-class _TrialState:
-    """Per-trial carryover between time steps (the rank tracker)."""
-
-    def __init__(self, rank_cap: int):
-        self.tracker = persistence_tracker(rank_cap)
-
-
 def _simulate_step(cfg: ExperimentConfig, snr_idx: int, trial: int, t: int, real):
     """Pilot block and masked observation for one sweep coordinate."""
     snr_db = cfg.snr_grid_db[snr_idx]
@@ -230,21 +223,25 @@ def _estimate_one(
     obs,
     block,
     dictionary,
-    state: _TrialState,
+    tracker: RankTracker,
 ):
-    """Run one estimator variant; returns (h_hat, rank_est, sparse)."""
+    """Run one estimator variant; returns (h_hat, rank_est, sparse, trace).
+
+    ``trace`` is the completion solver's trace, empty for the variants
+    that skip Phase I.
+    """
     solver = cfg.solver
     if variant_kind == "coarse_only":
         try:
-            rank_est = estimate_rank(obs.incomplete, solver.energy_ratio).value
+            rank_est = estimate_rank(obs.incomplete, solver.energy_ratio)
         except DegenerateSystemError:
             rank_est = 0
-        return coarse_channel(obs, block), rank_est, None
+        return coarse_channel(obs, block), rank_est, None, ()
 
     if variant_kind == "somp_baseline":
         rough = coarse_channel(obs, block)
         try:
-            cap = estimate_rank(obs.incomplete, solver.energy_ratio).value
+            cap = estimate_rank(obs.incomplete, solver.energy_ratio)
         except DegenerateSystemError:
             cap = min(obs.incomplete.shape)
         est = somp_baseline(
@@ -252,47 +249,33 @@ def _estimate_one(
             dictionary.a_ms,
             replace(cfg.omp, sparsity_cap=max(cap, 1)),
         )
-        return dictionary.a_ms @ est.gains, cap, est
+        return dictionary.a_ms @ est.gains, cap, est, ()
 
     if variant_kind == "rank_aware":
         cap = min(obs.incomplete.shape)
         try:
-            hint = min(predict_rank(state.tracker) + solver.rank_headroom, cap)
+            hint = min(predict_rank(tracker) + solver.rank_headroom, cap)
         except ColdStartError:
             hint = None
         result = r1mc_complete(obs, rank_hint=hint, opts=solver)
         # Corrector: the tracker learns from the rank of the completed
         # matrix, not from the raw factor count.
         try:
-            corrected = estimate_rank(result.completed, solver.energy_ratio).value
+            corrected = estimate_rank(result.completed, solver.energy_ratio)
         except DegenerateSystemError:
-            corrected = result.rank_estimate.value
-        state.tracker.record(max(corrected, 1))
-        # Masked measurements: match the completed observation against the
-        # frontend-composed dictionary rather than inverting the frontend.
+            corrected = result.rank
+        tracker.record(max(corrected, 1))
         sparse, h_hat = estimate_phase2(
-            None,
-            block,
-            dictionary,
-            max(corrected, 1),
-            cfg.omp,
-            compose_frontend=True,
-            completed=result.completed,
+            result.completed, block, dictionary, max(corrected, 1), cfg.omp
         )
-        return h_hat, corrected, sparse
+        return h_hat, corrected, sparse, result.trace
 
     if variant_kind == "fixed_rank":
         result = r1mc_complete(obs, rank_hint=variant_param, opts=solver)
         sparse, h_hat = estimate_phase2(
-            None,
-            block,
-            dictionary,
-            variant_param,
-            cfg.omp,
-            compose_frontend=True,
-            completed=result.completed,
+            result.completed, block, dictionary, variant_param, cfg.omp
         )
-        return h_hat, variant_param, sparse
+        return h_hat, variant_param, sparse, result.trace
 
     if variant_kind == "rank_oblivious":
         result = r1mc_complete(
@@ -303,16 +286,8 @@ def _estimate_one(
             cfg.omp,
             sparsity_cap=dictionary.size_aoa * dictionary.size_aod,
         )
-        sparse, h_hat = estimate_phase2(
-            None,
-            block,
-            dictionary,
-            1,
-            loose,
-            compose_frontend=True,
-            completed=result.completed,
-        )
-        return h_hat, result.rank_estimate.value, sparse
+        sparse, h_hat = estimate_phase2(result.completed, block, dictionary, 1, loose)
+        return h_hat, result.rank, sparse, result.trace
 
     raise ConfigError(f"unhandled estimator variant {variant_kind!r}")
 
@@ -328,22 +303,24 @@ def _run_trial(
     kind, param = parse_variant(variant)
     snr_db = cfg.snr_grid_db[snr_idx]
     track = _channel_track(cfg, trial, dictionary)
-    state = _TrialState(rank_cap=min(cfg.hybrid.m_ms, cfg.hybrid.pilot_length))
+    tracker = persistence_tracker(min(cfg.hybrid.m_ms, cfg.hybrid.pilot_length))
     records = []
     if artifacts is not None:
-        artifacts.update(truth=[], estimate=[], sparse=[], mask=[])
+        artifacts.update(truth=[], estimate=[], sparse=[], mask=[], trace=[])
     for t, real in enumerate(track):
         started = time.perf_counter()
+        rank_true = int(np.linalg.matrix_rank(real.matrix, tol=None))
         try:
             block, obs = _simulate_step(cfg, snr_idx, trial, t, real)
-            h_hat, rank_est, sparse = _estimate_one(
-                kind, param, cfg, obs, block, dictionary, state
+            h_hat, rank_est, sparse, trace = _estimate_one(
+                kind, param, cfg, obs, block, dictionary, tracker
             )
             if artifacts is not None:
                 artifacts["truth"].append(real.matrix)
                 artifacts["estimate"].append(h_hat)
                 artifacts["sparse"].append(sparse)
                 artifacts["mask"].append(obs.mask)
+                artifacts["trace"].append(trace)
             value = nmse(real.matrix, h_hat)
             value_db = nmse_db(value)
             ber = None
@@ -356,7 +333,6 @@ def _run_trial(
                     seed=_seed(cfg, _ESTIMATOR_TAG, trial, t),
                     n_streams=cfg.hybrid.n_streams,
                 )
-            rank_true = int(np.linalg.matrix_rank(real.matrix, tol=None))
             records.append(
                 MetricRecord(
                     variant=variant,
@@ -383,7 +359,7 @@ def _run_trial(
                     nmse_db=float("nan"),
                     recovered=False,
                     ber=None,
-                    rank_true=real.total_rays,
+                    rank_true=rank_true,
                     rank_est=0,
                     runtime_ms=(time.perf_counter() - started) * 1e3,
                     error=type(exc).__name__,

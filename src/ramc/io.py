@@ -83,13 +83,21 @@ def export_mask(path, mask) -> None:
             writer.writerow([int(i), int(j)])
 
 
-def write_solver_trace(path, rows) -> None:
-    """Completion iterations: objective, feasibility and active rank."""
+def write_solver_trace(path, traces) -> None:
+    """Completion iterations per time step.
+
+    ``traces`` holds one sequence of (iteration, objective, feasibility,
+    active rank) rows per time step; each row is written behind its step
+    index ``t``.
+    """
     with _open_csv(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "objective", "feasibility", "active_rank"])
-        for iteration, objective, feasibility, active in rows:
-            writer.writerow([iteration, _fmt(objective), _fmt(feasibility), active])
+        writer.writerow(["t", "iteration", "objective", "feasibility", "active_rank"])
+        for t, rows in enumerate(traces):
+            for iteration, objective, feasibility, active in rows:
+                writer.writerow(
+                    [t, iteration, _fmt(objective), _fmt(feasibility), active]
+                )
 
 
 def export_support(path, entries) -> None:

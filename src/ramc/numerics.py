@@ -7,12 +7,11 @@ functions are pure: inputs are never modified in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    DegenerateSystemError,
     InfeasibleMaskError,
     MatrixSizeError,
     ShapeError,
@@ -21,10 +20,6 @@ from .errors import (
 
 # Relative cutoff below which a singular value counts as zero.
 RANK_TOLERANCE = 1e-12
-
-# Condition-number cap for least_squares; systems worse than this are
-# treated as degenerate.
-CONDITION_CAP = 1e12
 
 # Largest element count kron() will materialise (256 MiB of complex128).
 MAX_KRON_ELEMENTS = 1 << 24
@@ -175,68 +170,10 @@ def kron(a, b, max_elements: int = MAX_KRON_ELEMENTS) -> np.ndarray:
     return np.kron(a, b)
 
 
-def least_squares(a, y) -> np.ndarray:
-    """Minimum-norm solution of the overdetermined system ``a @ x = y``.
-
-    Parameters
-    ----------
-    a : array_like
-        Coefficient matrix, shape (m, n) with m >= n and full column rank.
-    y : array_like
-        Right-hand side, shape (m,) or (m, k).
-
-    Returns
-    -------
-    numpy.ndarray
-        Solution with the same trailing shape as ``y``.
-
-    Raises
-    ------
-    DegenerateSystemError
-        If the numerical rank of ``a`` is below n (condition cap 1e12).
-    """
-    a = _as_matrix(a, "a")
-    y_arr = np.asarray(y, dtype=np.complex128)
-    squeeze = y_arr.ndim == 1
-    if squeeze:
-        y_arr = y_arr[:, None]
-    if y_arr.shape[0] != a.shape[0]:
-        raise ShapeError(
-            f"rhs has {y_arr.shape[0]} rows, expected {a.shape[0]}"
-        )
-    if a.shape[0] < a.shape[1]:
-        raise ShapeError(
-            f"system is underdetermined: {a.shape[0]} equations, "
-            f"{a.shape[1]} unknowns"
-        )
-    s = np.linalg.svd(a, compute_uv=False)
-    rank = int(np.sum(s > s[0] / CONDITION_CAP)) if s.size and s[0] > 0 else 0
-    if rank < a.shape[1]:
-        raise DegenerateSystemError(
-            f"coefficient matrix has rank {rank} < {a.shape[1]} unknowns",
-            rank=rank,
-        )
-    q, r = np.linalg.qr(a)
-    x = np.linalg.solve(r, q.conj().T @ y_arr)
-    return x[:, 0] if squeeze else x
-
-
 def pseudo_inverse(m) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via the thin SVD."""
     a = _as_matrix(m)
     return np.linalg.pinv(a, rcond=RANK_TOLERANCE)
-
-
-def soft_shrink(a, mu: float):
-    """Soft-thresholding operator ``sign(a) * max(|a| - mu, 0)``.
-
-    Accepts scalars or arrays; ``mu`` must be non-negative.
-    """
-    if mu < 0:
-        raise ValueError(f"shrinkage threshold must be >= 0, got {mu}")
-    arr = np.asarray(a, dtype=float)
-    out = np.sign(arr) * np.maximum(np.abs(arr) - mu, 0.0)
-    return out.item() if np.isscalar(a) or arr.ndim == 0 else out
 
 
 def project_mask(m, mask: SamplingMask) -> np.ndarray:
@@ -253,8 +190,3 @@ def project_mask(m, mask: SamplingMask) -> np.ndarray:
 def vec(m) -> np.ndarray:
     """Column-stacking vectorisation, so vec(A X B) = (B^T kron A) vec(X)."""
     return np.asarray(m).flatten(order="F")
-
-
-def unvec(v, shape) -> np.ndarray:
-    """Inverse of :func:`vec` for a target 2-D shape."""
-    return np.asarray(v).reshape(shape, order="F")

@@ -1,9 +1,10 @@
 """Rank-constrained greedy sparse recovery of angular-domain gains.
 
-Phase II of the pipeline: vectorise the refined channel estimate, run
+Phase II of the pipeline: vectorise the completed pilot observation, run
 batch orthogonal matching pursuit against the Kronecker steering
-dictionary with the sparsity budget set by the Phase-I rank estimate,
-and map the recovered support back to angle/gain triplets.
+dictionary composed with the pilot frontend, with the sparsity budget
+set by the Phase-I rank estimate, and map the recovered support back to
+angle/gain triplets.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .channel import AngularDictionary
 from .errors import ConfigError, DegenerateSystemError, ShapeError
 from .frontend import PilotBlock, measurement_matrix
-from .numerics import kron, unvec, vec
+from .numerics import kron, vec
 
 # Correlations below this relative level stop the pursuit: the residual
 # is numerically inside the span of the selected columns.
@@ -25,11 +26,10 @@ _CORRELATION_FLOOR = 1e-13
 
 @dataclass(frozen=True)
 class OmpOptions:
-    """Stopping and batching controls for the pursuit."""
+    """Stopping controls for the pursuit."""
 
     sparsity_cap: int | None = None
     residual_tol: float | None = None
-    batch_size: int = 64
     rank_cap_rule: str = "squared"
 
     def __post_init__(self):
@@ -37,8 +37,6 @@ class OmpOptions:
             raise ConfigError("sparsity cap must be >= 1")
         if self.residual_tol is not None and self.residual_tol < 0:
             raise ConfigError("residual tolerance must be non-negative")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
         if self.rank_cap_rule not in ("squared", "linear"):
             raise ConfigError(
                 f"rank cap rule must be 'squared' or 'linear', got {self.rank_cap_rule!r}"
@@ -72,16 +70,6 @@ def build_dictionary(dictionary: AngularDictionary) -> np.ndarray:
     return kron(dictionary.a_bs.conj(), dictionary.a_ms)
 
 
-def _gram(dictionary: np.ndarray, batch_size: int) -> np.ndarray:
-    n = dictionary.shape[1]
-    g = np.empty((n, n), dtype=np.complex128)
-    dh = dictionary.conj().T
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        g[:, start:stop] = dh @ dictionary[:, start:stop]
-    return g
-
-
 def _solve_support(gram_s, h0_s, support):
     try:
         coeffs = np.linalg.solve(gram_s, h0_s)
@@ -98,13 +86,13 @@ def _solve_support(gram_s, h0_s, support):
     return coeffs
 
 
-def _pursuit(targets: np.ndarray, dictionary: np.ndarray, cap: int, tol: float, batch_size: int):
+def _pursuit(targets: np.ndarray, dictionary: np.ndarray, cap: int, tol: float):
     """Shared Gram-domain greedy loop for OMP (1 column) and SOMP (many)."""
     norms = np.linalg.norm(dictionary, axis=0)
     if np.any(norms == 0.0):
         raise DegenerateSystemError("dictionary holds a zero column", rank=0)
     d_n = dictionary / norms
-    gram = _gram(d_n, batch_size)
+    gram = d_n.conj().T @ d_n
     h0 = d_n.conj().T @ targets
     target_sq = np.linalg.norm(targets) ** 2
 
@@ -136,9 +124,48 @@ def _pursuit(targets: np.ndarray, dictionary: np.ndarray, cap: int, tol: float, 
     return support, coeffs, residual
 
 
-def _grid_support(flat: list[int], grid_shape: tuple[int, int]):
-    l1, _ = grid_shape
-    return tuple((idx % l1, idx // l1) for idx in flat)
+def _omp(y, dictionary, opts, grid_shape) -> SparseGainEstimate:
+    """Validate, run the pursuit on the columns of ``y`` and place the gains.
+
+    A single target fills the ``grid_shape`` gain grid (column k goes to
+    cell (k % rows, k // rows)); several targets give one gain row per
+    atom and one column per target.
+    """
+    opts = opts if opts is not None else OmpOptions()
+    d = np.asarray(dictionary, dtype=np.complex128)
+    if y.ndim == 1:
+        y = y[:, None]
+    if d.shape[0] != y.shape[0]:
+        raise ShapeError(
+            f"dictionary rows {d.shape[0]} != target rows {y.shape[0]}"
+        )
+    n = d.shape[1]
+    shape = grid_shape if grid_shape is not None else (n, 1)
+    if shape[0] * shape[1] != n:
+        raise ShapeError(f"grid shape {shape} does not index {n} columns")
+    cap = opts.sparsity_cap if opts.sparsity_cap is not None else n
+    tol = (
+        opts.residual_tol
+        if opts.residual_tol is not None
+        else 1e-8 * float(np.linalg.norm(y))
+    )
+    support, coeffs, residual = _pursuit(y, d, min(cap, n), tol)
+
+    if y.shape[1] == 1:
+        gains = np.zeros(shape, dtype=np.complex128)
+        if support:
+            idx = np.asarray(support)
+            gains[idx % shape[0], idx // shape[0]] = coeffs[:, 0]
+    else:
+        gains = np.zeros((n, y.shape[1]), dtype=np.complex128)
+        if support:
+            gains[support, :] = coeffs
+    return SparseGainEstimate(
+        gains=gains,
+        support=tuple((idx % shape[0], idx // shape[0]) for idx in support),
+        selection_order=tuple(support),
+        residual_norm=residual,
+    )
 
 
 def batch_omp(
@@ -167,37 +194,8 @@ def batch_omp(
         AoA x AoD grid dimensions used to express the support as index
         pairs; defaults to one pair (column, 0) per atom.
     """
-    opts = opts if opts is not None else OmpOptions()
-    d = np.asarray(dictionary, dtype=np.complex128)
     y = np.asarray(target, dtype=np.complex128).reshape(-1, 1)
-    if d.shape[0] != y.shape[0]:
-        raise ShapeError(
-            f"dictionary rows {d.shape[0]} != target length {y.shape[0]}"
-        )
-    cap = opts.sparsity_cap if opts.sparsity_cap is not None else d.shape[1]
-    cap = min(cap, d.shape[1])
-    tol = (
-        opts.residual_tol
-        if opts.residual_tol is not None
-        else 1e-8 * float(np.linalg.norm(y))
-    )
-    support, coeffs, residual = _pursuit(y, d, cap, tol, opts.batch_size)
-
-    shape = grid_shape if grid_shape is not None else (d.shape[1], 1)
-    if shape[0] * shape[1] != d.shape[1]:
-        raise ShapeError(
-            f"grid shape {shape} does not index {d.shape[1]} columns"
-        )
-    gains = np.zeros(shape, dtype=np.complex128)
-    if support:
-        idx = np.asarray(support)
-        gains[idx % shape[0], idx // shape[0]] = coeffs[:, 0]
-    return SparseGainEstimate(
-        gains=gains,
-        support=_grid_support(support, shape),
-        selection_order=tuple(support),
-        residual_norm=residual,
-    )
+    return _omp(y, dictionary, opts, grid_shape)
 
 
 def somp_baseline(
@@ -212,45 +210,7 @@ def somp_baseline(
     l2 norm; all targets share one support.  With a single column this
     reduces exactly to :func:`batch_omp`.
     """
-    opts = opts if opts is not None else OmpOptions()
-    d = np.asarray(dictionary, dtype=np.complex128)
-    y = np.asarray(targets, dtype=np.complex128)
-    if y.ndim == 1:
-        y = y[:, None]
-    if d.shape[0] != y.shape[0]:
-        raise ShapeError(
-            f"dictionary rows {d.shape[0]} != target rows {y.shape[0]}"
-        )
-    cap = opts.sparsity_cap if opts.sparsity_cap is not None else d.shape[1]
-    cap = min(cap, d.shape[1])
-    tol = (
-        opts.residual_tol
-        if opts.residual_tol is not None
-        else 1e-8 * float(np.linalg.norm(y))
-    )
-    support, coeffs, residual = _pursuit(y, d, cap, tol, opts.batch_size)
-
-    if y.shape[1] == 1 and grid_shape is not None:
-        gains = np.zeros(grid_shape, dtype=np.complex128)
-        if support:
-            idx = np.asarray(support)
-            gains[idx % grid_shape[0], idx // grid_shape[0]] = coeffs[:, 0]
-        return SparseGainEstimate(
-            gains=gains,
-            support=_grid_support(support, grid_shape),
-            selection_order=tuple(support),
-            residual_norm=residual,
-        )
-    gains = np.zeros((d.shape[1], y.shape[1]), dtype=np.complex128)
-    if support:
-        gains[support, :] = coeffs
-    shape = grid_shape if grid_shape is not None else (d.shape[1], 1)
-    return SparseGainEstimate(
-        gains=gains,
-        support=_grid_support(support, shape),
-        selection_order=tuple(support),
-        residual_norm=residual,
-    )
+    return _omp(np.asarray(targets, dtype=np.complex128), dictionary, opts, grid_shape)
 
 
 def reconstruct_channel(
@@ -266,26 +226,24 @@ def reconstruct_channel(
 
 
 def estimate_phase2(
-    refined,
+    completed,
     block: PilotBlock,
     dictionary: AngularDictionary,
-    rank,
+    rank: int,
     opts: OmpOptions | None = None,
-    compose_frontend: bool = False,
-    completed=None,
 ) -> tuple[SparseGainEstimate, np.ndarray]:
     """Sparse angular recovery with a rank-derived sparsity budget.
 
-    The pursuit target is the vectorised refined channel against the
-    Kronecker steering dictionary.  With ``compose_frontend`` the raw
-    completed observation is matched against the measurement-composed
-    dictionary instead (for masked-measurement studies).
+    The pursuit matches the vectorised completed observation against the
+    Kronecker steering dictionary composed with the pilot frontend,
+    ``measurement_matrix(block) @ build_dictionary(dictionary)``, with
+    each composed atom scaled to unit norm.
 
     Parameters
     ----------
-    refined : array_like
-        Refined channel estimate (n_ms x n_bs).
-    rank : RankEstimate or int
+    completed : array_like
+        Completed pilot observation (m_ms x pilot_length).
+    rank : int
         Phase-I rank; the sparsity cap is rank**2 (or rank with the
         'linear' cap rule) unless ``opts.sparsity_cap`` overrides it.
 
@@ -296,47 +254,31 @@ def estimate_phase2(
         reconstructed channel matrix.
     """
     opts = opts if opts is not None else OmpOptions()
-    rank_value = int(getattr(rank, "value", rank))
     if opts.sparsity_cap is None:
-        if rank_value < 1:
-            raise ConfigError(
-                f"rank {rank_value} yields an empty sparsity budget"
-            )
-        cap = rank_value**2 if opts.rank_cap_rule == "squared" else rank_value
+        if rank < 1:
+            raise ConfigError(f"rank {rank} yields an empty sparsity budget")
+        cap = rank**2 if opts.rank_cap_rule == "squared" else rank
     else:
         cap = opts.sparsity_cap
-    psi = build_dictionary(dictionary)
-    scales = None
-    if compose_frontend:
-        if completed is None:
-            raise ConfigError("compose_frontend requires the completed observation")
-        target = vec(completed)
-        d = measurement_matrix(block) @ psi
-        # The frontend scales each atom unevenly; the pursuit needs
-        # unit-norm columns or low-norm directions are never selected.
-        scales = np.linalg.norm(d, axis=0)
-        degenerate = scales <= 1e-14 * scales.max()
-        scales[degenerate] = 1.0
-        d = d / scales
-    else:
-        target = vec(np.asarray(refined))
-        d = psi
+    d = measurement_matrix(block) @ build_dictionary(dictionary)
+    # The frontend scales each atom unevenly; the pursuit needs
+    # unit-norm columns or low-norm directions are never selected.
+    scales = np.linalg.norm(d, axis=0)
+    degenerate = scales <= 1e-14 * scales.max()
+    scales[degenerate] = 1.0
+    d = d / scales
     run_opts = replace(opts, sparsity_cap=min(cap, d.shape[1]))
     estimate = batch_omp(
-        target, d, run_opts, grid_shape=(dictionary.size_aoa, dictionary.size_aod)
+        vec(completed), d, run_opts, grid_shape=(dictionary.size_aoa, dictionary.size_aod)
     )
-    if scales is not None:
-        rescaled = estimate.gains / scales.reshape(
-            estimate.gains.shape, order="F"
-        )
-        estimate = replace(estimate, gains=rescaled)
+    rescaled = estimate.gains / scales.reshape(estimate.gains.shape, order="F")
     params = tuple(
         (
             float(dictionary.grid_aoa[i]),
             float(dictionary.grid_aod[j]),
-            complex(estimate.gains[i, j]),
+            complex(rescaled[i, j]),
         )
         for i, j in estimate.support
     )
-    estimate = replace(estimate, parameter_set=params)
+    estimate = replace(estimate, gains=rescaled, parameter_set=params)
     return estimate, reconstruct_channel(estimate, dictionary)

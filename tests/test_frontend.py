@@ -19,7 +19,6 @@ from ramc import (
     sample_realization,
     subsample,
     vec,
-    with_completed,
 )
 from ramc.frontend import analog_stage
 
@@ -170,14 +169,6 @@ def test_coarse_channel_degrades_with_mask(realization):
     err_full = nmse(realization.matrix, coarse_channel(full, block))
     err_masked = nmse(realization.matrix, coarse_channel(masked, block))
     assert err_masked > err_full
-
-
-def test_with_completed(realization):
-    block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
-    obs = observe(realization, block)
-    filled = with_completed(obs, obs.complete * 0)
-    assert filled.completed is not None
-    assert obs.completed is None
 
 
 def test_pilot_block_shape_validation():

@@ -167,6 +167,23 @@ class TestRunSweep:
         assert math.isnan(records[0].nmse)
         assert not records[0].recovered
 
+    def test_failed_record_reports_matrix_rank(self):
+        # Three rays in one cluster with no angle spread share one path
+        # direction, so the channel has rank 1 although it holds 3 rays.
+        # Failed and successful steps must report the same rank_true.
+        channel = ChannelParams(
+            n_bs=4, n_ms=4, n_clusters=1, rays_per_cluster=3, angle_spread=0.0
+        )
+        ranks = []
+        for keep in (0.14, 0.8):
+            cfg = ExperimentConfig(
+                **dict(SMALL, channel=channel, keep_fraction=keep),
+                snr_grid_db=(10.0,), n_trials=1, estimator_variant="coarse_only",
+            )
+            (record,) = run_sweep(cfg)
+            ranks.append((record.error, record.rank_true))
+        assert ranks == [("InfeasibleMaskError", 1), ("", 1)]
+
     def test_paired_channels_across_variants(self):
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(20.0,), n_trials=1)
         arts_a: dict = {}
@@ -240,7 +257,7 @@ class TestReports:
         )
         records = run_sweep(cfg, variants=("rank_aware", "rank_oblivious"))
         report = ablation_report(records)
-        assert ("rank_aware", "rank_oblivious") in report.gaps_db
+        assert np.all(report.gaps_db[("rank_aware", "rank_oblivious")] < 0)
 
     def test_report_table_and_csv(self, tmp_path):
         report = ablation_report(self._records())

@@ -149,10 +149,13 @@ def test_export_singular_values(tmp_path):
 
 def test_write_solver_trace(tmp_path):
     path = tmp_path / "trace.csv"
-    write_solver_trace(path, [(0, 10.0, 1.0, 3), (1, 5.0, 0.1, 2)])
+    write_solver_trace(
+        path, [[(1, 10.0, 1.0, 3), (2, 5.0, 0.1, 2)], [(1, 4.0, 0.5, 2)]]
+    )
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,objective,feasibility,active_rank"
-    assert len(lines) == 3
+    assert lines[0] == "t,iteration,objective,feasibility,active_rank"
+    assert len(lines) == 4
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "0", "1"]
 
 
 def test_export_support(tmp_path):

@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from ramc import (
-    DegenerateSystemError,
     InfeasibleMaskError,
     MatrixSizeError,
     SamplingMask,
     ShapeError,
     kron,
-    least_squares,
     project_mask,
     pseudo_inverse,
-    soft_shrink,
     svd,
-    unvec,
     vec,
 )
 
@@ -82,43 +78,6 @@ class TestKron:
             kron(a, a, max_elements=10_000)
 
 
-class TestLeastSquares:
-    def test_exact_solution(self):
-        rng = np.random.default_rng(31)
-        a = _random_complex(rng, 10, 4)
-        x_true = _random_complex(rng, 4, 1)[:, 0]
-        x = least_squares(a, a @ x_true)
-        assert np.allclose(x, x_true, atol=1e-10)
-
-    def test_multiple_rhs(self):
-        rng = np.random.default_rng(32)
-        a = _random_complex(rng, 8, 3)
-        x_true = _random_complex(rng, 3, 4)
-        x = least_squares(a, a @ x_true)
-        assert x.shape == (3, 4)
-        assert np.allclose(x, x_true, atol=1e-10)
-
-    def test_residual_orthogonality(self):
-        # Normal equations: the residual is orthogonal to the column space.
-        rng = np.random.default_rng(33)
-        a = _random_complex(rng, 12, 5)
-        y = _random_complex(rng, 12, 1)[:, 0]
-        x = least_squares(a, y)
-        assert np.allclose(a.conj().T @ (y - a @ x), 0, atol=1e-10)
-
-    def test_rank_deficient_raises(self):
-        rng = np.random.default_rng(34)
-        a = _random_complex(rng, 6, 3)
-        a[:, 2] = a[:, 0] + a[:, 1]
-        with pytest.raises(DegenerateSystemError) as exc:
-            least_squares(a, np.ones(6))
-        assert exc.value.rank == 2
-
-    def test_underdetermined_raises(self):
-        with pytest.raises(ShapeError):
-            least_squares(np.ones((2, 5)), np.ones(2))
-
-
 def test_pseudo_inverse_moore_penrose():
     rng = np.random.default_rng(41)
     m = _random_complex(rng, 6, 4)
@@ -133,23 +92,6 @@ def test_pseudo_inverse_rank_deficient():
     m = u @ u.conj().T
     p = pseudo_inverse(m)
     assert np.allclose(m @ p @ m, m, atol=1e-10)
-
-
-class TestSoftShrink:
-    @pytest.mark.parametrize(
-        "a,mu,expected",
-        [(3.0, 1.0, 2.0), (-3.0, 1.0, -2.0), (0.5, 1.0, 0.0), (2.0, 0.0, 2.0)],
-    )
-    def test_scalar(self, a, mu, expected):
-        assert soft_shrink(a, mu) == expected
-
-    def test_array(self):
-        out = soft_shrink(np.array([-2.0, -0.5, 0.0, 0.5, 2.0]), 1.0)
-        assert np.array_equal(out, [-1.0, 0.0, 0.0, 0.0, 1.0])
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            soft_shrink(1.0, -0.1)
 
 
 class TestSamplingMask:
@@ -199,8 +141,3 @@ class TestVec:
     def test_column_major(self):
         m = np.array([[1, 2], [3, 4]])
         assert vec(m).tolist() == [1, 3, 2, 4]
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(61)
-        m = _random_complex(rng, 4, 7)
-        assert np.array_equal(unvec(vec(m), (4, 7)), m)

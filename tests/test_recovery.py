@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramc import (
     ChannelParams,
@@ -21,7 +23,6 @@ from ramc import (
     observe,
     r1mc_complete,
     reconstruct_channel,
-    refine_channel,
     sample_realization,
     somp_baseline,
     vec,
@@ -159,6 +160,59 @@ class TestSompBaseline:
         assert single.selection_order == plain.selection_order
 
 
+_GAINS = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0)
+
+
+@st.composite
+def _sparse_problems(draw):
+    """Unit-norm random dictionary and a target with a few nonzero gains."""
+    rows = draw(st.integers(min_value=4, max_value=12))
+    cols = draw(st.integers(min_value=rows, max_value=2 * rows))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    d = _unit_norm_dictionary(rng, rows, cols)
+    k = draw(st.integers(min_value=1, max_value=3))
+    picks = draw(st.lists(st.integers(0, cols - 1), min_size=k, max_size=k, unique=True))
+    x = np.zeros(cols, dtype=complex)
+    x[picks] = draw(st.lists(_GAINS, min_size=k, max_size=k))
+    return d, d @ x, k
+
+
+class TestPursuitProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=_sparse_problems(), extra=st.integers(min_value=0, max_value=2))
+    def test_somp_single_column_equals_omp(self, problem, extra):
+        d, y, k = problem
+        opts = OmpOptions(sparsity_cap=k + extra)
+        plain = batch_omp(y, d, opts)
+        single = somp_baseline(y[:, None], d, opts)
+        assert single.selection_order == plain.selection_order
+        assert np.array_equal(single.gains, plain.gains)
+        assert single.residual_norm == plain.residual_norm
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        size=st.integers(min_value=2, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_exact_recovery_on_orthonormal_dictionary(self, data, size, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        q, _ = np.linalg.qr(g)
+        k = data.draw(st.integers(min_value=1, max_value=size))
+        picks = data.draw(
+            st.lists(st.integers(0, size - 1), min_size=k, max_size=k, unique=True)
+        )
+        x = np.zeros(size, dtype=complex)
+        x[picks] = data.draw(st.lists(_GAINS, min_size=k, max_size=k))
+        est = batch_omp(q @ x, q, OmpOptions(sparsity_cap=k))
+        assert sorted(est.selection_order) == sorted(picks)
+        assert np.allclose(est.gains[:, 0], x, atol=1e-9 * np.abs(x).max())
+        # The Gram-domain residual is sqrt(||y||^2 - <c, D^H y>), a
+        # difference of squares, so it is only good to ~sqrt(eps) * ||y||.
+        assert est.residual_norm <= 1e-7 * np.linalg.norm(x)
+
+
 class TestAngularPipeline:
     def test_vec_identity(self):
         """The Kronecker dictionary linearises the two-sided steering map."""
@@ -185,18 +239,6 @@ class TestAngularPipeline:
         h = reconstruct_channel(est, dic)
         assert nmse(real.matrix, h) <= 1e-18
 
-    def test_phase2_refined_target(self):
-        rng = np.random.default_rng(222)
-        params = ChannelParams(n_clusters=2, rays_per_cluster=1)
-        dic = make_dictionary(params)
-        real = sample_realization(params, rng, dictionary=dic)
-        block = make_pilot_block(HybridConfig(), 8, 8, seed=4)
-        obs = observe(real, block)
-        refined = refine_channel(r1mc_complete(obs), block)
-        est, h = estimate_phase2(refined, block, dic, rank=2)
-        assert nmse(real.matrix, h) <= 1e-16
-        assert len(est.support) <= 4  # squared rule on rank 2
-
     def test_phase2_composed_target(self):
         rng = np.random.default_rng(223)
         params = ChannelParams(n_clusters=2, rays_per_cluster=1)
@@ -205,10 +247,9 @@ class TestAngularPipeline:
         block = make_pilot_block(HybridConfig(), 8, 8, seed=4)
         obs = observe(real, block)
         completed = r1mc_complete(obs).completed
-        est, h = estimate_phase2(
-            None, block, dic, rank=2, compose_frontend=True, completed=completed
-        )
+        est, h = estimate_phase2(completed, block, dic, rank=2)
         assert nmse(real.matrix, h) <= 1e-16
+        assert len(est.support) <= 4  # squared rule on rank 2
 
     def test_phase2_single_ray(self):
         rng = np.random.default_rng(224)
@@ -217,8 +258,7 @@ class TestAngularPipeline:
         real = sample_realization(params, rng, dictionary=dic)
         block = make_pilot_block(HybridConfig(), 8, 8, seed=5)
         obs = observe(real, block)
-        refined = refine_channel(r1mc_complete(obs), block)
-        est, _ = estimate_phase2(refined, block, dic, rank=1)
+        est, _ = estimate_phase2(r1mc_complete(obs).completed, block, dic, rank=1)
         assert len(est.support) == 1
         (i, j) = est.support[0]
         truth = angular_factorization(real, dic)
@@ -237,9 +277,12 @@ class TestAngularPipeline:
         block = make_pilot_block(HybridConfig(m_bs=4, m_ms=4, pilot_length=8), 4, 4, seed=6)
         real = sample_realization(ChannelParams(n_bs=4, n_ms=4), rng)
         obs = observe(real, block)
-        refined = refine_channel(r1mc_complete(obs), block)
         est, _ = estimate_phase2(
-            refined, block, dic, rank=rank, opts=OmpOptions(rank_cap_rule=rule)
+            r1mc_complete(obs).completed,
+            block,
+            dic,
+            rank=rank,
+            opts=OmpOptions(rank_cap_rule=rule),
         )
         assert len(est.support) <= expected
 
@@ -248,9 +291,3 @@ class TestAngularPipeline:
         block = make_pilot_block(HybridConfig(), 8, 8, seed=7)
         with pytest.raises(ConfigError):
             estimate_phase2(np.eye(8), block, dic, rank=0)
-
-    def test_compose_requires_completed(self):
-        dic = make_dictionary(ChannelParams())
-        block = make_pilot_block(HybridConfig(), 8, 8, seed=7)
-        with pytest.raises(ConfigError):
-            estimate_phase2(None, block, dic, rank=1, compose_frontend=True)
