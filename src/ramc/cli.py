@@ -154,12 +154,12 @@ def _cmd_estimate(args) -> int:
             out / "support.csv",
             [
                 (t, sparse)
-                for t, sparse in enumerate(artifacts["sparse"])
+                for t, sparse in zip(artifacts["t"], artifacts["sparse"])
                 if sparse is not None
             ],
         )
     if args.trace:
-        write_solver_trace(out / "trace.csv", artifacts["trace"])
+        write_solver_trace(out / "trace.csv", zip(artifacts["t"], artifacts["trace"]))
     write_records(out / "records.csv", records)
     for r in records:
         line = (

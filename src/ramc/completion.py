@@ -81,11 +81,6 @@ class RankTracker:
         self.history.append(int(value))
 
 
-def persistence_tracker(rank_cap: int, capacity: int = 64) -> RankTracker:
-    """Tracker that predicts the previous corrected rank."""
-    return RankTracker(rank_cap=rank_cap, capacity=capacity)
-
-
 def predict_rank(tracker: RankTracker) -> int:
     """Last recorded rank, clamped to [1, cap].
 
@@ -178,20 +173,31 @@ def _lagrangian(y_hat, z, multiplier, mu_eff, weights) -> float:
 
 
 def _update_factor(residual, u, v):
-    """Power-iterate one rank-one factor against the deflated residual."""
+    """Power-iterate one rank-one factor against the deflated residual.
+
+    Exactness contract: on a residual of at least 2 x 2, every result is
+    bit-identical to the plain loop ``v = R^H @ u / np.linalg.norm(.)``,
+    ``u = R @ v / np.linalg.norm(.)``.  Only numpy dispatch is shed: R^H
+    is built once, the norm is numpy's own sqrt(re.re + im.im), and
+    ``.dot`` reaches the same zgemv as ``@`` (on a single row or column
+    the two round differently).
+    """
+    residual_h = residual.conj().T
     a_prev = -1.0
     a = 0.0
     for _ in range(_INNER_CAP):
-        v_new = residual.conj().T @ u
-        nv = np.linalg.norm(v_new)
+        v_new = residual_h.dot(u)
+        nv = math.sqrt(v_new.real.dot(v_new.real) + v_new.imag.dot(v_new.imag))
         if nv == 0.0:
             return u, v, 0.0
-        v = v_new / nv
-        u_new = residual @ v
-        nu = np.linalg.norm(u_new)
+        v_new /= nv
+        v = v_new
+        u_new = residual.dot(v)
+        nu = math.sqrt(u_new.real.dot(u_new.real) + u_new.imag.dot(u_new.imag))
         if nu == 0.0:
             return u, v, 0.0
-        u = u_new / nu
+        u_new /= nu
+        u = u_new
         a = nu
         if abs(a - a_prev) <= _INNER_TOL * a:
             break

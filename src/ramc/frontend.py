@@ -175,18 +175,15 @@ def _draw_mask(
 def _constructive_mask(
     rows: int, cols: int, n_keep: int, rng: np.random.Generator
 ) -> SamplingMask:
-    # Cover every row and column first, then fill the remainder uniformly.
+    # Cover every row and column with max(rows, cols) entries, fill the rest.
+    if rows > cols:
+        return SamplingMask(_constructive_mask(cols, rows, n_keep, rng).observed.T.copy())
     obs = np.zeros((rows, cols), dtype=bool)
-    cols_for_rows = rng.permutation(cols)[:rows] if cols >= rows else rng.integers(0, cols, rows)
-    obs[np.arange(rows), cols_for_rows] = True
+    obs[np.arange(rows), rng.permutation(cols)[:rows]] = True
     for j in np.flatnonzero(~obs.any(axis=0)):
         obs[rng.integers(0, rows), j] = True
-    remaining = np.flatnonzero(~obs.ravel())
-    extra = obs.size - obs.sum()
-    take = n_keep - int(obs.sum())
-    if take > 0:
-        picked = rng.choice(remaining, size=min(take, extra), replace=False)
-        obs.ravel()[picked] = True
+    picked = rng.choice(np.flatnonzero(~obs.ravel()), size=n_keep - cols, replace=False)
+    obs.ravel()[picked] = True
     return SamplingMask(obs)
 
 

@@ -21,7 +21,6 @@ from . import channel as chan
 from .completion import (
     RankTracker,
     estimate_rank,
-    persistence_tracker,
     predict_rank,
     r1mc_complete,
 )
@@ -303,10 +302,10 @@ def _run_trial(
     kind, param = parse_variant(variant)
     snr_db = cfg.snr_grid_db[snr_idx]
     track = _channel_track(cfg, trial, dictionary)
-    tracker = persistence_tracker(min(cfg.hybrid.m_ms, cfg.hybrid.pilot_length))
+    tracker = RankTracker(rank_cap=min(cfg.hybrid.m_ms, cfg.hybrid.pilot_length))
     records = []
     if artifacts is not None:
-        artifacts.update(truth=[], estimate=[], sparse=[], mask=[], trace=[])
+        artifacts.update(t=[], truth=[], estimate=[], sparse=[], mask=[], trace=[])
     for t, real in enumerate(track):
         started = time.perf_counter()
         rank_true = int(np.linalg.matrix_rank(real.matrix, tol=None))
@@ -316,6 +315,7 @@ def _run_trial(
                 kind, param, cfg, obs, block, dictionary, tracker
             )
             if artifacts is not None:
+                artifacts["t"].append(t)
                 artifacts["truth"].append(real.matrix)
                 artifacts["estimate"].append(h_hat)
                 artifacts["sparse"].append(sparse)
@@ -424,7 +424,8 @@ def run_single_trial(
 
     Seeding matches :func:`run_sweep`, so the returned records equal the
     corresponding sweep rows.  Pass an ``artifacts`` dict to receive the
-    per-step truth/estimate matrices, sparse estimates and masks.
+    per-step truth/estimate matrices, sparse estimates, masks and solver
+    traces of the steps that succeeded, with their time indices in "t".
     """
     variant = variant if variant is not None else cfg.estimator_variant
     if not 0 <= snr_idx < len(cfg.snr_grid_db):

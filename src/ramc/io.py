@@ -86,14 +86,14 @@ def export_mask(path, mask) -> None:
 def write_solver_trace(path, traces) -> None:
     """Completion iterations per time step.
 
-    ``traces`` holds one sequence of (iteration, objective, feasibility,
-    active rank) rows per time step; each row is written behind its step
-    index ``t``.
+    ``traces`` yields (t, rows) pairs, where rows are the step's
+    (iteration, objective, feasibility, active rank) tuples; each row is
+    written behind its step index ``t``.
     """
     with _open_csv(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "iteration", "objective", "feasibility", "active_rank"])
-        for t, rows in enumerate(traces):
+        for t, rows in traces:
             for iteration, objective, feasibility, active in rows:
                 writer.writerow(
                     [t, iteration, _fmt(objective), _fmt(feasibility), active]

@@ -9,7 +9,6 @@ angle/gain triplets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,13 +93,11 @@ def _pursuit(targets: np.ndarray, dictionary: np.ndarray, cap: int, tol: float):
     d_n = dictionary / norms
     gram = d_n.conj().T @ d_n
     h0 = d_n.conj().T @ targets
-    target_sq = np.linalg.norm(targets) ** 2
+    residual = scale = float(np.linalg.norm(targets))
 
     support: list[int] = []
     coeffs = np.zeros((0, targets.shape[1]), dtype=np.complex128)
-    residual_sq = target_sq
-    scale = math.sqrt(target_sq)
-    while len(support) < cap and math.sqrt(max(residual_sq, 0.0)) > tol:
+    while len(support) < cap and residual > tol:
         corr = h0 - gram[:, support] @ coeffs if support else h0.copy()
         score = np.linalg.norm(corr, axis=1)
         if support:
@@ -116,8 +113,9 @@ def _pursuit(targets: np.ndarray, dictionary: np.ndarray, cap: int, tol: float):
                 rank=len(support) - 1,
             )
         coeffs = _solve_support(gram_s, h0[support, :], support)
-        residual_sq = target_sq - float(np.real(np.vdot(coeffs, h0[support, :])))
-    residual = math.sqrt(max(residual_sq, 0.0))
+        # Taken directly: the Gram-domain sqrt(||y||^2 - <c, D_S^H y>) is
+        # a difference of squares, good only to ~sqrt(eps) * ||y||.
+        residual = float(np.linalg.norm(targets - d_n[:, support] @ coeffs))
     # Undo the column normalisation on the recovered coefficients.
     if support:
         coeffs = coeffs / norms[support][:, None]

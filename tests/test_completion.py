@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramc import (
@@ -10,14 +10,15 @@ from ramc import (
     ConfigError,
     DegenerateSystemError,
     ObservationSet,
+    RankTracker,
     SamplingMask,
     SolverOptions,
     estimate_rank,
-    persistence_tracker,
     predict_rank,
     project_mask,
     r1mc_complete,
 )
+from ramc.completion import _INNER_CAP, _INNER_TOL, _update_factor
 
 
 def _low_rank(rng, rows, cols, rank, sv=None):
@@ -63,12 +64,12 @@ class TestEstimateRank:
 
 class TestRankTracker:
     def test_cold_start(self):
-        tracker = persistence_tracker(rank_cap=8)
+        tracker = RankTracker(rank_cap=8)
         with pytest.raises(ColdStartError):
             predict_rank(tracker)
 
     def test_persistence_predicts_last(self):
-        tracker = persistence_tracker(rank_cap=8)
+        tracker = RankTracker(rank_cap=8)
         tracker.record(3)
         assert predict_rank(tracker) == 3
         tracker.record(5)
@@ -77,7 +78,7 @@ class TestRankTracker:
     def test_relock_within_one_step(self):
         # A step change in the corrected rank is reflected by the very
         # next prediction.
-        tracker = persistence_tracker(rank_cap=8)
+        tracker = RankTracker(rank_cap=8)
         for _ in range(10):
             tracker.record(2)
         assert predict_rank(tracker) == 2
@@ -85,12 +86,12 @@ class TestRankTracker:
         assert predict_rank(tracker) == 4
 
     def test_clamped_to_cap(self):
-        tracker = persistence_tracker(rank_cap=3)
+        tracker = RankTracker(rank_cap=3)
         tracker.record(7)
         assert predict_rank(tracker) == 3
 
     def test_capacity_bound(self):
-        tracker = persistence_tracker(rank_cap=8, capacity=4)
+        tracker = RankTracker(rank_cap=8, capacity=4)
         for value in range(1, 9):
             tracker.record(value)
         assert list(tracker.history) == [5, 6, 7, 8]
@@ -100,7 +101,7 @@ class TestRankTracker:
         history=st.lists(st.integers(min_value=-4, max_value=32), min_size=1, max_size=80),
     )
     def test_predicts_clipped_last_rank(self, cap, history):
-        tracker = persistence_tracker(rank_cap=cap)
+        tracker = RankTracker(rank_cap=cap)
         for value in history:
             tracker.record(value)
         assert predict_rank(tracker) == int(np.clip(history[-1], 1, cap))
@@ -181,3 +182,78 @@ class TestR1mcComplete:
         assert len(result.trace) == result.iterations + 1
         assert [row[0] for row in result.trace] == list(range(1, result.iterations + 2))
         assert all(len(row) == 4 for row in result.trace)
+
+
+def _reference_update(residual, u, v):
+    """The power iteration written plainly, with np.linalg.norm and @."""
+    a_prev = -1.0
+    a = 0.0
+    for _ in range(_INNER_CAP):
+        v_new = residual.conj().T @ u
+        nv = np.linalg.norm(v_new)
+        if nv == 0.0:
+            return u, v, 0.0
+        v = v_new / nv
+        u_new = residual @ v
+        nu = np.linalg.norm(u_new)
+        if nu == 0.0:
+            return u, v, 0.0
+        u = u_new / nu
+        a = nu
+        if abs(a - a_prev) <= _INNER_TOL * a:
+            break
+        a_prev = a
+    return u, v, a
+
+
+@st.composite
+def _factor_problems(draw):
+    """Residual and factor columns as the solver passes them.
+
+    u and v are strided columns of C-ordered factor matrices; the
+    residual is either full rank or low rank plus a small perturbation,
+    so both the iteration cap and the early convergence exit occur.
+    Shapes start at 2 x 2, where the exactness contract holds.
+    """
+    rows, cols = draw(
+        st.one_of(
+            st.just((8, 32)),
+            st.tuples(st.integers(2, 12), st.integers(2, 12)),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    n_factors = draw(st.integers(min_value=1, max_value=4))
+    q = draw(st.integers(min_value=0, max_value=n_factors - 1))
+    rank = draw(st.integers(min_value=1, max_value=min(rows, cols)))
+    residual = scale * _low_rank(rng, rows, cols, rank)
+    residual += draw(st.sampled_from([0.0, 1e-6, 1.0])) * scale * (
+        rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    )
+    left = rng.standard_normal((rows, n_factors)) + 1j * rng.standard_normal((rows, n_factors))
+    right = rng.standard_normal((cols, n_factors)) + 1j * rng.standard_normal((cols, n_factors))
+    left /= np.linalg.norm(left, axis=0)
+    right /= np.linalg.norm(right, axis=0)
+    return residual, left[:, q], right[:, q]
+
+
+class TestUpdateFactor:
+    @settings(max_examples=80, deadline=None)
+    @given(problem=_factor_problems())
+    def test_bit_identical_to_plain_loop(self, problem):
+        residual, u, v = problem
+        before = residual.copy()
+        u_fast, v_fast, a_fast = _update_factor(residual, u, v)
+        u_ref, v_ref, a_ref = _reference_update(residual, u, v)
+        assert np.array_equal(u_fast, u_ref)
+        assert np.array_equal(v_fast, v_ref)
+        assert a_fast == a_ref
+        assert np.array_equal(residual, before)
+
+    def test_zero_residual_returns_inputs(self):
+        left = np.ones((8, 3), dtype=complex) / np.sqrt(8)
+        right = np.ones((32, 3), dtype=complex) / np.sqrt(32)
+        u, v, a = _update_factor(np.zeros((8, 32), dtype=complex), left[:, 1], right[:, 1])
+        assert np.array_equal(u, left[:, 1])
+        assert np.array_equal(v, right[:, 1])
+        assert a == 0.0

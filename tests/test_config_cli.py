@@ -5,11 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramc import (
+    ChannelParams,
     ConfigError,
     DEFAULT_ABLATION,
     ExperimentConfig,
+    HybridConfig,
+    OmpOptions,
+    SolverOptions,
     config_from_dict,
     config_to_dict,
     dump_defaults,
@@ -29,6 +35,89 @@ SMALL_DOC = {
     "snr_grid_db": [10.0, 20.0],
     "n_trials": 2,
 }
+
+
+_POSITIVE = st.floats(min_value=1e-9, max_value=1e9)
+
+
+@st.composite
+def _channel_params(draw):
+    n_clusters = draw(st.integers(1, 4))
+    rays = draw(
+        st.one_of(
+            st.integers(1, 5),
+            st.tuples(*[st.integers(1, 5)] * n_clusters),
+        )
+    )
+    return ChannelParams(
+        n_bs=draw(st.integers(1, 16)),
+        n_ms=draw(st.integers(1, 16)),
+        n_clusters=n_clusters,
+        rays_per_cluster=rays,
+        carrier_wavelength=draw(_POSITIVE),
+        element_spacing=draw(st.none() | _POSITIVE),
+        sample_period=draw(_POSITIVE),
+        n_delay_taps=draw(st.integers(1, 8)),
+        pulse_rolloff=draw(st.floats(0.0, 1.0)),
+        angle_spread=draw(st.floats(0.0, 1.0)),
+        normalization=draw(st.none() | st.integers(1, 20)),
+        velocity=draw(st.floats(-100.0, 100.0)),
+    )
+
+
+@st.composite
+def _hybrid_configs(draw):
+    m_bs = draw(st.integers(1, 16))
+    m_ms = draw(st.integers(1, 16))
+    return HybridConfig(
+        m_bs=m_bs,
+        m_ms=m_ms,
+        n_streams=draw(st.integers(1, m_ms)),
+        phase_bits=draw(st.integers(1, 8)),
+        pilot_length=draw(st.integers(m_bs, 64)),
+    )
+
+
+@st.composite
+def _experiment_configs(draw):
+    time_steps = draw(st.integers(1, 6))
+    schedule = None
+    if time_steps > 1:
+        pair = st.tuples(st.integers(1, time_steps - 1), st.integers(1, 4))
+        schedule = draw(st.none() | st.lists(pair, max_size=3).map(tuple))
+    return ExperimentConfig(
+        channel=draw(_channel_params()),
+        hybrid=draw(_hybrid_configs()),
+        solver=SolverOptions(
+            epsilon=draw(st.none() | _POSITIVE),
+            mu=draw(st.none() | st.floats(0.0, 10.0)),
+            max_iters=draw(st.integers(1, 1000)),
+            energy_ratio=draw(st.floats(0.01, 1.0)),
+            refine_without_l1=draw(st.booleans()),
+            rank_headroom=draw(st.integers(0, 4)),
+        ),
+        omp=OmpOptions(
+            sparsity_cap=draw(st.none() | st.integers(1, 64)),
+            residual_tol=draw(st.none() | st.floats(0.0, 1.0)),
+            rank_cap_rule=draw(st.sampled_from(["squared", "linear"])),
+        ),
+        snr_grid_db=tuple(
+            draw(st.lists(st.floats(-30.0, 60.0), min_size=1, max_size=6))
+        ),
+        keep_fraction=draw(st.floats(0.01, 1.0)),
+        n_trials=draw(st.integers(1, 50)),
+        time_steps=time_steps,
+        rank_schedule=schedule,
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+        estimator_variant=draw(
+            st.sampled_from(DEFAULT_ABLATION) | st.integers(1, 8).map("fixed_rank({})".format)
+        ),
+        on_grid=draw(st.booleans()),
+        grid_oversampling=draw(st.integers(1, 4)),
+        recovery_threshold_db=draw(st.floats(-40.0, 0.0)),
+        ber_symbols=draw(st.just(0) | st.integers(1000, 10**6)),
+        threads=draw(st.integers(1, 8)),
+    )
 
 
 @pytest.fixture
@@ -116,6 +205,13 @@ class TestConfigDocument:
             master_seed=7,
         )
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=_experiment_configs())
+    def test_round_trip_property(self, cfg):
+        doc = config_to_dict(cfg)
+        assert config_from_dict(doc) == cfg
+        assert config_from_dict(json.loads(json.dumps(doc))) == cfg
 
     def test_dump_defaults_round_trip(self):
         assert config_from_dict(json.loads(dump_defaults())) == ExperimentConfig()
@@ -228,6 +324,33 @@ class TestCliEstimate:
         assert (out / "support.csv").exists()
         assert (out / "trace.csv").exists()
         assert "nmse=" in capsys.readouterr().out
+
+    def test_rows_keep_step_index_after_failed_step(self, tmp_path, monkeypatch, capsys):
+        from ramc import InfeasibleMaskError, harness
+
+        real_subsample = harness.subsample
+        calls = []
+
+        def fail_second_step(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise InfeasibleMaskError("injected failure at t=1")
+            return real_subsample(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "subsample", fail_second_step)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(SMALL_DOC, time_steps=3)))
+        out = tmp_path / "est"
+        code = main(
+            ["estimate", "--config", str(path), "--out", str(out), "--trace"]
+        )
+        assert code == 2
+        assert [r.error for r in read_records(out / "records.csv")] == [
+            "", "InfeasibleMaskError", ""
+        ]
+        for name in ("support.csv", "trace.csv"):
+            rows = (out / name).read_text().strip().splitlines()[1:]
+            assert {row.split(",")[0] for row in rows} == {"0", "2"}, name
 
     def test_failed_trial_exit_code(self, tmp_path, capsys):
         doc = dict(SMALL_DOC, keep_fraction=0.14)

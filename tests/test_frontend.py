@@ -1,14 +1,21 @@
 """Tests of the hybrid pilot frontend: beamformers, observations, masks."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramc import (
     ChannelParams,
     ConfigError,
     HybridConfig,
     InfeasibleMaskError,
+    ObservationSet,
     PilotBlock,
+    SamplingMask,
     coarse_channel,
     make_beamformers,
     make_pilot_block,
@@ -20,6 +27,7 @@ from ramc import (
     subsample,
     vec,
 )
+from ramc import frontend
 from ramc.frontend import analog_stage
 
 
@@ -151,6 +159,37 @@ class TestSubsample:
         for seed in range(20):
             masked = subsample(full, 0.14, seed=seed)
             assert masked.mask.covers_all_lines()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        rows=st.integers(min_value=1, max_value=12),
+        cols=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        constructive=st.booleans(),
+    )
+    def test_mask_covers_every_line(self, data, rows, cols, seed, constructive):
+        # Exact counts reach the feasibility edge, where the cover is
+        # hardest.  With no rejection draws allowed, every partial mask
+        # comes from the constructive fallback.
+        keep = data.draw(
+            st.one_of(
+                st.floats(min_value=0.01, max_value=1.0),
+                st.integers(max(rows, cols), rows * cols).map(lambda k: k / (rows * cols)),
+            )
+        )
+        ones = np.ones((rows, cols), dtype=complex)
+        full = ObservationSet(ones, SamplingMask.full(rows, cols), ones)
+        n_keep = math.ceil(keep * rows * cols)
+        attempts = 0 if constructive else frontend._MASK_ATTEMPTS
+        with mock.patch.object(frontend, "_MASK_ATTEMPTS", attempts):
+            if n_keep < max(rows, cols):
+                with pytest.raises(InfeasibleMaskError):
+                    subsample(full, keep, seed=seed)
+                return
+            masked = subsample(full, keep, seed=seed)
+        assert masked.mask.covers_all_lines()
+        assert masked.mask.count == n_keep
 
 
 def test_coarse_channel_full_mask_exact(realization):

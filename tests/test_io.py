@@ -150,12 +150,12 @@ def test_export_singular_values(tmp_path):
 def test_write_solver_trace(tmp_path):
     path = tmp_path / "trace.csv"
     write_solver_trace(
-        path, [[(1, 10.0, 1.0, 3), (2, 5.0, 0.1, 2)], [(1, 4.0, 0.5, 2)]]
+        path, [(0, [(1, 10.0, 1.0, 3), (2, 5.0, 0.1, 2)]), (2, [(1, 4.0, 0.5, 2)])]
     )
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,iteration,objective,feasibility,active_rank"
     assert len(lines) == 4
-    assert [line.split(",")[0] for line in lines[1:]] == ["0", "0", "1"]
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "0", "2"]
 
 
 def test_export_support(tmp_path):

@@ -208,9 +208,18 @@ class TestPursuitProperties:
         est = batch_omp(q @ x, q, OmpOptions(sparsity_cap=k))
         assert sorted(est.selection_order) == sorted(picks)
         assert np.allclose(est.gains[:, 0], x, atol=1e-9 * np.abs(x).max())
-        # The Gram-domain residual is sqrt(||y||^2 - <c, D^H y>), a
-        # difference of squares, so it is only good to ~sqrt(eps) * ||y||.
-        assert est.residual_norm <= 1e-7 * np.linalg.norm(x)
+        assert est.residual_norm <= 1e-9 * np.linalg.norm(x)
+
+    def test_exact_fit_stops_on_residual(self):
+        # One gain-3 atom fits exactly; the residual-tolerance stop must
+        # fire before the second atom, with a residual at roundoff level.
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(
+            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        )
+        est = batch_omp(3.0 * q[:, 0], q, OmpOptions(sparsity_cap=2))
+        assert est.selection_order == (0,)
+        assert est.residual_norm <= 1e-12
 
 
 class TestAngularPipeline:
