@@ -100,7 +100,10 @@ class SolverOptions:
     """Tunable parameters of the completion solver.
 
     ``None`` values resolve against the data at solve time: epsilon to
-    1e-6 * ||Ytilde||_F and mu to 1/sqrt(max(rows, cols)).
+    1e-6 * ||Ytilde||_F and mu to 1/sqrt(max(rows, cols)).  Epsilon
+    governs noiseless data only: a noisy fit cannot reach it, and the
+    solver stops at the observation's noise level instead (see
+    :func:`r1mc_complete`).  ``max_iters`` caps the sweeps either way.
     """
 
     epsilon: float | None = None
@@ -162,14 +165,6 @@ class CompletionResult:
     final_residual: float
     converged: bool
     trace: tuple = ()
-
-
-def _lagrangian(y_hat, z, multiplier, mu_eff, weights) -> float:
-    gap = y_hat - z
-    value = 0.5 * np.linalg.norm(gap) ** 2
-    value += float(np.real(np.vdot(multiplier, gap)))
-    value += mu_eff * float(np.sum(np.abs(weights)))
-    return value
 
 
 def _update_factor(residual, u, v):
@@ -252,10 +247,27 @@ def r1mc_complete(
     sweeps is dropped.  With ``refine_without_l1`` a final shrink-free
     pass re-fits the weights on the surviving support.
 
+    The solve converges at the first sweep where either test holds:
+
+    - the observed-entry fit ``feas = ||P_Omega(Z - Ytilde)||_F`` and the
+      iterate's change are both at most epsilon (noiseless data);
+    - ``feas`` is at or below the noise level
+      ``sqrt(|Omega| * incomplete.noise_var)`` and no lower than the
+      previous sweep's.  This is the discrepancy principle: past the
+      noise level the dual ascent only fits the noise.  Requiring the fit
+      to have stopped improving lets the shrinkage prune spare factors
+      first, which solves with many factors need when they reach the
+      noise level within a sweep or two.  With ``noise_var`` 0 it fires
+      only on an exact fit.
+
+    Otherwise the solve ends unconverged after ``opts.max_iters`` sweeps,
+    or when every factor has been dropped.
+
     Parameters
     ----------
     incomplete : ObservationSet
         Masked observation; the mask must touch every row and column.
+        Its ``noise_var`` sets the noise level the stop test uses.
     rank_hint : int, optional
         Number of rank-one factors to allocate.  Defaults to the
         singular-value rank estimate of the zero-filled observation;
@@ -279,6 +291,8 @@ def r1mc_complete(
 
     norm_y = np.linalg.norm(y_tilde)
     eps = opts.epsilon if opts.epsilon is not None else 1e-6 * norm_y
+    # Expected norm of the noise on the observed entries.
+    noise_floor = math.sqrt(mask.count * incomplete.noise_var)
     mu = opts.mu if opts.mu is not None else 1.0 / math.sqrt(max(rows, cols))
 
     init = svd(y_tilde)
@@ -304,6 +318,7 @@ def r1mc_complete(
     trace = []
     converged = False
     iteration = 0
+    feas_prev = math.inf
 
     for iteration in range(1, opts.max_iters + 1):
         residual = state.iterate + state.multiplier
@@ -323,22 +338,31 @@ def r1mc_complete(
         feas = float(np.linalg.norm((z - y_tilde)[observed]))
         y_new = np.where(observed, y_tilde, z)
         change = float(np.linalg.norm(y_new - state.iterate))
-        l_after = _lagrangian(
-            y_new, z, state.multiplier, mu, state.weights[state.active]
+        # The gap is zero off the mask and (y_tilde - z) on it, so its
+        # norm is feas: the augmented Lagrangian needs no second norm.
+        gap = y_new - z
+        objective = (
+            0.5 * feas**2
+            + float(np.real(np.vdot(state.multiplier, gap)))
+            + mu * float(np.sum(np.abs(state.weights[state.active])))
         )
-        state.multiplier = state.multiplier + mu * (y_new - z)
+        state.multiplier = state.multiplier + mu * gap
         state.iterate = y_new
 
         expired = state.active & (zero_streak >= DROP_STREAK)
         if expired.any():
             state.active &= ~expired
-        trace.append((iteration, l_after, feas, state.active_rank))
+        trace.append((iteration, objective, feas, state.active_rank))
 
         if feas <= eps and change <= eps:
             converged = True
             break
+        if feas_prev <= feas <= noise_floor:
+            converged = True
+            break
         if not state.active.any():
             break
+        feas_prev = feas
 
     if opts.refine_without_l1 and state.active.any():
         _refit_weights(state)

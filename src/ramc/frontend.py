@@ -74,17 +74,26 @@ class PilotBlock:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Complete and masked views of one pilot observation matrix."""
+    """Complete and masked views of one pilot observation matrix.
+
+    ``noise_var`` is the per-entry noise variance of the observation
+    (0.0 for noiseless data).  The completion solver stops once its fit
+    on the observed entries reaches that noise level, so the value must
+    describe the data, not a tuning choice.
+    """
 
     complete: np.ndarray
     mask: SamplingMask
     incomplete: np.ndarray
+    noise_var: float = 0.0
 
     def __post_init__(self):
         if self.complete.shape != (self.mask.rows, self.mask.cols):
             raise ShapeError("mask shape does not match observation")
         if self.incomplete.shape != self.complete.shape:
             raise ShapeError("incomplete view shape mismatch")
+        if not self.noise_var >= 0:
+            raise ConfigError("noise variance must be non-negative")
 
 
 def analog_stage(
@@ -160,7 +169,9 @@ def observe(
             rng.normal(size=y.shape) + 1j * rng.normal(size=y.shape)
         )
     mask = SamplingMask.full(*y.shape)
-    return ObservationSet(complete=y, mask=mask, incomplete=y.copy())
+    return ObservationSet(
+        complete=y, mask=mask, incomplete=y.copy(), noise_var=block.noise_var
+    )
 
 
 def _draw_mask(
@@ -224,6 +235,7 @@ def subsample(
         complete=obs.complete,
         mask=mask,
         incomplete=project_mask(obs.complete, mask),
+        noise_var=obs.noise_var,
     )
 
 

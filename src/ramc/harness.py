@@ -41,7 +41,12 @@ _ESTIMATOR_TAG = 505
 
 @dataclass(frozen=True)
 class MetricRecord:
-    """One estimator evaluation at (variant, snr, trial, t)."""
+    """One estimator evaluation at (variant, snr, trial, t).
+
+    ``iterations`` and ``converged`` come from the Phase-I completion
+    solve; they are 0 and None for variants without Phase I and for
+    failed records.
+    """
 
     variant: str
     snr_db: float
@@ -55,6 +60,8 @@ class MetricRecord:
     rank_est: int
     runtime_ms: float
     error: str = ""
+    iterations: int = 0
+    converged: bool | None = None
 
 
 def nmse(h_true, h_est) -> float:
@@ -224,10 +231,10 @@ def _estimate_one(
     dictionary,
     tracker: RankTracker,
 ):
-    """Run one estimator variant; returns (h_hat, rank_est, sparse, trace).
+    """Run one estimator variant; returns (h_hat, rank_est, sparse, solve).
 
-    ``trace`` is the completion solver's trace, empty for the variants
-    that skip Phase I.
+    ``solve`` is the completion solver's :class:`CompletionResult`, None
+    for the variants that skip Phase I.
     """
     solver = cfg.solver
     if variant_kind == "coarse_only":
@@ -235,7 +242,7 @@ def _estimate_one(
             rank_est = estimate_rank(obs.incomplete, solver.energy_ratio)
         except DegenerateSystemError:
             rank_est = 0
-        return coarse_channel(obs, block), rank_est, None, ()
+        return coarse_channel(obs, block), rank_est, None, None
 
     if variant_kind == "somp_baseline":
         rough = coarse_channel(obs, block)
@@ -248,7 +255,7 @@ def _estimate_one(
             dictionary.a_ms,
             replace(cfg.omp, sparsity_cap=max(cap, 1)),
         )
-        return dictionary.a_ms @ est.gains, cap, est, ()
+        return dictionary.a_ms @ est.gains, cap, est, None
 
     if variant_kind == "rank_aware":
         cap = min(obs.incomplete.shape)
@@ -267,14 +274,14 @@ def _estimate_one(
         sparse, h_hat = estimate_phase2(
             result.completed, block, dictionary, max(corrected, 1), cfg.omp
         )
-        return h_hat, corrected, sparse, result.trace
+        return h_hat, corrected, sparse, result
 
     if variant_kind == "fixed_rank":
         result = r1mc_complete(obs, rank_hint=variant_param, opts=solver)
         sparse, h_hat = estimate_phase2(
             result.completed, block, dictionary, variant_param, cfg.omp
         )
-        return h_hat, variant_param, sparse, result.trace
+        return h_hat, variant_param, sparse, result
 
     if variant_kind == "rank_oblivious":
         result = r1mc_complete(
@@ -286,7 +293,7 @@ def _estimate_one(
             sparsity_cap=dictionary.size_aoa * dictionary.size_aod,
         )
         sparse, h_hat = estimate_phase2(result.completed, block, dictionary, 1, loose)
-        return h_hat, result.rank, sparse, result.trace
+        return h_hat, result.rank, sparse, result
 
     raise ConfigError(f"unhandled estimator variant {variant_kind!r}")
 
@@ -311,7 +318,7 @@ def _run_trial(
         rank_true = int(np.linalg.matrix_rank(real.matrix, tol=None))
         try:
             block, obs = _simulate_step(cfg, snr_idx, trial, t, real)
-            h_hat, rank_est, sparse, trace = _estimate_one(
+            h_hat, rank_est, sparse, solve = _estimate_one(
                 kind, param, cfg, obs, block, dictionary, tracker
             )
             if artifacts is not None:
@@ -320,7 +327,7 @@ def _run_trial(
                 artifacts["estimate"].append(h_hat)
                 artifacts["sparse"].append(sparse)
                 artifacts["mask"].append(obs.mask)
-                artifacts["trace"].append(trace)
+                artifacts["trace"].append(solve.trace if solve is not None else ())
             value = nmse(real.matrix, h_hat)
             value_db = nmse_db(value)
             ber = None
@@ -346,6 +353,8 @@ def _run_trial(
                     rank_true=rank_true,
                     rank_est=int(rank_est),
                     runtime_ms=(time.perf_counter() - started) * 1e3,
+                    iterations=solve.iterations if solve is not None else 0,
+                    converged=solve.converged if solve is not None else None,
                 )
             )
         except (RamcError, np.linalg.LinAlgError) as exc:
@@ -488,6 +497,8 @@ def read_records(path) -> list[MetricRecord]:
                     rank_est=int(row["rank_est"]),
                     runtime_ms=float(row["runtime_ms"]) if row["runtime_ms"] else 0.0,
                     error=row["error"],
+                    iterations=int(row["iterations"]),
+                    converged=row["converged"] == "1" if row["converged"] else None,
                 )
             )
     return out

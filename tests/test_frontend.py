@@ -114,6 +114,19 @@ class TestObserve:
             noise.append(np.mean(np.abs(obs.complete - clean.complete) ** 2))
         assert np.mean(noise) == pytest.approx(0.25, rel=0.05)
 
+    def test_noise_level_carried(self, realization):
+        block = make_pilot_block(HybridConfig(), 8, 8, seed=1, noise_var=0.25)
+        obs = observe(realization, block, seed=3)
+        assert obs.noise_var == 0.25
+        assert subsample(obs, 0.6, seed=4).noise_var == 0.25
+        assert observe(realization, make_pilot_block(HybridConfig(), 8, 8, seed=1)).noise_var == 0.0
+
+    @pytest.mark.parametrize("noise_var", [-1e-3, float("nan")])
+    def test_negative_noise_level_rejected(self, noise_var):
+        ones = np.ones((2, 2), dtype=complex)
+        with pytest.raises(ConfigError):
+            ObservationSet(ones, SamplingMask.full(2, 2), ones, noise_var=noise_var)
+
     def test_measurement_matrix_identity(self, realization):
         """vec(Y) == Phi @ vec(H) ties the matrix and operator views."""
         block = make_pilot_block(HybridConfig(), 8, 8, seed=2)

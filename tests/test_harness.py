@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramc import (
     ChannelParams,
@@ -138,6 +140,17 @@ class TestRunSweep:
         four = self._timeless(run_sweep(cfg, threads=4))
         assert one == four
 
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_worker_count_invariant_over_seeds(self, seed):
+        cfg = ExperimentConfig(
+            **SMALL, master_seed=seed, snr_grid_db=(15.0,), n_trials=1, time_steps=2
+        )
+        variants = ("rank_aware", "fixed_rank:2")
+        one = self._timeless(run_sweep(cfg, variants=variants, threads=1))
+        two = self._timeless(run_sweep(cfg, variants=variants, threads=2))
+        assert one == two
+
     def test_canonical_ordering(self):
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(15.0, 5.0), n_trials=2)
         records = run_sweep(cfg, variants=("rank_aware", "coarse_only"), threads=4)
@@ -166,6 +179,19 @@ class TestRunSweep:
         assert records[0].error == "InfeasibleMaskError"
         assert math.isnan(records[0].nmse)
         assert not records[0].recovered
+
+    def test_records_carry_the_phase1_solve(self):
+        cfg = ExperimentConfig(**SMALL, snr_grid_db=(15.0,), n_trials=1, time_steps=2)
+        records = run_sweep(cfg, variants=("rank_aware", "coarse_only"))
+        for r in records:
+            if r.variant == "coarse_only":
+                assert (r.iterations, r.converged) == (0, None)
+            else:
+                assert 1 <= r.iterations <= cfg.solver.max_iters
+                assert isinstance(r.converged, bool)
+        failed = dataclasses.replace(cfg, keep_fraction=0.14)
+        for r in run_sweep(failed, variants=("rank_aware",)):
+            assert r.error and (r.iterations, r.converged) == (0, None)
 
     def test_failed_record_reports_matrix_rank(self):
         # Three rays in one cluster with no angle spread share one path

@@ -1,5 +1,7 @@
 """Round-trip tests for the binary tensor container and CSV exports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,17 @@ class TestRecordsCsv:
         assert loaded[1].ber == 0.25
         assert loaded[1].recovered is False
 
+    def test_solver_columns_round_trip(self, tmp_path):
+        # Phase-I iterations and convergence, blank converged without Phase I.
+        path = tmp_path / "records.csv"
+        base = _records()[0]
+        records = [
+            dataclasses.replace(base, iterations=iters, converged=conv)
+            for iters, conv in ((0, None), (37, True), (500, False))
+        ]
+        write_records(path, records)
+        assert read_records(path) == [dataclasses.replace(r, runtime_ms=0.0) for r in records]
+
     def test_runtime_blanked_by_default(self, tmp_path):
         # Wall-clock noise must not leak into the canonical artifact.
         path = tmp_path / "records.csv"
@@ -125,7 +138,7 @@ class TestRecordsCsv:
         header = path.read_text().splitlines()[0]
         assert header == (
             "variant,snr_db,trial,t,nmse,nmse_db,recovered,ber,"
-            "rank_true,rank_est,runtime_ms,error"
+            "rank_true,rank_est,runtime_ms,error,iterations,converged"
         )
 
 
