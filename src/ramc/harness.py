@@ -3,8 +3,11 @@
 Runs the estimator variants over SNR grids with paired per-trial seeds,
 computes NMSE / recovery-probability / BER metrics, aggregates ablation
 reports and writes the canonical records CSV.  Seeds derive from
-(master_seed, purpose, snr index, trial) tuples, so records are
-reproducible regardless of scheduling order or worker count.
+(master_seed, purpose, trial, t) tuples, so records are reproducible
+regardless of scheduling order or worker count.  As no seed depends on
+the SNR or the variant, each trial's channel track, pilot blocks and BER
+bits and noise are drawn once and shared, read-only, by every
+(variant, SNR) evaluated on that trial.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .completion import (
 )
 from .config import ExperimentConfig, parse_variant, snr_to_linear
 from .errors import ColdStartError, ConfigError, DegenerateSystemError, RamcError, UndefinedMetricError
-from .frontend import coarse_channel, make_pilot_block, observe, subsample
+from .frontend import PilotBlock, coarse_channel, make_pilot_block, observe, subsample
 from .recovery import estimate_phase2, somp_baseline
 
 NMSE_FLOOR_DB = -120.0
@@ -96,38 +99,47 @@ def recovery_probability(records, threshold_db: float = -10.0) -> float:
     return hits / len(values)
 
 
-def ber_link(
-    h_true,
-    h_est,
-    snr_db: float,
-    n_symbols: int,
-    seed=None,
-    n_streams: int = 2,
-) -> float:
-    """QPSK bit error rate of an eigen-beamformed link.
+def draw_ber_link(n_rx: int, n_symbols: int, n_streams: int = 2, seed=None):
+    """Draw ``(bits, symbols, noise)``, the random inputs of :func:`ber_link`.
 
-    Precoder and combiner are the top ``n_streams`` singular vectors of
-    the *estimate*; transmission runs over the *true* channel with AWGN
-    and per-stream scalar equalisation, so estimation error shows up as
-    inter-stream interference and beamforming loss.
+    ``2 * n_streams`` rows of ``n_symbols`` bits map to ``n_streams`` rows
+    of QPSK symbols; the noise is unit-variance circular complex Gaussian
+    on ``n_rx`` receive antennas.  Nothing here depends on a channel, an
+    estimate or the SNR, so one draw serves every link evaluated on it.
     """
     if n_symbols < 1000:
         raise ConfigError(f"need at least 1000 symbols, got {n_symbols}")
-    h = np.asarray(h_true, dtype=np.complex128)
-    est = np.asarray(h_est, dtype=np.complex128)
-    u, s, vh = np.linalg.svd(est)
-    if s.size == 0 or s[0] == 0.0:
-        raise DegenerateSystemError("cannot beamform on a zero channel estimate", rank=0)
-    if n_streams > min(h.shape):
-        raise ConfigError(f"{n_streams} streams exceed channel dimensions {h.shape}")
-    precoder = vh.conj().T[:, :n_streams]
-    combiner = u[:, :n_streams]
-
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(2 * n_streams, n_symbols))
     symbols = (
         (1.0 - 2.0 * bits[0::2]) + 1j * (1.0 - 2.0 * bits[1::2])
     ) / math.sqrt(2.0)
+    noise = (
+        rng.normal(size=(n_rx, n_symbols)) + 1j * rng.normal(size=(n_rx, n_symbols))
+    ) / math.sqrt(2.0)
+    return bits, symbols, noise
+
+
+def ber_link(h_true, h_est, snr_db: float, draws) -> float:
+    """QPSK bit error rate of an eigen-beamformed link.
+
+    Precoder and combiner are the top singular vectors of the *estimate*,
+    one per stream of ``draws`` (see :func:`draw_ber_link`); transmission
+    runs over the *true* channel with the drawn AWGN and per-stream scalar
+    equalisation, so estimation error shows up as inter-stream
+    interference and beamforming loss.  ``draws`` is only read.
+    """
+    h = np.asarray(h_true, dtype=np.complex128)
+    est = np.asarray(h_est, dtype=np.complex128)
+    u, s, vh = np.linalg.svd(est)
+    if s.size == 0 or s[0] == 0.0:
+        raise DegenerateSystemError("cannot beamform on a zero channel estimate", rank=0)
+    bits, symbols, noise = draws
+    n_streams = symbols.shape[0]
+    if n_streams > min(h.shape):
+        raise ConfigError(f"{n_streams} streams exceed channel dimensions {h.shape}")
+    precoder = vh.conj().T[:, :n_streams]
+    combiner = u[:, :n_streams]
 
     effective = h @ precoder
     # Transmit power is referenced to matched beamforming on the true
@@ -137,10 +149,6 @@ def ber_link(
     signal_power = float(np.sum(s_true[:n_streams] ** 2)) / h.shape[0]
     snr_lin = snr_to_linear(snr_db)
     gain = math.sqrt(snr_lin / signal_power) if signal_power > 0 else 0.0
-    noise = (
-        rng.normal(size=(h.shape[0], n_symbols))
-        + 1j * rng.normal(size=(h.shape[0], n_symbols))
-    ) / math.sqrt(2.0)
     received = combiner.conj().T @ (gain * effective @ symbols + noise)
 
     link = combiner.conj().T @ (gain * effective)
@@ -166,6 +174,14 @@ def _noise_var_for_snr(y_clean: np.ndarray, snr_db: float) -> float:
     return float(np.linalg.norm(y_clean) ** 2 / (y_clean.size * snr_lin))
 
 
+def _dictionary(cfg: ExperimentConfig):
+    return chan.make_dictionary(
+        cfg.channel,
+        size_ms=cfg.grid_oversampling * cfg.channel.n_ms,
+        size_bs=cfg.grid_oversampling * cfg.channel.n_bs,
+    )
+
+
 def _channel_track(cfg: ExperimentConfig, trial: int, dictionary):
     rng = np.random.default_rng(_seed(cfg, _DATA_TAG, trial))
     grid = dictionary if cfg.on_grid else None
@@ -182,22 +198,57 @@ def _channel_track(cfg: ExperimentConfig, trial: int, dictionary):
     return track
 
 
-def _simulate_step(cfg: ExperimentConfig, snr_idx: int, trial: int, t: int, real):
-    """Pilot block and masked observation for one sweep coordinate."""
+@dataclass(frozen=True)
+class _StepDraws:
+    """One step's SNR- and variant-free inputs; ``block`` has ``noise_var``
+    0, ``y_clean`` is its WᴴHFS, and ``error`` is what a draw raised."""
+
+    real: chan.ChannelRealization
+    rank_true: int
+    block: PilotBlock | None = None
+    y_clean: np.ndarray | None = None
+    ber: tuple | None = None
+    error: Exception | None = None
+
+
+def _draw_trial(cfg: ExperimentConfig, trial: int, dictionary) -> list[_StepDraws]:
+    """Draw one trial's SNR- and variant-free inputs, one entry per step.
+
+    Their seeds depend on (trial, t) only, so every (variant, SNR) of the
+    trial shares them.  The arrays are made read-only, so that no
+    evaluation can change what the next one sees.
+    """
+    steps = []
+    for t, real in enumerate(_channel_track(cfg, trial, dictionary)):
+        rank_true = int(np.linalg.matrix_rank(real.matrix, tol=None))
+        try:
+            seed = _seed(cfg, _PILOT_TAG, trial, t)
+            block = make_pilot_block(cfg.hybrid, cfg.channel.n_bs, cfg.channel.n_ms, seed=seed)
+            y_clean = block.w.conj().T @ real.matrix @ block.effective_precoder
+            ber = None
+            if cfg.ber_symbols > 0:
+                ber = draw_ber_link(
+                    real.matrix.shape[0], cfg.ber_symbols, cfg.hybrid.n_streams,
+                    seed=_seed(cfg, _ESTIMATOR_TAG, trial, t),
+                )
+            steps.append(_StepDraws(real, rank_true, block, y_clean, ber))
+            shared = [block.f, block.w, block.s, y_clean, *(ber or ())]
+        except (RamcError, np.linalg.LinAlgError) as exc:
+            steps.append(_StepDraws(real, rank_true, error=exc))
+            shared = []
+        for array in [real.matrix, *shared]:
+            array.setflags(write=False)
+    return steps
+
+
+def _observe_step(cfg: ExperimentConfig, snr_idx: int, trial: int, t: int, step: _StepDraws):
+    """Pilot block and masked observation of one step at one SNR."""
+    if step.error is not None:
+        raise step.error.with_traceback(None)
     snr_db = cfg.snr_grid_db[snr_idx]
-    block = make_pilot_block(
-        cfg.hybrid,
-        cfg.channel.n_bs,
-        cfg.channel.n_ms,
-        seed=_seed(cfg, _PILOT_TAG, trial, t),
-    )
-    y_clean = block.w.conj().T @ real.matrix @ block.effective_precoder
-    block = replace(block, noise_var=_noise_var_for_snr(y_clean, snr_db))
-    full = observe(real, block, seed=_seed(cfg, _NOISE_TAG, trial, t))
-    obs = subsample(
-        full, cfg.keep_fraction, seed=_seed(cfg, _MASK_TAG, trial, t)
-    )
-    return block, obs
+    block = replace(step.block, noise_var=_noise_var_for_snr(step.y_clean, snr_db))
+    full = observe(step.real, block, seed=_seed(cfg, _NOISE_TAG, trial, t))
+    return block, subsample(full, cfg.keep_fraction, seed=_seed(cfg, _MASK_TAG, trial, t))
 
 
 def simulate_trial(cfg: ExperimentConfig, snr_idx: int = 0, trial: int = 0):
@@ -208,18 +259,9 @@ def simulate_trial(cfg: ExperimentConfig, snr_idx: int = 0, trial: int = 0):
     """
     if not 0 <= snr_idx < len(cfg.snr_grid_db):
         raise ConfigError(f"snr index {snr_idx} outside the configured grid")
-    dictionary = chan.make_dictionary(
-        cfg.channel,
-        size_ms=cfg.grid_oversampling * cfg.channel.n_ms,
-        size_bs=cfg.grid_oversampling * cfg.channel.n_bs,
-    )
-    track = _channel_track(cfg, trial, dictionary)
-    blocks, observations = [], []
-    for t, real in enumerate(track):
-        block, obs = _simulate_step(cfg, snr_idx, trial, t, real)
-        blocks.append(block)
-        observations.append(obs)
-    return track, blocks, observations
+    steps = _draw_trial(cfg, trial, _dictionary(cfg))
+    observed = [_observe_step(cfg, snr_idx, trial, t, s) for t, s in enumerate(steps)]
+    return [s.real for s in steps], [b for b, _ in observed], [o for _, o in observed]
 
 
 def _estimate_one(
@@ -304,20 +346,20 @@ def _run_trial(
     snr_idx: int,
     trial: int,
     dictionary,
+    steps: list[_StepDraws],
     artifacts: dict | None = None,
 ):
     kind, param = parse_variant(variant)
     snr_db = cfg.snr_grid_db[snr_idx]
-    track = _channel_track(cfg, trial, dictionary)
     tracker = RankTracker(rank_cap=min(cfg.hybrid.m_ms, cfg.hybrid.pilot_length))
     records = []
     if artifacts is not None:
         artifacts.update(t=[], truth=[], estimate=[], sparse=[], mask=[], trace=[])
-    for t, real in enumerate(track):
+    for t, step in enumerate(steps):
         started = time.perf_counter()
-        rank_true = int(np.linalg.matrix_rank(real.matrix, tol=None))
+        real = step.real
         try:
-            block, obs = _simulate_step(cfg, snr_idx, trial, t, real)
+            block, obs = _observe_step(cfg, snr_idx, trial, t, step)
             h_hat, rank_est, sparse, solve = _estimate_one(
                 kind, param, cfg, obs, block, dictionary, tracker
             )
@@ -331,15 +373,8 @@ def _run_trial(
             value = nmse(real.matrix, h_hat)
             value_db = nmse_db(value)
             ber = None
-            if cfg.ber_symbols > 0:
-                ber = ber_link(
-                    real.matrix,
-                    h_hat,
-                    snr_db,
-                    cfg.ber_symbols,
-                    seed=_seed(cfg, _ESTIMATOR_TAG, trial, t),
-                    n_streams=cfg.hybrid.n_streams,
-                )
+            if step.ber is not None:
+                ber = ber_link(real.matrix, h_hat, snr_db, step.ber)
             records.append(
                 MetricRecord(
                     variant=variant,
@@ -350,7 +385,7 @@ def _run_trial(
                     nmse_db=value_db,
                     recovered=value_db <= cfg.recovery_threshold_db,
                     ber=ber,
-                    rank_true=rank_true,
+                    rank_true=step.rank_true,
                     rank_est=int(rank_est),
                     runtime_ms=(time.perf_counter() - started) * 1e3,
                     iterations=solve.iterations if solve is not None else 0,
@@ -368,10 +403,10 @@ def _run_trial(
                     nmse_db=float("nan"),
                     recovered=False,
                     ber=None,
-                    rank_true=rank_true,
+                    rank_true=step.rank_true,
                     rank_est=0,
                     runtime_ms=(time.perf_counter() - started) * 1e3,
-                    error=type(exc).__name__,
+                    error=f"{type(exc).__name__}: {exc}",
                 )
             )
     return records
@@ -384,9 +419,10 @@ def run_sweep(
 ) -> list[MetricRecord]:
     """Evaluate estimator variants over the configured SNR grid.
 
-    Channel, noise and mask draws depend only on (snr, trial, t), so all
-    variants see identical data and their records pair trial for trial.
-    Module errors mark single records as failed; the sweep continues.
+    Every draw depends only on (trial, t), so all variants and SNRs see
+    identical data and pair trial for trial; workers take whole trials,
+    whose SNR- and variant-free draws are made once and shared.  Module
+    errors mark single records as failed; the sweep continues.
 
     Records come back sorted by (variant, snr, trial, t) regardless of
     the worker count.
@@ -395,29 +431,23 @@ def run_sweep(
     for name in variants:
         parse_variant(name)
     workers = threads if threads is not None else cfg.threads
-    dictionary = chan.make_dictionary(
-        cfg.channel,
-        size_ms=cfg.grid_oversampling * cfg.channel.n_ms,
-        size_bs=cfg.grid_oversampling * cfg.channel.n_bs,
-    )
-    jobs = [
-        (variant, snr_idx, trial)
-        for variant in variants
-        for snr_idx in range(len(cfg.snr_grid_db))
-        for trial in range(cfg.n_trials)
-    ]
-    records: list[MetricRecord] = []
+    dictionary = _dictionary(cfg)
+
+    def trial_records(trial):
+        steps = _draw_trial(cfg, trial, dictionary)
+        return [
+            record
+            for variant in variants
+            for snr_idx in range(len(cfg.snr_grid_db))
+            for record in _run_trial(cfg, variant, snr_idx, trial, dictionary, steps)
+        ]
+
     if workers == 1:
-        for variant, snr_idx, trial in jobs:
-            records.extend(_run_trial(cfg, variant, snr_idx, trial, dictionary))
+        chunks = [trial_records(trial) for trial in range(cfg.n_trials)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_trial, cfg, variant, snr_idx, trial, dictionary)
-                for variant, snr_idx, trial in jobs
-            ]
-            for future in futures:
-                records.extend(future.result())
+            chunks = list(pool.map(trial_records, range(cfg.n_trials)))
+    records = [record for chunk in chunks for record in chunk]
     records.sort(key=lambda r: (r.variant, r.snr_db, r.trial, r.t))
     return records
 
@@ -439,12 +469,9 @@ def run_single_trial(
     variant = variant if variant is not None else cfg.estimator_variant
     if not 0 <= snr_idx < len(cfg.snr_grid_db):
         raise ConfigError(f"snr index {snr_idx} outside the configured grid")
-    dictionary = chan.make_dictionary(
-        cfg.channel,
-        size_ms=cfg.grid_oversampling * cfg.channel.n_ms,
-        size_bs=cfg.grid_oversampling * cfg.channel.n_bs,
-    )
-    return _run_trial(cfg, variant, snr_idx, trial, dictionary, artifacts=artifacts)
+    dictionary = _dictionary(cfg)
+    steps = _draw_trial(cfg, trial, dictionary)
+    return _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, artifacts=artifacts)
 
 
 def _fmt_field(value) -> str:

@@ -346,7 +346,7 @@ class TestCliEstimate:
         )
         assert code == 2
         assert [r.error for r in read_records(out / "records.csv")] == [
-            "", "InfeasibleMaskError", ""
+            "", "InfeasibleMaskError: injected failure at t=1", ""
         ]
         for name in ("support.csv", "trace.csv"):
             rows = (out / name).read_text().strip().splitlines()[1:]
@@ -360,7 +360,9 @@ class TestCliEstimate:
         code = main(["estimate", "--config", str(path), "--out", str(out)])
         assert code == 2
         records = read_records(out / "records.csv")
-        assert records[0].error == "InfeasibleMaskError"
+        assert records[0].error == (
+            "InfeasibleMaskError: 5 observations cannot cover 4 rows and 8 columns"
+        )
 
 
 class TestCliSweep:

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramc import (
+    DEFAULT_ABLATION,
     ChannelParams,
+    ConfigError,
     ExperimentConfig,
     HybridConfig,
     MetricRecord,
@@ -17,6 +19,7 @@ from ramc import (
     UndefinedMetricError,
     ablation_report,
     ber_link,
+    draw_ber_link,
     nmse,
     nmse_db,
     recovery_probability,
@@ -26,6 +29,7 @@ from ramc import (
     summarize_records,
     write_report,
 )
+from ramc.harness import _dictionary, _draw_trial
 
 # Small geometry keeps per-trial solves around a millisecond.
 SMALL = dict(
@@ -88,12 +92,12 @@ class TestBerLink:
     def test_matched_high_snr(self):
         rng = np.random.default_rng(410)
         h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        assert ber_link(h, h, snr_db=30.0, n_symbols=5000, seed=1) <= 1e-4
+        assert ber_link(h, h, snr_db=30.0, draws=draw_ber_link(8, 5000, seed=1)) <= 1e-4
 
     def test_pure_noise_limit(self):
         rng = np.random.default_rng(411)
         h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        ber = ber_link(h, h, snr_db=-60.0, n_symbols=5000, seed=2)
+        ber = ber_link(h, h, snr_db=-60.0, draws=draw_ber_link(8, 5000, seed=2))
         # 20000 bits of coin flips: 0.5 within 3 binomial sigmas.
         assert abs(ber - 0.5) <= 3 * math.sqrt(0.25 / 20000)
 
@@ -105,14 +109,15 @@ class TestBerLink:
         # Beams aimed at an orthogonal subspace receive no signal at all,
         # so the mismatched link degenerates to coin flipping.
         h_bad = u[:, 2:4] @ np.diag([5.0, 3.0]) @ vh[2:4, :]
-        good = ber_link(h, h, snr_db=10.0, n_symbols=4000, seed=3)
-        bad = ber_link(h, h_bad, snr_db=10.0, n_symbols=4000, seed=3)
+        draws = draw_ber_link(8, 4000, seed=3)
+        good = ber_link(h, h, snr_db=10.0, draws=draws)
+        bad = ber_link(h, h_bad, snr_db=10.0, draws=draws)
         assert good < bad
         assert abs(bad - 0.5) <= 3 * math.sqrt(0.25 / 8000)
 
     def test_too_few_symbols(self):
-        with pytest.raises(Exception):
-            ber_link(np.eye(4), np.eye(4), snr_db=10.0, n_symbols=10)
+        with pytest.raises(ConfigError):
+            draw_ber_link(4, n_symbols=10)
 
 
 class TestRunSweep:
@@ -151,6 +156,56 @@ class TestRunSweep:
         two = self._timeless(run_sweep(cfg, variants=variants, threads=2))
         assert one == two
 
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_sharing_is_invisible(self, seed):
+        # Every variant and SNR of a trial reuses the trial's draws; its
+        # rows must be what it gets when swept alone or run on its own.
+        cfg = ExperimentConfig(
+            **SMALL, master_seed=seed, snr_grid_db=(5.0, 25.0), n_trials=1,
+            time_steps=2, ber_symbols=1000,
+        )
+        together = self._timeless(run_sweep(cfg, DEFAULT_ABLATION))
+        for variant in DEFAULT_ABLATION:
+            rows = [r for r in together if r.variant == variant]
+            assert rows == self._timeless(run_sweep(cfg, (variant,)))
+            single = [
+                r
+                for snr_idx in range(len(cfg.snr_grid_db))
+                for r in run_single_trial(cfg, variant, snr_idx=snr_idx)
+            ]
+            assert rows == self._timeless(single)
+
+    def test_shared_arrays_read_only(self):
+        cfg = ExperimentConfig(**SMALL, time_steps=2, ber_symbols=1000)
+        steps = _draw_trial(cfg, 0, _dictionary(cfg))
+        for step in steps:
+            shared = [step.real.matrix, step.block.f, step.block.w, step.block.s,
+                      step.y_clean, *step.ber]
+            assert not any(array.flags.writeable for array in shared)
+        with pytest.raises(ValueError):
+            steps[0].y_clean[0, 0] = 0.0
+
+    def test_failed_shared_draw_fails_its_step_everywhere(self, monkeypatch):
+        from ramc import harness
+
+        real_pilot = harness.make_pilot_block
+        calls = []
+
+        def fail_second_step(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ConfigError("injected failure at t=1")
+            return real_pilot(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "make_pilot_block", fail_second_step)
+        cfg = ExperimentConfig(**SMALL, snr_grid_db=(5.0, 25.0), n_trials=1, time_steps=3)
+        records = run_sweep(cfg, variants=("rank_aware", "coarse_only"))
+        assert len(calls) == 3
+        assert len(records) == 12
+        for r in records:
+            assert r.error == ("ConfigError: injected failure at t=1" if r.t == 1 else "")
+
     def test_canonical_ordering(self):
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(15.0, 5.0), n_trials=2)
         records = run_sweep(cfg, variants=("rank_aware", "coarse_only"), threads=4)
@@ -176,7 +231,9 @@ class TestRunSweep:
                                snr_grid_db=(10.0,), n_trials=1)
         records = run_sweep(cfg)
         assert len(records) == 1
-        assert records[0].error == "InfeasibleMaskError"
+        assert records[0].error == (
+            "InfeasibleMaskError: 5 observations cannot cover 4 rows and 8 columns"
+        )
         assert math.isnan(records[0].nmse)
         assert not records[0].recovered
 
@@ -208,7 +265,10 @@ class TestRunSweep:
             )
             (record,) = run_sweep(cfg)
             ranks.append((record.error, record.rank_true))
-        assert ranks == [("InfeasibleMaskError", 1), ("", 1)]
+        assert ranks == [
+            ("InfeasibleMaskError: 5 observations cannot cover 4 rows and 8 columns", 1),
+            ("", 1),
+        ]
 
     def test_paired_channels_across_variants(self):
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(20.0,), n_trials=1)
@@ -243,7 +303,7 @@ class TestRunSingleTrial:
 
     def test_bad_snr_index(self):
         cfg = ExperimentConfig(**SMALL)
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError):
             run_single_trial(cfg, snr_idx=99)
 
 
