@@ -4,197 +4,8 @@ Phase I completes masked pilot observations as a sum of l1-regularised
 rank-one factors whose count adapts to the data; Phase II recovers
 sparse angular gains with a sparsity budget derived from the Phase-I
 rank.  A Monte-Carlo harness, estimator ablations and CSV/binary
-exports round out the package.
+exports round out the package.  Import from the submodules, e.g.
+``from ramc.harness import run_sweep``.
 """
 
-from .channel import (
-    AngularDictionary,
-    ChannelParams,
-    ChannelRealization,
-    PathCluster,
-    Ray,
-    angular_factorization,
-    channel_matrix,
-    delay_tap_matrix,
-    evolve,
-    make_dictionary,
-    raised_cosine,
-    sample_realization,
-    steering_vector,
-)
-from .completion import (
-    CompletionResult,
-    RankTracker,
-    SolverOptions,
-    estimate_rank,
-    predict_rank,
-    r1mc_complete,
-)
-from .config import (
-    DEFAULT_ABLATION,
-    VARIANTS,
-    ExperimentConfig,
-    config_from_dict,
-    config_to_dict,
-    dump_defaults,
-    load_config,
-    parse_variant,
-    snr_to_linear,
-)
-from .errors import (
-    ColdStartError,
-    ConfigError,
-    DegenerateSystemError,
-    GridMismatchError,
-    InfeasibleMaskError,
-    MatrixSizeError,
-    RamcError,
-    ShapeError,
-    SolverFailureError,
-    UndefinedMetricError,
-)
-from .frontend import (
-    HybridConfig,
-    ObservationSet,
-    PilotBlock,
-    coarse_channel,
-    make_beamformers,
-    make_pilot_block,
-    measurement_matrix,
-    observe,
-    pilot_symbols,
-    subsample,
-)
-from .harness import (
-    NMSE_FLOOR_DB,
-    AblationReport,
-    MetricRecord,
-    ablation_report,
-    ber_link,
-    draw_ber_link,
-    nmse,
-    nmse_db,
-    read_records,
-    recovery_probability,
-    run_single_trial,
-    run_sweep,
-    simulate_trial,
-    summarize_records,
-    write_records,
-    write_report,
-)
-from .io import (
-    export_mask,
-    export_singular_values,
-    export_support,
-    load_tensor,
-    save_tensor,
-    write_solver_trace,
-)
-from .numerics import (
-    SamplingMask,
-    SvdResult,
-    kron,
-    project_mask,
-    pseudo_inverse,
-    svd,
-    vec,
-)
-from .recovery import (
-    OmpOptions,
-    SparseGainEstimate,
-    batch_omp,
-    build_dictionary,
-    estimate_phase2,
-    reconstruct_channel,
-    somp_baseline,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AblationReport",
-    "AngularDictionary",
-    "ChannelParams",
-    "ChannelRealization",
-    "ColdStartError",
-    "CompletionResult",
-    "ConfigError",
-    "DEFAULT_ABLATION",
-    "DegenerateSystemError",
-    "ExperimentConfig",
-    "GridMismatchError",
-    "HybridConfig",
-    "InfeasibleMaskError",
-    "MatrixSizeError",
-    "MetricRecord",
-    "NMSE_FLOOR_DB",
-    "ObservationSet",
-    "OmpOptions",
-    "PathCluster",
-    "PilotBlock",
-    "RamcError",
-    "RankTracker",
-    "Ray",
-    "SamplingMask",
-    "ShapeError",
-    "SolverFailureError",
-    "SolverOptions",
-    "SparseGainEstimate",
-    "SvdResult",
-    "UndefinedMetricError",
-    "VARIANTS",
-    "ablation_report",
-    "angular_factorization",
-    "batch_omp",
-    "ber_link",
-    "build_dictionary",
-    "channel_matrix",
-    "coarse_channel",
-    "config_from_dict",
-    "config_to_dict",
-    "delay_tap_matrix",
-    "draw_ber_link",
-    "dump_defaults",
-    "estimate_phase2",
-    "estimate_rank",
-    "evolve",
-    "export_mask",
-    "export_singular_values",
-    "export_support",
-    "kron",
-    "load_config",
-    "load_tensor",
-    "make_beamformers",
-    "make_dictionary",
-    "make_pilot_block",
-    "measurement_matrix",
-    "nmse",
-    "nmse_db",
-    "observe",
-    "parse_variant",
-    "pilot_symbols",
-    "predict_rank",
-    "project_mask",
-    "pseudo_inverse",
-    "r1mc_complete",
-    "raised_cosine",
-    "read_records",
-    "reconstruct_channel",
-    "recovery_probability",
-    "run_single_trial",
-    "run_sweep",
-    "sample_realization",
-    "save_tensor",
-    "simulate_trial",
-    "summarize_records",
-    "snr_to_linear",
-    "somp_baseline",
-    "steering_vector",
-    "subsample",
-    "svd",
-    "vec",
-    "write_records",
-    "write_report",
-    "write_solver_trace",
-]

@@ -17,8 +17,8 @@ from .errors import ConfigError, GridMismatchError, ShapeError
 
 SPEED_OF_LIGHT = 299_792_458.0
 
-# Normalised tap frequency used when collapsing delay taps into a single
-# narrowband matrix; the value 1.0 reproduces the plain tap sum.
+# Normalised tap frequency f0 used when collapsing delay taps into a
+# single narrowband matrix; the value 1.0 reproduces the plain tap sum.
 DEFAULT_TAP_FREQUENCY = 1.0
 
 # Raised-cosine pulses are truncated beyond this many symbol periods.
@@ -27,8 +27,8 @@ PULSE_SUPPORT_PERIODS = 4.0
 # Angles match a grid point when their sines agree within this tolerance.
 GRID_MATCH_TOL = 1e-9
 
-# Broadside-relative angle range covering the full spatial band
-# sin(angle) in [-1, 1).
+# Broadside-relative range [lo, hi) of off-grid cluster mean angles,
+# covering the full spatial band.
 DEFAULT_DOMAIN = (-math.pi / 2.0, math.pi / 2.0)
 
 
@@ -222,16 +222,14 @@ def delay_tap_matrix(real: ChannelRealization, d: int) -> np.ndarray:
     return h
 
 
-def _tap_weights(real: ChannelRealization, f0: float) -> np.ndarray:
+def _tap_weights(real: ChannelRealization) -> np.ndarray:
     d = np.arange(real.params.n_delay_taps)
-    return np.exp(-2j * np.pi * f0 * d)
+    return np.exp(-2j * np.pi * DEFAULT_TAP_FREQUENCY * d)
 
 
-def channel_matrix(
-    real: ChannelRealization, f0: float = DEFAULT_TAP_FREQUENCY
-) -> np.ndarray:
+def channel_matrix(real: ChannelRealization) -> np.ndarray:
     """Narrowband channel: tap sum weighted by exp(-j*2*pi*f0*d)."""
-    weights = _tap_weights(real, f0)
+    weights = _tap_weights(real)
     h = np.zeros((real.params.n_ms, real.params.n_bs), dtype=np.complex128)
     for d, w in enumerate(weights):
         h += w * delay_tap_matrix(real, d)
@@ -256,43 +254,29 @@ class AngularDictionary:
         return self.grid_aod.size
 
 
-def _sin_grid(domain: tuple[float, float], size: int) -> np.ndarray:
-    lo, hi = domain
-    if not hi > lo:
-        raise ConfigError(f"empty angle domain {domain}")
-    candidates = [math.sin(lo), math.sin(hi)]
-    if lo <= math.pi / 2 <= hi:
-        candidates.append(1.0)
-    if lo <= -math.pi / 2 <= hi:
-        candidates.append(-1.0)
-    smin, smax = min(candidates), max(candidates)
-    if smax - smin >= 2.0 - 1e-12:
-        # Full band: sines -1 and +1 alias to the same steering vector, so
-        # the endpoint is dropped.  At one point per antenna the columns
-        # then form an orthonormal DFT basis.
-        sins = smin + (smax - smin) * np.arange(size) / size
-    else:
-        sins = np.linspace(smin, smax, size)
-    return np.arcsin(sins)
+def _sin_grid(size: int) -> np.ndarray:
+    # Sines -1 and +1 alias to the same steering vector, so the endpoint
+    # is dropped.  At one point per antenna the columns then form an
+    # orthonormal DFT basis.
+    return np.arcsin(-1.0 + 2.0 * np.arange(size) / size)
 
 
 def make_dictionary(
     params: ChannelParams,
     size_ms: int | None = None,
     size_bs: int | None = None,
-    domain: tuple[float, float] = DEFAULT_DOMAIN,
 ) -> AngularDictionary:
     """Build AoA/AoD steering dictionaries, 2x the antenna count by default.
 
-    Grid points are uniform in sin(angle) over the sine range the domain
-    reaches, which makes the columns a uniform spatial-frequency grid.
+    Grid points are uniform in sin(angle) over the full band [-1, 1),
+    which makes the columns a uniform spatial-frequency grid.
     """
     l1 = 2 * params.n_ms if size_ms is None else size_ms
     l2 = 2 * params.n_bs if size_bs is None else size_bs
     if l1 < params.n_ms or l2 < params.n_bs:
         raise ConfigError("dictionary grids must be at least the antenna count")
-    grid_aoa = _sin_grid(domain, l1)
-    grid_aod = _sin_grid(domain, l2)
+    grid_aoa = _sin_grid(l1)
+    grid_aod = _sin_grid(l2)
     a_ms = np.stack([params.steering_ms(a) for a in grid_aoa], axis=1)
     a_bs = np.stack([params.steering_bs(a) for a in grid_aod], axis=1)
     return AngularDictionary(a_ms=a_ms, a_bs=a_bs, grid_aoa=grid_aoa, grid_aod=grid_aod)
@@ -314,8 +298,6 @@ def sample_realization(
     params: ChannelParams,
     rng: np.random.Generator,
     dictionary: AngularDictionary | None = None,
-    time_index: int = 0,
-    domain: tuple[float, float] = DEFAULT_DOMAIN,
 ) -> ChannelRealization:
     """Draw a random realization; grid snapping keeps rays on-dictionary.
 
@@ -325,11 +307,11 @@ def sample_realization(
     clusters = []
     occupied: set = set()
     for count in params.ray_counts():
-        cluster = _draw_cluster(params, count, rng, dictionary, domain, occupied)
+        cluster = _draw_cluster(params, count, rng, dictionary, occupied)
         clusters.append(cluster)
         if dictionary is not None:
             occupied |= _cluster_cells(cluster, dictionary)
-    return ChannelRealization(params=params, clusters=tuple(clusters), time_index=time_index)
+    return ChannelRealization(params=params, clusters=tuple(clusters))
 
 
 def _cluster_cells(cluster: PathCluster, dictionary: AngularDictionary) -> set:
@@ -348,7 +330,6 @@ def _draw_cluster(
     n_rays: int,
     rng: np.random.Generator,
     dictionary: AngularDictionary | None,
-    domain: tuple[float, float] = DEFAULT_DOMAIN,
     occupied: set | None = None,
 ) -> PathCluster:
     # Grid-snapped draws reject AoA rows and AoD columns already taken by
@@ -356,7 +337,7 @@ def _draw_cluster(
     # below the ray count, which breaks every rank-based sparsity budget;
     # well-separated clusters are the operating assumption here.
     for _ in range(64):
-        cluster = _draw_cluster_once(params, n_rays, rng, dictionary, domain)
+        cluster = _draw_cluster_once(params, n_rays, rng, dictionary)
         if dictionary is None or not occupied:
             return cluster
         rows = {i for i, _ in occupied}
@@ -372,14 +353,13 @@ def _draw_cluster_once(
     n_rays: int,
     rng: np.random.Generator,
     dictionary: AngularDictionary | None,
-    domain: tuple[float, float] = DEFAULT_DOMAIN,
 ) -> PathCluster:
     if dictionary is not None:
         mean_aoa = float(rng.choice(dictionary.grid_aoa))
         mean_aod = float(rng.choice(dictionary.grid_aod))
     else:
-        mean_aoa = float(rng.uniform(*domain))
-        mean_aod = float(rng.uniform(*domain))
+        mean_aoa = float(rng.uniform(*DEFAULT_DOMAIN))
+        mean_aod = float(rng.uniform(*DEFAULT_DOMAIN))
     span = (params.n_delay_taps - 1) * params.sample_period
     delay = float(rng.uniform(0.0, span)) if span > 0 else 0.0
     rays = []
@@ -400,9 +380,7 @@ def _draw_cluster_once(
 
 
 def angular_factorization(
-    real: ChannelRealization,
-    dictionary: AngularDictionary,
-    f0: float = DEFAULT_TAP_FREQUENCY,
+    real: ChannelRealization, dictionary: AngularDictionary
 ) -> np.ndarray:
     """Sparse angular-domain gain matrix Hbar with one entry per ray.
 
@@ -417,7 +395,7 @@ def angular_factorization(
     """
     params = real.params
     scale = _ray_scale(real)
-    weights = _tap_weights(real, f0)
+    weights = _tap_weights(real)
     hbar = np.zeros((dictionary.size_aoa, dictionary.size_aod), dtype=np.complex128)
     for ci, ri, ray, aoa, aod, delay in real.iter_rays():
         i = _grid_index(aoa, dictionary.grid_aoa)
@@ -436,23 +414,12 @@ def angular_factorization(
     return hbar
 
 
-def _evolve_cluster(
-    cluster: PathCluster,
-    params: ChannelParams,
-    rng: np.random.Generator | None,
-    angle_walk_std: float,
-) -> PathCluster:
+def _evolve_cluster(cluster: PathCluster, params: ChannelParams) -> PathCluster:
     rays = tuple(
         replace(ray, gain=ray.gain * np.exp(2j * np.pi * ray.doppler * params.sample_period))
         for ray in cluster.rays
     )
-    mean_aoa, mean_aod = cluster.mean_aoa, cluster.mean_aod
-    if angle_walk_std > 0.0:
-        if rng is None:
-            raise ConfigError("angle walk requires a random generator")
-        mean_aoa += float(rng.normal(0.0, angle_walk_std))
-        mean_aod += float(rng.normal(0.0, angle_walk_std))
-    return PathCluster(mean_aoa=mean_aoa, mean_aod=mean_aod, delay=cluster.delay, rays=rays)
+    return replace(cluster, rays=rays)
 
 
 def evolve(
@@ -460,13 +427,11 @@ def evolve(
     steps: int,
     rank_schedule=None,
     rng: np.random.Generator | None = None,
-    angle_walk_std: float = 0.0,
     dictionary: AngularDictionary | None = None,
 ) -> list[ChannelRealization]:
     """Advance a realization ``steps`` times.
 
-    Per step every ray gain rotates by exp(j*2*pi*doppler*Ts), cluster
-    mean angles random-walk when ``angle_walk_std`` > 0, and
+    Per step every ray gain rotates by exp(j*2*pi*doppler*Ts), and
     ``rank_schedule`` entries (time, n_clusters) add or remove clusters
     when their absolute time index is reached.
 
@@ -491,9 +456,7 @@ def evolve(
     params = real.params
     for _ in range(steps):
         t = current.time_index + 1
-        clusters = [
-            _evolve_cluster(c, params, rng, angle_walk_std) for c in current.clusters
-        ]
+        clusters = [_evolve_cluster(c, params) for c in current.clusters]
         if t in schedule:
             target = schedule[t]
             if target < len(clusters):

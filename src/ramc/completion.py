@@ -1,27 +1,21 @@
 """Rank-aware low-rank matrix completion.
 
-Phase I of the estimation pipeline: singular-value based rank estimation,
-a rank tracker that carries the previous corrected rank across time
-steps, and an augmented-Lagrangian block-coordinate solver that
-completes a masked observation matrix as a sum of rank-one factors with
-l1-shrunk weights; the achieved rank is however many weights remain
-positive at termination.
+Phase I of the estimation pipeline: singular-value based rank estimation
+and an augmented-Lagrangian block-coordinate solver that completes a
+masked observation matrix as a sum of rank-one factors with l1-shrunk
+weights; the achieved rank is however many weights remain positive at
+termination.  Carrying a rank hint from one time step to the next is
+the harness's job.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ColdStartError,
-    ConfigError,
-    DegenerateSystemError,
-    InfeasibleMaskError,
-)
+from .errors import ConfigError, DegenerateSystemError, InfeasibleMaskError
 from .frontend import ObservationSet
 from .numerics import svd
 
@@ -56,43 +50,9 @@ def estimate_rank(m, xi: float = 0.95) -> int:
         raise ConfigError(f"energy ratio must lie in (0, 1], got {xi}")
     s = svd(m).s
     if s.size == 0 or s[0] <= 0.0:
-        raise DegenerateSystemError("cannot estimate the rank of a zero matrix", rank=0)
+        raise DegenerateSystemError("cannot estimate the rank of a zero matrix")
     energy = np.cumsum(s**2)
     return min(int(np.searchsorted(energy, xi * energy[-1])) + 1, s.size)
-
-
-@dataclass
-class RankTracker:
-    """Window of corrected rank values; predicts the most recent one."""
-
-    rank_cap: int
-    capacity: int = 64
-    history: deque = field(init=False)
-
-    def __post_init__(self):
-        if self.rank_cap < 1:
-            raise ConfigError("rank cap must be >= 1")
-        if self.capacity < 1:
-            raise ConfigError("history capacity must be >= 1")
-        self.history = deque(maxlen=self.capacity)
-
-    def record(self, value: int) -> None:
-        """Append a corrected rank observation."""
-        self.history.append(int(value))
-
-
-def predict_rank(tracker: RankTracker) -> int:
-    """Last recorded rank, clamped to [1, cap].
-
-    Raises
-    ------
-    ColdStartError
-        When nothing has been recorded yet; callers fall back to a
-        data-driven estimate.
-    """
-    if not tracker.history:
-        raise ColdStartError("tracker has no recorded rank yet")
-    return int(np.clip(tracker.history[-1], 1, tracker.rank_cap))
 
 
 @dataclass
@@ -110,9 +70,8 @@ class SolverOptions:
     mu: float | None = None
     max_iters: int = 500
     energy_ratio: float = 0.95
-    refine_without_l1: bool = True
-    # Extra factors granted above tracker predictions so an understated
-    # rank can grow back; consumed by pipeline drivers, not the solver.
+    # Extra factors granted above the previous step's rank so an
+    # understated rank can grow back; consumed by the harness, not the solver.
     rank_headroom: int = 2
 
     def __post_init__(self):
@@ -156,7 +115,7 @@ class CompletionResult:
     """Output of the completion solver.
 
     ``trace`` holds one (iteration, objective, feasibility, active rank)
-    row per sweep, plus one for the shrink-free refit when it runs.
+    row per sweep, plus one for the shrink-free refit when a factor survives.
     """
 
     completed: np.ndarray
@@ -244,8 +203,8 @@ def r1mc_complete(
     both normalised), its weight soft-shrunk by mu; observed entries are
     then re-imposed and the multiplier takes a dual-ascent step of size
     mu.  A factor whose weight stays zero for ``DROP_STREAK`` consecutive
-    sweeps is dropped.  With ``refine_without_l1`` a final shrink-free
-    pass re-fits the weights on the surviving support.
+    sweeps is dropped.  A final shrink-free pass re-fits the weights on
+    the surviving support.
 
     The solve converges at the first sweep where either test holds:
 
@@ -364,7 +323,7 @@ def r1mc_complete(
             break
         feas_prev = feas
 
-    if opts.refine_without_l1 and state.active.any():
+    if state.active.any():
         _refit_weights(state)
         z = state.model()
         feas = float(np.linalg.norm((z - y_tilde)[observed]))

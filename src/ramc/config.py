@@ -30,13 +30,13 @@ DEFAULT_ABLATION = (
     "somp_baseline",
 )
 
-_FIXED_RANK_RE = re.compile(r"^fixed_rank[:(](\d+)\)?$")
+_FIXED_RANK_RE = re.compile(r"^fixed_rank:(\d+)$")
 
 
 def parse_variant(name: str) -> tuple[str, int | None]:
     """Split an estimator variant name into (kind, parameter).
 
-    ``fixed_rank`` takes its rank as ``fixed_rank:k`` or ``fixed_rank(k)``.
+    ``fixed_rank`` takes its rank as ``fixed_rank:k``.
     """
     if name in ("rank_aware", "rank_oblivious", "coarse_only", "somp_baseline"):
         return name, None

@@ -2,6 +2,7 @@
 
 Every error raised on a contract violation derives from RamcError so
 callers can distinguish library failures from programming mistakes.
+The errors carry no attributes: what went wrong is in the message.
 """
 
 
@@ -18,31 +19,11 @@ class MatrixSizeError(RamcError, ValueError):
 
 
 class SolverFailureError(RamcError, RuntimeError):
-    """An iterative kernel failed to converge.
-
-    Attributes
-    ----------
-    iterations : int
-        Iteration budget that was exhausted when the failure was raised.
-    """
-
-    def __init__(self, message, iterations=0):
-        super().__init__(message)
-        self.iterations = iterations
+    """A LAPACK kernel failed to converge; the message names the shape."""
 
 
 class DegenerateSystemError(RamcError, ValueError):
-    """A linear system or selected sub-dictionary is rank deficient.
-
-    Attributes
-    ----------
-    rank : int
-        Numerical rank that triggered the failure.
-    """
-
-    def __init__(self, message, rank=0):
-        super().__init__(message)
-        self.rank = rank
+    """A matrix, linear system or selected sub-dictionary is rank deficient."""
 
 
 class GridMismatchError(RamcError, ValueError):
@@ -51,10 +32,6 @@ class GridMismatchError(RamcError, ValueError):
 
 class InfeasibleMaskError(RamcError, ValueError):
     """A sampling mask cannot satisfy row/column coverage requirements."""
-
-
-class ColdStartError(RamcError, RuntimeError):
-    """A rank tracker has too little history to form a prediction."""
 
 
 class ConfigError(RamcError, ValueError):

@@ -137,15 +137,10 @@ def pilot_symbols(cfg: HybridConfig) -> np.ndarray:
     return dft(cfg.pilot_length)[: cfg.m_bs, :] / math.sqrt(cfg.pilot_length)
 
 
-def make_pilot_block(
-    cfg: HybridConfig,
-    n_bs: int,
-    n_ms: int,
-    seed,
-    noise_var: float = 0.0,
-) -> PilotBlock:
+def make_pilot_block(cfg: HybridConfig, n_bs: int, n_ms: int, seed) -> PilotBlock:
+    """Noiseless pilot block; set a noise level with ``dataclasses.replace``."""
     f, w = make_beamformers(cfg, n_bs, n_ms, seed)
-    return PilotBlock(f=f, w=w, s=pilot_symbols(cfg), noise_var=noise_var)
+    return PilotBlock(f=f, w=w, s=pilot_symbols(cfg))
 
 
 def measurement_matrix(block: PilotBlock) -> np.ndarray:

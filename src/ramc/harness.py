@@ -21,14 +21,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import channel as chan
-from .completion import (
-    RankTracker,
-    estimate_rank,
-    predict_rank,
-    r1mc_complete,
-)
+from .completion import estimate_rank, r1mc_complete
 from .config import ExperimentConfig, parse_variant, snr_to_linear
-from .errors import ColdStartError, ConfigError, DegenerateSystemError, RamcError, UndefinedMetricError
+from .errors import ConfigError, DegenerateSystemError, RamcError, UndefinedMetricError
 from .frontend import PilotBlock, coarse_channel, make_pilot_block, observe, subsample
 from .recovery import estimate_phase2, somp_baseline
 
@@ -76,27 +71,13 @@ def nmse(h_true, h_est) -> float:
     return float(np.linalg.norm(h - np.asarray(h_est)) ** 2 / denom)
 
 
-def nmse_db(value: float, floor_db: float = NMSE_FLOOR_DB) -> float:
-    """NMSE in dB, clipped at the reporting floor."""
+def nmse_db(value: float) -> float:
+    """NMSE in dB, clipped at the reporting floor ``NMSE_FLOOR_DB``."""
     if value < 0:
         raise UndefinedMetricError(f"NMSE must be non-negative, got {value}")
     if value == 0.0:
-        return floor_db
-    return max(10.0 * math.log10(value), floor_db)
-
-
-def recovery_probability(records, threshold_db: float = -10.0) -> float:
-    """Fraction of records whose NMSE is at or below the dB threshold.
-
-    Failed records (NaN NMSE) count as not recovered.
-    """
-    values = [
-        r.nmse_db if isinstance(r, MetricRecord) else float(r) for r in records
-    ]
-    if not values:
-        raise UndefinedMetricError("recovery probability of an empty record set")
-    hits = sum(1 for v in values if not math.isnan(v) and v <= threshold_db)
-    return hits / len(values)
+        return NMSE_FLOOR_DB
+    return max(10.0 * math.log10(value), NMSE_FLOOR_DB)
 
 
 def draw_ber_link(n_rx: int, n_symbols: int, n_streams: int = 2, seed=None):
@@ -133,7 +114,7 @@ def ber_link(h_true, h_est, snr_db: float, draws) -> float:
     est = np.asarray(h_est, dtype=np.complex128)
     u, s, vh = np.linalg.svd(est)
     if s.size == 0 or s[0] == 0.0:
-        raise DegenerateSystemError("cannot beamform on a zero channel estimate", rank=0)
+        raise DegenerateSystemError("cannot beamform on a zero channel estimate")
     bits, symbols, noise = draws
     n_streams = symbols.shape[0]
     if n_streams > min(h.shape):
@@ -271,12 +252,16 @@ def _estimate_one(
     obs,
     block,
     dictionary,
-    tracker: RankTracker,
+    ranks: list[int],
 ):
     """Run one estimator variant; returns (h_hat, rank_est, sparse, solve).
 
     ``solve`` is the completion solver's :class:`CompletionResult`, None
-    for the variants that skip Phase I.
+    for the variants that skip Phase I.  ``ranks`` holds the trial's
+    corrected ranks so far: ``rank_aware`` hints its solve with the last
+    one plus ``rank_headroom`` (no hint on the first step) and appends
+    its own before Phase II runs, so a step whose Phase II fails still
+    hints the next step.
     """
     solver = cfg.solver
     if variant_kind == "coarse_only":
@@ -300,19 +285,17 @@ def _estimate_one(
         return dictionary.a_ms @ est.gains, cap, est, None
 
     if variant_kind == "rank_aware":
-        cap = min(obs.incomplete.shape)
-        try:
-            hint = min(predict_rank(tracker) + solver.rank_headroom, cap)
-        except ColdStartError:
-            hint = None
+        hint = None
+        if ranks:
+            hint = min(ranks[-1] + solver.rank_headroom, min(obs.incomplete.shape))
         result = r1mc_complete(obs, rank_hint=hint, opts=solver)
-        # Corrector: the tracker learns from the rank of the completed
+        # Corrector: the next hint comes from the rank of the completed
         # matrix, not from the raw factor count.
         try:
             corrected = estimate_rank(result.completed, solver.energy_ratio)
         except DegenerateSystemError:
             corrected = result.rank
-        tracker.record(max(corrected, 1))
+        ranks.append(max(corrected, 1))
         sparse, h_hat = estimate_phase2(
             result.completed, block, dictionary, max(corrected, 1), cfg.omp
         )
@@ -351,7 +334,7 @@ def _run_trial(
 ):
     kind, param = parse_variant(variant)
     snr_db = cfg.snr_grid_db[snr_idx]
-    tracker = RankTracker(rank_cap=min(cfg.hybrid.m_ms, cfg.hybrid.pilot_length))
+    ranks: list[int] = []
     records = []
     if artifacts is not None:
         artifacts.update(t=[], truth=[], estimate=[], sparse=[], mask=[], trace=[])
@@ -361,7 +344,7 @@ def _run_trial(
         try:
             block, obs = _observe_step(cfg, snr_idx, trial, t, step)
             h_hat, rank_est, sparse, solve = _estimate_one(
-                kind, param, cfg, obs, block, dictionary, tracker
+                kind, param, cfg, obs, block, dictionary, ranks
             )
             if artifacts is not None:
                 artifacts["t"].append(t)

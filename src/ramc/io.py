@@ -26,13 +26,9 @@ def save_tensor(path, tensor) -> None:
         arr = arr[None, :, :]
     if arr.ndim != 3:
         raise ShapeError(f"expected a (steps, rows, cols) tensor, got shape {arr.shape}")
-    steps, rows, cols = arr.shape
-    interleaved = np.empty((steps, rows, cols, 2), dtype="<f8")
-    interleaved[..., 0] = arr.real
-    interleaved[..., 1] = arr.imag
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(TENSOR_MAGIC, steps, rows, cols))
-        fh.write(interleaved.tobytes())
+        fh.write(_HEADER.pack(TENSOR_MAGIC, *arr.shape))
+        fh.write(arr.astype("<c16").tobytes())
 
 
 def load_tensor(path) -> np.ndarray:
@@ -49,9 +45,10 @@ def load_tensor(path) -> np.ndarray:
             f"{path}: payload holds {len(raw) - _HEADER.size} bytes, "
             f"expected {expected - _HEADER.size}"
         )
-    flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    pairs = flat.reshape(steps, rows, cols, 2)
-    return (pairs[..., 0] + 1j * pairs[..., 1]).astype(np.complex128)
+    # Interleaved little-endian (real, imag) float64 pairs are exactly the
+    # layout of <c16, so every bit pattern (signed zeros, inf, NaN) survives.
+    payload = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
+    return payload.astype(np.complex128).reshape(steps, rows, cols)
 
 
 def _open_csv(path):

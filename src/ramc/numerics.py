@@ -24,9 +24,6 @@ RANK_TOLERANCE = 1e-12
 # Largest element count kron() will materialise (256 MiB of complex128).
 MAX_KRON_ELEMENTS = 1 << 24
 
-# Nominal iteration budget reported when the SVD backend gives up.
-_SVD_ITERATION_CAP_FACTOR = 100
-
 
 def _as_matrix(m, name="matrix"):
     """Validate and return a 2-D complex128 array copy-free where possible."""
@@ -57,11 +54,6 @@ class SvdResult:
         if self.s.size == 0 or self.s[0] == 0.0:
             return 0
         return int(np.sum(self.s > RANK_TOLERANCE * self.s[0]))
-
-    def reconstruct(self, rank: int | None = None) -> np.ndarray:
-        """Best approximation using the leading ``rank`` triplets."""
-        k = self.s.size if rank is None else min(rank, self.s.size)
-        return (self.u[:, :k] * self.s[:k]) @ self.v[:, :k].conj().T
 
 
 @dataclass(frozen=True)
@@ -95,10 +87,6 @@ class SamplingMask:
         """Number of observed entries."""
         return int(self.observed.sum())
 
-    @property
-    def fraction(self) -> float:
-        return self.count / self.observed.size
-
     def covers_all_lines(self) -> bool:
         """True when every row and every column holds an observation."""
         return bool(self.observed.any(axis=1).all() and self.observed.any(axis=0).all())
@@ -110,21 +98,6 @@ class SamplingMask:
     @classmethod
     def full(cls, rows: int, cols: int) -> "SamplingMask":
         return cls(np.ones((rows, cols), dtype=bool))
-
-    @classmethod
-    def from_indices(cls, rows: int, cols: int, pairs) -> "SamplingMask":
-        pairs = np.asarray(pairs, dtype=int)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ShapeError("pairs must be an (n, 2) index array")
-        if len(np.unique(pairs, axis=0)) != len(pairs):
-            raise ShapeError("duplicate index pairs in mask")
-        if pairs.size and (
-            pairs.min() < 0 or pairs[:, 0].max() >= rows or pairs[:, 1].max() >= cols
-        ):
-            raise ShapeError("index pair outside matrix bounds")
-        obs = np.zeros((rows, cols), dtype=bool)
-        obs[pairs[:, 0], pairs[:, 1]] = True
-        return cls(obs)
 
 
 def svd(m) -> SvdResult:
@@ -144,16 +117,14 @@ def svd(m) -> SvdResult:
     Raises
     ------
     SolverFailureError
-        If the backend bidiagonal iteration does not converge.
+        If LAPACK's SVD does not converge; the message names the shape.
     """
     a = _as_matrix(m)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        cap = _SVD_ITERATION_CAP_FACTOR * max(a.shape)
-        raise SolverFailureError(
-            f"SVD did not converge within {cap} iterations", iterations=cap
-        ) from exc
+        rows, cols = a.shape
+        raise SolverFailureError(f"SVD of a {rows}x{cols} matrix did not converge") from exc
     return SvdResult(u=u, s=s, v=vh.conj().T)
 
 

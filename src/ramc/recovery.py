@@ -29,17 +29,12 @@ class OmpOptions:
 
     sparsity_cap: int | None = None
     residual_tol: float | None = None
-    rank_cap_rule: str = "squared"
 
     def __post_init__(self):
         if self.sparsity_cap is not None and self.sparsity_cap < 1:
             raise ConfigError("sparsity cap must be >= 1")
         if self.residual_tol is not None and self.residual_tol < 0:
             raise ConfigError("residual tolerance must be non-negative")
-        if self.rank_cap_rule not in ("squared", "linear"):
-            raise ConfigError(
-                f"rank cap rule must be 'squared' or 'linear', got {self.rank_cap_rule!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -73,15 +68,9 @@ def _solve_support(gram_s, h0_s, support):
     try:
         coeffs = np.linalg.solve(gram_s, h0_s)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateSystemError(
-            f"selected columns {support} are linearly dependent",
-            rank=len(support) - 1,
-        ) from exc
+        raise DegenerateSystemError(f"selected columns {support} are linearly dependent") from exc
     if not np.all(np.isfinite(coeffs)):
-        raise DegenerateSystemError(
-            f"selected columns {support} are numerically dependent",
-            rank=len(support) - 1,
-        )
+        raise DegenerateSystemError(f"selected columns {support} are numerically dependent")
     return coeffs
 
 
@@ -89,7 +78,7 @@ def _pursuit(targets: np.ndarray, dictionary: np.ndarray, cap: int, tol: float):
     """Shared Gram-domain greedy loop for OMP (1 column) and SOMP (many)."""
     norms = np.linalg.norm(dictionary, axis=0)
     if np.any(norms == 0.0):
-        raise DegenerateSystemError("dictionary holds a zero column", rank=0)
+        raise DegenerateSystemError("dictionary holds a zero column")
     d_n = dictionary / norms
     gram = d_n.conj().T @ d_n
     h0 = d_n.conj().T @ targets
@@ -108,10 +97,7 @@ def _pursuit(targets: np.ndarray, dictionary: np.ndarray, cap: int, tol: float):
         support.append(best)
         gram_s = gram[np.ix_(support, support)]
         if np.linalg.cond(gram_s) > 1e12:
-            raise DegenerateSystemError(
-                f"selected columns {support} are numerically dependent",
-                rank=len(support) - 1,
-            )
+            raise DegenerateSystemError(f"selected columns {support} are numerically dependent")
         coeffs = _solve_support(gram_s, h0[support, :], support)
         # Taken directly: the Gram-domain sqrt(||y||^2 - <c, D_S^H y>) is
         # a difference of squares, good only to ~sqrt(eps) * ||y||.
@@ -196,19 +182,14 @@ def batch_omp(
     return _omp(y, dictionary, opts, grid_shape)
 
 
-def somp_baseline(
-    targets,
-    dictionary,
-    opts: OmpOptions | None = None,
-    grid_shape: tuple[int, int] | None = None,
-) -> SparseGainEstimate:
+def somp_baseline(targets, dictionary, opts: OmpOptions | None = None) -> SparseGainEstimate:
     """Simultaneous OMP over multiple measurement vectors.
 
     Atom scores aggregate correlations across target columns by their
     l2 norm; all targets share one support.  With a single column this
     reduces exactly to :func:`batch_omp`.
     """
-    return _omp(np.asarray(targets, dtype=np.complex128), dictionary, opts, grid_shape)
+    return _omp(np.asarray(targets, dtype=np.complex128), dictionary, opts, None)
 
 
 def reconstruct_channel(
@@ -242,8 +223,8 @@ def estimate_phase2(
     completed : array_like
         Completed pilot observation (m_ms x pilot_length).
     rank : int
-        Phase-I rank; the sparsity cap is rank**2 (or rank with the
-        'linear' cap rule) unless ``opts.sparsity_cap`` overrides it.
+        Phase-I rank; the sparsity cap is rank**2 unless
+        ``opts.sparsity_cap`` overrides it.
 
     Returns
     -------
@@ -255,7 +236,7 @@ def estimate_phase2(
     if opts.sparsity_cap is None:
         if rank < 1:
             raise ConfigError(f"rank {rank} yields an empty sparsity budget")
-        cap = rank**2 if opts.rank_cap_rule == "squared" else rank
+        cap = rank**2
     else:
         cap = opts.sparsity_cap
     d = measurement_matrix(block) @ build_dictionary(dictionary)

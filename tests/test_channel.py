@@ -5,12 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from ramc import (
+from ramc.channel import (
     AngularDictionary,
     ChannelParams,
     ChannelRealization,
-    ConfigError,
-    GridMismatchError,
     PathCluster,
     Ray,
     angular_factorization,
@@ -19,10 +17,10 @@ from ramc import (
     evolve,
     make_dictionary,
     raised_cosine,
-    reconstruct_channel,  # noqa: F401  (round-trip partner lives in recovery tests)
     sample_realization,
     steering_vector,
 )
+from ramc.errors import ConfigError, GridMismatchError
 
 
 def _single_ray_realization(params, aoa, aod, gain=1.0 + 0.0j):

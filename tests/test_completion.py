@@ -1,4 +1,4 @@
-"""Tests for rank estimation, the rank tracker and the completion solver."""
+"""Tests for rank estimation and the completion solver."""
 
 import math
 from dataclasses import replace
@@ -8,30 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramc import (
-    ChannelParams,
-    ColdStartError,
-    ConfigError,
-    DegenerateSystemError,
-    ExperimentConfig,
+from ramc.channel import ChannelParams, sample_realization
+from ramc import completion
+from ramc.completion import (
+    _INNER_CAP,
+    _INNER_TOL,
+    SolverOptions,
+    _update_factor,
+    estimate_rank,
+    r1mc_complete,
+)
+from ramc.config import ExperimentConfig
+from ramc.errors import ConfigError, DegenerateSystemError
+from ramc.frontend import (
     HybridConfig,
     ObservationSet,
-    RankTracker,
-    SamplingMask,
-    SolverOptions,
-    estimate_rank,
     make_pilot_block,
     observe,
-    predict_rank,
-    project_mask,
-    r1mc_complete,
-    run_sweep,
-    sample_realization,
     subsample,
-    summarize_records,
 )
-from ramc import completion
-from ramc.completion import _INNER_CAP, _INNER_TOL, _update_factor
+from ramc.harness import run_sweep, summarize_records
+from ramc.numerics import SamplingMask, project_mask
 
 
 def _low_rank(rng, rows, cols, rank, sv=None):
@@ -74,50 +71,6 @@ class TestEstimateRank:
     def test_invalid_xi(self):
         with pytest.raises(ConfigError):
             estimate_rank(np.eye(3), xi=0.0)
-
-class TestRankTracker:
-    def test_cold_start(self):
-        tracker = RankTracker(rank_cap=8)
-        with pytest.raises(ColdStartError):
-            predict_rank(tracker)
-
-    def test_persistence_predicts_last(self):
-        tracker = RankTracker(rank_cap=8)
-        tracker.record(3)
-        assert predict_rank(tracker) == 3
-        tracker.record(5)
-        assert predict_rank(tracker) == 5
-
-    def test_relock_within_one_step(self):
-        # A step change in the corrected rank is reflected by the very
-        # next prediction.
-        tracker = RankTracker(rank_cap=8)
-        for _ in range(10):
-            tracker.record(2)
-        assert predict_rank(tracker) == 2
-        tracker.record(4)
-        assert predict_rank(tracker) == 4
-
-    def test_clamped_to_cap(self):
-        tracker = RankTracker(rank_cap=3)
-        tracker.record(7)
-        assert predict_rank(tracker) == 3
-
-    def test_capacity_bound(self):
-        tracker = RankTracker(rank_cap=8, capacity=4)
-        for value in range(1, 9):
-            tracker.record(value)
-        assert list(tracker.history) == [5, 6, 7, 8]
-
-    @given(
-        cap=st.integers(min_value=1, max_value=16),
-        history=st.lists(st.integers(min_value=-4, max_value=32), min_size=1, max_size=80),
-    )
-    def test_predicts_clipped_last_rank(self, cap, history):
-        tracker = RankTracker(rank_cap=cap)
-        for value in history:
-            tracker.record(value)
-        assert predict_rank(tracker) == int(np.clip(history[-1], 1, cap))
 
 
 class TestR1mcComplete:
@@ -181,7 +134,7 @@ class TestR1mcComplete:
         obs = _masked_observation(rng, m, keep=0.7)
         supports = []
         for mu in (0.05, 0.3, 1.0, 3.0):
-            opts = SolverOptions(mu=mu, refine_without_l1=False, max_iters=150)
+            opts = SolverOptions(mu=mu, max_iters=150)
             result = r1mc_complete(obs, rank_hint=5, opts=opts)
             supports.append(result.rank)
         assert all(a >= b for a, b in zip(supports, supports[1:]))

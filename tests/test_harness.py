@@ -1,35 +1,39 @@
 """Tests of the Monte-Carlo harness: metrics, sweeps, reports, BER link."""
 
 import dataclasses
+import importlib.util
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramc import (
-    DEFAULT_ABLATION,
-    ChannelParams,
-    ConfigError,
-    ExperimentConfig,
-    HybridConfig,
-    MetricRecord,
+from ramc import channel, harness
+from ramc.channel import ChannelParams
+from ramc.config import DEFAULT_ABLATION, ExperimentConfig
+from ramc.errors import ConfigError, DegenerateSystemError, UndefinedMetricError
+from ramc.frontend import HybridConfig
+from ramc.harness import (
     NMSE_FLOOR_DB,
-    UndefinedMetricError,
+    MetricRecord,
+    _dictionary,
+    _draw_trial,
     ablation_report,
     ber_link,
     draw_ber_link,
     nmse,
     nmse_db,
-    recovery_probability,
     run_single_trial,
     run_sweep,
     simulate_trial,
     summarize_records,
     write_report,
 )
-from ramc.harness import _dictionary, _draw_trial
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Small geometry keeps per-trial solves around a millisecond.
 SMALL = dict(
@@ -71,21 +75,21 @@ class TestRecoveryProbability:
             rank_est=1, runtime_ms=0.0, error="",
         )
 
+    def _recovery(self, records):
+        return summarize_records(records).recovery[0, 0]
+
     def test_all_recovered(self):
-        recs = [self._rec(-120.0)] * 4
-        assert recovery_probability(recs, -10.0) == 1.0
+        assert self._recovery([self._rec(-120.0)] * 4) == 1.0
 
     def test_none_recovered(self):
-        recs = [self._rec(0.0)] * 4
-        assert recovery_probability(recs, -10.0) == 0.0
+        assert self._recovery([self._rec(0.0)] * 4) == 0.0
 
     def test_half(self):
-        recs = [self._rec(-20.0), self._rec(0.0)]
-        assert recovery_probability(recs, -10.0) == 0.5
+        assert self._recovery([self._rec(-20.0), self._rec(0.0)]) == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(UndefinedMetricError):
-            recovery_probability([])
+            summarize_records([])
 
 
 class TestBerLink:
@@ -187,8 +191,6 @@ class TestRunSweep:
             steps[0].y_clean[0, 0] = 0.0
 
     def test_failed_shared_draw_fails_its_step_everywhere(self, monkeypatch):
-        from ramc import harness
-
         real_pilot = harness.make_pilot_block
         calls = []
 
@@ -306,6 +308,32 @@ class TestRunSingleTrial:
         with pytest.raises(ConfigError):
             run_single_trial(cfg, snr_idx=99)
 
+    def test_rank_hint_survives_failed_phase2(self, monkeypatch):
+        # rank_aware hints each solve with the previous step's corrected
+        # rank plus the headroom.  That rank is kept before Phase II runs,
+        # so a step whose Phase II fails still hints the next step.
+        hints = []
+        phase2_calls = []
+        real_complete = harness.r1mc_complete
+        real_phase2 = harness.estimate_phase2
+
+        def recording_complete(obs, rank_hint=None, opts=None):
+            hints.append(rank_hint)
+            return real_complete(obs, rank_hint=rank_hint, opts=opts)
+
+        def fail_first_phase2(*args, **kwargs):
+            phase2_calls.append(None)
+            if len(phase2_calls) == 1:
+                raise DegenerateSystemError("injected Phase-II failure")
+            return real_phase2(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "r1mc_complete", recording_complete)
+        monkeypatch.setattr(harness, "estimate_phase2", fail_first_phase2)
+        cfg = ExperimentConfig(snr_grid_db=(25.0,), n_trials=1, time_steps=3, master_seed=5)
+        records = run_single_trial(cfg, "rank_aware")
+        assert hints == [None, 4, 4]
+        assert [r.t for r in records if r.error] == [0]
+
 
 def test_simulate_trial_shapes():
     cfg = ExperimentConfig(**SMALL, snr_grid_db=(10.0,), time_steps=2)
@@ -358,3 +386,17 @@ class TestReports:
     def test_empty_rejected(self):
         with pytest.raises(UndefinedMetricError):
             summarize_records([])
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    # The traced benchmark wraps stage functions by name and passes
+    # ``threads`` to run_sweep; a deletion that breaks either fails here.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    targets = run.trace_targets(harness, channel)
+    assert targets
+    for target in targets:
+        assert callable(getattr(target.module, target.attr, None)), target.name
+    assert "threads" in inspect.signature(harness.run_sweep).parameters

@@ -1,24 +1,27 @@
 """Round-trip tests for the binary tensor container and CSV exports."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from ramc import (
-    MetricRecord,
-    SamplingMask,
-    ShapeError,
+from ramc.errors import ShapeError
+from ramc.harness import MetricRecord, read_records, write_records
+from ramc.io import (
+    TENSOR_MAGIC,
     export_mask,
     export_singular_values,
     export_support,
     load_tensor,
-    read_records,
     save_tensor,
-    write_records,
     write_solver_trace,
 )
-from ramc.io import TENSOR_MAGIC
+from ramc.numerics import SamplingMask
+from ramc.recovery import SparseGainEstimate
 
 
 class TestTensorContainer:
@@ -59,6 +62,27 @@ class TestTensorContainer:
     def test_4d_rejected(self, tmp_path):
         with pytest.raises(ShapeError):
             save_tensor(tmp_path / "x.bin", np.ones((2, 2, 2, 2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tensor=hnp.arrays(
+            np.complex128,
+            hnp.array_shapes(min_dims=3, max_dims=3, min_side=0, max_side=4),
+            elements=st.complex_numbers(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([
+                complex(-0.0, -0.0), complex(0.0, -0.0), complex(2.0, math.inf),
+                complex(-math.inf, 0.0), complex(0.0, math.nan), complex(math.nan, -0.0),
+            ]),
+        )
+    )
+    def test_round_trip_bit_exact(self, tmp_path_factory, tensor):
+        # Signed zeros, infinities and NaNs must come back bit for bit;
+        # re + 1j*im arithmetic turns -0.0j into +0.0j and inf*j into nan.
+        path = tmp_path_factory.mktemp("tensor") / "t.bin"
+        save_tensor(path, tensor)
+        out = load_tensor(path)
+        assert out.dtype == np.complex128 and out.shape == tensor.shape
+        assert np.array_equal(out.view(np.uint64), tensor.view(np.uint64))
 
 
 def _records():
@@ -143,7 +167,9 @@ class TestRecordsCsv:
 
 
 def test_export_mask(tmp_path):
-    mask = SamplingMask.from_indices(3, 3, [(0, 1), (2, 0)])
+    observed = np.zeros((3, 3), dtype=bool)
+    observed[[0, 2], [1, 0]] = True
+    mask = SamplingMask(observed)
     path = tmp_path / "mask.csv"
     export_mask(path, mask)
     lines = path.read_text().strip().splitlines()
@@ -172,8 +198,6 @@ def test_write_solver_trace(tmp_path):
 
 
 def test_export_support(tmp_path):
-    from ramc import SparseGainEstimate
-
     est = SparseGainEstimate(
         gains=np.array([[1.0 + 1.0j]]),
         support=((0, 0),),

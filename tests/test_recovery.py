@@ -7,25 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramc import (
+from ramc.channel import (
     ChannelParams,
-    ConfigError,
-    DegenerateSystemError,
-    HybridConfig,
-    OmpOptions,
     angular_factorization,
+    make_dictionary,
+    sample_realization,
+)
+from ramc.completion import r1mc_complete
+from ramc.errors import ConfigError, DegenerateSystemError
+from ramc.frontend import HybridConfig, make_pilot_block, observe
+from ramc.harness import nmse
+from ramc.numerics import vec
+from ramc.recovery import (
+    OmpOptions,
     batch_omp,
     build_dictionary,
     estimate_phase2,
-    make_dictionary,
-    make_pilot_block,
-    nmse,
-    observe,
-    r1mc_complete,
     reconstruct_channel,
-    sample_realization,
     somp_baseline,
-    vec,
 )
 
 
@@ -279,20 +278,17 @@ class TestAngularPipeline:
         assert phi == pytest.approx(dic.grid_aod[tj])
         assert gain == pytest.approx(truth[ti, tj])
 
-    @pytest.mark.parametrize("rule,rank,expected", [("squared", 3, 9), ("linear", 3, 3)])
-    def test_sparsity_budget_rules(self, rule, rank, expected):
+    @pytest.mark.parametrize(
+        "rank,expected",
+        [pytest.param(1, 1, id="squared-1-1"), pytest.param(3, 9, id="squared-3-9")],
+    )
+    def test_sparsity_budget_rules(self, rank, expected):
         rng = np.random.default_rng(225)
         dic = make_dictionary(ChannelParams(n_bs=4, n_ms=4), size_ms=6, size_bs=6)
         block = make_pilot_block(HybridConfig(m_bs=4, m_ms=4, pilot_length=8), 4, 4, seed=6)
         real = sample_realization(ChannelParams(n_bs=4, n_ms=4), rng)
         obs = observe(real, block)
-        est, _ = estimate_phase2(
-            r1mc_complete(obs).completed,
-            block,
-            dic,
-            rank=rank,
-            opts=OmpOptions(rank_cap_rule=rule),
-        )
+        est, _ = estimate_phase2(r1mc_complete(obs).completed, block, dic, rank=rank)
         assert len(est.support) <= expected
 
     def test_phase2_rejects_bad_rank(self):
