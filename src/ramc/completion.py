@@ -22,10 +22,6 @@ from .numerics import svd
 # Consecutive zero-weight sweeps before a factor is dropped.
 DROP_STREAK = 3
 
-# Inner power-iteration budget per factor per sweep.
-_INNER_CAP = 40
-_INNER_TOL = 1e-12
-
 
 def estimate_rank(m, xi: float = 0.95) -> int:
     """Estimate rank as the smallest k retaining xi of the Frobenius energy.
@@ -48,7 +44,11 @@ def estimate_rank(m, xi: float = 0.95) -> int:
     """
     if not 0.0 < xi <= 1.0:
         raise ConfigError(f"energy ratio must lie in (0, 1], got {xi}")
-    s = svd(m).s
+    return _energy_rank(svd(m).s, xi)
+
+
+def _energy_rank(s: np.ndarray, xi: float) -> int:
+    """The energy-rule count on descending singular values ``s``."""
     if s.size == 0 or s[0] <= 0.0:
         raise DegenerateSystemError("cannot estimate the rank of a zero matrix")
     energy = np.cumsum(s**2)
@@ -127,36 +127,30 @@ class CompletionResult:
 
 
 def _update_factor(residual, u, v):
-    """Power-iterate one rank-one factor against the deflated residual.
+    """One power step of a rank-one factor against the deflated residual.
+
+    Returns ``(u, v, a)`` with ``v = R^H u / ||R^H u||``, then
+    ``u = R v / ||R v||`` and ``a = ||R v||``; a zero norm returns weight
+    0 and keeps the vectors not yet replaced.  Factors start each sweep
+    warm, so one step per sweep is enough.
 
     Exactness contract: on a residual of at least 2 x 2, every result is
-    bit-identical to the plain loop ``v = R^H @ u / np.linalg.norm(.)``,
-    ``u = R @ v / np.linalg.norm(.)``.  Only numpy dispatch is shed: R^H
-    is built once, the norm is numpy's own sqrt(re.re + im.im), and
-    ``.dot`` reaches the same zgemv as ``@`` (on a single row or column
-    the two round differently).
+    bit-identical to the same step written with ``@`` and
+    ``np.linalg.norm``.  Only numpy dispatch is shed: the norm is numpy's
+    own sqrt(re.re + im.im), and ``.dot`` reaches the same zgemv as ``@``
+    (on a single row or column the two round differently).
     """
-    residual_h = residual.conj().T
-    a_prev = -1.0
-    a = 0.0
-    for _ in range(_INNER_CAP):
-        v_new = residual_h.dot(u)
-        nv = math.sqrt(v_new.real.dot(v_new.real) + v_new.imag.dot(v_new.imag))
-        if nv == 0.0:
-            return u, v, 0.0
-        v_new /= nv
-        v = v_new
-        u_new = residual.dot(v)
-        nu = math.sqrt(u_new.real.dot(u_new.real) + u_new.imag.dot(u_new.imag))
-        if nu == 0.0:
-            return u, v, 0.0
-        u_new /= nu
-        u = u_new
-        a = nu
-        if abs(a - a_prev) <= _INNER_TOL * a:
-            break
-        a_prev = a
-    return u, v, a
+    v_new = residual.conj().T.dot(u)
+    nv = math.sqrt(v_new.real.dot(v_new.real) + v_new.imag.dot(v_new.imag))
+    if nv == 0.0:
+        return u, v, 0.0
+    v_new /= nv
+    u_new = residual.dot(v_new)
+    nu = math.sqrt(u_new.real.dot(u_new.real) + u_new.imag.dot(u_new.imag))
+    if nu == 0.0:
+        return u, v_new, 0.0
+    u_new /= nu
+    return u_new, v_new, nu
 
 
 def _full_mask_result(y_tilde: np.ndarray) -> CompletionResult:
@@ -198,13 +192,13 @@ def r1mc_complete(
 ) -> CompletionResult:
     """Complete a masked matrix as an l1-regularised sum of rank-one factors.
 
-    Per sweep, every active factor q is refit against the running deflated
-    residual of the multiplier-augmented iterate (v from Y^H u, u from Y v,
-    both normalised), its weight soft-shrunk by mu; observed entries are
-    then re-imposed and the multiplier takes a dual-ascent step of size
-    mu.  A factor whose weight stays zero for ``DROP_STREAK`` consecutive
-    sweeps is dropped.  A final shrink-free pass re-fits the weights on
-    the surviving support.
+    Per sweep, every active factor q is refit by one power step
+    (:func:`_update_factor`) against the running deflated residual of the
+    multiplier-augmented iterate, its weight soft-shrunk by mu; observed
+    entries are then re-imposed and the multiplier takes a dual-ascent
+    step of size mu.  A factor whose weight stays zero for
+    ``DROP_STREAK`` consecutive sweeps is dropped.  A final shrink-free
+    pass re-fits the weights on the surviving support.
 
     The solve converges at the first sweep where either test holds:
 
@@ -261,7 +255,7 @@ def r1mc_complete(
             raise ConfigError(f"rank hint must be >= 1, got {rank_hint}")
         n_factors = min(rank_hint, cap)
     else:
-        n_factors = min(estimate_rank(y_tilde, opts.energy_ratio), cap)
+        n_factors = min(_energy_rank(init.s, opts.energy_ratio), cap)
 
     state = FactorizationState(
         left=init.u[:, :n_factors].copy(),

@@ -41,9 +41,10 @@ _ESTIMATOR_TAG = 505
 class MetricRecord:
     """One estimator evaluation at (variant, snr, trial, t).
 
-    ``iterations`` and ``converged`` come from the Phase-I completion
-    solve; they are 0 and None for variants without Phase I and for
-    failed records.
+    ``iterations``, ``converged`` and ``final_residual`` (the observed-entry
+    fit of the completion) come from the Phase-I completion solve; they
+    are 0, None and None for variants without Phase I and for failed
+    records.
     """
 
     variant: str
@@ -60,6 +61,7 @@ class MetricRecord:
     error: str = ""
     iterations: int = 0
     converged: bool | None = None
+    final_residual: float | None = None
 
 
 def nmse(h_true, h_est) -> float:
@@ -373,6 +375,7 @@ def _run_trial(
                     runtime_ms=(time.perf_counter() - started) * 1e3,
                     iterations=solve.iterations if solve is not None else 0,
                     converged=solve.converged if solve is not None else None,
+                    final_residual=solve.final_residual if solve is not None else None,
                 )
             )
         except (RamcError, np.linalg.LinAlgError) as exc:
@@ -509,6 +512,9 @@ def read_records(path) -> list[MetricRecord]:
                     error=row["error"],
                     iterations=int(row["iterations"]),
                     converged=row["converged"] == "1" if row["converged"] else None,
+                    final_residual=(
+                        float(row["final_residual"]) if row["final_residual"] else None
+                    ),
                 )
             )
     return out

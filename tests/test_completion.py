@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from ramc.channel import ChannelParams, sample_realization
 from ramc import completion
 from ramc.completion import (
-    _INNER_CAP,
-    _INNER_TOL,
     SolverOptions,
     _update_factor,
     estimate_rank,
@@ -172,25 +170,17 @@ class TestR1mcComplete:
 
 
 def _reference_update(residual, u, v, norm=np.linalg.norm):
-    """The power iteration written plainly, with @ and ``norm`` (np.linalg.norm by default)."""
-    a_prev = -1.0
-    a = 0.0
-    for _ in range(_INNER_CAP):
-        v_new = residual.conj().T @ u
-        nv = norm(v_new)
-        if nv == 0.0:
-            return u, v, 0.0
-        v = v_new / nv
-        u_new = residual @ v
-        nu = norm(u_new)
-        if nu == 0.0:
-            return u, v, 0.0
-        u = u_new / nu
-        a = nu
-        if abs(a - a_prev) <= _INNER_TOL * a:
-            break
-        a_prev = a
-    return u, v, a
+    """The power step written plainly, with @ and ``norm`` (np.linalg.norm by default)."""
+    v_new = residual.conj().T @ u
+    nv = norm(v_new)
+    if nv == 0.0:
+        return u, v, 0.0
+    v = v_new / nv
+    u_new = residual @ v
+    nu = norm(u_new)
+    if nu == 0.0:
+        return u, v, 0.0
+    return u_new / nu, v, nu
 
 
 @st.composite
@@ -198,8 +188,7 @@ def _factor_problems(draw):
     """Residual and factor columns as the solver passes them.
 
     u and v are strided columns of C-ordered factor matrices; the
-    residual is either full rank or low rank plus a small perturbation,
-    so both the iteration cap and the early convergence exit occur.
+    residual is either full rank or low rank plus a small perturbation.
     Shapes start at 2 x 2, where the exactness contract holds.
     """
     rows, cols = draw(

@@ -252,6 +252,22 @@ class TestRunSweep:
         for r in run_sweep(failed, variants=("rank_aware",)):
             assert r.error and (r.iterations, r.converged) == (0, None)
 
+    def test_records_carry_the_final_residual(self, monkeypatch):
+        solve, solves = harness.r1mc_complete, []
+
+        def spy(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(harness, "r1mc_complete", spy)
+        cfg = ExperimentConfig(**SMALL, snr_grid_db=(15.0,), n_trials=1, time_steps=2)
+        records = run_sweep(cfg, variants=("rank_aware", "coarse_only"))
+        aware = [r.final_residual for r in records if r.variant == "rank_aware"]
+        assert aware == [s.final_residual for s in solves] and len(aware) == 2
+        assert all(r.final_residual is None for r in records if r.variant == "coarse_only")
+        failed = dataclasses.replace(cfg, keep_fraction=0.14)
+        assert all(r.final_residual is None for r in run_sweep(failed, variants=("rank_aware",)))
+
     def test_failed_record_reports_matrix_rank(self):
         # Three rays in one cluster with no angle spread share one path
         # direction, so the channel has rank 1 although it holds 3 rays.

@@ -132,12 +132,17 @@ class TestRecordsCsv:
         assert loaded[1].recovered is False
 
     def test_solver_columns_round_trip(self, tmp_path):
-        # Phase-I iterations and convergence, blank converged without Phase I.
+        # Phase-I iterations, convergence and final residual, blank
+        # converged and final residual without Phase I.
         path = tmp_path / "records.csv"
         base = _records()[0]
         records = [
-            dataclasses.replace(base, iterations=iters, converged=conv)
-            for iters, conv in ((0, None), (37, True), (500, False))
+            dataclasses.replace(base, iterations=iters, converged=conv, final_residual=res)
+            for iters, conv, res in (
+                (0, None, None),
+                (37, True, 0.0),
+                (500, False, 0.1 + 0.2),
+            )
         ]
         write_records(path, records)
         assert read_records(path) == [dataclasses.replace(r, runtime_ms=0.0) for r in records]
@@ -162,7 +167,7 @@ class TestRecordsCsv:
         header = path.read_text().splitlines()[0]
         assert header == (
             "variant,snr_db,trial,t,nmse,nmse_db,recovered,ber,"
-            "rank_true,rank_est,runtime_ms,error,iterations,converged"
+            "rank_true,rank_est,runtime_ms,error,iterations,converged,final_residual"
         )
 
 
