@@ -99,8 +99,6 @@ def _load(args) -> ExperimentConfig:
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, master_seed=args.seed)
     if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            raise ConfigError("threads must be >= 1")
         cfg = replace(cfg, threads=args.threads)
     return cfg
 

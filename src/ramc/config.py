@@ -17,7 +17,6 @@ from .channel import ChannelParams
 from .completion import SolverOptions
 from .errors import ConfigError
 from .frontend import HybridConfig
-from .recovery import OmpOptions
 
 VARIANTS = ("rank_aware", "fixed_rank", "rank_oblivious", "coarse_only", "somp_baseline")
 
@@ -59,7 +58,6 @@ class ExperimentConfig:
     channel: ChannelParams = field(default_factory=ChannelParams)
     hybrid: HybridConfig = field(default_factory=HybridConfig)
     solver: SolverOptions = field(default_factory=SolverOptions)
-    omp: OmpOptions = field(default_factory=OmpOptions)
     snr_grid_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
     keep_fraction: float = 0.6
     n_trials: int = 20
@@ -79,6 +77,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must not be empty")
+        if any(math.isnan(snr) for snr in self.snr_grid_db):
+            raise ConfigError("snr_grid_db must not hold NaN")
         if not 0.0 < self.keep_fraction <= 1.0:
             raise ConfigError("keep_fraction must lie in (0, 1]")
         if self.n_trials < 1 or self.time_steps < 1:
@@ -111,10 +111,7 @@ _SECTIONS = {
     "channel": ChannelParams,
     "hybrid": HybridConfig,
     "solver": SolverOptions,
-    "omp": OmpOptions,
 }
-
-_TUPLE_KEYS = {"rays_per_cluster", "snr_grid_db"}
 
 
 def _build_section(cls, data: dict, path: str):
@@ -125,14 +122,12 @@ def _build_section(cls, data: dict, path: str):
     for key, value in data.items():
         if key not in known:
             raise ConfigError(f"unknown config key {path}.{key}")
-        if key in _TUPLE_KEYS and isinstance(value, list):
+        if key == "rays_per_cluster" and isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
     try:
         return cls(**kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -142,20 +137,20 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("config document must be a JSON object")
     known = {f.name for f in fields(ExperimentConfig)}
     kwargs = {}
-    for key, value in data.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {key}")
-        if key in _SECTIONS:
-            kwargs[key] = _build_section(_SECTIONS[key], value, key)
-        elif key == "snr_grid_db":
-            kwargs[key] = tuple(float(v) for v in value)
-        elif key == "rank_schedule":
-            kwargs[key] = (
-                None if value is None else tuple((int(t), int(c)) for t, c in value)
-            )
-        else:
-            kwargs[key] = value
     try:
+        for key, value in data.items():
+            if key not in known:
+                raise ConfigError(f"unknown config key {key}")
+            if key in _SECTIONS:
+                kwargs[key] = _build_section(_SECTIONS[key], value, key)
+            elif key == "snr_grid_db":
+                kwargs[key] = tuple(float(v) for v in value)
+            elif key == "rank_schedule":
+                kwargs[key] = (
+                    None if value is None else tuple((int(t), int(c)) for t, c in value)
+                )
+            else:
+                kwargs[key] = value
         return ExperimentConfig(**kwargs)
     except ConfigError:
         raise

@@ -279,11 +279,7 @@ def _estimate_one(
             cap = estimate_rank(obs.incomplete, solver.energy_ratio)
         except DegenerateSystemError:
             cap = min(obs.incomplete.shape)
-        est = somp_baseline(
-            rough,
-            dictionary.a_ms,
-            replace(cfg.omp, sparsity_cap=max(cap, 1)),
-        )
+        est = somp_baseline(rough, dictionary.a_ms, max(cap, 1))
         return dictionary.a_ms @ est.gains, cap, est, None
 
     if variant_kind == "rank_aware":
@@ -298,16 +294,12 @@ def _estimate_one(
         except DegenerateSystemError:
             corrected = result.rank
         ranks.append(max(corrected, 1))
-        sparse, h_hat = estimate_phase2(
-            result.completed, block, dictionary, max(corrected, 1), cfg.omp
-        )
+        sparse, h_hat = estimate_phase2(result.completed, block, dictionary, max(corrected, 1))
         return h_hat, corrected, sparse, result
 
     if variant_kind == "fixed_rank":
         result = r1mc_complete(obs, rank_hint=variant_param, opts=solver)
-        sparse, h_hat = estimate_phase2(
-            result.completed, block, dictionary, variant_param, cfg.omp
-        )
+        sparse, h_hat = estimate_phase2(result.completed, block, dictionary, variant_param)
         return h_hat, variant_param, sparse, result
 
     if variant_kind == "rank_oblivious":
@@ -315,11 +307,7 @@ def _estimate_one(
             obs, rank_hint=min(obs.incomplete.shape), opts=solver
         )
         # No rank feedback: the pursuit stops on its residual alone.
-        loose = replace(
-            cfg.omp,
-            sparsity_cap=dictionary.size_aoa * dictionary.size_aod,
-        )
-        sparse, h_hat = estimate_phase2(result.completed, block, dictionary, 1, loose)
+        sparse, h_hat = estimate_phase2(result.completed, block, dictionary, None)
         return h_hat, result.rank, sparse, result
 
     raise ConfigError(f"unhandled estimator variant {variant_kind!r}")

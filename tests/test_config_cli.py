@@ -26,7 +26,6 @@ from ramc.errors import ConfigError, InfeasibleMaskError
 from ramc.frontend import HybridConfig
 from ramc.harness import read_records
 from ramc.io import load_tensor
-from ramc.recovery import OmpOptions
 
 # Geometry small enough that CLI smoke tests run in well under a second.
 SMALL_DOC = {
@@ -96,10 +95,6 @@ def _experiment_configs(draw):
             energy_ratio=draw(st.floats(0.01, 1.0)),
             rank_headroom=draw(st.integers(0, 4)),
         ),
-        omp=OmpOptions(
-            sparsity_cap=draw(st.none() | st.integers(1, 64)),
-            residual_tol=draw(st.none() | st.floats(0.0, 1.0)),
-        ),
         snr_grid_db=tuple(
             draw(st.lists(st.floats(-30.0, 60.0), min_size=1, max_size=6))
         ),
@@ -117,6 +112,18 @@ def _experiment_configs(draw):
         ber_symbols=draw(st.just(0) | st.integers(1000, 10**6)),
         threads=draw(st.integers(1, 8)),
     )
+
+
+# Documents whose values cannot be converted or validated; each must be
+# rejected with ConfigError, not escape as a bare ValueError/TypeError.
+_MALFORMED_DOCS = [
+    pytest.param({"snr_grid_db": ["x"]}, id="snr-not-a-number"),
+    pytest.param({"snr_grid_db": 5}, id="snr-not-a-list"),
+    pytest.param({"snr_grid_db": [10.0, math.nan]}, id="snr-nan"),
+    pytest.param({"rank_schedule": [[1]]}, id="schedule-short-pair"),
+    pytest.param({"rank_schedule": [["a", 2]]}, id="schedule-not-a-number"),
+    pytest.param({"omp": {"sparsity_cap": 4}}, id="removed-omp-section"),
+]
 
 
 @pytest.fixture
@@ -146,6 +153,7 @@ class TestExperimentConfig:
             {"ber_symbols": 500},
             {"threads": 0},
             {"estimator_variant": "magic"},
+            {"snr_grid_db": (5.0, math.nan)},
         ],
     )
     def test_invalid_fields(self, overrides):
@@ -243,6 +251,15 @@ class TestConfigDocument:
         with pytest.raises(ConfigError, match="channel"):
             config_from_dict({"channel": {"n_bs": 0}})
 
+    @pytest.mark.parametrize("doc", _MALFORMED_DOCS)
+    def test_malformed_values_rejected(self, doc):
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+
+    def test_infinite_snr_allowed(self):
+        cfg = config_from_dict({"snr_grid_db": [-math.inf, math.inf]})
+        assert cfg.snr_grid_db == (-math.inf, math.inf)
+
     def test_load_config(self, small_config):
         cfg = load_config(small_config)
         assert cfg.keep_fraction == 0.8
@@ -285,6 +302,13 @@ class TestCliConfig:
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"keep_fraction": 2.0}))
+        assert main(["config", "--config", str(path)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", _MALFORMED_DOCS)
+    def test_malformed_config_exit_code(self, doc, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
         assert main(["config", "--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 

@@ -405,8 +405,9 @@ class TestReports:
 
 
 def test_benchmark_trace_targets_resolve(monkeypatch):
-    # The traced benchmark wraps stage functions by name and passes
-    # ``threads`` to run_sweep; a deletion that breaks either fails here.
+    # The traced benchmark wraps stage functions by name, reads their
+    # return values and passes ``threads`` to run_sweep; a deletion or a
+    # return-shape change that breaks any of these fails here.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
@@ -416,3 +417,14 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     for target in targets:
         assert callable(getattr(target.module, target.attr, None)), target.name
     assert "threads" in inspect.signature(harness.run_sweep).parameters
+
+    # One small traced sweep runs every ``on_result`` on a real result.
+    tracer = run.Tracer()
+    cfg = ExperimentConfig(**SMALL, snr_grid_db=(15.0,), n_trials=1)
+    with tracer.patched(targets):
+        records = run_sweep(cfg, variants=("rank_aware",))
+    assert records and not any(r.error for r in records)
+    for target in targets:
+        if target.on_result is not None:
+            infos = [sp.info for sp in tracer.spans if sp.name == target.name]
+            assert infos and all(infos), target.name

@@ -205,8 +205,7 @@ def test_write_solver_trace(tmp_path):
 def test_export_support(tmp_path):
     est = SparseGainEstimate(
         gains=np.array([[1.0 + 1.0j]]),
-        support=((0, 0),),
-        selection_order=(0,),
+        support=(0,),
         residual_norm=0.0,
         parameter_set=((0.5, -0.25, 1.0 + 1.0j),),
     )

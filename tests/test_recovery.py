@@ -14,18 +14,11 @@ from ramc.channel import (
     sample_realization,
 )
 from ramc.completion import r1mc_complete
-from ramc.errors import ConfigError, DegenerateSystemError
-from ramc.frontend import HybridConfig, make_pilot_block, observe
+from ramc.errors import ConfigError, DegenerateSystemError, ShapeError
+from ramc.frontend import HybridConfig, make_pilot_block, measurement_matrix, observe
 from ramc.harness import nmse
 from ramc.numerics import vec
-from ramc.recovery import (
-    OmpOptions,
-    batch_omp,
-    build_dictionary,
-    estimate_phase2,
-    reconstruct_channel,
-    somp_baseline,
-)
+from ramc.recovery import batch_omp, build_dictionary, estimate_phase2, somp_baseline
 
 
 def _naive_omp(y, d, cap, tol):
@@ -56,17 +49,17 @@ class TestBatchOmp:
         for _ in range(50):
             d = _unit_norm_dictionary(rng, 8, 16)
             y = d @ (rng.standard_normal(16) + 1j * rng.standard_normal(16))
-            est = batch_omp(y, d, OmpOptions(sparsity_cap=4))
+            est = batch_omp(y, d, 4)
             ref = _naive_omp(y, d, 4, 1e-8 * np.linalg.norm(y))
-            assert list(est.selection_order) == ref
+            assert list(est.support) == ref
 
     def test_exact_sparse_recovery(self):
         rng = np.random.default_rng(201)
         d = _unit_norm_dictionary(rng, 16, 24)
         x = np.zeros(24, dtype=complex)
         x[[3, 17]] = [2.0, -1.5j]
-        est = batch_omp(d @ x, d, OmpOptions(sparsity_cap=2))
-        assert sorted(i for i, _ in est.support) == [3, 17]
+        est = batch_omp(d @ x, d, 2)
+        assert sorted(est.support) == [3, 17]
         assert np.allclose(est.gains[[3, 17], 0], [2.0, -1.5j], atol=1e-9)
         assert est.residual_norm <= 1e-9
 
@@ -74,16 +67,16 @@ class TestBatchOmp:
         rng = np.random.default_rng(202)
         d = _unit_norm_dictionary(rng, 12, 20)
         y = d[:, 5] * 3.0
-        est = batch_omp(y, d, OmpOptions(sparsity_cap=10))
-        assert len(est.selection_order) == 1
+        est = batch_omp(y, d, 10)
+        assert len(est.support) == 1
 
     def test_tie_breaks_to_lowest_index(self):
         # Duplicate atoms correlate identically; the first must win.
         d = np.eye(4, dtype=complex)
         d = np.concatenate([d[:, :1], d], axis=1)
         y = np.array([1.0, 0, 0, 0], dtype=complex)
-        est = batch_omp(y, d, OmpOptions(sparsity_cap=1))
-        assert est.selection_order == (0,)
+        est = batch_omp(y, d, 1)
+        assert est.support == (0,)
 
     def test_dependent_columns_raise(self):
         # Two almost-parallel atoms both correlate with the target; once
@@ -94,7 +87,7 @@ class TestBatchOmp:
         d[:, 1] = np.array([1, tilt, 0, 0]) / np.sqrt(1 + tilt**2)
         y = np.array([1.0, 0.5, 0, 0], dtype=complex)
         with pytest.raises(DegenerateSystemError):
-            batch_omp(y, d, OmpOptions(sparsity_cap=2, residual_tol=0.0))
+            batch_omp(y, d, 2)
 
     def test_orthogonal_residual_stops_cleanly(self):
         # An exact duplicate is never selected: after the first pick the
@@ -104,19 +97,28 @@ class TestBatchOmp:
         d[:, 0] = [1, 0, 0, 0]
         d[:, 1] = [1, 0, 0, 0]
         y = np.array([1.0, 0.3, 0, 0], dtype=complex)
-        est = batch_omp(y, d, OmpOptions(sparsity_cap=2, residual_tol=0.0))
-        assert est.selection_order == (0,)
+        est = batch_omp(y, d, 2)
+        assert est.support == (0,)
         assert est.residual_norm == pytest.approx(0.3, abs=1e-9)
 
-    def test_grid_shape_mapping(self):
+    def test_rejects_empty_cap_and_row_mismatch(self):
+        d = np.eye(4, dtype=complex)
+        with pytest.raises(ConfigError):
+            batch_omp(d[:, 0], d, 0)
+        with pytest.raises(ShapeError):
+            somp_baseline(np.ones((3, 2)), d, 1)
+
+    def test_gain_rows_map_to_grid_cells(self):
         rng = np.random.default_rng(203)
         d = _unit_norm_dictionary(rng, 16, 12)
         y = d[:, 7] * 2.0
-        est = batch_omp(y, d, OmpOptions(sparsity_cap=1), grid_shape=(4, 3))
-        # Column k maps to cell (k % rows, k // rows), column-stacking order.
-        assert est.support == ((3, 1),)
-        assert est.gains.shape == (4, 3)
-        assert est.gains[3, 1] == pytest.approx(2.0)
+        est = batch_omp(y, d, 1)
+        assert est.support == (7,)
+        assert est.gains.shape == (12, 1)
+        # Column k is cell (k % rows, k // rows) of a column-stacked grid.
+        grid = est.gains.reshape((4, 3), order="F")
+        assert np.argwhere(grid).tolist() == [[3, 1]]
+        assert grid[3, 1] == pytest.approx(2.0)
 
     def test_exhaustive_best_support_small(self):
         rng = np.random.default_rng(204)
@@ -128,7 +130,7 @@ class TestBatchOmp:
             picks = rng.choice(16, size=2, replace=False)
             x[picks] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             y = d @ x
-            est = batch_omp(y, d, OmpOptions(sparsity_cap=2))
+            est = batch_omp(y, d, 2)
             best, best_err = None, np.inf
             for combo in itertools.combinations(range(16), 2):
                 sub = d[:, combo]
@@ -136,7 +138,7 @@ class TestBatchOmp:
                 err = np.linalg.norm(y - sub @ coeffs)
                 if err < best_err - 1e-12:
                     best, best_err = combo, err
-            if sorted(i for i, _ in est.support) == sorted(best):
+            if sorted(est.support) == sorted(best):
                 hits += 1
         assert hits >= 95
 
@@ -147,16 +149,16 @@ class TestSompBaseline:
         d = _unit_norm_dictionary(rng, 16, 24)
         x = np.zeros((24, 3), dtype=complex)
         x[[2, 9], :] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        est = somp_baseline(d @ x, d, OmpOptions(sparsity_cap=2))
-        assert sorted(i for i, _ in est.support) == [2, 9]
+        est = somp_baseline(d @ x, d, 2)
+        assert sorted(est.support) == [2, 9]
 
     def test_single_vector_matches_omp(self):
         rng = np.random.default_rng(211)
         d = _unit_norm_dictionary(rng, 12, 18)
         y = d @ (rng.standard_normal(18) + 1j * rng.standard_normal(18))
-        single = somp_baseline(y.reshape(-1, 1), d, OmpOptions(sparsity_cap=3))
-        plain = batch_omp(y, d, OmpOptions(sparsity_cap=3))
-        assert single.selection_order == plain.selection_order
+        single = somp_baseline(y.reshape(-1, 1), d, 3)
+        plain = batch_omp(y, d, 3)
+        assert single.support == plain.support
 
 
 _GAINS = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0)
@@ -181,10 +183,9 @@ class TestPursuitProperties:
     @given(problem=_sparse_problems(), extra=st.integers(min_value=0, max_value=2))
     def test_somp_single_column_equals_omp(self, problem, extra):
         d, y, k = problem
-        opts = OmpOptions(sparsity_cap=k + extra)
-        plain = batch_omp(y, d, opts)
-        single = somp_baseline(y[:, None], d, opts)
-        assert single.selection_order == plain.selection_order
+        plain = batch_omp(y, d, k + extra)
+        single = somp_baseline(y[:, None], d, k + extra)
+        assert single.support == plain.support
         assert np.array_equal(single.gains, plain.gains)
         assert single.residual_norm == plain.residual_norm
 
@@ -204,8 +205,8 @@ class TestPursuitProperties:
         )
         x = np.zeros(size, dtype=complex)
         x[picks] = data.draw(st.lists(_GAINS, min_size=k, max_size=k))
-        est = batch_omp(q @ x, q, OmpOptions(sparsity_cap=k))
-        assert sorted(est.selection_order) == sorted(picks)
+        est = batch_omp(q @ x, q, k)
+        assert sorted(est.support) == sorted(picks)
         assert np.allclose(est.gains[:, 0], x, atol=1e-9 * np.abs(x).max())
         assert est.residual_norm <= 1e-9 * np.linalg.norm(x)
 
@@ -216,8 +217,8 @@ class TestPursuitProperties:
         q, _ = np.linalg.qr(
             rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         )
-        est = batch_omp(3.0 * q[:, 0], q, OmpOptions(sparsity_cap=2))
-        assert est.selection_order == (0,)
+        est = batch_omp(3.0 * q[:, 0], q, 2)
+        assert est.support == (0,)
         assert est.residual_norm <= 1e-12
 
 
@@ -238,13 +239,10 @@ class TestAngularPipeline:
         dic = make_dictionary(params)
         real = sample_realization(params, rng, dictionary=dic)
         hbar = angular_factorization(real, dic)
-        est = batch_omp(
-            build_dictionary(dic) @ vec(hbar),
-            build_dictionary(dic),
-            OmpOptions(sparsity_cap=2),
-            grid_shape=(dic.size_aoa, dic.size_aod),
-        )
-        h = reconstruct_channel(est, dic)
+        psi = build_dictionary(dic)
+        est = batch_omp(psi @ vec(hbar), psi, 2)
+        grid = est.gains.reshape((dic.size_aoa, dic.size_aod), order="F")
+        h = dic.a_ms @ grid @ dic.a_bs.conj().T
         assert nmse(real.matrix, h) <= 1e-18
 
     def test_phase2_composed_target(self):
@@ -268,7 +266,7 @@ class TestAngularPipeline:
         obs = observe(real, block)
         est, _ = estimate_phase2(r1mc_complete(obs).completed, block, dic, rank=1)
         assert len(est.support) == 1
-        (i, j) = est.support[0]
+        j, i = divmod(est.support[0], dic.size_aoa)
         truth = angular_factorization(real, dic)
         ti, tj = np.argwhere(truth).ravel()
         assert (i, j) == (ti, tj)
@@ -296,3 +294,72 @@ class TestAngularPipeline:
         block = make_pilot_block(HybridConfig(), 8, 8, seed=7)
         with pytest.raises(ConfigError):
             estimate_phase2(np.eye(8), block, dic, rank=0)
+
+
+def _reference_phase2(completed, block, dic, rank):
+    """The former double-scaled Phase II, kept as a reference.
+
+    The composed atoms are scaled to unit norm, the pursuit scales them
+    to unit norm again, and both scalings are divided back out of the
+    gains.  Returns (support, gains, angles).
+    """
+    d = measurement_matrix(block) @ build_dictionary(dic)
+    cap = d.shape[1] if rank is None else min(rank**2, d.shape[1])
+    scales = np.linalg.norm(d, axis=0)
+    scales[scales <= 1e-14 * scales.max()] = 1.0
+    d = d / scales
+    norms = np.linalg.norm(d, axis=0)
+    d_n = d / norms
+    gram = d_n.conj().T @ d_n
+    y = vec(completed)[:, None]
+    h0 = d_n.conj().T @ y
+    residual = scale = float(np.linalg.norm(y))
+    support = []
+    coeffs = np.zeros((0, 1), dtype=complex)
+    while len(support) < cap and residual > 1e-8 * scale:
+        score = np.linalg.norm(h0 - gram[:, support] @ coeffs, axis=1)
+        score[support] = -1.0
+        best = int(np.argmax(score))
+        if score[best] <= 1e-13 * max(scale, 1.0):
+            break
+        support.append(best)
+        gram_s = gram[np.ix_(support, support)]
+        if np.linalg.cond(gram_s) > 1e12:
+            raise DegenerateSystemError("numerically dependent")
+        coeffs = np.linalg.solve(gram_s, h0[support, :])
+        residual = float(np.linalg.norm(y - d_n[:, support] @ coeffs))
+    gains = coeffs[:, 0] / norms[support] / scales[support]
+    angles = [(dic.grid_aoa[k % dic.size_aoa], dic.grid_aod[k // dic.size_aoa]) for k in support]
+    return support, gains, angles
+
+
+@st.composite
+def _phase2_problems(draw):
+    """Full-rank pilot block on a critically sampled grid, random completion."""
+    n_bs = draw(st.integers(2, 4))
+    n_ms = draw(st.integers(2, 4))
+    params = ChannelParams(n_bs=n_bs, n_ms=n_ms)
+    dic = make_dictionary(params, size_ms=n_ms, size_bs=n_bs)
+    hybrid = HybridConfig(
+        m_bs=n_bs, m_ms=n_ms, n_streams=1, pilot_length=draw(st.integers(n_bs, 2 * n_bs))
+    )
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    block = make_pilot_block(hybrid, n_bs, n_ms, seed=seed)
+    rng = np.random.default_rng(seed)
+    shape = (n_ms, hybrid.pilot_length)
+    completed = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return completed, block, dic
+
+
+class TestPhase2Reference:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=_phase2_problems(), rank=st.none() | st.integers(1, 3))
+    def test_single_scaling_matches_double_scaling(self, problem, rank):
+        completed, block, dic = problem
+        support, gains, angles = _reference_phase2(completed, block, dic, rank)
+        est, _ = estimate_phase2(completed, block, dic, rank)
+        assert list(est.support) == support
+        new_gains = np.array([gain for _, _, gain in est.parameter_set])
+        assert np.abs(new_gains - gains).max() <= 1e-9 * np.abs(gains).max()
+        assert np.array_equal(est.gains[support, 0], new_gains)
+        assert [(aoa, aod) for aoa, aod, _ in est.parameter_set] == angles
