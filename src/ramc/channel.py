@@ -1,4 +1,4 @@
-"""Clustered geometric wideband MIMO channel model.
+"""Clustered geometric narrowband MIMO channel model.
 
 Builds time-indexed channel matrices from path clusters (per-ray complex
 gains, angles, delays, Doppler shifts), exposes the angular-domain
@@ -16,10 +16,6 @@ import numpy as np
 from .errors import ConfigError, GridMismatchError, ShapeError
 
 SPEED_OF_LIGHT = 299_792_458.0
-
-# Normalised tap frequency f0 used when collapsing delay taps into a
-# single narrowband matrix; the value 1.0 reproduces the plain tap sum.
-DEFAULT_TAP_FREQUENCY = 1.0
 
 # Raised-cosine pulses are truncated beyond this many symbol periods.
 PULSE_SUPPORT_PERIODS = 4.0
@@ -77,7 +73,6 @@ class ChannelParams:
     carrier_wavelength: float = SPEED_OF_LIGHT / 28e9
     element_spacing: float | None = None
     sample_period: float = 1e-7
-    n_delay_taps: int = 1
     pulse_rolloff: float = 0.3
     angle_spread: float = 0.1
     normalization: int | None = None
@@ -94,8 +89,6 @@ class ChannelParams:
             raise ConfigError("wavelength and sample period must be positive")
         if self.element_spacing is not None and self.element_spacing <= 0:
             raise ConfigError("element spacing must be positive")
-        if self.n_delay_taps < 1:
-            raise ConfigError("need at least one delay tap")
         if not 0.0 <= self.pulse_rolloff <= 1.0:
             raise ConfigError("pulse rolloff must lie in [0, 1]")
         if self.angle_spread < 0:
@@ -143,26 +136,23 @@ class Ray:
 
 @dataclass(frozen=True)
 class PathCluster:
-    """Scattering cluster: mean angles, mean delay and its rays."""
+    """Scattering cluster: mean angles and its rays."""
 
     mean_aoa: float
     mean_aod: float
-    delay: float
     rays: tuple[Ray, ...]
 
     def __post_init__(self):
         if len(self.rays) < 1:
             raise ConfigError("cluster holds no rays")
-        if self.delay < 0:
-            raise ConfigError("cluster delay must be non-negative")
 
 
 @dataclass(frozen=True)
 class ChannelRealization:
     """Snapshot of the channel at one time index.
 
-    ``matrix`` caches the narrowband channel (tap sum at the default
-    normalised frequency) and is derived, never set by callers.
+    ``matrix`` caches the narrowband channel and is derived, never set
+    by callers.
     """
 
     params: ChannelParams
@@ -178,7 +168,7 @@ class ChannelRealization:
         return sum(len(c.rays) for c in self.clusters)
 
     def iter_rays(self):
-        """Yield (cluster_idx, ray_idx, ray, eff_aoa, eff_aod, delay)."""
+        """Yield (cluster_idx, ray_idx, ray, eff_aoa, eff_aod)."""
         for ci, cluster in enumerate(self.clusters):
             for ri, ray in enumerate(cluster.rays):
                 yield (
@@ -187,7 +177,6 @@ class ChannelRealization:
                     ray,
                     cluster.mean_aoa - ray.aoa_offset,
                     cluster.mean_aod - ray.aod_offset,
-                    cluster.delay + ray.delay,
                 )
 
 
@@ -197,42 +186,22 @@ def _ray_scale(real: ChannelRealization) -> float:
     return math.sqrt(params.n_bs * params.n_ms / l_p)
 
 
-def delay_tap_matrix(real: ChannelRealization, d: int) -> np.ndarray:
-    """Channel matrix of delay tap ``d``.
+def channel_matrix(real: ChannelRealization) -> np.ndarray:
+    """Narrowband channel matrix.
 
     Sums scaled per-ray outer products a_ms(aoa) @ a_bs(aod)^H weighted by
-    the complex gain and the pulse sampled at d*Ts - delay.
+    the complex gain and the pulse sampled at -delay.
     """
     params = real.params
-    if not 0 <= d < params.n_delay_taps:
-        raise ShapeError(
-            f"tap index {d} outside [0, {params.n_delay_taps})"
-        )
     scale = _ray_scale(real)
     h = np.zeros((params.n_ms, params.n_bs), dtype=np.complex128)
-    for _, _, ray, aoa, aod, delay in real.iter_rays():
-        pulse = raised_cosine(
-            d * params.sample_period - delay, params.pulse_rolloff, params.sample_period
-        )
+    for _, _, ray, aoa, aod in real.iter_rays():
+        pulse = raised_cosine(-ray.delay, params.pulse_rolloff, params.sample_period)
         if pulse == 0.0:
             continue
         a_ms = params.steering_ms(aoa)
         a_bs = params.steering_bs(aod)
         h += (scale * ray.gain * pulse) * np.outer(a_ms, a_bs.conj())
-    return h
-
-
-def _tap_weights(real: ChannelRealization) -> np.ndarray:
-    d = np.arange(real.params.n_delay_taps)
-    return np.exp(-2j * np.pi * DEFAULT_TAP_FREQUENCY * d)
-
-
-def channel_matrix(real: ChannelRealization) -> np.ndarray:
-    """Narrowband channel: tap sum weighted by exp(-j*2*pi*f0*d)."""
-    weights = _tap_weights(real)
-    h = np.zeros((real.params.n_ms, real.params.n_bs), dtype=np.complex128)
-    for d, w in enumerate(weights):
-        h += w * delay_tap_matrix(real, d)
     return h
 
 
@@ -360,8 +329,6 @@ def _draw_cluster_once(
     else:
         mean_aoa = float(rng.uniform(*DEFAULT_DOMAIN))
         mean_aod = float(rng.uniform(*DEFAULT_DOMAIN))
-    span = (params.n_delay_taps - 1) * params.sample_period
-    delay = float(rng.uniform(0.0, span)) if span > 0 else 0.0
     rays = []
     for _ in range(n_rays):
         aoa_off = float(rng.normal(0.0, params.angle_spread))
@@ -376,7 +343,7 @@ def _draw_cluster_once(
         rays.append(
             Ray(gain=gain, aoa_offset=aoa_off, aod_offset=aod_off, delay=ray_delay, doppler=doppler)
         )
-    return PathCluster(mean_aoa=mean_aoa, mean_aod=mean_aod, delay=delay, rays=tuple(rays))
+    return PathCluster(mean_aoa=mean_aoa, mean_aod=mean_aod, rays=tuple(rays))
 
 
 def angular_factorization(
@@ -395,9 +362,8 @@ def angular_factorization(
     """
     params = real.params
     scale = _ray_scale(real)
-    weights = _tap_weights(real)
     hbar = np.zeros((dictionary.size_aoa, dictionary.size_aod), dtype=np.complex128)
-    for ci, ri, ray, aoa, aod, delay in real.iter_rays():
+    for ci, ri, ray, aoa, aod in real.iter_rays():
         i = _grid_index(aoa, dictionary.grid_aoa)
         j = _grid_index(aod, dictionary.grid_aod)
         if i is None or j is None:
@@ -405,12 +371,8 @@ def angular_factorization(
             raise GridMismatchError(
                 f"cluster {ci} ray {ri}: {which} off the dictionary grid"
             )
-        pulse = raised_cosine(
-            np.arange(params.n_delay_taps) * params.sample_period - delay,
-            params.pulse_rolloff,
-            params.sample_period,
-        )
-        hbar[i, j] += scale * ray.gain * np.sum(np.atleast_1d(pulse) * weights)
+        pulse = raised_cosine(-ray.delay, params.pulse_rolloff, params.sample_period)
+        hbar[i, j] += scale * ray.gain * pulse
     return hbar
 
 

@@ -121,7 +121,7 @@ def _outdir(path) -> Path:
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     snr_idx = _snr_index(cfg, args.snr)
-    track, _, observations = simulate_trial(cfg, snr_idx=snr_idx, trial=args.trial)
+    track, observations = simulate_trial(cfg, snr_idx=snr_idx, trial=args.trial)
     out = _outdir(args.out)
     save_tensor(out / "channels.ct", [real.matrix for real in track])
     save_tensor(out / "observed.ct", [obs.incomplete for obs in observations])

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import dft
 
 from .channel import ChannelRealization
 from .errors import ConfigError, InfeasibleMaskError, ShapeError
@@ -49,12 +48,11 @@ class HybridConfig:
 
 @dataclass(frozen=True)
 class PilotBlock:
-    """One pilot transmission: beamformers, symbols and noise level."""
+    """One pilot transmission: beamformers and symbols."""
 
     f: np.ndarray
     w: np.ndarray
     s: np.ndarray
-    noise_var: float = 0.0
 
     def __post_init__(self):
         if self.f.ndim != 2 or self.w.ndim != 2 or self.s.ndim != 2:
@@ -63,8 +61,6 @@ class PilotBlock:
             raise ShapeError(
                 f"precoder columns {self.f.shape[1]} != pilot rows {self.s.shape[0]}"
             )
-        if self.noise_var < 0:
-            raise ConfigError("noise variance must be non-negative")
 
     @property
     def effective_precoder(self) -> np.ndarray:
@@ -133,12 +129,17 @@ def make_beamformers(
 
 
 def pilot_symbols(cfg: HybridConfig) -> np.ndarray:
-    """Orthogonal pilot rows: S @ S^H == I_{m_bs}."""
-    return dft(cfg.pilot_length)[: cfg.m_bs, :] / math.sqrt(cfg.pilot_length)
+    """Orthogonal pilot rows: S @ S^H == I_{m_bs}.
+
+    The first m_bs rows of the unitary n-point DFT matrix, n = pilot_length.
+    """
+    n = cfg.pilot_length
+    rows = np.exp(-2j * np.pi * np.arange(cfg.m_bs) / n).reshape(-1, 1) ** np.arange(n)
+    return rows / math.sqrt(n)
 
 
 def make_pilot_block(cfg: HybridConfig, n_bs: int, n_ms: int, seed) -> PilotBlock:
-    """Noiseless pilot block; set a noise level with ``dataclasses.replace``."""
+    """Pilot block with random hybrid beamformers and DFT pilot symbols."""
     f, w = make_beamformers(cfg, n_bs, n_ms, seed)
     return PilotBlock(f=f, w=w, s=pilot_symbols(cfg))
 
@@ -149,24 +150,22 @@ def measurement_matrix(block: PilotBlock) -> np.ndarray:
 
 
 def observe(
-    real: ChannelRealization, block: PilotBlock, seed=None
+    real: ChannelRealization, block: PilotBlock, noise_var: float = 0.0, seed=None
 ) -> ObservationSet:
     """Noisy pilot observation Y = W^H H F S + N with a full mask.
 
     Noise entries are i.i.d. circularly-symmetric complex Gaussian with
-    per-entry variance ``block.noise_var``.
+    per-entry variance ``noise_var``.
     """
     y = block.w.conj().T @ real.matrix @ block.effective_precoder
-    if block.noise_var > 0.0:
+    if noise_var > 0.0:
         rng = np.random.default_rng(seed)
-        sigma = math.sqrt(block.noise_var / 2.0)
+        sigma = math.sqrt(noise_var / 2.0)
         y = y + sigma * (
             rng.normal(size=y.shape) + 1j * rng.normal(size=y.shape)
         )
     mask = SamplingMask.full(*y.shape)
-    return ObservationSet(
-        complete=y, mask=mask, incomplete=y.copy(), noise_var=block.noise_var
-    )
+    return ObservationSet(complete=y, mask=mask, incomplete=y.copy(), noise_var=noise_var)
 
 
 def _draw_mask(

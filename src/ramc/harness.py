@@ -183,8 +183,8 @@ def _channel_track(cfg: ExperimentConfig, trial: int, dictionary):
 
 @dataclass(frozen=True)
 class _StepDraws:
-    """One step's SNR- and variant-free inputs; ``block`` has ``noise_var``
-    0, ``y_clean`` is its WᴴHFS, and ``error`` is what a draw raised."""
+    """One step's SNR- and variant-free inputs; ``y_clean`` is the pilot
+    ``block``'s noiseless WᴴHFS, and ``error`` is what a draw raised."""
 
     real: chan.ChannelRealization
     rank_true: int
@@ -225,26 +225,25 @@ def _draw_trial(cfg: ExperimentConfig, trial: int, dictionary) -> list[_StepDraw
 
 
 def _observe_step(cfg: ExperimentConfig, snr_idx: int, trial: int, t: int, step: _StepDraws):
-    """Pilot block and masked observation of one step at one SNR."""
+    """Masked observation of one step at one SNR."""
     if step.error is not None:
         raise step.error.with_traceback(None)
-    snr_db = cfg.snr_grid_db[snr_idx]
-    block = replace(step.block, noise_var=_noise_var_for_snr(step.y_clean, snr_db))
-    full = observe(step.real, block, seed=_seed(cfg, _NOISE_TAG, trial, t))
-    return block, subsample(full, cfg.keep_fraction, seed=_seed(cfg, _MASK_TAG, trial, t))
+    noise_var = _noise_var_for_snr(step.y_clean, cfg.snr_grid_db[snr_idx])
+    full = observe(step.real, step.block, noise_var, seed=_seed(cfg, _NOISE_TAG, trial, t))
+    return subsample(full, cfg.keep_fraction, seed=_seed(cfg, _MASK_TAG, trial, t))
 
 
 def simulate_trial(cfg: ExperimentConfig, snr_idx: int = 0, trial: int = 0):
     """Generate one trial's channel track and masked pilot observations.
 
-    Returns (track, blocks, observations) with one entry per time step,
-    drawn from the same seed coordinates the sweep uses.
+    Returns (track, observations) with one entry per time step, drawn
+    from the same seed coordinates the sweep uses.
     """
     if not 0 <= snr_idx < len(cfg.snr_grid_db):
         raise ConfigError(f"snr index {snr_idx} outside the configured grid")
     steps = _draw_trial(cfg, trial, _dictionary(cfg))
     observed = [_observe_step(cfg, snr_idx, trial, t, s) for t, s in enumerate(steps)]
-    return [s.real for s in steps], [b for b, _ in observed], [o for _, o in observed]
+    return [s.real for s in steps], observed
 
 
 def _estimate_one(
@@ -280,7 +279,9 @@ def _estimate_one(
         except DegenerateSystemError:
             cap = min(obs.incomplete.shape)
         est = somp_baseline(rough, dictionary.a_ms, max(cap, 1))
-        return dictionary.a_ms @ est.gains, cap, est, None
+        # AoA atoms only: no AoD, and each gain is a row over the BS antennas.
+        params = tuple((float(dictionary.grid_aoa[k]), None, est.gains[k]) for k in est.support)
+        return dictionary.a_ms @ est.gains, cap, replace(est, parameter_set=params), None
 
     if variant_kind == "rank_aware":
         hint = None
@@ -332,9 +333,9 @@ def _run_trial(
         started = time.perf_counter()
         real = step.real
         try:
-            block, obs = _observe_step(cfg, snr_idx, trial, t, step)
+            obs = _observe_step(cfg, snr_idx, trial, t, step)
             h_hat, rank_est, sparse, solve = _estimate_one(
-                kind, param, cfg, obs, block, dictionary, ranks
+                kind, param, cfg, obs, step.block, dictionary, ranks
             )
             if artifacts is not None:
                 artifacts["t"].append(t)

@@ -101,13 +101,19 @@ def export_support(path, entries) -> None:
     """Recovered path parameters per time step.
 
     ``entries`` yields (t, estimate) pairs; each support atom becomes a
-    row of time index, angles in degrees and the complex gain.
+    row of time index, angles in degrees and the complex gain.  An atom
+    without an AoD (SOMP's) has a gain row; its AoD and complex parts are
+    left empty and ``gain_abs`` is the row's l2 norm.
     """
     with _open_csv(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "aoa_deg", "aod_deg", "gain_re", "gain_im", "gain_abs"])
         for t, estimate in entries:
             for aoa, aod, gain in estimate.parameter_set:
+                if aod is None:
+                    norm = _fmt(np.linalg.norm(gain))
+                    writer.writerow([t, _fmt(np.degrees(aoa)), "", "", "", norm])
+                    continue
                 writer.writerow(
                     [
                         t,

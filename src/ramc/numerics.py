@@ -128,15 +128,15 @@ def svd(m) -> SvdResult:
     return SvdResult(u=u, s=s, v=vh.conj().T)
 
 
-def kron(a, b, max_elements: int = MAX_KRON_ELEMENTS) -> np.ndarray:
-    """Kronecker product with a guard on the materialised size."""
+def kron(a, b) -> np.ndarray:
+    """Kronecker product, refused above ``MAX_KRON_ELEMENTS`` entries."""
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")
     out_elements = a.size * b.size
-    if out_elements > max_elements:
+    if out_elements > MAX_KRON_ELEMENTS:
         raise MatrixSizeError(
             f"kron result would hold {out_elements} entries "
-            f"(cap {max_elements})"
+            f"(cap {MAX_KRON_ELEMENTS})"
         )
     return np.kron(a, b)
 

@@ -32,7 +32,8 @@ class SparseGainEstimate:
     ``support`` holds the selected atom (dictionary column) indices in
     selection order, ``gains`` the least-squares coefficients with one
     row per atom and one column per target, and ``parameter_set``
-    (aoa, aod, gain) triplets when grid angles are known.
+    (aoa, aod, gain) triplets when grid angles are known (aod None and
+    the gain row for an AoA-only pursuit).
     """
 
     gains: np.ndarray

@@ -13,7 +13,6 @@ from ramc.channel import (
     Ray,
     angular_factorization,
     channel_matrix,
-    delay_tap_matrix,
     evolve,
     make_dictionary,
     raised_cosine,
@@ -25,7 +24,7 @@ from ramc.errors import ConfigError, GridMismatchError
 
 def _single_ray_realization(params, aoa, aod, gain=1.0 + 0.0j):
     ray = Ray(gain=gain, aoa_offset=0.0, aod_offset=0.0, delay=0.0, doppler=0.0)
-    cluster = PathCluster(mean_aoa=aoa, mean_aod=aod, delay=0.0, rays=(ray,))
+    cluster = PathCluster(mean_aoa=aoa, mean_aod=aod, rays=(ray,))
     return ChannelRealization(params=params, clusters=(cluster,))
 
 
@@ -126,10 +125,20 @@ class TestChannelMatrix:
         ]
         assert np.mean(energies) == pytest.approx(64.0, rel=0.15)
 
-    def test_single_tap_matches_tap_matrix(self):
+    def test_matrix_is_explicit_ray_sum(self):
         rng = np.random.default_rng(9)
-        real = sample_realization(ChannelParams(), rng)
-        assert np.allclose(real.matrix, delay_tap_matrix(real, 0), atol=1e-9)
+        params = ChannelParams(n_clusters=2, rays_per_cluster=(2, 3))
+        real = sample_realization(params, rng)
+        scale = math.sqrt(params.n_bs * params.n_ms / 5)
+        expected = np.zeros((params.n_ms, params.n_bs), dtype=complex)
+        for cluster in real.clusters:
+            for ray in cluster.rays:
+                pulse = raised_cosine(-ray.delay, params.pulse_rolloff, params.sample_period)
+                a_ms = params.steering_ms(cluster.mean_aoa - ray.aoa_offset)
+                a_bs = params.steering_bs(cluster.mean_aod - ray.aod_offset)
+                expected += scale * ray.gain * pulse * np.outer(a_ms, a_bs.conj())
+        assert np.allclose(real.matrix, expected, atol=1e-12)
+        assert np.array_equal(channel_matrix(real), real.matrix)
 
 
 class TestAngularFactorization:

@@ -150,7 +150,7 @@ class TestR1mcComplete:
                 block = make_pilot_block(hybrid, channel.n_bs, channel.n_ms, seed=rng)
                 clean = observe(real, block).complete
                 noise_var = np.linalg.norm(clean) ** 2 / (clean.size * 10 ** (snr_db / 10))
-                noisy = observe(real, replace(block, noise_var=noise_var), seed=rng)
+                noisy = observe(real, block, noise_var, seed=rng)
                 obs = subsample(noisy, 0.6, seed=rng)
                 assert obs.noise_var == noise_var
                 for hint in (2, 8):

@@ -1,13 +1,18 @@
 """Configuration parsing, validation, and command-line entry points."""
 
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ramc
 from ramc import harness
 from ramc.channel import ChannelParams
 from ramc.cli import main
@@ -57,7 +62,6 @@ def _channel_params(draw):
         carrier_wavelength=draw(_POSITIVE),
         element_spacing=draw(st.none() | _POSITIVE),
         sample_period=draw(_POSITIVE),
-        n_delay_taps=draw(st.integers(1, 8)),
         pulse_rolloff=draw(st.floats(0.0, 1.0)),
         angle_spread=draw(st.floats(0.0, 1.0)),
         normalization=draw(st.none() | st.integers(1, 20)),
@@ -123,6 +127,7 @@ _MALFORMED_DOCS = [
     pytest.param({"rank_schedule": [[1]]}, id="schedule-short-pair"),
     pytest.param({"rank_schedule": [["a", 2]]}, id="schedule-not-a-number"),
     pytest.param({"omp": {"sparsity_cap": 4}}, id="removed-omp-section"),
+    pytest.param({"channel": {"n_delay_taps": 2}}, id="removed-delay-taps"),
 ]
 
 
@@ -375,6 +380,33 @@ class TestCliEstimate:
             rows = (out / name).read_text().strip().splitlines()[1:]
             assert {row.split(",")[0] for row in rows} == {"0", "2"}, name
 
+    def test_somp_support_rows(self, tmp_path, monkeypatch, capsys):
+        real_somp = harness.somp_baseline
+        found = []
+
+        def recording_somp(*args, **kwargs):
+            found.append(real_somp(*args, **kwargs))
+            return found[-1]
+
+        monkeypatch.setattr(harness, "somp_baseline", recording_somp)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(SMALL_DOC, time_steps=2)))
+        out = tmp_path / "est"
+        code = main(
+            ["estimate", "--config", str(path), "--out", str(out), "--variant", "somp_baseline"]
+        )
+        assert code == 0 and len(found) == 2
+        grid_aoa = harness._dictionary(load_config(path)).grid_aoa
+        with open(out / "support.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for t, est in enumerate(found):
+            step = [row for row in rows if row["t"] == str(t)]
+            assert len(step) == len(est.support) > 0
+            for row, k in zip(step, est.support):
+                assert float(row["aoa_deg"]) == np.degrees(grid_aoa[k])
+                assert row["aod_deg"] == row["gain_re"] == row["gain_im"] == ""
+                assert float(row["gain_abs"]) == pytest.approx(np.linalg.norm(est.gains[k]))
+
     def test_failed_trial_exit_code(self, tmp_path, capsys):
         doc = dict(SMALL_DOC, keep_fraction=0.14)
         path = tmp_path / "cfg.json"
@@ -425,6 +457,20 @@ class TestCliAblate:
         assert {r.variant for r in records} == {"coarse_only", "fixed_rank:2"}
         assert (out / "report.csv").exists()
         assert "gap" in capsys.readouterr().out
+
+
+def test_cli_imports_numpy_only():
+    # ramc.cli loads every module; scipy is a test-time reference only.
+    src = os.path.dirname(os.path.dirname(ramc.__file__))
+    probe = "import sys, ramc.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestCliParsing:

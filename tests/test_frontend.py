@@ -1,7 +1,6 @@
 """Tests of the hybrid pilot frontend: beamformers, observations, masks."""
 
 import math
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -95,6 +94,17 @@ def test_pilot_symbols_orthogonal():
     assert np.allclose(s @ s.conj().T, np.eye(8), atol=1e-12)
 
 
+def test_pilot_symbols_match_scipy_dft():
+    linalg = pytest.importorskip("scipy.linalg")
+    for n in range(1, 65):
+        reference = linalg.dft(n)
+        for m_bs in range(1, n + 1):
+            cfg = HybridConfig(m_bs=m_bs, m_ms=1, n_streams=1, pilot_length=n)
+            expected = reference[:m_bs] / math.sqrt(n)
+            got = pilot_symbols(cfg)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (n, m_bs)
+
+
 class TestObserve:
     def test_noiseless_model(self, realization):
         block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
@@ -104,20 +114,20 @@ class TestObserve:
         assert obs.mask.observed.all()
 
     def test_noise_variance(self, realization):
-        block = replace(make_pilot_block(HybridConfig(), 8, 8, seed=1), noise_var=0.25)
-        clean = observe(realization, make_pilot_block(HybridConfig(), 8, 8, seed=1))
+        block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
+        clean = observe(realization, block)
         noise = []
         for seed in range(200):
-            obs = observe(realization, block, seed=seed)
+            obs = observe(realization, block, 0.25, seed=seed)
             noise.append(np.mean(np.abs(obs.complete - clean.complete) ** 2))
         assert np.mean(noise) == pytest.approx(0.25, rel=0.05)
 
     def test_noise_level_carried(self, realization):
-        block = replace(make_pilot_block(HybridConfig(), 8, 8, seed=1), noise_var=0.25)
-        obs = observe(realization, block, seed=3)
+        block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
+        obs = observe(realization, block, noise_var=0.25, seed=3)
         assert obs.noise_var == 0.25
         assert subsample(obs, 0.6, seed=4).noise_var == 0.25
-        assert observe(realization, make_pilot_block(HybridConfig(), 8, 8, seed=1)).noise_var == 0.0
+        assert observe(realization, block).noise_var == 0.0
 
     @pytest.mark.parametrize("noise_var", [-1e-3, float("nan")])
     def test_negative_noise_level_rejected(self, noise_var):

@@ -353,7 +353,7 @@ class TestRunSingleTrial:
 
 def test_simulate_trial_shapes():
     cfg = ExperimentConfig(**SMALL, snr_grid_db=(10.0,), time_steps=2)
-    track, blocks, observations = simulate_trial(cfg)
+    track, observations = simulate_trial(cfg)
     assert len(track) == 2 and len(observations) == 2
     assert observations[0].incomplete.shape == (4, 8)
     assert track[0].matrix.shape == (4, 4)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ramc import numerics
 from ramc.errors import InfeasibleMaskError, MatrixSizeError, ShapeError, SolverFailureError
 from ramc.numerics import SamplingMask, kron, project_mask, pseudo_inverse, svd, vec
 
@@ -71,10 +72,13 @@ class TestKron:
         b = _random_complex(rng, 4, 2)
         assert np.array_equal(kron(a, b), np.kron(a, b))
 
-    def test_size_guard(self):
-        a = np.ones((100, 100))
+    def test_size_guard(self, monkeypatch):
+        # 20x20 (x) 20x20 holds 160,000 entries, well under the default cap.
+        monkeypatch.setattr(numerics, "MAX_KRON_ELEMENTS", 10_000)
+        a = np.ones((20, 20))
         with pytest.raises(MatrixSizeError):
-            kron(a, a, max_elements=10_000)
+            kron(a, a)
+        assert kron(a[:10, :10], a[:10, :10]).shape == (100, 100)
 
 
 def test_pseudo_inverse_moore_penrose():
