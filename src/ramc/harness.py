@@ -7,7 +7,9 @@ reports and writes the canonical records CSV.  Seeds derive from
 regardless of scheduling order or worker count.  As no seed depends on
 the SNR or the variant, each trial's channel track, pilot blocks and BER
 bits and noise are drawn once and shared, read-only, by every
-(variant, SNR) evaluated on that trial.
+(variant, SNR) evaluated on that trial; so is each step's composed
+Phase-II dictionary, when a Phase-II variant runs.  The Kronecker
+dictionary it is composed from and SOMP's atoms are built once per sweep.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .completion import estimate_rank, r1mc_complete
 from .config import ExperimentConfig, parse_variant, snr_to_linear
 from .errors import ConfigError, DegenerateSystemError, RamcError, UndefinedMetricError
 from .frontend import PilotBlock, coarse_channel, make_pilot_block, observe, subsample
-from .recovery import estimate_phase2, somp_baseline
+from .recovery import PursuitAtoms, build_dictionary, estimate_phase2, phase2_atoms
+from .recovery import pursuit_atoms, somp_baseline
 
 NMSE_FLOOR_DB = -120.0
 
@@ -165,6 +168,14 @@ def _dictionary(cfg: ExperimentConfig):
     )
 
 
+def _sweep_atoms(dictionary, variants):
+    """A sweep's step-free pursuit inputs ``(psi, somp_atoms)``: the Kronecker
+    dictionary, None when no variant runs Phase II, and SOMP's a_ms atoms."""
+    kinds = {parse_variant(name)[0] for name in variants}
+    psi = build_dictionary(dictionary) if kinds - {"coarse_only", "somp_baseline"} else None
+    return psi, pursuit_atoms(dictionary.a_ms)
+
+
 def _channel_track(cfg: ExperimentConfig, trial: int, dictionary):
     rng = np.random.default_rng(_seed(cfg, _DATA_TAG, trial))
     grid = dictionary if cfg.on_grid else None
@@ -184,22 +195,25 @@ def _channel_track(cfg: ExperimentConfig, trial: int, dictionary):
 @dataclass(frozen=True)
 class _StepDraws:
     """One step's SNR- and variant-free inputs; ``y_clean`` is the pilot
-    ``block``'s noiseless WᴴHFS, and ``error`` is what a draw raised."""
+    ``block``'s noiseless WᴴHFS, ``atoms`` its composed Phase-II dictionary
+    (None when no Phase-II variant runs), and ``error`` what a draw raised."""
 
     real: chan.ChannelRealization
     rank_true: int
     block: PilotBlock | None = None
     y_clean: np.ndarray | None = None
     ber: tuple | None = None
+    atoms: PursuitAtoms | None = None
     error: Exception | None = None
 
 
-def _draw_trial(cfg: ExperimentConfig, trial: int, dictionary) -> list[_StepDraws]:
+def _draw_trial(cfg: ExperimentConfig, trial: int, dictionary, psi=None) -> list[_StepDraws]:
     """Draw one trial's SNR- and variant-free inputs, one entry per step.
 
     Their seeds depend on (trial, t) only, so every (variant, SNR) of the
-    trial shares them.  The arrays are made read-only, so that no
-    evaluation can change what the next one sees.
+    trial shares them.  With the Kronecker dictionary ``psi`` each step
+    also gets its composed Phase-II atoms.  The arrays are made read-only,
+    so that no evaluation can change what the next one sees.
     """
     steps = []
     for t, real in enumerate(_channel_track(cfg, trial, dictionary)):
@@ -214,7 +228,8 @@ def _draw_trial(cfg: ExperimentConfig, trial: int, dictionary) -> list[_StepDraw
                     real.matrix.shape[0], cfg.ber_symbols, cfg.hybrid.n_streams,
                     seed=_seed(cfg, _ESTIMATOR_TAG, trial, t),
                 )
-            steps.append(_StepDraws(real, rank_true, block, y_clean, ber))
+            atoms = None if psi is None else phase2_atoms(block, psi)
+            steps.append(_StepDraws(real, rank_true, block, y_clean, ber, atoms))
             shared = [block.f, block.w, block.s, y_clean, *(ber or ())]
         except (RamcError, np.linalg.LinAlgError) as exc:
             steps.append(_StepDraws(real, rank_true, error=exc))
@@ -251,8 +266,9 @@ def _estimate_one(
     variant_param: int | None,
     cfg: ExperimentConfig,
     obs,
-    block,
+    step: _StepDraws,
     dictionary,
+    somp_atoms: PursuitAtoms,
     ranks: list[int],
 ):
     """Run one estimator variant; returns (h_hat, rank_est, sparse, solve).
@@ -270,15 +286,15 @@ def _estimate_one(
             rank_est = estimate_rank(obs.incomplete, solver.energy_ratio)
         except DegenerateSystemError:
             rank_est = 0
-        return coarse_channel(obs, block), rank_est, None, None
+        return coarse_channel(obs, step.block), rank_est, None, None
 
     if variant_kind == "somp_baseline":
-        rough = coarse_channel(obs, block)
+        rough = coarse_channel(obs, step.block)
         try:
             cap = estimate_rank(obs.incomplete, solver.energy_ratio)
         except DegenerateSystemError:
             cap = min(obs.incomplete.shape)
-        est = somp_baseline(rough, dictionary.a_ms, max(cap, 1))
+        est = somp_baseline(rough, somp_atoms, max(cap, 1))
         # AoA atoms only: no AoD, and each gain is a row over the BS antennas.
         params = tuple((float(dictionary.grid_aoa[k]), None, est.gains[k]) for k in est.support)
         return dictionary.a_ms @ est.gains, cap, replace(est, parameter_set=params), None
@@ -291,27 +307,22 @@ def _estimate_one(
         # Corrector: the next hint comes from the rank of the completed
         # matrix, not from the raw factor count.
         try:
-            corrected = estimate_rank(result.completed, solver.energy_ratio)
+            rank_est = estimate_rank(result.completed, solver.energy_ratio)
         except DegenerateSystemError:
-            corrected = result.rank
-        ranks.append(max(corrected, 1))
-        sparse, h_hat = estimate_phase2(result.completed, block, dictionary, max(corrected, 1))
-        return h_hat, corrected, sparse, result
-
-    if variant_kind == "fixed_rank":
+            rank_est = result.rank
+        ranks.append(max(rank_est, 1))
+        cap = ranks[-1]
+    elif variant_kind == "fixed_rank":
         result = r1mc_complete(obs, rank_hint=variant_param, opts=solver)
-        sparse, h_hat = estimate_phase2(result.completed, block, dictionary, variant_param)
-        return h_hat, variant_param, sparse, result
-
-    if variant_kind == "rank_oblivious":
-        result = r1mc_complete(
-            obs, rank_hint=min(obs.incomplete.shape), opts=solver
-        )
+        cap = rank_est = variant_param
+    elif variant_kind == "rank_oblivious":
+        result = r1mc_complete(obs, rank_hint=min(obs.incomplete.shape), opts=solver)
         # No rank feedback: the pursuit stops on its residual alone.
-        sparse, h_hat = estimate_phase2(result.completed, block, dictionary, None)
-        return h_hat, result.rank, sparse, result
-
-    raise ConfigError(f"unhandled estimator variant {variant_kind!r}")
+        cap, rank_est = None, result.rank
+    else:
+        raise ConfigError(f"unhandled estimator variant {variant_kind!r}")
+    sparse, h_hat = estimate_phase2(result.completed, step.block, dictionary, cap, atoms=step.atoms)
+    return h_hat, rank_est, sparse, result
 
 
 def _run_trial(
@@ -321,6 +332,7 @@ def _run_trial(
     trial: int,
     dictionary,
     steps: list[_StepDraws],
+    somp_atoms: PursuitAtoms,
     artifacts: dict | None = None,
 ):
     kind, param = parse_variant(variant)
@@ -335,7 +347,7 @@ def _run_trial(
         try:
             obs = _observe_step(cfg, snr_idx, trial, t, step)
             h_hat, rank_est, sparse, solve = _estimate_one(
-                kind, param, cfg, obs, step.block, dictionary, ranks
+                kind, param, cfg, obs, step, dictionary, somp_atoms, ranks
             )
             if artifacts is not None:
                 artifacts["t"].append(t)
@@ -346,44 +358,21 @@ def _run_trial(
                 artifacts["trace"].append(solve.trace if solve is not None else ())
             value = nmse(real.matrix, h_hat)
             value_db = nmse_db(value)
-            ber = None
-            if step.ber is not None:
-                ber = ber_link(real.matrix, h_hat, snr_db, step.ber)
-            records.append(
-                MetricRecord(
-                    variant=variant,
-                    snr_db=snr_db,
-                    trial=trial,
-                    t=t,
-                    nmse=value,
-                    nmse_db=value_db,
-                    recovered=value_db <= cfg.recovery_threshold_db,
-                    ber=ber,
-                    rank_true=step.rank_true,
-                    rank_est=int(rank_est),
-                    runtime_ms=(time.perf_counter() - started) * 1e3,
-                    iterations=solve.iterations if solve is not None else 0,
-                    converged=solve.converged if solve is not None else None,
-                    final_residual=solve.final_residual if solve is not None else None,
-                )
+            ber = None if step.ber is None else ber_link(real.matrix, h_hat, snr_db, step.ber)
+            outcome = dict(
+                nmse=value, nmse_db=value_db, recovered=value_db <= cfg.recovery_threshold_db,
+                ber=ber, rank_est=int(rank_est),
             )
+            if solve is not None:
+                outcome.update(iterations=solve.iterations, converged=solve.converged,
+                               final_residual=solve.final_residual)
         except (RamcError, np.linalg.LinAlgError) as exc:
-            records.append(
-                MetricRecord(
-                    variant=variant,
-                    snr_db=snr_db,
-                    trial=trial,
-                    t=t,
-                    nmse=float("nan"),
-                    nmse_db=float("nan"),
-                    recovered=False,
-                    ber=None,
-                    rank_true=step.rank_true,
-                    rank_est=0,
-                    runtime_ms=(time.perf_counter() - started) * 1e3,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            outcome = dict(nmse=float("nan"), nmse_db=float("nan"), recovered=False, ber=None,
+                           rank_est=0, error=f"{type(exc).__name__}: {exc}")
+        records.append(MetricRecord(
+            variant=variant, snr_db=snr_db, trial=trial, t=t, rank_true=step.rank_true,
+            runtime_ms=(time.perf_counter() - started) * 1e3, **outcome,
+        ))
     return records
 
 
@@ -407,14 +396,15 @@ def run_sweep(
         parse_variant(name)
     workers = threads if threads is not None else cfg.threads
     dictionary = _dictionary(cfg)
+    psi, somp_atoms = _sweep_atoms(dictionary, variants)
 
     def trial_records(trial):
-        steps = _draw_trial(cfg, trial, dictionary)
+        steps = _draw_trial(cfg, trial, dictionary, psi)
         return [
             record
             for variant in variants
             for snr_idx in range(len(cfg.snr_grid_db))
-            for record in _run_trial(cfg, variant, snr_idx, trial, dictionary, steps)
+            for record in _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, somp_atoms)
         ]
 
     if workers == 1:
@@ -445,8 +435,11 @@ def run_single_trial(
     if not 0 <= snr_idx < len(cfg.snr_grid_db):
         raise ConfigError(f"snr index {snr_idx} outside the configured grid")
     dictionary = _dictionary(cfg)
-    steps = _draw_trial(cfg, trial, dictionary)
-    return _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, artifacts=artifacts)
+    psi, somp_atoms = _sweep_atoms(dictionary, [variant])
+    steps = _draw_trial(cfg, trial, dictionary, psi)
+    return _run_trial(
+        cfg, variant, snr_idx, trial, dictionary, steps, somp_atoms, artifacts=artifacts
+    )
 
 
 def _fmt_field(value) -> str:

@@ -23,6 +23,8 @@ from .numerics import kron, vec
 _CORRELATION_FLOOR = 1e-13
 # The pursuit stops once its residual falls to this fraction of ||y||.
 _RESIDUAL_TOL = 1e-8
+# A Cholesky pivot this small marks an atom dependent on the support.
+_PIVOT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,85 +53,115 @@ def build_dictionary(dictionary: AngularDictionary) -> np.ndarray:
     return kron(dictionary.a_bs.conj(), dictionary.a_ms)
 
 
-def _pursuit(targets, dictionary, cap: int) -> SparseGainEstimate:
-    """Gram-domain greedy pursuit shared by OMP (1 column) and SOMP (many).
+@dataclass(frozen=True)
+class PursuitAtoms:
+    """A dictionary's unit-norm columns (a zero column stays zero), their
+    norms and their Gram matrix, read-only: one value serves every
+    pursuit on that dictionary."""
 
-    Atoms are scaled to unit norm for selection, else low-norm atoms
-    (the pilot frontend scales composed atoms unevenly) are never
-    selected; the gains are scaled back.  The pursuit stops after
-    ``cap`` atoms, once the residual falls to ``_RESIDUAL_TOL *
-    ||targets||``, or when no atom correlates with the residual.
+    unit: np.ndarray
+    norms: np.ndarray
+    gram: np.ndarray
+
+
+def pursuit_atoms(dictionary) -> PursuitAtoms:
+    """The :class:`PursuitAtoms` of ``dictionary``'s columns; one passes through."""
+    if isinstance(dictionary, PursuitAtoms):
+        return dictionary
+    d = np.asarray(dictionary, dtype=np.complex128)
+    norms = np.linalg.norm(d, axis=0)
+    unit = d / np.where(norms == 0.0, 1.0, norms)
+    gram = unit.conj().T @ unit
+    for array in (unit, norms, gram):
+        array.setflags(write=False)
+    return PursuitAtoms(unit, norms, gram)
+
+
+def phase2_atoms(block: PilotBlock, psi) -> PursuitAtoms:
+    """Phase II's atoms: ``psi`` (see :func:`build_dictionary`) seen through ``block``."""
+    return pursuit_atoms(measurement_matrix(block) @ psi)
+
+
+def _pursuit(targets, atoms: PursuitAtoms, cap: int) -> SparseGainEstimate:
+    """Batch OMP on prebuilt atoms, shared by OMP (1 column) and SOMP (many).
+
+    Atoms are selected at unit norm, else low-norm ones (the pilot
+    frontend scales composed atoms unevenly) are never picked; the gains
+    are scaled back.  Correlations are refreshed from the Gram matrix G.
+    The inverse L^-1 of the support Gram's Cholesky factor grows by one
+    row per atom b: with w = L^-1 G[S, b] and pivot d^2 = G[b, b] -
+    ||w||^2 the row is [-w^H L^-1 / d, 1/d], and the coefficients are
+    L^-H L^-1 h0[S] (Rubinstein, Zibulevsky & Elad, Technion CS-2008-08).
+    A pivot at roundoff level raises :class:`DegenerateSystemError`.  The
+    pursuit stops after ``cap`` atoms, once the residual falls to
+    ``_RESIDUAL_TOL * ||targets||``, or when no atom correlates with it.
     """
     y = np.asarray(targets, dtype=np.complex128)
     if y.ndim == 1:
         y = y[:, None]
-    d = np.asarray(dictionary, dtype=np.complex128)
-    if d.shape[0] != y.shape[0]:
-        raise ShapeError(f"dictionary rows {d.shape[0]} != target rows {y.shape[0]}")
+    unit, gram = atoms.unit, atoms.gram
+    if unit.shape[0] != y.shape[0]:
+        raise ShapeError(f"dictionary rows {unit.shape[0]} != target rows {y.shape[0]}")
     if cap < 1:
         raise ConfigError("sparsity cap must be >= 1")
-    n = d.shape[1]
-    norms = np.linalg.norm(d, axis=0)
-    if np.any(norms == 0.0):
+    if not atoms.norms.all():
         raise DegenerateSystemError("dictionary holds a zero column")
-    d_n = d / norms
-    gram = d_n.conj().T @ d_n
-    h0 = d_n.conj().T @ y
+    size = min(cap, unit.shape[1])  # the most atoms the pursuit can select
+    h0 = unit.conj().T @ y
     residual = scale = float(np.linalg.norm(y))
 
     support: list[int] = []
-    coeffs = np.zeros((0, y.shape[1]), dtype=np.complex128)
-    while len(support) < min(cap, n) and residual > _RESIDUAL_TOL * scale:
-        corr = h0 - gram[:, support] @ coeffs if support else h0.copy()
+    linv = np.zeros((size, size), dtype=np.complex128)
+    while len(support) < size and residual > _RESIDUAL_TOL * scale:
+        corr = h0 - gram[:, support] @ coeffs if support else h0
         score = np.linalg.norm(corr, axis=1)
-        if support:
-            score[support] = -1.0
+        score[support] = -1.0
         best = int(np.argmax(score))
         if score[best] <= _CORRELATION_FLOOR * max(scale, 1.0):
             break
+        k = len(support)
+        w = linv[:k, :k] @ gram[support, best]
+        pivot = gram[best, best].real - np.vdot(w, w).real
         support.append(best)
-        gram_s = gram[np.ix_(support, support)]
-        if np.linalg.cond(gram_s) > 1e12:
+        if not pivot > _PIVOT_FLOOR:
             raise DegenerateSystemError(f"selected columns {support} are numerically dependent")
-        try:
-            coeffs = np.linalg.solve(gram_s, h0[support, :])
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateSystemError(
-                f"selected columns {support} are linearly dependent"
-            ) from exc
-        if not np.all(np.isfinite(coeffs)):
-            raise DegenerateSystemError(f"selected columns {support} are numerically dependent")
+        d = np.sqrt(pivot)
+        linv[k, :k] = -(w.conj() @ linv[:k, :k]) / d
+        linv[k, k] = 1.0 / d
+        lk = linv[: k + 1, : k + 1]
+        coeffs = lk.conj().T @ (lk @ h0[support])
         # Taken directly: the Gram-domain sqrt(||y||^2 - <c, D_S^H y>) is
         # a difference of squares, good only to ~sqrt(eps) * ||y||.
-        residual = float(np.linalg.norm(y - d_n[:, support] @ coeffs))
+        residual = float(np.linalg.norm(y - unit[:, support] @ coeffs))
 
-    gains = np.zeros((n, y.shape[1]), dtype=np.complex128)
+    gains = np.zeros((unit.shape[1], y.shape[1]), dtype=np.complex128)
     if support:
         # Undo the column normalisation on the recovered coefficients.
-        gains[support, :] = coeffs / norms[support][:, None]
+        gains[support, :] = coeffs / atoms.norms[support][:, None]
     return SparseGainEstimate(gains=gains, support=tuple(support), residual_norm=residual)
 
 
 def batch_omp(target, dictionary, sparsity_cap: int) -> SparseGainEstimate:
-    """Orthogonal matching pursuit with precomputed Gram updates.
+    """Orthogonal matching pursuit with Gram-matrix correlation updates.
 
-    Correlations are refreshed from the Gram matrix instead of an
-    explicit residual; coefficients are least-squares refit on the
-    support each step.  Selection takes the largest absolute correlation,
-    breaking ties toward the lowest column index.  ``target`` is
-    flattened to one column; ``gains`` has one row per atom.
+    The support's coefficients come from an inverse Cholesky factor grown
+    one row per atom (see :func:`_pursuit`).  ``dictionary`` is a matrix or
+    its prebuilt :func:`pursuit_atoms`.  Selection takes the largest
+    absolute correlation, breaking ties toward the lowest column index.
+    ``target`` is flattened to one column; ``gains`` has one row per atom.
     """
-    return _pursuit(np.reshape(target, (-1, 1)), dictionary, sparsity_cap)
+    return _pursuit(np.reshape(target, (-1, 1)), pursuit_atoms(dictionary), sparsity_cap)
 
 
 def somp_baseline(targets, dictionary, sparsity_cap: int) -> SparseGainEstimate:
     """Simultaneous OMP over multiple measurement vectors.
 
-    Atom scores aggregate correlations across target columns by their
-    l2 norm; all targets share one support.  With a single column this
-    reduces exactly to :func:`batch_omp`.
+    Atom scores aggregate correlations across target columns by their l2
+    norm; all targets share one support and one Cholesky update (see
+    :func:`_pursuit`).  ``dictionary`` is a matrix or its prebuilt
+    :func:`pursuit_atoms`.  One column reduces exactly to :func:`batch_omp`.
     """
-    return _pursuit(targets, dictionary, sparsity_cap)
+    return _pursuit(targets, pursuit_atoms(dictionary), sparsity_cap)
 
 
 def estimate_phase2(
@@ -137,12 +169,13 @@ def estimate_phase2(
     block: PilotBlock,
     dictionary: AngularDictionary,
     rank: int | None,
+    atoms: PursuitAtoms | None = None,
 ) -> tuple[SparseGainEstimate, np.ndarray]:
     """Sparse angular recovery with a rank-derived sparsity budget.
 
-    The pursuit matches the vectorised completed observation against the
-    Kronecker steering dictionary composed with the pilot frontend,
-    ``measurement_matrix(block) @ build_dictionary(dictionary)``.
+    Batch OMP (see :func:`_pursuit`) matches the vectorised completed
+    observation against the Kronecker steering dictionary composed with
+    the pilot frontend, ``phase2_atoms(block, build_dictionary(dictionary))``.
 
     Parameters
     ----------
@@ -151,6 +184,9 @@ def estimate_phase2(
     rank : int or None
         Phase-I rank; the sparsity cap is rank**2.  None sets no cap, so
         the pursuit stops on its residual alone.
+    atoms : PursuitAtoms, optional
+        ``phase2_atoms(block, build_dictionary(dictionary))``, built here
+        unless a caller that runs several pursuits on one block passes it.
 
     Returns
     -------
@@ -160,16 +196,14 @@ def estimate_phase2(
     """
     if rank is not None and rank < 1:
         raise ConfigError(f"rank {rank} yields an empty sparsity budget")
-    d = measurement_matrix(block) @ build_dictionary(dictionary)
-    estimate = batch_omp(vec(completed), d, d.shape[1] if rank is None else rank**2)
+    if atoms is None:
+        atoms = phase2_atoms(block, build_dictionary(dictionary))
+    estimate = batch_omp(vec(completed), atoms, atoms.unit.shape[1] if rank is None else rank**2)
     # Atom j*L1 + i is grid cell (aoa i, aod j), column-stacking order.
     rows = dictionary.size_aoa
     params = tuple(
-        (
-            float(dictionary.grid_aoa[k % rows]),
-            float(dictionary.grid_aod[k // rows]),
-            complex(estimate.gains[k, 0]),
-        )
+        (float(dictionary.grid_aoa[k % rows]), float(dictionary.grid_aod[k // rows]),
+         complex(estimate.gains[k, 0]))
         for k in estimate.support
     )
     grid = estimate.gains.reshape((rows, dictionary.size_aod), order="F")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramc import channel, harness
+from ramc import channel, harness, recovery
 from ramc.channel import ChannelParams
 from ramc.config import DEFAULT_ABLATION, ExperimentConfig
 from ramc.errors import ConfigError, DegenerateSystemError, UndefinedMetricError
@@ -182,13 +182,44 @@ class TestRunSweep:
 
     def test_shared_arrays_read_only(self):
         cfg = ExperimentConfig(**SMALL, time_steps=2, ber_symbols=1000)
-        steps = _draw_trial(cfg, 0, _dictionary(cfg))
+        dictionary = _dictionary(cfg)
+        steps = _draw_trial(cfg, 0, dictionary, recovery.build_dictionary(dictionary))
         for step in steps:
             shared = [step.real.matrix, step.block.f, step.block.w, step.block.s,
-                      step.y_clean, *step.ber]
+                      step.y_clean, *step.ber,
+                      step.atoms.unit, step.atoms.norms, step.atoms.gram]
             assert not any(array.flags.writeable for array in shared)
         with pytest.raises(ValueError):
             steps[0].y_clean[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            steps[0].atoms.gram[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "variants,snrs,composed",
+        [
+            pytest.param(DEFAULT_ABLATION, (5.0, 15.0, 25.0), True, id="ablation"),
+            pytest.param(("fixed_rank:2",), (15.0,), True, id="one-phase2-variant"),
+            pytest.param(("coarse_only", "somp_baseline"), (5.0, 25.0), False, id="link"),
+        ],
+    )
+    def test_step_dictionaries_composed_once_per_step(
+        self, monkeypatch, variants, snrs, composed
+    ):
+        # Each step's composed Phase-II dictionary is shared by every
+        # (variant, SNR); a sweep without a Phase-II variant builds none.
+        # Every composition goes through recovery.measurement_matrix.
+        real_measurement = recovery.measurement_matrix
+        calls = []
+
+        def counting_measurement(*args, **kwargs):
+            calls.append(None)
+            return real_measurement(*args, **kwargs)
+
+        monkeypatch.setattr(recovery, "measurement_matrix", counting_measurement)
+        cfg = ExperimentConfig(**SMALL, snr_grid_db=snrs, n_trials=2, time_steps=2)
+        records = run_sweep(cfg, variants)
+        assert len(records) == len(variants) * len(snrs) * 4
+        assert len(calls) == (cfg.n_trials * cfg.time_steps if composed else 0)
 
     def test_failed_shared_draw_fails_its_step_everywhere(self, monkeypatch):
         real_pilot = harness.make_pilot_block
@@ -418,12 +449,15 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
         assert callable(getattr(target.module, target.attr, None)), target.name
     assert "threads" in inspect.signature(harness.run_sweep).parameters
 
-    # One small traced sweep runs every ``on_result`` on a real result.
+    # One small traced sweep runs every ``on_result`` on a real result,
+    # and both pursuits must still be reached through the traced names.
     tracer = run.Tracer()
     cfg = ExperimentConfig(**SMALL, snr_grid_db=(15.0,), n_trials=1)
     with tracer.patched(targets):
-        records = run_sweep(cfg, variants=("rank_aware",))
+        records = run_sweep(cfg, variants=("rank_aware", "somp_baseline"))
     assert records and not any(r.error for r in records)
+    names = {sp.name for sp in tracer.spans}
+    assert {"recovery.phase2", "recovery.somp"} <= names
     for target in targets:
         if target.on_result is not None:
             infos = [sp.info for sp in tracer.spans if sp.name == target.name]

@@ -367,3 +367,82 @@ class TestPhase2Reference:
         assert np.abs(new_gains - gains).max() <= 1e-9 * np.abs(gains).max()
         assert np.array_equal(est.gains[support, 0], new_gains)
         assert [(aoa, aod) for aoa, aod, _ in est.parameter_set] == angles
+
+
+def _reference_somp(y, d, cap):
+    """SOMP with an explicit ``cond`` check and ``solve`` on the support
+    Gram matrix at every atom, kept as a reference.  Returns
+    (support, gains on the support)."""
+    norms = np.linalg.norm(d, axis=0)
+    d_n = d / norms
+    gram = d_n.conj().T @ d_n
+    h0 = d_n.conj().T @ y
+    residual = scale = float(np.linalg.norm(y))
+    support = []
+    coeffs = np.zeros((0, y.shape[1]), dtype=complex)
+    while len(support) < min(cap, d.shape[1]) and residual > 1e-8 * scale:
+        score = np.linalg.norm(h0 - gram[:, support] @ coeffs, axis=1)
+        score[support] = -1.0
+        best = int(np.argmax(score))
+        if score[best] <= 1e-13 * max(scale, 1.0):
+            break
+        support.append(best)
+        gram_s = gram[np.ix_(support, support)]
+        if np.linalg.cond(gram_s) > 1e12:
+            raise DegenerateSystemError("numerically dependent")
+        coeffs = np.linalg.solve(gram_s, h0[support, :])
+        residual = float(np.linalg.norm(y - d_n[:, support] @ coeffs))
+    return support, coeffs / norms[support][:, None]
+
+
+@st.composite
+def _somp_problems(draw):
+    """Random dictionary with uneven column norms, several dense targets
+    and a cap below the row count."""
+    rows = draw(st.integers(min_value=3, max_value=12))
+    cols = draw(st.integers(min_value=rows, max_value=2 * rows))
+    targets = draw(st.integers(min_value=2, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    d = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    d *= rng.uniform(0.1, 10.0, size=cols)
+    y = rng.standard_normal((rows, targets)) + 1j * rng.standard_normal((rows, targets))
+    return y, d, draw(st.integers(min_value=1, max_value=rows - 1))
+
+
+class TestSompReference:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=_somp_problems())
+    def test_cholesky_update_matches_solve(self, problem):
+        y, d, cap = problem
+        support, gains = _reference_somp(y, d, cap)
+        est = somp_baseline(y, d, cap)
+        assert list(est.support) == support
+        assert np.abs(est.gains[support] - gains).max() <= 1e-9 * np.abs(gains).max()
+
+
+@pytest.mark.parametrize("tilt", [1e-8, 1e-7])
+def test_near_parallel_atoms_raise_on_the_pivot(tilt):
+    # Both almost-parallel atoms are selected; the second one's Cholesky
+    # pivot 1 - |<a0, a1>|^2 ~ tilt^2 is at roundoff level.
+    d = np.zeros((4, 3), dtype=complex)
+    d[:, 0] = [1, 0, 0, 0]
+    d[:, 1] = np.array([1, tilt, 0, 0]) / np.sqrt(1 + tilt**2)
+    d[:, 2] = [0, 0, 1, 0]
+    y = np.array([[1.0, 0.7], [0.5, 0.2], [0, 0], [0, 0]], dtype=complex)
+    with pytest.raises(DegenerateSystemError, match=r"columns \[1, 0\] are numerically"):
+        batch_omp(y[:, 0], d, 2)
+    with pytest.raises(DegenerateSystemError, match=r"columns \[1, 0\] are numerically"):
+        somp_baseline(y, d, 2)
+
+
+def test_separated_atoms_pass_the_pivot():
+    # A pivot of ~1e-10 lies above the roundoff floor: both atoms are kept
+    # and the two-column target is fitted exactly.
+    tilt = 1e-5
+    d = np.zeros((4, 2), dtype=complex)
+    d[:, 0] = [1, 0, 0, 0]
+    d[:, 1] = np.array([1, tilt, 0, 0]) / np.sqrt(1 + tilt**2)
+    y = np.array([[1.0, 0.7], [0.5, 0.2], [0, 0], [0, 0]], dtype=complex)
+    est = somp_baseline(y, d, 2)
+    assert sorted(est.support) == [0, 1]
+    assert est.residual_norm <= 1e-6 * np.linalg.norm(y)
