@@ -22,6 +22,7 @@ from .config import (
     config_to_dict,
     dump_defaults,
     load_config,
+    parse_variant,
 )
 from .errors import ConfigError, RamcError
 from .harness import (
@@ -138,6 +139,7 @@ def _cmd_estimate(args) -> int:
     cfg = _load(args)
     snr_idx = _snr_index(cfg, args.snr)
     variant = args.variant if args.variant else cfg.estimator_variant
+    parse_variant(variant)
     artifacts: dict = {}
     records = run_single_trial(
         cfg, variant, snr_idx=snr_idx, trial=args.trial, artifacts=artifacts
@@ -166,12 +168,15 @@ def _cmd_estimate(args) -> int:
         if r.error:
             line += f" error={r.error}"
         print(line)
-    return 2 if any(r.error for r in records) else 0
+    if any(r.error for r in records):
+        return 2
+    return 0
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
     variant = args.variant if args.variant else cfg.estimator_variant
+    parse_variant(variant)
     records = run_sweep(cfg, variants=[variant])
     write_records(args.out, records)
     print(summarize_records(records))
@@ -182,6 +187,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg = _load(args)
     variants = args.variant if args.variant else list(DEFAULT_ABLATION)
+    for name in variants:
+        parse_variant(name)
     records = run_sweep(cfg, variants=variants)
     out = _outdir(args.out)
     write_records(out / "records.csv", records)

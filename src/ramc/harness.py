@@ -9,7 +9,7 @@ the SNR or the variant, each trial's channel track, pilot blocks and BER
 bits and noise are drawn once and shared, read-only, by every
 (variant, SNR) evaluated on that trial; so is each step's composed
 Phase-II dictionary, when a Phase-II variant runs.  The Kronecker
-dictionary it is composed from and SOMP's atoms are built once per sweep.
+dictionary it is composed from is built once per sweep.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from . import channel as chan
 from .completion import estimate_rank, r1mc_complete
 from .config import ExperimentConfig, parse_variant, snr_to_linear
 from .errors import ConfigError, DegenerateSystemError, RamcError, UndefinedMetricError
-from .frontend import PilotBlock, coarse_channel, make_pilot_block, observe, subsample
-from .recovery import PursuitAtoms, build_dictionary, estimate_phase2, phase2_atoms
-from .recovery import pursuit_atoms, somp_baseline
+from .frontend import PilotBlock, coarse_channel, make_pilot_block, measurement_matrix
+from .frontend import observe, subsample
+from .recovery import PursuitAtoms, build_dictionary, estimate_phase2, pursuit_atoms
+from .recovery import somp_baseline
 
 NMSE_FLOOR_DB = -120.0
 
@@ -168,12 +169,28 @@ def _dictionary(cfg: ExperimentConfig):
     )
 
 
-def _sweep_atoms(dictionary, variants):
-    """A sweep's step-free pursuit inputs ``(psi, somp_atoms)``: the Kronecker
-    dictionary, None when no variant runs Phase II, and SOMP's a_ms atoms."""
-    kinds = {parse_variant(name)[0] for name in variants}
-    psi = build_dictionary(dictionary) if kinds - {"coarse_only", "somp_baseline"} else None
-    return psi, pursuit_atoms(dictionary.a_ms)
+def _phase2_dictionary(dictionary, variants):
+    """The Kronecker dictionary of a sweep that runs a Phase-II variant;
+    None for a sweep that runs none, or when building it fails."""
+    if {parse_variant(name)[0] for name in variants} <= {"coarse_only", "somp_baseline"}:
+        return None
+    try:
+        return build_dictionary(dictionary)
+    except RamcError:
+        return None
+
+
+def _step_atoms(block: PilotBlock, psi) -> PursuitAtoms | None:
+    """``block``'s composed Phase-II atoms on the Kronecker dictionary
+    ``psi``; None without ``psi`` or when composing fails.  Without them
+    :func:`estimate_phase2` composes its own and raises what composing
+    raises, so such a failure fails the Phase-II records alone."""
+    if psi is None:
+        return None
+    try:
+        return pursuit_atoms(measurement_matrix(block) @ psi)
+    except RamcError:
+        return None
 
 
 def _channel_track(cfg: ExperimentConfig, trial: int, dictionary):
@@ -196,7 +213,7 @@ def _channel_track(cfg: ExperimentConfig, trial: int, dictionary):
 class _StepDraws:
     """One step's SNR- and variant-free inputs; ``y_clean`` is the pilot
     ``block``'s noiseless WᴴHFS, ``atoms`` its composed Phase-II dictionary
-    (None when no Phase-II variant runs), and ``error`` what a draw raised."""
+    (see :func:`_step_atoms`), and ``error`` what a draw raised."""
 
     real: chan.ChannelRealization
     rank_true: int
@@ -228,7 +245,7 @@ def _draw_trial(cfg: ExperimentConfig, trial: int, dictionary, psi=None) -> list
                     real.matrix.shape[0], cfg.ber_symbols, cfg.hybrid.n_streams,
                     seed=_seed(cfg, _ESTIMATOR_TAG, trial, t),
                 )
-            atoms = None if psi is None else phase2_atoms(block, psi)
+            atoms = _step_atoms(block, psi)
             steps.append(_StepDraws(real, rank_true, block, y_clean, ber, atoms))
             shared = [block.f, block.w, block.s, y_clean, *(ber or ())]
         except (RamcError, np.linalg.LinAlgError) as exc:
@@ -266,9 +283,9 @@ def _estimate_one(
     variant_param: int | None,
     cfg: ExperimentConfig,
     obs,
-    step: _StepDraws,
+    block,
+    atoms: PursuitAtoms | None,
     dictionary,
-    somp_atoms: PursuitAtoms,
     ranks: list[int],
 ):
     """Run one estimator variant; returns (h_hat, rank_est, sparse, solve).
@@ -286,15 +303,15 @@ def _estimate_one(
             rank_est = estimate_rank(obs.incomplete, solver.energy_ratio)
         except DegenerateSystemError:
             rank_est = 0
-        return coarse_channel(obs, step.block), rank_est, None, None
+        return coarse_channel(obs, block), rank_est, None, None
 
     if variant_kind == "somp_baseline":
-        rough = coarse_channel(obs, step.block)
+        rough = coarse_channel(obs, block)
         try:
             cap = estimate_rank(obs.incomplete, solver.energy_ratio)
         except DegenerateSystemError:
             cap = min(obs.incomplete.shape)
-        est = somp_baseline(rough, somp_atoms, max(cap, 1))
+        est = somp_baseline(rough, dictionary.a_ms, max(cap, 1))
         # AoA atoms only: no AoD, and each gain is a row over the BS antennas.
         params = tuple((float(dictionary.grid_aoa[k]), None, est.gains[k]) for k in est.support)
         return dictionary.a_ms @ est.gains, cap, replace(est, parameter_set=params), None
@@ -307,22 +324,29 @@ def _estimate_one(
         # Corrector: the next hint comes from the rank of the completed
         # matrix, not from the raw factor count.
         try:
-            rank_est = estimate_rank(result.completed, solver.energy_ratio)
+            corrected = estimate_rank(result.completed, solver.energy_ratio)
         except DegenerateSystemError:
-            rank_est = result.rank
-        ranks.append(max(rank_est, 1))
-        cap = ranks[-1]
-    elif variant_kind == "fixed_rank":
+            corrected = result.rank
+        ranks.append(max(corrected, 1))
+        sparse, h_hat = estimate_phase2(
+            result.completed, block, dictionary, max(corrected, 1), atoms
+        )
+        return h_hat, corrected, sparse, result
+
+    if variant_kind == "fixed_rank":
         result = r1mc_complete(obs, rank_hint=variant_param, opts=solver)
-        cap = rank_est = variant_param
-    elif variant_kind == "rank_oblivious":
-        result = r1mc_complete(obs, rank_hint=min(obs.incomplete.shape), opts=solver)
+        sparse, h_hat = estimate_phase2(result.completed, block, dictionary, variant_param, atoms)
+        return h_hat, variant_param, sparse, result
+
+    if variant_kind == "rank_oblivious":
+        result = r1mc_complete(
+            obs, rank_hint=min(obs.incomplete.shape), opts=solver
+        )
         # No rank feedback: the pursuit stops on its residual alone.
-        cap, rank_est = None, result.rank
-    else:
-        raise ConfigError(f"unhandled estimator variant {variant_kind!r}")
-    sparse, h_hat = estimate_phase2(result.completed, step.block, dictionary, cap, atoms=step.atoms)
-    return h_hat, rank_est, sparse, result
+        sparse, h_hat = estimate_phase2(result.completed, block, dictionary, None, atoms)
+        return h_hat, result.rank, sparse, result
+
+    raise ConfigError(f"unhandled estimator variant {variant_kind!r}")
 
 
 def _run_trial(
@@ -332,7 +356,6 @@ def _run_trial(
     trial: int,
     dictionary,
     steps: list[_StepDraws],
-    somp_atoms: PursuitAtoms,
     artifacts: dict | None = None,
 ):
     kind, param = parse_variant(variant)
@@ -347,7 +370,7 @@ def _run_trial(
         try:
             obs = _observe_step(cfg, snr_idx, trial, t, step)
             h_hat, rank_est, sparse, solve = _estimate_one(
-                kind, param, cfg, obs, step, dictionary, somp_atoms, ranks
+                kind, param, cfg, obs, step.block, step.atoms, dictionary, ranks
             )
             if artifacts is not None:
                 artifacts["t"].append(t)
@@ -358,21 +381,44 @@ def _run_trial(
                 artifacts["trace"].append(solve.trace if solve is not None else ())
             value = nmse(real.matrix, h_hat)
             value_db = nmse_db(value)
-            ber = None if step.ber is None else ber_link(real.matrix, h_hat, snr_db, step.ber)
-            outcome = dict(
-                nmse=value, nmse_db=value_db, recovered=value_db <= cfg.recovery_threshold_db,
-                ber=ber, rank_est=int(rank_est),
+            ber = None
+            if step.ber is not None:
+                ber = ber_link(real.matrix, h_hat, snr_db, step.ber)
+            records.append(
+                MetricRecord(
+                    variant=variant,
+                    snr_db=snr_db,
+                    trial=trial,
+                    t=t,
+                    nmse=value,
+                    nmse_db=value_db,
+                    recovered=value_db <= cfg.recovery_threshold_db,
+                    ber=ber,
+                    rank_true=step.rank_true,
+                    rank_est=int(rank_est),
+                    runtime_ms=(time.perf_counter() - started) * 1e3,
+                    iterations=solve.iterations if solve is not None else 0,
+                    converged=solve.converged if solve is not None else None,
+                    final_residual=solve.final_residual if solve is not None else None,
+                )
             )
-            if solve is not None:
-                outcome.update(iterations=solve.iterations, converged=solve.converged,
-                               final_residual=solve.final_residual)
         except (RamcError, np.linalg.LinAlgError) as exc:
-            outcome = dict(nmse=float("nan"), nmse_db=float("nan"), recovered=False, ber=None,
-                           rank_est=0, error=f"{type(exc).__name__}: {exc}")
-        records.append(MetricRecord(
-            variant=variant, snr_db=snr_db, trial=trial, t=t, rank_true=step.rank_true,
-            runtime_ms=(time.perf_counter() - started) * 1e3, **outcome,
-        ))
+            records.append(
+                MetricRecord(
+                    variant=variant,
+                    snr_db=snr_db,
+                    trial=trial,
+                    t=t,
+                    nmse=float("nan"),
+                    nmse_db=float("nan"),
+                    recovered=False,
+                    ber=None,
+                    rank_true=step.rank_true,
+                    rank_est=0,
+                    runtime_ms=(time.perf_counter() - started) * 1e3,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+            )
     return records
 
 
@@ -396,7 +442,7 @@ def run_sweep(
         parse_variant(name)
     workers = threads if threads is not None else cfg.threads
     dictionary = _dictionary(cfg)
-    psi, somp_atoms = _sweep_atoms(dictionary, variants)
+    psi = _phase2_dictionary(dictionary, variants)
 
     def trial_records(trial):
         steps = _draw_trial(cfg, trial, dictionary, psi)
@@ -404,7 +450,7 @@ def run_sweep(
             record
             for variant in variants
             for snr_idx in range(len(cfg.snr_grid_db))
-            for record in _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, somp_atoms)
+            for record in _run_trial(cfg, variant, snr_idx, trial, dictionary, steps)
         ]
 
     if workers == 1:
@@ -435,11 +481,8 @@ def run_single_trial(
     if not 0 <= snr_idx < len(cfg.snr_grid_db):
         raise ConfigError(f"snr index {snr_idx} outside the configured grid")
     dictionary = _dictionary(cfg)
-    psi, somp_atoms = _sweep_atoms(dictionary, [variant])
-    steps = _draw_trial(cfg, trial, dictionary, psi)
-    return _run_trial(
-        cfg, variant, snr_idx, trial, dictionary, steps, somp_atoms, artifacts=artifacts
-    )
+    steps = _draw_trial(cfg, trial, dictionary)
+    return _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, artifacts=artifacts)
 
 
 def _fmt_field(value) -> str:

@@ -65,9 +65,7 @@ class PursuitAtoms:
 
 
 def pursuit_atoms(dictionary) -> PursuitAtoms:
-    """The :class:`PursuitAtoms` of ``dictionary``'s columns; one passes through."""
-    if isinstance(dictionary, PursuitAtoms):
-        return dictionary
+    """The :class:`PursuitAtoms` of ``dictionary``'s columns."""
     d = np.asarray(dictionary, dtype=np.complex128)
     norms = np.linalg.norm(d, axis=0)
     unit = d / np.where(norms == 0.0, 1.0, norms)
@@ -75,11 +73,6 @@ def pursuit_atoms(dictionary) -> PursuitAtoms:
     for array in (unit, norms, gram):
         array.setflags(write=False)
     return PursuitAtoms(unit, norms, gram)
-
-
-def phase2_atoms(block: PilotBlock, psi) -> PursuitAtoms:
-    """Phase II's atoms: ``psi`` (see :func:`build_dictionary`) seen through ``block``."""
-    return pursuit_atoms(measurement_matrix(block) @ psi)
 
 
 def _pursuit(targets, atoms: PursuitAtoms, cap: int) -> SparseGainEstimate:
@@ -145,10 +138,10 @@ def batch_omp(target, dictionary, sparsity_cap: int) -> SparseGainEstimate:
     """Orthogonal matching pursuit with Gram-matrix correlation updates.
 
     The support's coefficients come from an inverse Cholesky factor grown
-    one row per atom (see :func:`_pursuit`).  ``dictionary`` is a matrix or
-    its prebuilt :func:`pursuit_atoms`.  Selection takes the largest
-    absolute correlation, breaking ties toward the lowest column index.
-    ``target`` is flattened to one column; ``gains`` has one row per atom.
+    one row per atom (see :func:`_pursuit`), on the :func:`pursuit_atoms`
+    of ``dictionary``.  Selection takes the largest absolute correlation,
+    breaking ties toward the lowest column index.  ``target`` is
+    flattened to one column; ``gains`` has one row per atom.
     """
     return _pursuit(np.reshape(target, (-1, 1)), pursuit_atoms(dictionary), sparsity_cap)
 
@@ -158,8 +151,8 @@ def somp_baseline(targets, dictionary, sparsity_cap: int) -> SparseGainEstimate:
 
     Atom scores aggregate correlations across target columns by their l2
     norm; all targets share one support and one Cholesky update (see
-    :func:`_pursuit`).  ``dictionary`` is a matrix or its prebuilt
-    :func:`pursuit_atoms`.  One column reduces exactly to :func:`batch_omp`.
+    :func:`_pursuit`), on the :func:`pursuit_atoms` of ``dictionary``.
+    One column reduces exactly to :func:`batch_omp`.
     """
     return _pursuit(targets, pursuit_atoms(dictionary), sparsity_cap)
 
@@ -175,7 +168,7 @@ def estimate_phase2(
 
     Batch OMP (see :func:`_pursuit`) matches the vectorised completed
     observation against the Kronecker steering dictionary composed with
-    the pilot frontend, ``phase2_atoms(block, build_dictionary(dictionary))``.
+    the pilot frontend, ``measurement_matrix(block) @ build_dictionary(dictionary)``.
 
     Parameters
     ----------
@@ -185,7 +178,7 @@ def estimate_phase2(
         Phase-I rank; the sparsity cap is rank**2.  None sets no cap, so
         the pursuit stops on its residual alone.
     atoms : PursuitAtoms, optional
-        ``phase2_atoms(block, build_dictionary(dictionary))``, built here
+        The :func:`pursuit_atoms` of that composed dictionary, built here
         unless a caller that runs several pursuits on one block passes it.
 
     Returns
@@ -197,13 +190,16 @@ def estimate_phase2(
     if rank is not None and rank < 1:
         raise ConfigError(f"rank {rank} yields an empty sparsity budget")
     if atoms is None:
-        atoms = phase2_atoms(block, build_dictionary(dictionary))
-    estimate = batch_omp(vec(completed), atoms, atoms.unit.shape[1] if rank is None else rank**2)
+        atoms = pursuit_atoms(measurement_matrix(block) @ build_dictionary(dictionary))
+    estimate = _pursuit(vec(completed), atoms, atoms.unit.shape[1] if rank is None else rank**2)
     # Atom j*L1 + i is grid cell (aoa i, aod j), column-stacking order.
     rows = dictionary.size_aoa
     params = tuple(
-        (float(dictionary.grid_aoa[k % rows]), float(dictionary.grid_aod[k // rows]),
-         complex(estimate.gains[k, 0]))
+        (
+            float(dictionary.grid_aoa[k % rows]),
+            float(dictionary.grid_aod[k // rows]),
+            complex(estimate.gains[k, 0]),
+        )
         for k in estimate.support
     )
     grid = estimate.gains.reshape((rows, dictionary.size_aod), order="F")

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramc import channel, harness, recovery
+from ramc import channel, harness, numerics, recovery
 from ramc.channel import ChannelParams
 from ramc.config import DEFAULT_ABLATION, ExperimentConfig
-from ramc.errors import ConfigError, DegenerateSystemError, UndefinedMetricError
+from ramc.errors import ConfigError, DegenerateSystemError, MatrixSizeError, UndefinedMetricError
 from ramc.frontend import HybridConfig
 from ramc.harness import (
     NMSE_FLOOR_DB,
@@ -207,7 +207,8 @@ class TestRunSweep:
     ):
         # Each step's composed Phase-II dictionary is shared by every
         # (variant, SNR); a sweep without a Phase-II variant builds none.
-        # Every composition goes through recovery.measurement_matrix.
+        # Every composition, in the harness or in estimate_phase2, goes
+        # through measurement_matrix.
         real_measurement = recovery.measurement_matrix
         calls = []
 
@@ -215,11 +216,54 @@ class TestRunSweep:
             calls.append(None)
             return real_measurement(*args, **kwargs)
 
-        monkeypatch.setattr(recovery, "measurement_matrix", counting_measurement)
+        for module in (harness, recovery):
+            monkeypatch.setattr(module, "measurement_matrix", counting_measurement)
         cfg = ExperimentConfig(**SMALL, snr_grid_db=snrs, n_trials=2, time_steps=2)
         records = run_sweep(cfg, variants)
         assert len(records) == len(variants) * len(snrs) * 4
         assert len(calls) == (cfg.n_trials * cfg.time_steps if composed else 0)
+
+    @pytest.mark.parametrize(
+        "grid_oversampling,too_large",
+        [
+            pytest.param(2, ("dictionary",), id="dictionary"),
+            pytest.param(1, ("measurement",), id="measurement"),
+            pytest.param(2, ("measurement", "dictionary"), id="both"),
+        ],
+    )
+    def test_failed_composition_fails_phase2_records_alone(
+        self, monkeypatch, grid_oversampling, too_large
+    ):
+        # A Kronecker product over the size cap fails only the records that
+        # run Phase II, with the error estimate_phase2 raises on its own
+        # (the measurement matrix's when both are too large); the
+        # coarse_only and somp_baseline records do not change.
+        cfg = ExperimentConfig(
+            **SMALL, snr_grid_db=(5.0, 25.0), n_trials=2, time_steps=2,
+            grid_oversampling=grid_oversampling,
+        )
+        variants = ("coarse_only", "fixed_rank:2", "rank_aware", "somp_baseline")
+        unpatched = self._timeless(run_sweep(cfg, variants))
+        dictionary = _dictionary(cfg)
+        block = _draw_trial(cfg, 0, dictionary)[0].block
+        sizes = {
+            "dictionary": recovery.build_dictionary(dictionary).size,
+            "measurement": recovery.measurement_matrix(block).size,
+        }
+        cap = min(sizes[name] for name in too_large) - 1
+        assert all(size > cap for name, size in sizes.items() if name in too_large)
+        assert all(size <= cap for name, size in sizes.items() if name not in too_large)
+        monkeypatch.setattr(numerics, "MAX_KRON_ELEMENTS", cap)
+        raised = sizes[too_large[0]]
+        with pytest.raises(MatrixSizeError, match=f"would hold {raised} entries") as direct:
+            recovery.estimate_phase2(np.zeros((4, 8)), block, dictionary, 2)
+        records = self._timeless(run_sweep(cfg, variants))
+        assert len(records) == len(unpatched) == 32
+        for new, old in zip(records, unpatched):
+            if new.variant in ("coarse_only", "somp_baseline"):
+                assert new == old
+            else:
+                assert new.error == f"MatrixSizeError: {direct.value}"
 
     def test_failed_shared_draw_fails_its_step_everywhere(self, monkeypatch):
         real_pilot = harness.make_pilot_block
