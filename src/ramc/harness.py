@@ -7,9 +7,7 @@ reports and writes the canonical records CSV.  Seeds derive from
 regardless of scheduling order or worker count.  As no seed depends on
 the SNR or the variant, each trial's channel track, pilot blocks and BER
 bits and noise are drawn once and shared, read-only, by every
-(variant, SNR) evaluated on that trial; so is each step's composed
-Phase-II dictionary, when a Phase-II variant runs.  The Kronecker
-dictionary it is composed from is built once per sweep.
+(variant, SNR) evaluated on that trial.
 """
 
 from __future__ import annotations
@@ -26,10 +24,8 @@ from . import channel as chan
 from .completion import estimate_rank, r1mc_complete
 from .config import ExperimentConfig, parse_variant, snr_to_linear
 from .errors import ConfigError, DegenerateSystemError, RamcError, UndefinedMetricError
-from .frontend import PilotBlock, coarse_channel, make_pilot_block, measurement_matrix
-from .frontend import observe, subsample
-from .recovery import PursuitAtoms, build_dictionary, estimate_phase2, pursuit_atoms
-from .recovery import somp_baseline
+from .frontend import PilotBlock, coarse_channel, make_pilot_block, observe, subsample
+from .recovery import estimate_phase2, somp_baseline
 
 NMSE_FLOOR_DB = -120.0
 
@@ -140,7 +136,10 @@ def ber_link(h_true, h_est, snr_db: float, draws) -> float:
 
     link = combiner.conj().T @ (gain * effective)
     diag = np.diagonal(link).copy()
-    safe = np.abs(diag) > 1e-300
+    # A pair of unit beams gains at most gain * s_true[0]; a stream whose
+    # link gain is roundoff next to that has no link, so it is not
+    # equalised by a gain whose phase is noise.
+    safe = np.abs(diag) > 1e-12 * gain * s_true[0]
     equalised = np.where(safe[:, None], received / np.where(safe, diag, 1.0)[:, None], received)
     errors = int(np.sum(bits[0::2] != (equalised.real < 0)))
     errors += int(np.sum(bits[1::2] != (equalised.imag < 0)))
@@ -169,30 +168,6 @@ def _dictionary(cfg: ExperimentConfig):
     )
 
 
-def _phase2_dictionary(dictionary, variants):
-    """The Kronecker dictionary of a sweep that runs a Phase-II variant;
-    None for a sweep that runs none, or when building it fails."""
-    if {parse_variant(name)[0] for name in variants} <= {"coarse_only", "somp_baseline"}:
-        return None
-    try:
-        return build_dictionary(dictionary)
-    except RamcError:
-        return None
-
-
-def _step_atoms(block: PilotBlock, psi) -> PursuitAtoms | None:
-    """``block``'s composed Phase-II atoms on the Kronecker dictionary
-    ``psi``; None without ``psi`` or when composing fails.  Without them
-    :func:`estimate_phase2` composes its own and raises what composing
-    raises, so such a failure fails the Phase-II records alone."""
-    if psi is None:
-        return None
-    try:
-        return pursuit_atoms(measurement_matrix(block) @ psi)
-    except RamcError:
-        return None
-
-
 def _channel_track(cfg: ExperimentConfig, trial: int, dictionary):
     rng = np.random.default_rng(_seed(cfg, _DATA_TAG, trial))
     grid = dictionary if cfg.on_grid else None
@@ -212,25 +187,22 @@ def _channel_track(cfg: ExperimentConfig, trial: int, dictionary):
 @dataclass(frozen=True)
 class _StepDraws:
     """One step's SNR- and variant-free inputs; ``y_clean`` is the pilot
-    ``block``'s noiseless WᴴHFS, ``atoms`` its composed Phase-II dictionary
-    (see :func:`_step_atoms`), and ``error`` what a draw raised."""
+    ``block``'s noiseless WᴴHFS, and ``error`` is what a draw raised."""
 
     real: chan.ChannelRealization
     rank_true: int
     block: PilotBlock | None = None
     y_clean: np.ndarray | None = None
     ber: tuple | None = None
-    atoms: PursuitAtoms | None = None
     error: Exception | None = None
 
 
-def _draw_trial(cfg: ExperimentConfig, trial: int, dictionary, psi=None) -> list[_StepDraws]:
+def _draw_trial(cfg: ExperimentConfig, trial: int, dictionary) -> list[_StepDraws]:
     """Draw one trial's SNR- and variant-free inputs, one entry per step.
 
     Their seeds depend on (trial, t) only, so every (variant, SNR) of the
-    trial shares them.  With the Kronecker dictionary ``psi`` each step
-    also gets its composed Phase-II atoms.  The arrays are made read-only,
-    so that no evaluation can change what the next one sees.
+    trial shares them.  The arrays are made read-only, so that no
+    evaluation can change what the next one sees.
     """
     steps = []
     for t, real in enumerate(_channel_track(cfg, trial, dictionary)):
@@ -245,8 +217,7 @@ def _draw_trial(cfg: ExperimentConfig, trial: int, dictionary, psi=None) -> list
                     real.matrix.shape[0], cfg.ber_symbols, cfg.hybrid.n_streams,
                     seed=_seed(cfg, _ESTIMATOR_TAG, trial, t),
                 )
-            atoms = _step_atoms(block, psi)
-            steps.append(_StepDraws(real, rank_true, block, y_clean, ber, atoms))
+            steps.append(_StepDraws(real, rank_true, block, y_clean, ber))
             shared = [block.f, block.w, block.s, y_clean, *(ber or ())]
         except (RamcError, np.linalg.LinAlgError) as exc:
             steps.append(_StepDraws(real, rank_true, error=exc))
@@ -284,7 +255,6 @@ def _estimate_one(
     cfg: ExperimentConfig,
     obs,
     block,
-    atoms: PursuitAtoms | None,
     dictionary,
     ranks: list[int],
 ):
@@ -328,14 +298,12 @@ def _estimate_one(
         except DegenerateSystemError:
             corrected = result.rank
         ranks.append(max(corrected, 1))
-        sparse, h_hat = estimate_phase2(
-            result.completed, block, dictionary, max(corrected, 1), atoms
-        )
+        sparse, h_hat = estimate_phase2(result.completed, block, dictionary, max(corrected, 1))
         return h_hat, corrected, sparse, result
 
     if variant_kind == "fixed_rank":
         result = r1mc_complete(obs, rank_hint=variant_param, opts=solver)
-        sparse, h_hat = estimate_phase2(result.completed, block, dictionary, variant_param, atoms)
+        sparse, h_hat = estimate_phase2(result.completed, block, dictionary, variant_param)
         return h_hat, variant_param, sparse, result
 
     if variant_kind == "rank_oblivious":
@@ -343,7 +311,7 @@ def _estimate_one(
             obs, rank_hint=min(obs.incomplete.shape), opts=solver
         )
         # No rank feedback: the pursuit stops on its residual alone.
-        sparse, h_hat = estimate_phase2(result.completed, block, dictionary, None, atoms)
+        sparse, h_hat = estimate_phase2(result.completed, block, dictionary, None)
         return h_hat, result.rank, sparse, result
 
     raise ConfigError(f"unhandled estimator variant {variant_kind!r}")
@@ -370,7 +338,7 @@ def _run_trial(
         try:
             obs = _observe_step(cfg, snr_idx, trial, t, step)
             h_hat, rank_est, sparse, solve = _estimate_one(
-                kind, param, cfg, obs, step.block, step.atoms, dictionary, ranks
+                kind, param, cfg, obs, step.block, dictionary, ranks
             )
             if artifacts is not None:
                 artifacts["t"].append(t)
@@ -442,10 +410,9 @@ def run_sweep(
         parse_variant(name)
     workers = threads if threads is not None else cfg.threads
     dictionary = _dictionary(cfg)
-    psi = _phase2_dictionary(dictionary, variants)
 
     def trial_records(trial):
-        steps = _draw_trial(cfg, trial, dictionary, psi)
+        steps = _draw_trial(cfg, trial, dictionary)
         return [
             record
             for variant in variants

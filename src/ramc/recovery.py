@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import AngularDictionary
 from .errors import ConfigError, DegenerateSystemError, ShapeError
-from .frontend import PilotBlock, measurement_matrix
+from .frontend import PilotBlock
 from .numerics import kron, vec
 
 # Correlations below this relative level stop the pursuit: the residual
@@ -56,8 +56,7 @@ def build_dictionary(dictionary: AngularDictionary) -> np.ndarray:
 @dataclass(frozen=True)
 class PursuitAtoms:
     """A dictionary's unit-norm columns (a zero column stays zero), their
-    norms and their Gram matrix, read-only: one value serves every
-    pursuit on that dictionary."""
+    norms and their Gram matrix; one value serves one pursuit call."""
 
     unit: np.ndarray
     norms: np.ndarray
@@ -69,10 +68,7 @@ def pursuit_atoms(dictionary) -> PursuitAtoms:
     d = np.asarray(dictionary, dtype=np.complex128)
     norms = np.linalg.norm(d, axis=0)
     unit = d / np.where(norms == 0.0, 1.0, norms)
-    gram = unit.conj().T @ unit
-    for array in (unit, norms, gram):
-        array.setflags(write=False)
-    return PursuitAtoms(unit, norms, gram)
+    return PursuitAtoms(unit, norms, unit.conj().T @ unit)
 
 
 def _pursuit(targets, atoms: PursuitAtoms, cap: int) -> SparseGainEstimate:
@@ -134,25 +130,12 @@ def _pursuit(targets, atoms: PursuitAtoms, cap: int) -> SparseGainEstimate:
     return SparseGainEstimate(gains=gains, support=tuple(support), residual_norm=residual)
 
 
-def batch_omp(target, dictionary, sparsity_cap: int) -> SparseGainEstimate:
-    """Orthogonal matching pursuit with Gram-matrix correlation updates.
-
-    The support's coefficients come from an inverse Cholesky factor grown
-    one row per atom (see :func:`_pursuit`), on the :func:`pursuit_atoms`
-    of ``dictionary``.  Selection takes the largest absolute correlation,
-    breaking ties toward the lowest column index.  ``target`` is
-    flattened to one column; ``gains`` has one row per atom.
-    """
-    return _pursuit(np.reshape(target, (-1, 1)), pursuit_atoms(dictionary), sparsity_cap)
-
-
 def somp_baseline(targets, dictionary, sparsity_cap: int) -> SparseGainEstimate:
     """Simultaneous OMP over multiple measurement vectors.
 
     Atom scores aggregate correlations across target columns by their l2
     norm; all targets share one support and one Cholesky update (see
     :func:`_pursuit`), on the :func:`pursuit_atoms` of ``dictionary``.
-    One column reduces exactly to :func:`batch_omp`.
     """
     return _pursuit(targets, pursuit_atoms(dictionary), sparsity_cap)
 
@@ -162,13 +145,16 @@ def estimate_phase2(
     block: PilotBlock,
     dictionary: AngularDictionary,
     rank: int | None,
-    atoms: PursuitAtoms | None = None,
 ) -> tuple[SparseGainEstimate, np.ndarray]:
     """Sparse angular recovery with a rank-derived sparsity budget.
 
     Batch OMP (see :func:`_pursuit`) matches the vectorised completed
     observation against the Kronecker steering dictionary composed with
     the pilot frontend, ``measurement_matrix(block) @ build_dictionary(dictionary)``.
+    By the mixed-product rule that product is kron(B, A) with
+    B = (FS)^T conj(A_bs) and A = W^H A_ms, so its unit atoms, norms and
+    Gram matrix are the Kronecker products of B's and A's; each call
+    builds them from the two small factors.
 
     Parameters
     ----------
@@ -177,9 +163,6 @@ def estimate_phase2(
     rank : int or None
         Phase-I rank; the sparsity cap is rank**2.  None sets no cap, so
         the pursuit stops on its residual alone.
-    atoms : PursuitAtoms, optional
-        The :func:`pursuit_atoms` of that composed dictionary, built here
-        unless a caller that runs several pursuits on one block passes it.
 
     Returns
     -------
@@ -189,8 +172,11 @@ def estimate_phase2(
     """
     if rank is not None and rank < 1:
         raise ConfigError(f"rank {rank} yields an empty sparsity budget")
-    if atoms is None:
-        atoms = pursuit_atoms(measurement_matrix(block) @ build_dictionary(dictionary))
+    b = pursuit_atoms(block.effective_precoder.T @ dictionary.a_bs.conj())
+    a = pursuit_atoms(block.w.conj().T @ dictionary.a_ms)
+    # kron refuses atoms or a Gram matrix above MAX_KRON_ELEMENTS; the
+    # norms stay a real vector, one entry ||B_j|| ||A_i|| per atom.
+    atoms = PursuitAtoms(kron(b.unit, a.unit), np.kron(b.norms, a.norms), kron(b.gram, a.gram))
     estimate = _pursuit(vec(completed), atoms, atoms.unit.shape[1] if rank is None else rank**2)
     # Atom j*L1 + i is grid cell (aoa i, aod j), column-stacking order.
     rows = dictionary.size_aoa

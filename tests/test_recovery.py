@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ramc import recovery
 from ramc.channel import (
     ChannelParams,
     angular_factorization,
@@ -18,7 +19,7 @@ from ramc.errors import ConfigError, DegenerateSystemError, ShapeError
 from ramc.frontend import HybridConfig, make_pilot_block, measurement_matrix, observe
 from ramc.harness import nmse
 from ramc.numerics import vec
-from ramc.recovery import batch_omp, build_dictionary, estimate_phase2, somp_baseline
+from ramc.recovery import build_dictionary, estimate_phase2, pursuit_atoms, somp_baseline
 
 
 def _naive_omp(y, d, cap, tol):
@@ -44,12 +45,14 @@ def _unit_norm_dictionary(rng, rows, cols):
 
 
 class TestBatchOmp:
+    """Single-target pursuit: somp_baseline on one column."""
+
     def test_matches_naive_selection(self):
         rng = np.random.default_rng(200)
         for _ in range(50):
             d = _unit_norm_dictionary(rng, 8, 16)
             y = d @ (rng.standard_normal(16) + 1j * rng.standard_normal(16))
-            est = batch_omp(y, d, 4)
+            est = somp_baseline(y, d, 4)
             ref = _naive_omp(y, d, 4, 1e-8 * np.linalg.norm(y))
             assert list(est.support) == ref
 
@@ -58,7 +61,7 @@ class TestBatchOmp:
         d = _unit_norm_dictionary(rng, 16, 24)
         x = np.zeros(24, dtype=complex)
         x[[3, 17]] = [2.0, -1.5j]
-        est = batch_omp(d @ x, d, 2)
+        est = somp_baseline(d @ x, d, 2)
         assert sorted(est.support) == [3, 17]
         assert np.allclose(est.gains[[3, 17], 0], [2.0, -1.5j], atol=1e-9)
         assert est.residual_norm <= 1e-9
@@ -67,7 +70,7 @@ class TestBatchOmp:
         rng = np.random.default_rng(202)
         d = _unit_norm_dictionary(rng, 12, 20)
         y = d[:, 5] * 3.0
-        est = batch_omp(y, d, 10)
+        est = somp_baseline(y, d, 10)
         assert len(est.support) == 1
 
     def test_tie_breaks_to_lowest_index(self):
@@ -75,7 +78,7 @@ class TestBatchOmp:
         d = np.eye(4, dtype=complex)
         d = np.concatenate([d[:, :1], d], axis=1)
         y = np.array([1.0, 0, 0, 0], dtype=complex)
-        est = batch_omp(y, d, 1)
+        est = somp_baseline(y, d, 1)
         assert est.support == (0,)
 
     def test_dependent_columns_raise(self):
@@ -87,7 +90,7 @@ class TestBatchOmp:
         d[:, 1] = np.array([1, tilt, 0, 0]) / np.sqrt(1 + tilt**2)
         y = np.array([1.0, 0.5, 0, 0], dtype=complex)
         with pytest.raises(DegenerateSystemError):
-            batch_omp(y, d, 2)
+            somp_baseline(y, d, 2)
 
     def test_orthogonal_residual_stops_cleanly(self):
         # An exact duplicate is never selected: after the first pick the
@@ -97,14 +100,14 @@ class TestBatchOmp:
         d[:, 0] = [1, 0, 0, 0]
         d[:, 1] = [1, 0, 0, 0]
         y = np.array([1.0, 0.3, 0, 0], dtype=complex)
-        est = batch_omp(y, d, 2)
+        est = somp_baseline(y, d, 2)
         assert est.support == (0,)
         assert est.residual_norm == pytest.approx(0.3, abs=1e-9)
 
     def test_rejects_empty_cap_and_row_mismatch(self):
         d = np.eye(4, dtype=complex)
         with pytest.raises(ConfigError):
-            batch_omp(d[:, 0], d, 0)
+            somp_baseline(d[:, 0], d, 0)
         with pytest.raises(ShapeError):
             somp_baseline(np.ones((3, 2)), d, 1)
 
@@ -112,7 +115,7 @@ class TestBatchOmp:
         rng = np.random.default_rng(203)
         d = _unit_norm_dictionary(rng, 16, 12)
         y = d[:, 7] * 2.0
-        est = batch_omp(y, d, 1)
+        est = somp_baseline(y, d, 1)
         assert est.support == (7,)
         assert est.gains.shape == (12, 1)
         # Column k is cell (k % rows, k // rows) of a column-stacked grid.
@@ -130,7 +133,7 @@ class TestBatchOmp:
             picks = rng.choice(16, size=2, replace=False)
             x[picks] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             y = d @ x
-            est = batch_omp(y, d, 2)
+            est = somp_baseline(y, d, 2)
             best, best_err = None, np.inf
             for combo in itertools.combinations(range(16), 2):
                 sub = d[:, combo]
@@ -157,38 +160,14 @@ class TestSompBaseline:
         d = _unit_norm_dictionary(rng, 12, 18)
         y = d @ (rng.standard_normal(18) + 1j * rng.standard_normal(18))
         single = somp_baseline(y.reshape(-1, 1), d, 3)
-        plain = batch_omp(y, d, 3)
+        plain = somp_baseline(y, d, 3)
         assert single.support == plain.support
 
 
 _GAINS = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0)
 
 
-@st.composite
-def _sparse_problems(draw):
-    """Unit-norm random dictionary and a target with a few nonzero gains."""
-    rows = draw(st.integers(min_value=4, max_value=12))
-    cols = draw(st.integers(min_value=rows, max_value=2 * rows))
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    d = _unit_norm_dictionary(rng, rows, cols)
-    k = draw(st.integers(min_value=1, max_value=3))
-    picks = draw(st.lists(st.integers(0, cols - 1), min_size=k, max_size=k, unique=True))
-    x = np.zeros(cols, dtype=complex)
-    x[picks] = draw(st.lists(_GAINS, min_size=k, max_size=k))
-    return d, d @ x, k
-
-
 class TestPursuitProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(problem=_sparse_problems(), extra=st.integers(min_value=0, max_value=2))
-    def test_somp_single_column_equals_omp(self, problem, extra):
-        d, y, k = problem
-        plain = batch_omp(y, d, k + extra)
-        single = somp_baseline(y[:, None], d, k + extra)
-        assert single.support == plain.support
-        assert np.array_equal(single.gains, plain.gains)
-        assert single.residual_norm == plain.residual_norm
-
     @settings(max_examples=60, deadline=None)
     @given(
         data=st.data(),
@@ -205,7 +184,7 @@ class TestPursuitProperties:
         )
         x = np.zeros(size, dtype=complex)
         x[picks] = data.draw(st.lists(_GAINS, min_size=k, max_size=k))
-        est = batch_omp(q @ x, q, k)
+        est = somp_baseline(q @ x, q, k)
         assert sorted(est.support) == sorted(picks)
         assert np.allclose(est.gains[:, 0], x, atol=1e-9 * np.abs(x).max())
         assert est.residual_norm <= 1e-9 * np.linalg.norm(x)
@@ -217,7 +196,7 @@ class TestPursuitProperties:
         q, _ = np.linalg.qr(
             rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         )
-        est = batch_omp(3.0 * q[:, 0], q, 2)
+        est = somp_baseline(3.0 * q[:, 0], q, 2)
         assert est.support == (0,)
         assert est.residual_norm <= 1e-12
 
@@ -240,7 +219,7 @@ class TestAngularPipeline:
         real = sample_realization(params, rng, dictionary=dic)
         hbar = angular_factorization(real, dic)
         psi = build_dictionary(dic)
-        est = batch_omp(psi @ vec(hbar), psi, 2)
+        est = somp_baseline(psi @ vec(hbar), psi, 2)
         grid = est.gains.reshape((dic.size_aoa, dic.size_aod), order="F")
         h = dic.a_ms @ grid @ dic.a_bs.conj().T
         assert nmse(real.matrix, h) <= 1e-18
@@ -294,6 +273,36 @@ class TestAngularPipeline:
         block = make_pilot_block(HybridConfig(), 8, 8, seed=7)
         with pytest.raises(ConfigError):
             estimate_phase2(np.eye(8), block, dic, rank=0)
+
+
+class TestPhase2Atoms:
+    @pytest.mark.parametrize("oversampling", [1, 2])
+    def test_factored_atoms_match_the_composed_dictionary(self, monkeypatch, oversampling):
+        # The atoms estimate_phase2 pursues, built from the two Kronecker
+        # factors, against those of the composed product; oversampled
+        # steering columns are not orthogonal, so both grids are covered.
+        params = ChannelParams()
+        dic = make_dictionary(
+            params, size_ms=oversampling * params.n_ms, size_bs=oversampling * params.n_bs
+        )
+        block = make_pilot_block(HybridConfig(), params.n_bs, params.n_ms, seed=8)
+        seen = []
+        real_pursuit = recovery._pursuit
+
+        def recording_pursuit(targets, atoms, cap):
+            seen.append(atoms)
+            return real_pursuit(targets, atoms, cap)
+
+        monkeypatch.setattr(recovery, "_pursuit", recording_pursuit)
+        rng = np.random.default_rng(226)
+        completed = rng.standard_normal((8, 32)) + 1j * rng.standard_normal((8, 32))
+        estimate_phase2(completed, block, dic, rank=2)
+        (atoms,) = seen
+        reference = pursuit_atoms(measurement_matrix(block) @ build_dictionary(dic))
+        for name in ("unit", "norms", "gram"):
+            got, want = getattr(atoms, name), getattr(reference, name)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _reference_phase2(completed, block, dic, rank):
@@ -430,7 +439,7 @@ def test_near_parallel_atoms_raise_on_the_pivot(tilt):
     d[:, 2] = [0, 0, 1, 0]
     y = np.array([[1.0, 0.7], [0.5, 0.2], [0, 0], [0, 0]], dtype=complex)
     with pytest.raises(DegenerateSystemError, match=r"columns \[1, 0\] are numerically"):
-        batch_omp(y[:, 0], d, 2)
+        somp_baseline(y[:, 0], d, 2)
     with pytest.raises(DegenerateSystemError, match=r"columns \[1, 0\] are numerically"):
         somp_baseline(y, d, 2)
 
