@@ -204,13 +204,26 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             steps[0].y_clean[0, 0] = 0.0
 
-    def test_failed_composition_fails_phase2_records_alone(self, monkeypatch):
-        # With the size cap just below the larger of the composed atoms
-        # and their Gram matrix, every Phase-II record carries the error
-        # estimate_phase2 raises on its own; the coarse_only and
+    @pytest.mark.parametrize(
+        "grid_oversampling,too_large",
+        [
+            pytest.param(2, ("dictionary",), id="dictionary"),
+            pytest.param(1, ("measurement",), id="measurement"),
+            pytest.param(2, ("measurement", "dictionary"), id="both"),
+        ],
+    )
+    def test_failed_composition_fails_phase2_records_alone(
+        self, monkeypatch, grid_oversampling, too_large
+    ):
+        # estimate_phase2 builds two Kronecker products: the composed atoms,
+        # one row per measurement, and their Gram matrix, one row per
+        # dictionary atom.  One over the size cap fails only the records
+        # that run Phase II, with the error estimate_phase2 raises on its
+        # own (the atoms' when both are too large); the coarse_only and
         # somp_baseline records do not change.
         cfg = ExperimentConfig(
-            **SMALL, snr_grid_db=(5.0, 25.0), n_trials=2, time_steps=2, grid_oversampling=2
+            **SMALL, snr_grid_db=(5.0, 25.0), n_trials=2, time_steps=2,
+            grid_oversampling=grid_oversampling,
         )
         variants = ("coarse_only", "fixed_rank:2", "rank_aware", "somp_baseline")
         unpatched = self._timeless(run_sweep(cfg, variants))
@@ -218,9 +231,13 @@ class TestRunSweep:
         block = _draw_trial(cfg, 0, dictionary)[0].block
         composed = measurement_matrix(block) @ recovery.build_dictionary(dictionary)
         rows, cols = composed.shape
-        largest = max(rows * cols, cols * cols)
-        monkeypatch.setattr(numerics, "MAX_KRON_ELEMENTS", largest - 1)
-        with pytest.raises(MatrixSizeError, match=f"would hold {largest} entries") as direct:
+        sizes = {"measurement": rows * cols, "dictionary": cols * cols}
+        cap = min(sizes[name] for name in too_large) - 1
+        assert all(size > cap for name, size in sizes.items() if name in too_large)
+        assert all(size <= cap for name, size in sizes.items() if name not in too_large)
+        monkeypatch.setattr(numerics, "MAX_KRON_ELEMENTS", cap)
+        raised = sizes[too_large[0]]
+        with pytest.raises(MatrixSizeError, match=f"would hold {raised} entries") as direct:
             recovery.estimate_phase2(np.zeros((4, 8)), block, dictionary, 2)
         records = self._timeless(run_sweep(cfg, variants))
         assert len(records) == len(unpatched) == 32
