@@ -62,20 +62,21 @@ def raised_cosine(t, rolloff: float, period: float):
 class ChannelParams:
     """Static geometry and waveform parameters of the channel model.
 
-    Defaults follow a 28 GHz carrier with half-wavelength uniform linear
-    arrays, 0.1 us sampling and a mobile at 120 km/h.
+    Defaults follow a 28 GHz carrier, 0.1 us sampling and a mobile at
+    120 km/h.  Both arrays are uniform linear arrays with half-wavelength
+    spacing, and every cluster holds ``rays_per_cluster`` rays.  Ray
+    gains are scaled by sqrt(n_bs * n_ms / total ray count), so that
+    E||H||_F^2 = n_bs * n_ms.
     """
 
     n_bs: int = 8
     n_ms: int = 8
     n_clusters: int = 2
-    rays_per_cluster: int | tuple[int, ...] = 1
+    rays_per_cluster: int = 1
     carrier_wavelength: float = SPEED_OF_LIGHT / 28e9
-    element_spacing: float | None = None
     sample_period: float = 1e-7
     pulse_rolloff: float = 0.3
     angle_spread: float = 0.1
-    normalization: int | None = None
     velocity: float = 120.0 / 3.6
 
     def __post_init__(self):
@@ -83,38 +84,18 @@ class ChannelParams:
             raise ConfigError("antenna counts must be positive")
         if self.n_clusters < 1:
             raise ConfigError("need at least one cluster")
-        if min(self.ray_counts()) < 1:
-            raise ConfigError("each cluster needs at least one ray")
+        if not isinstance(self.rays_per_cluster, int) or self.rays_per_cluster < 1:
+            raise ConfigError("rays_per_cluster must be a positive integer")
         if self.carrier_wavelength <= 0 or self.sample_period <= 0:
             raise ConfigError("wavelength and sample period must be positive")
-        if self.element_spacing is not None and self.element_spacing <= 0:
-            raise ConfigError("element spacing must be positive")
         if not 0.0 <= self.pulse_rolloff <= 1.0:
             raise ConfigError("pulse rolloff must lie in [0, 1]")
         if self.angle_spread < 0:
             raise ConfigError("angle spread must be non-negative")
-        if self.normalization is not None and self.normalization < 1:
-            raise ConfigError("normalization must be a positive ray count")
-
-    def ray_counts(self, n_clusters: int | None = None) -> tuple[int, ...]:
-        """Per-cluster ray counts, broadcasting a scalar setting."""
-        n = self.n_clusters if n_clusters is None else n_clusters
-        if isinstance(self.rays_per_cluster, int):
-            return (self.rays_per_cluster,) * n
-        counts = tuple(self.rays_per_cluster)
-        if len(counts) != n:
-            raise ConfigError(
-                f"{len(counts)} ray counts given for {n} clusters"
-            )
-        return counts
 
     @property
     def spacing(self) -> float:
-        return (
-            self.element_spacing
-            if self.element_spacing is not None
-            else self.carrier_wavelength / 2.0
-        )
+        return self.carrier_wavelength / 2.0
 
     def steering_bs(self, angle: float) -> np.ndarray:
         return steering_vector(self.n_bs, angle, self.carrier_wavelength, self.spacing)
@@ -182,8 +163,7 @@ class ChannelRealization:
 
 def _ray_scale(real: ChannelRealization) -> float:
     params = real.params
-    l_p = params.normalization if params.normalization is not None else real.total_rays
-    return math.sqrt(params.n_bs * params.n_ms / l_p)
+    return math.sqrt(params.n_bs * params.n_ms / real.total_rays)
 
 
 def channel_matrix(real: ChannelRealization) -> np.ndarray:
@@ -230,22 +210,16 @@ def _sin_grid(size: int) -> np.ndarray:
     return np.arcsin(-1.0 + 2.0 * np.arange(size) / size)
 
 
-def make_dictionary(
-    params: ChannelParams,
-    size_ms: int | None = None,
-    size_bs: int | None = None,
-) -> AngularDictionary:
-    """Build AoA/AoD steering dictionaries, 2x the antenna count by default.
+def make_dictionary(params: ChannelParams, size_ms: int, size_bs: int) -> AngularDictionary:
+    """Build AoA/AoD steering dictionaries of ``size_ms`` and ``size_bs`` columns.
 
     Grid points are uniform in sin(angle) over the full band [-1, 1),
     which makes the columns a uniform spatial-frequency grid.
     """
-    l1 = 2 * params.n_ms if size_ms is None else size_ms
-    l2 = 2 * params.n_bs if size_bs is None else size_bs
-    if l1 < params.n_ms or l2 < params.n_bs:
+    if size_ms < params.n_ms or size_bs < params.n_bs:
         raise ConfigError("dictionary grids must be at least the antenna count")
-    grid_aoa = _sin_grid(l1)
-    grid_aod = _sin_grid(l2)
+    grid_aoa = _sin_grid(size_ms)
+    grid_aod = _sin_grid(size_bs)
     a_ms = np.stack([params.steering_ms(a) for a in grid_aoa], axis=1)
     a_bs = np.stack([params.steering_bs(a) for a in grid_aod], axis=1)
     return AngularDictionary(a_ms=a_ms, a_bs=a_bs, grid_aoa=grid_aoa, grid_aod=grid_aod)
@@ -275,8 +249,8 @@ def sample_realization(
     """
     clusters = []
     occupied: set = set()
-    for count in params.ray_counts():
-        cluster = _draw_cluster(params, count, rng, dictionary, occupied)
+    for _ in range(params.n_clusters):
+        cluster = _draw_cluster(params, rng, dictionary, occupied)
         clusters.append(cluster)
         if dictionary is not None:
             occupied |= _cluster_cells(cluster, dictionary)
@@ -296,7 +270,6 @@ def _cluster_cells(cluster: PathCluster, dictionary: AngularDictionary) -> set:
 
 def _draw_cluster(
     params: ChannelParams,
-    n_rays: int,
     rng: np.random.Generator,
     dictionary: AngularDictionary | None,
     occupied: set | None = None,
@@ -306,7 +279,7 @@ def _draw_cluster(
     # below the ray count, which breaks every rank-based sparsity budget;
     # well-separated clusters are the operating assumption here.
     for _ in range(64):
-        cluster = _draw_cluster_once(params, n_rays, rng, dictionary)
+        cluster = _draw_cluster_once(params, rng, dictionary)
         if dictionary is None or not occupied:
             return cluster
         rows = {i for i, _ in occupied}
@@ -319,7 +292,6 @@ def _draw_cluster(
 
 def _draw_cluster_once(
     params: ChannelParams,
-    n_rays: int,
     rng: np.random.Generator,
     dictionary: AngularDictionary | None,
 ) -> PathCluster:
@@ -330,7 +302,7 @@ def _draw_cluster_once(
         mean_aoa = float(rng.uniform(*DEFAULT_DOMAIN))
         mean_aod = float(rng.uniform(*DEFAULT_DOMAIN))
     rays = []
-    for _ in range(n_rays):
+    for _ in range(params.rays_per_cluster):
         aoa_off = float(rng.normal(0.0, params.angle_spread))
         aod_off = float(rng.normal(0.0, params.angle_spread))
         if dictionary is not None:
@@ -426,20 +398,11 @@ def evolve(
             while len(clusters) > 0 and len(clusters) < target:
                 if rng is None:
                     raise ConfigError("cluster birth requires a random generator")
-                counts = params.ray_counts(target)
                 occupied: set = set()
                 if dictionary is not None:
                     for existing in clusters:
                         occupied |= _cluster_cells(existing, dictionary)
-                clusters.append(
-                    _draw_cluster(
-                        params,
-                        counts[len(clusters)],
-                        rng,
-                        dictionary,
-                        occupied=occupied,
-                    )
-                )
+                clusters.append(_draw_cluster(params, rng, dictionary, occupied=occupied))
         current = ChannelRealization(
             params=params, clusters=tuple(clusters), time_index=t
         )

@@ -26,7 +26,6 @@ from .config import (
 )
 from .errors import ConfigError, RamcError
 from .harness import (
-    ablation_report,
     run_single_trial,
     run_sweep,
     simulate_trial,
@@ -84,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--variant",
         action="append",
-        help="variant to include (repeatable; default: all)",
+        help="variant to include (repeatable, two or more; default: all)",
     )
     p.add_argument("--threads", type=int, help="worker threads")
 
@@ -189,10 +188,12 @@ def _cmd_ablate(args) -> int:
     variants = args.variant if args.variant else list(DEFAULT_ABLATION)
     for name in variants:
         parse_variant(name)
+    if len(set(variants)) < 2:
+        raise ConfigError(f"ablate compares at least two distinct variants, got {variants}")
     records = run_sweep(cfg, variants=variants)
     out = _outdir(args.out)
     write_records(out / "records.csv", records)
-    report = ablation_report(records)
+    report = summarize_records(records)
     write_report(out / "report.csv", report)
     print(report)
     return 0

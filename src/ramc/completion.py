@@ -23,7 +23,7 @@ from .numerics import svd
 DROP_STREAK = 3
 
 
-def estimate_rank(m, xi: float = 0.95) -> int:
+def estimate_rank(m, xi: float) -> int:
     """Estimate rank as the smallest k retaining xi of the Frobenius energy.
 
     Energy means squared singular values.  The trace-norm reading fails
@@ -55,18 +55,17 @@ def _energy_rank(s: np.ndarray, xi: float) -> int:
     return min(int(np.searchsorted(energy, xi * energy[-1])) + 1, s.size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
     """Tunable parameters of the completion solver.
 
-    ``None`` values resolve against the data at solve time: epsilon to
-    1e-6 * ||Ytilde||_F and mu to 1/sqrt(max(rows, cols)).  Epsilon
-    governs noiseless data only: a noisy fit cannot reach it, and the
-    solver stops at the observation's noise level instead (see
-    :func:`r1mc_complete`).  ``max_iters`` caps the sweeps either way.
+    A ``None`` mu resolves to 1/sqrt(max(rows, cols)) at solve time.  The
+    noiseless stop tolerance epsilon is always 1e-6 * ||Ytilde||_F: a
+    noisy fit cannot reach it, and the solver stops at the observation's
+    noise level instead (see :func:`r1mc_complete`).  ``max_iters`` caps
+    the sweeps either way.
     """
 
-    epsilon: float | None = None
     mu: float | None = None
     max_iters: int = 500
     energy_ratio: float = 0.95
@@ -75,8 +74,6 @@ class SolverOptions:
     rank_headroom: int = 2
 
     def __post_init__(self):
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
         if self.mu is not None and self.mu < 0:
             raise ConfigError("mu must be non-negative")
         if self.max_iters < 1:
@@ -203,7 +200,7 @@ def r1mc_complete(
     The solve converges at the first sweep where either test holds:
 
     - the observed-entry fit ``feas = ||P_Omega(Z - Ytilde)||_F`` and the
-      iterate's change are both at most epsilon (noiseless data);
+      iterate's change are both at most 1e-6 * ||Ytilde||_F (noiseless data);
     - ``feas`` is at or below the noise level
       ``sqrt(|Omega| * incomplete.noise_var)`` and no lower than the
       previous sweep's.  This is the discrepancy principle: past the
@@ -242,8 +239,7 @@ def r1mc_complete(
     if mask.count == mask.observed.size:
         return _full_mask_result(y_tilde)
 
-    norm_y = np.linalg.norm(y_tilde)
-    eps = opts.epsilon if opts.epsilon is not None else 1e-6 * norm_y
+    eps = 1e-6 * np.linalg.norm(y_tilde)
     # Expected norm of the noise on the observed entries.
     noise_floor = math.sqrt(mask.count * incomplete.noise_var)
     mu = opts.mu if opts.mu is not None else 1.0 / math.sqrt(max(rows, cols))

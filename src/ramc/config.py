@@ -122,8 +122,6 @@ def _build_section(cls, data: dict, path: str):
     for key, value in data.items():
         if key not in known:
             raise ConfigError(f"unknown config key {path}.{key}")
-        if key == "rays_per_cluster" and isinstance(value, list):
-            value = tuple(value)
         kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -163,11 +161,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     for key, value in list(data.items()):
         if isinstance(value, tuple):
             data[key] = list(value)
-    for section in _SECTIONS:
-        data[section] = {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in data[section].items()
-        }
     if data["rank_schedule"] is not None:
         data["rank_schedule"] = [list(pair) for pair in data["rank_schedule"]]
     return data

@@ -82,7 +82,7 @@ def nmse_db(value: float) -> float:
     return max(10.0 * math.log10(value), NMSE_FLOOR_DB)
 
 
-def draw_ber_link(n_rx: int, n_symbols: int, n_streams: int = 2, seed=None):
+def draw_ber_link(n_rx: int, n_symbols: int, n_streams: int, seed=None):
     """Draw ``(bits, symbols, noise)``, the random inputs of :func:`ber_link`.
 
     ``2 * n_streams`` rows of ``n_symbols`` bits map to ``n_streams`` rows
@@ -403,11 +403,13 @@ def run_sweep(
     errors mark single records as failed; the sweep continues.
 
     Records come back sorted by (variant, snr, trial, t) regardless of
-    the worker count.
+    the worker count.  An unknown or repeated variant raises ConfigError.
     """
     variants = list(variants) if variants is not None else [cfg.estimator_variant]
     for name in variants:
         parse_variant(name)
+    if len(set(variants)) < len(variants):
+        raise ConfigError(f"variants must not repeat, got {variants}")
     workers = threads if threads is not None else cfg.threads
     dictionary = _dictionary(cfg)
 
@@ -462,25 +464,21 @@ def _fmt_field(value) -> str:
     return str(value)
 
 
-def write_records(path, records, include_runtime: bool = False) -> None:
+def write_records(path, records) -> None:
     """Canonical records CSV.
 
-    The runtime column is blanked by default so repeated runs of the
-    same seed produce byte-identical files; pass ``include_runtime`` for
-    profiling output.
+    The runtime column is always blank, so repeated runs of the same
+    seed produce byte-identical files.
     """
     names = [f.name for f in fields(MetricRecord)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(names)
         for record in records:
-            row = []
-            for name in names:
-                if name == "runtime_ms" and not include_runtime:
-                    row.append("")
-                else:
-                    row.append(_fmt_field(getattr(record, name)))
-            writer.writerow(row)
+            writer.writerow(
+                "" if name == "runtime_ms" else _fmt_field(getattr(record, name))
+                for name in names
+            )
 
 
 def read_records(path) -> list[MetricRecord]:
@@ -552,24 +550,12 @@ class AblationReport:
         return "\n".join(lines)
 
 
-def ablation_report(records) -> AblationReport:
-    """Aggregate records into per-variant medians and pairwise dB gaps.
+def summarize_records(records) -> AblationReport:
+    """Per-variant medians over the SNR grid and pairwise dB gaps.
 
     Failed records are excluded from medians but drag down recovery and
-    rank-accuracy fractions.  Comparing requires at least two variants;
-    single-variant summaries come from :func:`summarize_records`.
+    rank-accuracy fractions.
     """
-    report = summarize_records(records)
-    if len(report.variants) < 2:
-        raise UndefinedMetricError(
-            "ablation needs at least two variants, got "
-            f"{list(report.variants)}"
-        )
-    return report
-
-
-def summarize_records(records) -> AblationReport:
-    """Per-variant medians over the SNR grid, any number of variants."""
     records = list(records)
     if not records:
         raise UndefinedMetricError("cannot summarise an empty record set")

@@ -48,9 +48,9 @@ class TestSteeringVector:
 
 class TestDictionary:
     def test_default_size_and_norms(self):
-        params = ChannelParams(n_bs=8, n_ms=8)
-        dic = make_dictionary(params)
-        assert dic.size_aoa == 16 and dic.size_aod == 16
+        params = ChannelParams()
+        dic = make_dictionary(params, size_ms=16, size_bs=12)
+        assert dic.size_aoa == 16 and dic.size_aod == 12
         assert np.allclose(np.linalg.norm(dic.a_ms, axis=0), 1.0, atol=1e-12)
         assert np.allclose(np.linalg.norm(dic.a_bs, axis=0), 1.0, atol=1e-12)
 
@@ -74,12 +74,17 @@ class TestDictionary:
 
 class TestChannelParams:
     def test_ray_counts_broadcast(self):
-        assert ChannelParams(n_clusters=3, rays_per_cluster=2).ray_counts() == (2, 2, 2)
-        assert ChannelParams(n_clusters=2, rays_per_cluster=(1, 3)).ray_counts() == (1, 3)
+        # Every cluster, a scheduled birth included, holds rays_per_cluster rays.
+        rng = np.random.default_rng(31)
+        real = sample_realization(ChannelParams(n_clusters=3, rays_per_cluster=2), rng)
+        (grown,) = evolve(real, steps=1, rank_schedule=((1, 4),), rng=rng)
+        assert [len(c.rays) for c in real.clusters] == [2, 2, 2]
+        assert [len(c.rays) for c in grown.clusters] == [2, 2, 2, 2]
 
-    def test_ray_count_length_mismatch(self):
-        with pytest.raises(ConfigError):
-            ChannelParams(n_clusters=3, rays_per_cluster=(1, 2))
+    def test_rays_per_cluster_is_an_int(self):
+        for rays in ((1, 2, 3), [1, 2, 3], 1.5):
+            with pytest.raises(ConfigError, match="rays_per_cluster"):
+                ChannelParams(n_clusters=3, rays_per_cluster=rays)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -127,9 +132,9 @@ class TestChannelMatrix:
 
     def test_matrix_is_explicit_ray_sum(self):
         rng = np.random.default_rng(9)
-        params = ChannelParams(n_clusters=2, rays_per_cluster=(2, 3))
+        params = ChannelParams(n_clusters=3, rays_per_cluster=2)
         real = sample_realization(params, rng)
-        scale = math.sqrt(params.n_bs * params.n_ms / 5)
+        scale = math.sqrt(params.n_bs * params.n_ms / 6)
         expected = np.zeros((params.n_ms, params.n_bs), dtype=complex)
         for cluster in real.clusters:
             for ray in cluster.rays:
@@ -144,7 +149,7 @@ class TestChannelMatrix:
 class TestAngularFactorization:
     def test_one_ray_one_nonzero(self):
         params = ChannelParams(n_clusters=1, rays_per_cluster=1)
-        dic = make_dictionary(params)
+        dic = make_dictionary(params, size_ms=16, size_bs=16)
         real = _single_ray_realization(params, dic.grid_aoa[3], dic.grid_aod[11])
         hbar = angular_factorization(real, dic)
         assert np.count_nonzero(hbar) == 1
@@ -153,7 +158,7 @@ class TestAngularFactorization:
     def test_reconstruction_four_rays(self):
         rng = np.random.default_rng(17)
         params = ChannelParams(n_clusters=4, rays_per_cluster=1)
-        dic = make_dictionary(params)
+        dic = make_dictionary(params, size_ms=16, size_bs=16)
         for _ in range(10):
             real = sample_realization(params, rng, dictionary=dic)
             hbar = angular_factorization(real, dic)
@@ -163,7 +168,7 @@ class TestAngularFactorization:
 
     def test_off_grid_ray_raises(self):
         params = ChannelParams(n_clusters=1, rays_per_cluster=1)
-        dic = make_dictionary(params)
+        dic = make_dictionary(params, size_ms=16, size_bs=16)
         real = _single_ray_realization(params, 0.123456, dic.grid_aod[0])
         with pytest.raises(GridMismatchError, match="cluster 0 ray 0"):
             angular_factorization(real, dic)
@@ -171,7 +176,7 @@ class TestAngularFactorization:
     def test_grid_sampling_lands_on_grid(self):
         rng = np.random.default_rng(18)
         params = ChannelParams(n_clusters=2, rays_per_cluster=1)
-        dic = make_dictionary(params)
+        dic = make_dictionary(params, size_ms=16, size_bs=16)
         real = sample_realization(params, rng, dictionary=dic)
         angular_factorization(real, dic)  # must not raise
 
@@ -209,7 +214,7 @@ class TestEvolve:
     def test_rank_schedule_changes_cluster_count(self):
         rng = np.random.default_rng(29)
         params = ChannelParams(n_clusters=2, rays_per_cluster=1)
-        dic = make_dictionary(params)
+        dic = make_dictionary(params, size_ms=16, size_bs=16)
         real = sample_realization(params, rng, dictionary=dic)
         track = evolve(real, steps=6, rank_schedule=((3, 4),), rng=rng, dictionary=dic)
         assert [len(r.clusters) for r in track] == [2, 2, 4, 4, 4, 4]

@@ -64,7 +64,7 @@ class TestEstimateRank:
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateSystemError):
-            estimate_rank(np.zeros((4, 4)))
+            estimate_rank(np.zeros((4, 4)), xi=0.95)
 
     def test_invalid_xi(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """Configuration parsing, validation, and command-line entry points."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -47,24 +48,15 @@ _POSITIVE = st.floats(min_value=1e-9, max_value=1e9)
 
 @st.composite
 def _channel_params(draw):
-    n_clusters = draw(st.integers(1, 4))
-    rays = draw(
-        st.one_of(
-            st.integers(1, 5),
-            st.tuples(*[st.integers(1, 5)] * n_clusters),
-        )
-    )
     return ChannelParams(
         n_bs=draw(st.integers(1, 16)),
         n_ms=draw(st.integers(1, 16)),
-        n_clusters=n_clusters,
-        rays_per_cluster=rays,
+        n_clusters=draw(st.integers(1, 4)),
+        rays_per_cluster=draw(st.integers(1, 5)),
         carrier_wavelength=draw(_POSITIVE),
-        element_spacing=draw(st.none() | _POSITIVE),
         sample_period=draw(_POSITIVE),
         pulse_rolloff=draw(st.floats(0.0, 1.0)),
         angle_spread=draw(st.floats(0.0, 1.0)),
-        normalization=draw(st.none() | st.integers(1, 20)),
         velocity=draw(st.floats(-100.0, 100.0)),
     )
 
@@ -93,7 +85,6 @@ def _experiment_configs(draw):
         channel=draw(_channel_params()),
         hybrid=draw(_hybrid_configs()),
         solver=SolverOptions(
-            epsilon=draw(st.none() | _POSITIVE),
             mu=draw(st.none() | st.floats(0.0, 10.0)),
             max_iters=draw(st.integers(1, 1000)),
             energy_ratio=draw(st.floats(0.01, 1.0)),
@@ -129,6 +120,33 @@ _MALFORMED_DOCS = [
     pytest.param({"omp": {"sparsity_cap": 4}}, id="removed-omp-section"),
     pytest.param({"channel": {"n_delay_taps": 2}}, id="removed-delay-taps"),
 ]
+
+
+# Options that were deleted or narrowed to one form; a document that
+# still sets them must fail at load, naming the key.
+_REMOVED_OPTION_DOCS = [
+    pytest.param({"channel": {"element_spacing": 0.005}}, "element_spacing", id="element-spacing"),
+    pytest.param({"channel": {"normalization": 2}}, "normalization", id="normalization"),
+    pytest.param({"solver": {"epsilon": 1e-6}}, "epsilon", id="epsilon"),
+    pytest.param(
+        {"channel": {"n_clusters": 2, "rays_per_cluster": [1, 2]}},
+        "rays_per_cluster",
+        id="rays-per-cluster-list",
+    ),
+]
+
+# Every key dump_defaults() prints, sections flattened to "section.key".
+_DEFAULT_KEYS = {
+    "channel.n_bs", "channel.n_ms", "channel.n_clusters", "channel.rays_per_cluster",
+    "channel.carrier_wavelength", "channel.sample_period", "channel.pulse_rolloff",
+    "channel.angle_spread", "channel.velocity",
+    "hybrid.m_bs", "hybrid.m_ms", "hybrid.n_streams", "hybrid.phase_bits",
+    "hybrid.pilot_length",
+    "solver.mu", "solver.max_iters", "solver.energy_ratio", "solver.rank_headroom",
+    "snr_grid_db", "keep_fraction", "n_trials", "time_steps", "rank_schedule",
+    "master_seed", "estimator_variant", "on_grid", "grid_oversampling",
+    "recovery_threshold_db", "ber_symbols", "threads",
+}
 
 
 @pytest.fixture
@@ -186,6 +204,12 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(time_steps=8, rank_schedule=((4, 4), (6, 2)))
         assert cfg.rank_schedule == ((4, 4), (6, 2))
 
+    def test_every_section_frozen(self):
+        cfg = ExperimentConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.solver.max_iters = 1
+        assert hash(cfg) == hash(ExperimentConfig())
+
 
 class TestParseVariant:
     @pytest.mark.parametrize(
@@ -229,6 +253,12 @@ class TestConfigDocument:
 
     def test_dump_defaults_round_trip(self):
         assert config_from_dict(json.loads(dump_defaults())) == ExperimentConfig()
+
+    def test_dump_defaults_key_set(self):
+        keys = set()
+        for name, value in json.loads(dump_defaults()).items():
+            keys |= {f"{name}.{key}" for key in value} if isinstance(value, dict) else {name}
+        assert keys == _DEFAULT_KEYS and len(keys) == 30
 
     def test_sections_built(self):
         cfg = config_from_dict(SMALL_DOC)
@@ -316,6 +346,14 @@ class TestCliConfig:
         path.write_text(json.dumps(doc))
         assert main(["config", "--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc,key", _REMOVED_OPTION_DOCS)
+    def test_removed_option_rejected(self, doc, key, tmp_path, capsys):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        assert main(["config", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
 
 
 class TestCliSimulate:
@@ -457,6 +495,23 @@ class TestCliAblate:
         assert {r.variant for r in records} == {"coarse_only", "fixed_rank:2"}
         assert (out / "report.csv").exists()
         assert "gap" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "variants",
+        [
+            pytest.param(["rank_aware"], id="one"),
+            pytest.param(["rank_aware", "rank_aware"], id="one-repeated"),
+            pytest.param(["coarse_only", "rank_aware", "coarse_only"], id="repeated"),
+        ],
+    )
+    def test_single_variant_rejected(self, variants, small_config, tmp_path, capsys):
+        # Rejected before the sweep runs, so nothing is written.
+        out = tmp_path / "abl"
+        flags = [arg for name in variants for arg in ("--variant", name)]
+        code = main(["ablate", "--config", str(small_config), "--out", str(out), *flags])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
 
 
 def test_cli_imports_numpy_only():

@@ -21,7 +21,6 @@ from ramc.harness import (
     MetricRecord,
     _dictionary,
     _draw_trial,
-    ablation_report,
     ber_link,
     draw_ber_link,
     nmse,
@@ -96,12 +95,12 @@ class TestBerLink:
     def test_matched_high_snr(self):
         rng = np.random.default_rng(410)
         h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        assert ber_link(h, h, snr_db=30.0, draws=draw_ber_link(8, 5000, seed=1)) <= 1e-4
+        assert ber_link(h, h, snr_db=30.0, draws=draw_ber_link(8, 5000, 2, seed=1)) <= 1e-4
 
     def test_pure_noise_limit(self):
         rng = np.random.default_rng(411)
         h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        ber = ber_link(h, h, snr_db=-60.0, draws=draw_ber_link(8, 5000, seed=2))
+        ber = ber_link(h, h, snr_db=-60.0, draws=draw_ber_link(8, 5000, 2, seed=2))
         # 20000 bits of coin flips: 0.5 within 3 binomial sigmas.
         assert abs(ber - 0.5) <= 3 * math.sqrt(0.25 / 20000)
 
@@ -113,7 +112,7 @@ class TestBerLink:
         # Beams aimed at an orthogonal subspace receive no signal at all,
         # so the mismatched link degenerates to coin flipping.
         h_bad = u[:, 2:4] @ np.diag([5.0, 3.0]) @ vh[2:4, :]
-        draws = draw_ber_link(8, 4000, seed=3)
+        draws = draw_ber_link(8, 4000, 2, seed=3)
         good = ber_link(h, h, snr_db=10.0, draws=draws)
         bad = ber_link(h, h_bad, snr_db=10.0, draws=draws)
         assert good < bad
@@ -128,13 +127,13 @@ class TestBerLink:
         u, _, vh = np.linalg.svd(g)
         h = 5.0 * np.outer(u[:, 0], vh[0])
         h_est = h + 2.0 * np.outer(u[:, 1], vh[1])
-        draws = draw_ber_link(8, 4000, seed=4)
+        draws = draw_ber_link(8, 4000, 2, seed=4)
         bers = {ber_link(h, h_est * (1.0 + k * 2.0**-52), 10.0, draws) for k in range(20)}
         assert len(bers) == 1
 
     def test_too_few_symbols(self):
         with pytest.raises(ConfigError):
-            draw_ber_link(4, n_symbols=10)
+            draw_ber_link(4, n_symbols=10, n_streams=2)
 
 
 class TestRunSweep:
@@ -264,6 +263,26 @@ class TestRunSweep:
         assert len(records) == 12
         for r in records:
             assert r.error == ("ConfigError: injected failure at t=1" if r.t == 1 else "")
+
+    def test_repeated_variant_rejected(self):
+        cfg = ExperimentConfig(**SMALL, snr_grid_db=(10.0,), n_trials=1)
+        with pytest.raises(ConfigError, match="repeat"):
+            run_sweep(cfg, variants=("rank_aware", "coarse_only", "rank_aware"))
+
+    def test_cluster_birth_sweeps_without_failure(self):
+        # A schedule that grows 2 clusters to 3 draws the new cluster with
+        # the same ray count as the others.
+        cfg = ExperimentConfig(
+            channel=ChannelParams(n_clusters=2, rays_per_cluster=2),
+            snr_grid_db=(15.0,), n_trials=2, time_steps=3, rank_schedule=((1, 3),),
+        )
+        track, _ = simulate_trial(cfg)
+        assert [[len(c.rays) for c in real.clusters] for real in track] == [
+            [2, 2], [2, 2, 2], [2, 2, 2]
+        ]
+        records = run_sweep(cfg, variants=DEFAULT_ABLATION)
+        assert len(records) == 5 * 2 * 3
+        assert [r.error for r in records if r.error] == []
 
     def test_canonical_ordering(self):
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(15.0, 5.0), n_trials=2)
@@ -421,18 +440,11 @@ class TestReports:
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(10.0, 20.0), n_trials=2)
         return run_sweep(cfg, variants=("rank_aware", "coarse_only"))
 
-    def test_single_variant_rejected(self):
-        cfg = ExperimentConfig(**SMALL, snr_grid_db=(10.0,), n_trials=1)
-        records = run_sweep(cfg)
-        with pytest.raises(UndefinedMetricError):
-            ablation_report(records)
-        summarize_records(records)  # single-variant summary path stays open
-
     def test_identical_variants_zero_gap(self):
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(10.0, 20.0), n_trials=2)
         base = run_sweep(cfg, variants=("rank_aware",))
         twin = [dataclasses.replace(r, variant="rank_aware_twin") for r in base]
-        report = ablation_report(base + twin)
+        report = summarize_records(base + twin)
         (gaps,) = report.gaps_db.values()
         assert np.all(gaps == 0.0)
 
@@ -443,11 +455,11 @@ class TestReports:
             rank_schedule=((2, 3),),
         )
         records = run_sweep(cfg, variants=("rank_aware", "rank_oblivious"))
-        report = ablation_report(records)
+        report = summarize_records(records)
         assert np.all(report.gaps_db[("rank_aware", "rank_oblivious")] < 0)
 
     def test_report_table_and_csv(self, tmp_path):
-        report = ablation_report(self._records())
+        report = summarize_records(self._records())
         text = str(report)
         assert "rank_aware" in text and "coarse_only" in text
         path = tmp_path / "report.csv"

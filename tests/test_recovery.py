@@ -215,7 +215,7 @@ class TestAngularPipeline:
     def test_reconstruct_round_trip(self):
         rng = np.random.default_rng(221)
         params = ChannelParams(n_clusters=2, rays_per_cluster=1)
-        dic = make_dictionary(params)
+        dic = make_dictionary(params, size_ms=16, size_bs=16)
         real = sample_realization(params, rng, dictionary=dic)
         hbar = angular_factorization(real, dic)
         psi = build_dictionary(dic)
@@ -227,7 +227,7 @@ class TestAngularPipeline:
     def test_phase2_composed_target(self):
         rng = np.random.default_rng(223)
         params = ChannelParams(n_clusters=2, rays_per_cluster=1)
-        dic = make_dictionary(params)
+        dic = make_dictionary(params, size_ms=16, size_bs=16)
         real = sample_realization(params, rng, dictionary=dic)
         block = make_pilot_block(HybridConfig(), 8, 8, seed=4)
         obs = observe(real, block)
@@ -239,7 +239,7 @@ class TestAngularPipeline:
     def test_phase2_single_ray(self):
         rng = np.random.default_rng(224)
         params = ChannelParams(n_clusters=1, rays_per_cluster=1)
-        dic = make_dictionary(params)
+        dic = make_dictionary(params, size_ms=16, size_bs=16)
         real = sample_realization(params, rng, dictionary=dic)
         block = make_pilot_block(HybridConfig(), 8, 8, seed=5)
         obs = observe(real, block)
@@ -269,7 +269,7 @@ class TestAngularPipeline:
         assert len(est.support) <= expected
 
     def test_phase2_rejects_bad_rank(self):
-        dic = make_dictionary(ChannelParams())
+        dic = make_dictionary(ChannelParams(), size_ms=16, size_bs=16)
         block = make_pilot_block(HybridConfig(), 8, 8, seed=7)
         with pytest.raises(ConfigError):
             estimate_phase2(np.eye(8), block, dic, rank=0)
