@@ -175,7 +175,6 @@ def _cmd_estimate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
     variant = args.variant if args.variant else cfg.estimator_variant
-    parse_variant(variant)
     records = run_sweep(cfg, variants=[variant])
     write_records(args.out, records)
     print(summarize_records(records))
@@ -186,8 +185,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg = _load(args)
     variants = args.variant if args.variant else list(DEFAULT_ABLATION)
-    for name in variants:
-        parse_variant(name)
     if len(set(variants)) < 2:
         raise ConfigError(f"ablate compares at least two distinct variants, got {variants}")
     records = run_sweep(cfg, variants=variants)

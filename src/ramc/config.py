@@ -114,6 +114,14 @@ _SECTIONS = {
 }
 
 
+def _check_int_keys(cls, data: dict, prefix: str) -> None:
+    # JSON numbers need not be integers: 2.5 would reach a range(), and
+    # true would count as 1.
+    for f in fields(cls):
+        if f.type == "int" and f.name in data and type(data[f.name]) is not int:
+            raise ConfigError(f"{prefix}{f.name} must be an integer, got {data[f.name]!r}")
+
+
 def _build_section(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
@@ -123,6 +131,7 @@ def _build_section(cls, data: dict, path: str):
         if key not in known:
             raise ConfigError(f"unknown config key {path}.{key}")
         kwargs[key] = value
+    _check_int_keys(cls, data, f"{path}.")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
@@ -149,6 +158,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 )
             else:
                 kwargs[key] = value
+        _check_int_keys(ExperimentConfig, data, "")
         return ExperimentConfig(**kwargs)
     except ConfigError:
         raise

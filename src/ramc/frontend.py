@@ -1,9 +1,9 @@
 """Hybrid analog/digital pilot frontend.
 
 Forms pilot blocks (precoder F = F_rf @ F_bb, combiner W, orthogonal
-pilot symbols S), produces noisy baseband observations
-Y = W^H @ H @ F @ S + N, subsamples them with row/column-covering masks
-and provides the coarse pseudo-inverse channel estimate.
+pilot symbols S), draws row/column-covering sampling masks, forms the
+masked noisy baseband observation Y = W^H @ H @ F @ S + N and provides
+the coarse pseudo-inverse channel estimate.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .errors import ConfigError, InfeasibleMaskError, ShapeError
 from .numerics import SamplingMask, kron, project_mask, pseudo_inverse
 
@@ -70,7 +69,7 @@ class PilotBlock:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Complete and masked views of one pilot observation matrix.
+    """Masked view of one pilot observation matrix.
 
     ``noise_var`` is the per-entry noise variance of the observation
     (0.0 for noiseless data).  The completion solver stops once its fit
@@ -78,16 +77,13 @@ class ObservationSet:
     describe the data, not a tuning choice.
     """
 
-    complete: np.ndarray
     mask: SamplingMask
     incomplete: np.ndarray
     noise_var: float = 0.0
 
     def __post_init__(self):
-        if self.complete.shape != (self.mask.rows, self.mask.cols):
+        if self.incomplete.shape != (self.mask.rows, self.mask.cols):
             raise ShapeError("mask shape does not match observation")
-        if self.incomplete.shape != self.complete.shape:
-            raise ShapeError("incomplete view shape mismatch")
         if not self.noise_var >= 0:
             raise ConfigError("noise variance must be non-negative")
 
@@ -150,22 +146,17 @@ def measurement_matrix(block: PilotBlock) -> np.ndarray:
 
 
 def observe(
-    real: ChannelRealization, block: PilotBlock, noise_var: float = 0.0, seed=None
+    y_clean: np.ndarray, noise: np.ndarray, noise_var: float, mask: SamplingMask
 ) -> ObservationSet:
-    """Noisy pilot observation Y = W^H H F S + N with a full mask.
+    """Masked noisy pilot observation Y = W^H H F S + N.
 
-    Noise entries are i.i.d. circularly-symmetric complex Gaussian with
-    per-entry variance ``noise_var``.
+    ``y_clean`` is the noiseless W^H H F S; ``noise`` holds i.i.d. complex
+    Gaussians with unit-variance parts, scaled to variance ``noise_var``.
     """
-    y = block.w.conj().T @ real.matrix @ block.effective_precoder
+    y = y_clean
     if noise_var > 0.0:
-        rng = np.random.default_rng(seed)
-        sigma = math.sqrt(noise_var / 2.0)
-        y = y + sigma * (
-            rng.normal(size=y.shape) + 1j * rng.normal(size=y.shape)
-        )
-    mask = SamplingMask.full(*y.shape)
-    return ObservationSet(complete=y, mask=mask, incomplete=y.copy(), noise_var=noise_var)
+        y = y + math.sqrt(noise_var / 2.0) * noise
+    return ObservationSet(mask=mask, incomplete=project_mask(y, mask), noise_var=noise_var)
 
 
 def _draw_mask(
@@ -192,10 +183,8 @@ def _constructive_mask(
     return SamplingMask(obs)
 
 
-def subsample(
-    obs: ObservationSet, keep_fraction: float, seed=None
-) -> ObservationSet:
-    """Mask an observation, keeping ceil(keep_fraction * entries) of it.
+def subsample(rows: int, cols: int, keep_fraction: float, seed) -> SamplingMask:
+    """Mask of a rows x cols observation keeping ceil(keep_fraction * entries).
 
     Entries are drawn uniformly without replacement, redrawing until the
     mask touches every row and column.
@@ -207,30 +196,19 @@ def subsample(
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ConfigError(f"keep_fraction must lie in (0, 1], got {keep_fraction}")
-    rows, cols = obs.complete.shape
     n_keep = math.ceil(keep_fraction * rows * cols)
     if n_keep < max(rows, cols):
         raise InfeasibleMaskError(
             f"{n_keep} observations cannot cover {rows} rows and {cols} columns"
         )
-    rng = np.random.default_rng(seed)
     if n_keep == rows * cols:
-        mask = SamplingMask.full(rows, cols)
-    else:
-        mask = None
-        for _ in range(_MASK_ATTEMPTS):
-            candidate = _draw_mask(rows, cols, n_keep, rng)
-            if candidate.covers_all_lines():
-                mask = candidate
-                break
-        if mask is None:
-            mask = _constructive_mask(rows, cols, n_keep, rng)
-    return ObservationSet(
-        complete=obs.complete,
-        mask=mask,
-        incomplete=project_mask(obs.complete, mask),
-        noise_var=obs.noise_var,
-    )
+        return SamplingMask.full(rows, cols)
+    rng = np.random.default_rng(seed)
+    for _ in range(_MASK_ATTEMPTS):
+        candidate = _draw_mask(rows, cols, n_keep, rng)
+        if candidate.covers_all_lines():
+            return candidate
+    return _constructive_mask(rows, cols, n_keep, rng)
 
 
 def coarse_channel(obs: ObservationSet, block: PilotBlock) -> np.ndarray:

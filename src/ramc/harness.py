@@ -5,9 +5,10 @@ computes NMSE / recovery-probability / BER metrics, aggregates ablation
 reports and writes the canonical records CSV.  Seeds derive from
 (master_seed, purpose, trial, t) tuples, so records are reproducible
 regardless of scheduling order or worker count.  As no seed depends on
-the SNR or the variant, each trial's channel track, pilot blocks and BER
-bits and noise are drawn once and shared, read-only, by every
-(variant, SNR) evaluated on that trial.
+the SNR or the variant, each trial's channel track, pilot blocks,
+observation noise, sampling masks and BER bits and noise are drawn once
+and shared, read-only, by every (variant, SNR) evaluated on that trial;
+per SNR the noise is only scaled and masked.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .completion import estimate_rank, r1mc_complete
 from .config import ExperimentConfig, parse_variant, snr_to_linear
 from .errors import ConfigError, DegenerateSystemError, RamcError, UndefinedMetricError
 from .frontend import PilotBlock, coarse_channel, make_pilot_block, observe, subsample
+from .numerics import SamplingMask
 from .recovery import estimate_phase2, somp_baseline
 
 NMSE_FLOOR_DB = -120.0
@@ -82,7 +84,7 @@ def nmse_db(value: float) -> float:
     return max(10.0 * math.log10(value), NMSE_FLOOR_DB)
 
 
-def draw_ber_link(n_rx: int, n_symbols: int, n_streams: int, seed=None):
+def draw_ber_link(n_rx: int, n_symbols: int, n_streams: int, seed):
     """Draw ``(bits, symbols, noise)``, the random inputs of :func:`ber_link`.
 
     ``2 * n_streams`` rows of ``n_symbols`` bits map to ``n_streams`` rows
@@ -187,12 +189,15 @@ def _channel_track(cfg: ExperimentConfig, trial: int, dictionary):
 @dataclass(frozen=True)
 class _StepDraws:
     """One step's SNR- and variant-free inputs; ``y_clean`` is the pilot
-    ``block``'s noiseless WᴴHFS, and ``error`` is what a draw raised."""
+    ``block``'s noiseless WᴴHFS, ``noise`` its unscaled observation
+    noise, and ``error`` is what a draw raised."""
 
     real: chan.ChannelRealization
     rank_true: int
     block: PilotBlock | None = None
     y_clean: np.ndarray | None = None
+    noise: np.ndarray | None = None
+    mask: SamplingMask | None = None
     ber: tuple | None = None
     error: Exception | None = None
 
@@ -211,14 +216,19 @@ def _draw_trial(cfg: ExperimentConfig, trial: int, dictionary) -> list[_StepDraw
             seed = _seed(cfg, _PILOT_TAG, trial, t)
             block = make_pilot_block(cfg.hybrid, cfg.channel.n_bs, cfg.channel.n_ms, seed=seed)
             y_clean = block.w.conj().T @ real.matrix @ block.effective_precoder
+            rng = np.random.default_rng(_seed(cfg, _NOISE_TAG, trial, t))
+            noise = rng.normal(size=y_clean.shape) + 1j * rng.normal(size=y_clean.shape)
             ber = None
             if cfg.ber_symbols > 0:
                 ber = draw_ber_link(
                     real.matrix.shape[0], cfg.ber_symbols, cfg.hybrid.n_streams,
                     seed=_seed(cfg, _ESTIMATOR_TAG, trial, t),
                 )
-            steps.append(_StepDraws(real, rank_true, block, y_clean, ber))
-            shared = [block.f, block.w, block.s, y_clean, *(ber or ())]
+            # Drawn last: a pilot or BER draw error outranks an infeasible mask.
+            seed = _seed(cfg, _MASK_TAG, trial, t)
+            mask = subsample(*y_clean.shape, cfg.keep_fraction, seed=seed)
+            steps.append(_StepDraws(real, rank_true, block, y_clean, noise, mask, ber))
+            shared = [block.f, block.w, block.s, y_clean, noise, mask.observed, *(ber or ())]
         except (RamcError, np.linalg.LinAlgError) as exc:
             steps.append(_StepDraws(real, rank_true, error=exc))
             shared = []
@@ -227,13 +237,12 @@ def _draw_trial(cfg: ExperimentConfig, trial: int, dictionary) -> list[_StepDraw
     return steps
 
 
-def _observe_step(cfg: ExperimentConfig, snr_idx: int, trial: int, t: int, step: _StepDraws):
+def _observe_step(cfg: ExperimentConfig, snr_idx: int, step: _StepDraws):
     """Masked observation of one step at one SNR."""
     if step.error is not None:
         raise step.error.with_traceback(None)
     noise_var = _noise_var_for_snr(step.y_clean, cfg.snr_grid_db[snr_idx])
-    full = observe(step.real, step.block, noise_var, seed=_seed(cfg, _NOISE_TAG, trial, t))
-    return subsample(full, cfg.keep_fraction, seed=_seed(cfg, _MASK_TAG, trial, t))
+    return observe(step.y_clean, step.noise, noise_var, step.mask)
 
 
 def simulate_trial(cfg: ExperimentConfig, snr_idx: int = 0, trial: int = 0):
@@ -245,7 +254,7 @@ def simulate_trial(cfg: ExperimentConfig, snr_idx: int = 0, trial: int = 0):
     if not 0 <= snr_idx < len(cfg.snr_grid_db):
         raise ConfigError(f"snr index {snr_idx} outside the configured grid")
     steps = _draw_trial(cfg, trial, _dictionary(cfg))
-    observed = [_observe_step(cfg, snr_idx, trial, t, s) for t, s in enumerate(steps)]
+    observed = [_observe_step(cfg, snr_idx, s) for s in steps]
     return [s.real for s in steps], observed
 
 
@@ -336,7 +345,7 @@ def _run_trial(
         started = time.perf_counter()
         real = step.real
         try:
-            obs = _observe_step(cfg, snr_idx, trial, t, step)
+            obs = _observe_step(cfg, snr_idx, step)
             h_hat, rank_est, sparse, solve = _estimate_one(
                 kind, param, cfg, obs, step.block, dictionary, ranks
             )

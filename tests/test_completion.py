@@ -46,7 +46,7 @@ def _masked_observation(rng, m, keep):
         mask = SamplingMask(rng.random((rows, cols)) < keep)
         if mask.covers_all_lines():
             break
-    return ObservationSet(complete=m, mask=mask, incomplete=project_mask(m, mask))
+    return ObservationSet(mask=mask, incomplete=project_mask(m, mask))
 
 
 class TestEstimateRank:
@@ -92,7 +92,7 @@ class TestR1mcComplete:
         rng = np.random.default_rng(142)
         m = _low_rank(rng, 10, 10, 2)
         mask = SamplingMask.full(10, 10)
-        obs = ObservationSet(complete=m, mask=mask, incomplete=m.copy())
+        obs = ObservationSet(mask=mask, incomplete=m.copy())
         result = r1mc_complete(obs)
         assert np.allclose(result.completed, m, atol=1e-12)
         assert result.iterations == 0
@@ -148,10 +148,10 @@ class TestR1mcComplete:
                 rng = np.random.default_rng(seed)
                 real = sample_realization(channel, rng)
                 block = make_pilot_block(hybrid, channel.n_bs, channel.n_ms, seed=rng)
-                clean = observe(real, block).complete
+                clean = block.w.conj().T @ real.matrix @ block.effective_precoder
                 noise_var = np.linalg.norm(clean) ** 2 / (clean.size * 10 ** (snr_db / 10))
-                noisy = observe(real, block, noise_var, seed=rng)
-                obs = subsample(noisy, 0.6, seed=rng)
+                noise = rng.normal(size=clean.shape) + 1j * rng.normal(size=clean.shape)
+                obs = observe(clean, noise, noise_var, subsample(*clean.shape, 0.6, seed=rng))
                 assert obs.noise_var == noise_var
                 for hint in (2, 8):
                     results.append(r1mc_complete(obs, rank_hint=hint, opts=opts))

@@ -135,6 +135,14 @@ _REMOVED_OPTION_DOCS = [
     ),
 ]
 
+# Integer keys given a float or a bool; each must fail at load, naming
+# the key, instead of truncating or counting true as 1.
+_NON_INTEGER_DOCS = [
+    pytest.param({"n_trials": 2.5}, "n_trials", id="top-level-float"),
+    pytest.param({"channel": {"rays_per_cluster": True}}, "rays_per_cluster", id="section-bool"),
+    pytest.param({"solver": {"max_iters": 500.0}}, "max_iters", id="section-float"),
+]
+
 # Every key dump_defaults() prints, sections flattened to "section.key".
 _DEFAULT_KEYS = {
     "channel.n_bs", "channel.n_ms", "channel.n_clusters", "channel.rays_per_cluster",
@@ -354,6 +362,18 @@ class TestCliConfig:
         assert main(["config", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error") and key in err
+
+    @pytest.mark.parametrize("doc,key", _NON_INTEGER_DOCS)
+    @pytest.mark.parametrize("command", ["config", "sweep"])
+    def test_non_integer_count_rejected(self, command, doc, key, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(SMALL_DOC, **doc)))
+        args = [command, "--config", str(path)]
+        if command == "sweep":
+            args += ["--out", str(tmp_path / "records.csv")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err and "integer" in err
 
 
 class TestCliSimulate:

@@ -105,81 +105,89 @@ def test_pilot_symbols_match_scipy_dft():
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (n, m_bs)
 
 
+def _pilot_output(realization, block):
+    """Noiseless pilot observation W^H H F S."""
+    return block.w.conj().T @ realization.matrix @ block.effective_precoder
+
+
+def _unit_noise(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 class TestObserve:
     def test_noiseless_model(self, realization):
         block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
-        obs = observe(realization, block)
+        y = _pilot_output(realization, block)
+        obs = observe(y, _unit_noise(y.shape, 0), 0.0, SamplingMask.full(*y.shape))
         expected = block.w.conj().T @ realization.matrix @ block.f @ block.s
-        assert np.allclose(obs.complete, expected, atol=1e-12)
+        assert np.allclose(obs.incomplete, expected, atol=1e-12)
         assert obs.mask.observed.all()
 
     def test_noise_variance(self, realization):
         block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
-        clean = observe(realization, block)
+        clean = _pilot_output(realization, block)
+        full = SamplingMask.full(*clean.shape)
         noise = []
         for seed in range(200):
-            obs = observe(realization, block, 0.25, seed=seed)
-            noise.append(np.mean(np.abs(obs.complete - clean.complete) ** 2))
+            obs = observe(clean, _unit_noise(clean.shape, seed), 0.25, full)
+            noise.append(np.mean(np.abs(obs.incomplete - clean) ** 2))
         assert np.mean(noise) == pytest.approx(0.25, rel=0.05)
 
     def test_noise_level_carried(self, realization):
         block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
-        obs = observe(realization, block, noise_var=0.25, seed=3)
-        assert obs.noise_var == 0.25
-        assert subsample(obs, 0.6, seed=4).noise_var == 0.25
-        assert observe(realization, block).noise_var == 0.0
+        y = _pilot_output(realization, block)
+        noise = _unit_noise(y.shape, 3)
+        assert observe(y, noise, 0.25, SamplingMask.full(*y.shape)).noise_var == 0.25
+        assert observe(y, noise, 0.25, subsample(*y.shape, 0.6, seed=4)).noise_var == 0.25
+        assert observe(y, noise, 0.0, SamplingMask.full(*y.shape)).noise_var == 0.0
 
     @pytest.mark.parametrize("noise_var", [-1e-3, float("nan")])
     def test_negative_noise_level_rejected(self, noise_var):
         ones = np.ones((2, 2), dtype=complex)
         with pytest.raises(ConfigError):
-            ObservationSet(ones, SamplingMask.full(2, 2), ones, noise_var=noise_var)
+            ObservationSet(SamplingMask.full(2, 2), ones, noise_var=noise_var)
 
     def test_measurement_matrix_identity(self, realization):
         """vec(Y) == Phi @ vec(H) ties the matrix and operator views."""
         block = make_pilot_block(HybridConfig(), 8, 8, seed=2)
-        obs = observe(realization, block)
+        y = _pilot_output(realization, block)
+        obs = observe(y, _unit_noise(y.shape, 0), 0.0, SamplingMask.full(*y.shape))
         phi = measurement_matrix(block)
         assert phi.shape == (8 * 32, 64)
-        assert np.allclose(vec(obs.complete), phi @ vec(realization.matrix), atol=1e-10)
+        assert np.allclose(vec(obs.incomplete), phi @ vec(realization.matrix), atol=1e-10)
 
 
 class TestSubsample:
     def test_keep_fraction(self, realization):
         block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
-        obs = subsample(observe(realization, block), 0.6, seed=11)
-        assert obs.mask.count == int(np.ceil(0.6 * 8 * 32))
-        assert obs.mask.covers_all_lines()
+        y = _pilot_output(realization, block)
+        mask = subsample(8, 32, 0.6, seed=11)
+        assert mask.count == int(np.ceil(0.6 * 8 * 32))
+        assert mask.covers_all_lines()
         # Unobserved entries are zeroed, observed ones untouched.
+        obs = observe(y, _unit_noise(y.shape, 0), 0.0, mask)
         kept = obs.mask.observed
-        assert np.array_equal(obs.incomplete[kept], obs.complete[kept])
+        assert np.array_equal(obs.incomplete[kept], y[kept])
         assert np.all(obs.incomplete[~kept] == 0)
 
-    def test_full_keep(self, realization):
-        block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
-        obs = subsample(observe(realization, block), 1.0, seed=11)
-        assert obs.mask.observed.all()
+    def test_full_keep(self):
+        assert subsample(8, 32, 1.0, seed=11).observed.all()
 
-    def test_infeasible_fraction(self, realization):
-        block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
+    def test_infeasible_fraction(self):
         with pytest.raises(InfeasibleMaskError):
-            subsample(observe(realization, block), 0.05, seed=11)
+            subsample(8, 32, 0.05, seed=11)
 
-    def test_deterministic(self, realization):
-        block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
-        full = observe(realization, block)
-        m1 = subsample(full, 0.5, seed=7).mask.observed
-        m2 = subsample(full, 0.5, seed=7).mask.observed
+    def test_deterministic(self):
+        m1 = subsample(8, 32, 0.5, seed=7).observed
+        m2 = subsample(8, 32, 0.5, seed=7).observed
         assert np.array_equal(m1, m2)
 
-    def test_sparse_fraction_still_covers_lines(self, realization):
+    def test_sparse_fraction_still_covers_lines(self):
         # Near the feasibility edge the constructive fallback must still
         # produce a row/column cover.
-        block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
-        full = observe(realization, block)
         for seed in range(20):
-            masked = subsample(full, 0.14, seed=seed)
-            assert masked.mask.covers_all_lines()
+            assert subsample(8, 32, 0.14, seed=seed).covers_all_lines()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -199,33 +207,34 @@ class TestSubsample:
                 st.integers(max(rows, cols), rows * cols).map(lambda k: k / (rows * cols)),
             )
         )
-        ones = np.ones((rows, cols), dtype=complex)
-        full = ObservationSet(ones, SamplingMask.full(rows, cols), ones)
         n_keep = math.ceil(keep * rows * cols)
         attempts = 0 if constructive else frontend._MASK_ATTEMPTS
         with mock.patch.object(frontend, "_MASK_ATTEMPTS", attempts):
             if n_keep < max(rows, cols):
                 with pytest.raises(InfeasibleMaskError):
-                    subsample(full, keep, seed=seed)
+                    subsample(rows, cols, keep, seed=seed)
                 return
-            masked = subsample(full, keep, seed=seed)
-        assert masked.mask.covers_all_lines()
-        assert masked.mask.count == n_keep
+            mask = subsample(rows, cols, keep, seed=seed)
+        assert mask.covers_all_lines()
+        assert mask.count == n_keep
 
 
 def test_coarse_channel_full_mask_exact(realization):
     # With a square invertible frontend and no mask the pseudo-inverse
     # estimate recovers the channel.
     block = make_pilot_block(HybridConfig(), 8, 8, seed=9)
-    obs = observe(realization, block)
+    y = _pilot_output(realization, block)
+    obs = observe(y, _unit_noise(y.shape, 0), 0.0, SamplingMask.full(*y.shape))
     h = coarse_channel(obs, block)
     assert nmse(realization.matrix, h) <= 1e-20
 
 
 def test_coarse_channel_degrades_with_mask(realization):
     block = make_pilot_block(HybridConfig(), 8, 8, seed=9)
-    full = observe(realization, block)
-    masked = subsample(full, 0.5, seed=3)
+    y = _pilot_output(realization, block)
+    noise = _unit_noise(y.shape, 0)
+    full = observe(y, noise, 0.0, SamplingMask.full(*y.shape))
+    masked = observe(y, noise, 0.0, subsample(*y.shape, 0.5, seed=3))
     err_full = nmse(realization.matrix, coarse_channel(full, block))
     err_masked = nmse(realization.matrix, coarse_channel(masked, block))
     assert err_masked > err_full

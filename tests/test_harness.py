@@ -133,7 +133,7 @@ class TestBerLink:
 
     def test_too_few_symbols(self):
         with pytest.raises(ConfigError):
-            draw_ber_link(4, n_symbols=10, n_streams=2)
+            draw_ber_link(4, n_symbols=10, n_streams=2, seed=0)
 
 
 class TestRunSweep:
@@ -198,7 +198,7 @@ class TestRunSweep:
         steps = _draw_trial(cfg, 0, dictionary)
         for step in steps:
             shared = [step.real.matrix, step.block.f, step.block.w, step.block.s,
-                      step.y_clean, *step.ber]
+                      step.y_clean, step.noise, step.mask.observed, *step.ber]
             assert not any(array.flags.writeable for array in shared)
         with pytest.raises(ValueError):
             steps[0].y_clean[0, 0] = 0.0
@@ -245,6 +245,39 @@ class TestRunSweep:
                 assert new == old
             else:
                 assert new.error == f"MatrixSizeError: {direct.value}"
+
+    def test_noise_and_mask_drawn_once_per_step(self, monkeypatch):
+        # Each (variant, SNR) only scales and masks its step's shared
+        # draws: the mask is drawn once per (trial, t), before any record
+        # is evaluated, and no generator is seeded inside _run_trial.
+        real_subsample, real_run_trial = harness.subsample, harness._run_trial
+        real_rng = np.random.default_rng
+        running, masks, seeded_in_trial = [], [], []
+
+        def spy_subsample(*args, **kwargs):
+            masks.append((kwargs["seed"].entropy[2:], bool(running)))
+            return real_subsample(*args, **kwargs)
+
+        def spy_rng(*args, **kwargs):
+            if running:
+                seeded_in_trial.append(args)
+            return real_rng(*args, **kwargs)
+
+        def spy_run_trial(*args, **kwargs):
+            running.append(None)
+            try:
+                return real_run_trial(*args, **kwargs)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(harness, "subsample", spy_subsample)
+        monkeypatch.setattr(harness, "_run_trial", spy_run_trial)
+        monkeypatch.setattr(np.random, "default_rng", spy_rng)
+        cfg = ExperimentConfig(**SMALL, snr_grid_db=(5.0, 25.0), n_trials=2, time_steps=2)
+        records = run_sweep(cfg, variants=("rank_aware", "coarse_only"))
+        assert len(records) == 16 and not any(r.error for r in records)
+        assert masks == [((0, 0), False), ((0, 1), False), ((1, 0), False), ((1, 1), False)]
+        assert seeded_in_trial == []
 
     def test_failed_shared_draw_fails_its_step_everywhere(self, monkeypatch):
         real_pilot = harness.make_pilot_block
@@ -496,6 +529,9 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     assert records and not any(r.error for r in records)
     names = {sp.name for sp in tracer.spans}
     assert {"recovery.phase2", "recovery.somp"} <= names
+    # Every frontend stage behind perfbench's per-layer metrics must still
+    # be called through its traced name, wherever the harness calls it.
+    assert {"frontend.pilot", "frontend.observe", "frontend.mask", "frontend.coarse"} <= names
     for target in targets:
         if target.on_result is not None:
             infos = [sp.info for sp in tracer.spans if sp.name == target.name]

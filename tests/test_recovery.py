@@ -18,8 +18,14 @@ from ramc.completion import r1mc_complete
 from ramc.errors import ConfigError, DegenerateSystemError, ShapeError
 from ramc.frontend import HybridConfig, make_pilot_block, measurement_matrix, observe
 from ramc.harness import nmse
-from ramc.numerics import vec
+from ramc.numerics import SamplingMask, vec
 from ramc.recovery import build_dictionary, estimate_phase2, pursuit_atoms, somp_baseline
+
+
+def _full_observation(real, block):
+    """Noiseless pilot observation W^H H F S on a full mask."""
+    y = block.w.conj().T @ real.matrix @ block.effective_precoder
+    return observe(y, np.zeros_like(y), 0.0, SamplingMask.full(*y.shape))
 
 
 def _naive_omp(y, d, cap, tol):
@@ -230,7 +236,7 @@ class TestAngularPipeline:
         dic = make_dictionary(params, size_ms=16, size_bs=16)
         real = sample_realization(params, rng, dictionary=dic)
         block = make_pilot_block(HybridConfig(), 8, 8, seed=4)
-        obs = observe(real, block)
+        obs = _full_observation(real, block)
         completed = r1mc_complete(obs).completed
         est, h = estimate_phase2(completed, block, dic, rank=2)
         assert nmse(real.matrix, h) <= 1e-16
@@ -242,7 +248,7 @@ class TestAngularPipeline:
         dic = make_dictionary(params, size_ms=16, size_bs=16)
         real = sample_realization(params, rng, dictionary=dic)
         block = make_pilot_block(HybridConfig(), 8, 8, seed=5)
-        obs = observe(real, block)
+        obs = _full_observation(real, block)
         est, _ = estimate_phase2(r1mc_complete(obs).completed, block, dic, rank=1)
         assert len(est.support) == 1
         j, i = divmod(est.support[0], dic.size_aoa)
@@ -264,7 +270,7 @@ class TestAngularPipeline:
         dic = make_dictionary(ChannelParams(n_bs=4, n_ms=4), size_ms=6, size_bs=6)
         block = make_pilot_block(HybridConfig(m_bs=4, m_ms=4, pilot_length=8), 4, 4, seed=6)
         real = sample_realization(ChannelParams(n_bs=4, n_ms=4), rng)
-        obs = observe(real, block)
+        obs = _full_observation(real, block)
         est, _ = estimate_phase2(r1mc_complete(obs).completed, block, dic, rank=rank)
         assert len(est.support) <= expected
 
