@@ -3,8 +3,11 @@
 Subcommands: ``simulate`` (channel + masked pilot data), ``estimate``
 (one two-phase estimation trial with artifact export), ``sweep``
 (records over the SNR grid), ``ablate`` (variant comparison) and
-``config`` (defaults / validation).  Exit code 0 on success, 1 for
-configuration problems, 2 for runtime failures.
+``config`` (defaults / validation).  ``simulate`` writes
+``channels.npy`` and ``observed.npy``, ``estimate`` writes
+``estimate.npy`` and ``truth.npy``: complex128 (steps, rows, cols)
+arrays for ``np.load``.  Exit code 0 on success, 1 for configuration
+problems, 2 for runtime failures.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import (
     DEFAULT_ABLATION,
     ExperimentConfig,
     config_to_dict,
     dump_defaults,
     load_config,
-    parse_variant,
 )
 from .errors import ConfigError, RamcError
 from .harness import (
@@ -33,13 +37,7 @@ from .harness import (
     write_records,
     write_report,
 )
-from .io import (
-    export_mask,
-    export_singular_values,
-    export_support,
-    save_tensor,
-    write_solver_trace,
-)
+from .io import export_mask, export_singular_values, export_support, write_solver_trace
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,12 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a channel track and masked pilots")
-    _add_common(p, "output directory for tensors and CSV exports")
+    _add_common(p, "output directory for channels.npy, observed.npy and CSV exports")
     p.add_argument("--snr", type=float, help="grid SNR in dB (default: highest)")
     p.add_argument("--trial", type=int, default=0, help="trial index (default 0)")
 
     p = sub.add_parser("estimate", help="run one estimation trial")
-    _add_common(p, "output directory for estimate artifacts")
+    _add_common(p, "output directory for estimate.npy, truth.npy and CSV exports")
     p.add_argument("--snr", type=float, help="grid SNR in dB (default: highest)")
     p.add_argument("--trial", type=int, default=0, help="trial index (default 0)")
     p.add_argument("--variant", help="estimator variant (default from config)")
@@ -117,13 +115,17 @@ def _outdir(path) -> Path:
     return out
 
 
+def _save(path, matrices) -> None:
+    np.save(path, np.array(matrices, dtype=np.complex128))
+
+
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     snr_idx = _snr_index(cfg, args.snr)
     track, observations = simulate_trial(cfg, snr_idx=snr_idx, trial=args.trial)
     out = _outdir(args.out)
-    save_tensor(out / "channels.ct", [real.matrix for real in track])
-    save_tensor(out / "observed.ct", [obs.incomplete for obs in observations])
+    _save(out / "channels.npy", [real.matrix for real in track])
+    _save(out / "observed.npy", [obs.incomplete for obs in observations])
     export_singular_values(out / "singular_values.csv", [r.matrix for r in track])
     for t, obs in enumerate(observations):
         export_mask(out / f"mask_t{t}.csv", obs.mask)
@@ -137,16 +139,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     cfg = _load(args)
     snr_idx = _snr_index(cfg, args.snr)
-    variant = args.variant if args.variant else cfg.estimator_variant
-    parse_variant(variant)
     artifacts: dict = {}
     records = run_single_trial(
-        cfg, variant, snr_idx=snr_idx, trial=args.trial, artifacts=artifacts
+        cfg, args.variant, snr_idx=snr_idx, trial=args.trial, artifacts=artifacts
     )
     out = _outdir(args.out)
     if artifacts["estimate"]:
-        save_tensor(out / "estimate.ct", artifacts["estimate"])
-        save_tensor(out / "truth.ct", artifacts["truth"])
+        _save(out / "estimate.npy", artifacts["estimate"])
+        _save(out / "truth.npy", artifacts["truth"])
         export_support(
             out / "support.csv",
             [

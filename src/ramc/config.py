@@ -1,8 +1,8 @@
 """Experiment configuration: defaults, parsing and validation.
 
 Configs are JSON documents mirroring the dataclass tree below.  Unknown
-keys are rejected with their full path so typos fail loudly instead of
-silently running the default.
+keys, and values whose JSON type does not match the field's type hint,
+are rejected with their full path, so mistakes fail loudly.
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ import dataclasses
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields
+import types
+from dataclasses import dataclass, field
+from typing import get_args, get_origin, get_type_hints
 
 from .channel import ChannelParams
 from .completion import SolverOptions
@@ -107,63 +109,57 @@ class ExperimentConfig:
                     raise ConfigError("rank_schedule cluster counts must be >= 1")
 
 
-_SECTIONS = {
-    "channel": ChannelParams,
-    "hybrid": HybridConfig,
-    "solver": SolverOptions,
-}
+_JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
-def _check_int_keys(cls, data: dict, prefix: str) -> None:
-    # JSON numbers need not be integers: 2.5 would reach a range(), and
-    # true would count as 1.
-    for f in fields(cls):
-        if f.type == "int" and f.name in data and type(data[f.name]) is not int:
-            raise ConfigError(f"{prefix}{f.name} must be an integer, got {data[f.name]!r}")
+def _typed(kind, value):
+    """``value`` checked against the type hint ``kind``; a JSON integer
+    is a valid float, but true and false are not numbers."""
+    if get_origin(kind) is types.UnionType:  # X | None
+        return None if value is None else _typed(get_args(kind)[0], value)
+    if get_origin(kind) is tuple:
+        args = get_args(kind)
+        if isinstance(value, (list, tuple)) and args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
+            raise TypeError(f"expected a {kind} as a list, got {value!r}")
+        return tuple(_typed(k, v) for k, v in zip(args, value))
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise TypeError(f"expected {_JSON_KINDS[kind]}, got {value!r}")
+    return value
 
 
-def _build_section(cls, data: dict, path: str):
+def _build(cls, data, path: str):
+    """Build ``cls`` from a JSON object whose keys are its fields, each
+    checked against its type hint; a dataclass-typed field is a section."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
+        raise ConfigError(f"{path or 'config'}: expected an object, got {type(data).__name__}")
+    hints = get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {path}.{key}")
-        kwargs[key] = value
-    _check_int_keys(cls, data, f"{path}.")
+        name = f"{path}.{key}" if path else key
+        if key not in hints:
+            raise ConfigError(f"unknown config key {name}")
+        if dataclasses.is_dataclass(hints[key]):
+            kwargs[key] = _build(hints[key], value, name)
+            continue
+        try:
+            kwargs[key] = _typed(hints[key], value)
+        except TypeError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
+    except ConfigError as exc:
+        if not path:
+            raise
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a validated ExperimentConfig, rejecting unknown keys."""
-    if not isinstance(data, dict):
-        raise ConfigError("config document must be a JSON object")
-    known = {f.name for f in fields(ExperimentConfig)}
-    kwargs = {}
-    try:
-        for key, value in data.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key {key}")
-            if key in _SECTIONS:
-                kwargs[key] = _build_section(_SECTIONS[key], value, key)
-            elif key == "snr_grid_db":
-                kwargs[key] = tuple(float(v) for v in value)
-            elif key == "rank_schedule":
-                kwargs[key] = (
-                    None if value is None else tuple((int(t), int(c)) for t, c in value)
-                )
-            else:
-                kwargs[key] = value
-        _check_int_keys(ExperimentConfig, data, "")
-        return ExperimentConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    """Build a validated ExperimentConfig from a JSON document."""
+    return _build(ExperimentConfig, data, "")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -26,6 +26,7 @@ from .completion import estimate_rank, r1mc_complete
 from .config import ExperimentConfig, parse_variant, snr_to_linear
 from .errors import ConfigError, DegenerateSystemError, RamcError, UndefinedMetricError
 from .frontend import PilotBlock, coarse_channel, make_pilot_block, observe, subsample
+from .io import read_cell, write_csv
 from .numerics import SamplingMask
 from .recovery import estimate_phase2, somp_baseline
 
@@ -340,7 +341,7 @@ def _run_trial(
     ranks: list[int] = []
     records = []
     if artifacts is not None:
-        artifacts.update(t=[], truth=[], estimate=[], sparse=[], mask=[], trace=[])
+        artifacts.update(t=[], truth=[], estimate=[], sparse=[], trace=[])
     for t, step in enumerate(steps):
         started = time.perf_counter()
         real = step.real
@@ -354,48 +355,43 @@ def _run_trial(
                 artifacts["truth"].append(real.matrix)
                 artifacts["estimate"].append(h_hat)
                 artifacts["sparse"].append(sparse)
-                artifacts["mask"].append(obs.mask)
                 artifacts["trace"].append(solve.trace if solve is not None else ())
             value = nmse(real.matrix, h_hat)
             value_db = nmse_db(value)
-            ber = None
-            if step.ber is not None:
-                ber = ber_link(real.matrix, h_hat, snr_db, step.ber)
-            records.append(
-                MetricRecord(
-                    variant=variant,
-                    snr_db=snr_db,
-                    trial=trial,
-                    t=t,
-                    nmse=value,
-                    nmse_db=value_db,
-                    recovered=value_db <= cfg.recovery_threshold_db,
-                    ber=ber,
-                    rank_true=step.rank_true,
-                    rank_est=int(rank_est),
-                    runtime_ms=(time.perf_counter() - started) * 1e3,
-                    iterations=solve.iterations if solve is not None else 0,
-                    converged=solve.converged if solve is not None else None,
-                    final_residual=solve.final_residual if solve is not None else None,
-                )
+            ber = None if step.ber is None else ber_link(real.matrix, h_hat, snr_db, step.ber)
+            outcome = dict(
+                nmse=value,
+                nmse_db=value_db,
+                recovered=value_db <= cfg.recovery_threshold_db,
+                ber=ber,
+                rank_est=int(rank_est),
             )
+            if solve is not None:
+                outcome.update(
+                    iterations=solve.iterations,
+                    converged=solve.converged,
+                    final_residual=solve.final_residual,
+                )
         except (RamcError, np.linalg.LinAlgError) as exc:
-            records.append(
-                MetricRecord(
-                    variant=variant,
-                    snr_db=snr_db,
-                    trial=trial,
-                    t=t,
-                    nmse=float("nan"),
-                    nmse_db=float("nan"),
-                    recovered=False,
-                    ber=None,
-                    rank_true=step.rank_true,
-                    rank_est=0,
-                    runtime_ms=(time.perf_counter() - started) * 1e3,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            outcome = dict(
+                nmse=math.nan,
+                nmse_db=math.nan,
+                recovered=False,
+                ber=None,
+                rank_est=0,
+                error=f"{type(exc).__name__}: {exc}",
             )
+        records.append(
+            MetricRecord(
+                variant=variant,
+                snr_db=snr_db,
+                trial=trial,
+                t=t,
+                rank_true=step.rank_true,
+                runtime_ms=(time.perf_counter() - started) * 1e3,
+                **outcome,
+            )
+        )
     return records
 
 
@@ -452,8 +448,8 @@ def run_single_trial(
 
     Seeding matches :func:`run_sweep`, so the returned records equal the
     corresponding sweep rows.  Pass an ``artifacts`` dict to receive the
-    per-step truth/estimate matrices, sparse estimates, masks and solver
-    traces of the steps that succeeded, with their time indices in "t".
+    per-step truth/estimate matrices, sparse estimates and solver traces
+    of the steps that succeeded, with their time indices in "t".
     """
     variant = variant if variant is not None else cfg.estimator_variant
     if not 0 <= snr_idx < len(cfg.snr_grid_db):
@@ -463,16 +459,6 @@ def run_single_trial(
     return _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, artifacts=artifacts)
 
 
-def _fmt_field(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return "" if math.isnan(value) else repr(value)
-    return str(value)
-
-
 def write_records(path, records) -> None:
     """Canonical records CSV.
 
@@ -480,42 +466,25 @@ def write_records(path, records) -> None:
     seed produce byte-identical files.
     """
     names = [f.name for f in fields(MetricRecord)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for record in records:
-            writer.writerow(
-                "" if name == "runtime_ms" else _fmt_field(getattr(record, name))
-                for name in names
-            )
+    rows = (
+        [None if name == "runtime_ms" else getattr(r, name) for name in names]
+        for r in records
+    )
+    write_csv(path, names, rows)
 
 
 def read_records(path) -> list[MetricRecord]:
-    """Load a records CSV written by :func:`write_records`."""
+    """Load a records CSV written by :func:`write_records`.
+
+    Each cell is decoded by its :class:`MetricRecord` field type; the
+    blank runtime column reads back as 0.0.
+    """
+    types = {f.name: f.type for f in fields(MetricRecord)}
     out = []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            out.append(
-                MetricRecord(
-                    variant=row["variant"],
-                    snr_db=float(row["snr_db"]),
-                    trial=int(row["trial"]),
-                    t=int(row["t"]),
-                    nmse=float(row["nmse"]) if row["nmse"] else float("nan"),
-                    nmse_db=float(row["nmse_db"]) if row["nmse_db"] else float("nan"),
-                    recovered=row["recovered"] == "1",
-                    ber=float(row["ber"]) if row["ber"] else None,
-                    rank_true=int(row["rank_true"]),
-                    rank_est=int(row["rank_est"]),
-                    runtime_ms=float(row["runtime_ms"]) if row["runtime_ms"] else 0.0,
-                    error=row["error"],
-                    iterations=int(row["iterations"]),
-                    converged=row["converged"] == "1" if row["converged"] else None,
-                    final_residual=(
-                        float(row["final_residual"]) if row["final_residual"] else None
-                    ),
-                )
-            )
+            row["runtime_ms"] = row["runtime_ms"] or "0"
+            out.append(MetricRecord(**{n: read_cell(row[n], kind) for n, kind in types.items()}))
     return out
 
 
@@ -601,16 +570,5 @@ def summarize_records(records) -> AblationReport:
 
 
 def write_report(path, report: AblationReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["variant", "snr_db", "median_nmse_db", "recovery", "rank_accuracy"])
-        for row in report.to_rows():
-            writer.writerow(
-                [
-                    row["variant"],
-                    repr(float(row["snr_db"])),
-                    "" if math.isnan(row["median_nmse_db"]) else repr(float(row["median_nmse_db"])),
-                    repr(float(row["recovery"])),
-                    repr(float(row["rank_accuracy"])),
-                ]
-            )
+    names = ["variant", "snr_db", "median_nmse_db", "recovery", "rank_accuracy"]
+    write_csv(path, names, ([row[name] for name in names] for row in report.to_rows()))

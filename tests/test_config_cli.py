@@ -30,8 +30,7 @@ from ramc.config import (
 )
 from ramc.errors import ConfigError, InfeasibleMaskError
 from ramc.frontend import HybridConfig
-from ramc.harness import read_records
-from ramc.io import load_tensor
+from ramc.harness import read_records, run_single_trial, simulate_trial
 
 # Geometry small enough that CLI smoke tests run in well under a second.
 SMALL_DOC = {
@@ -143,6 +142,21 @@ _NON_INTEGER_DOCS = [
     pytest.param({"solver": {"max_iters": 500.0}}, "max_iters", id="section-float"),
 ]
 
+# Values whose JSON type differs from the key's type hint; each must fail
+# at load, naming the key, instead of being converted.
+_MISTYPED_DOCS = [
+    pytest.param(
+        {"time_steps": 3, "rank_schedule": [[1.7, True], ["2", 2.9]]},
+        "rank_schedule",
+        id="schedule-floats-bools-strings",
+    ),
+    pytest.param({"keep_fraction": True}, "keep_fraction", id="float-bool"),
+    pytest.param({"solver": {"mu": True}}, "solver.mu", id="optional-float-bool"),
+    pytest.param({"snr_grid_db": [True, "5"]}, "snr_grid_db", id="snr-bool-string"),
+    pytest.param({"on_grid": 1}, "on_grid", id="bool-int"),
+    pytest.param({"estimator_variant": 2}, "estimator_variant", id="str-int"),
+]
+
 # Every key dump_defaults() prints, sections flattened to "section.key".
 _DEFAULT_KEYS = {
     "channel.n_bs", "channel.n_ms", "channel.n_clusters", "channel.rays_per_cluster",
@@ -155,6 +169,12 @@ _DEFAULT_KEYS = {
     "master_seed", "estimator_variant", "on_grid", "grid_oversampling",
     "recovery_threshold_db", "ber_symbols", "threads",
 }
+
+
+def _assert_bit_exact(loaded, matrices):
+    expected = np.array(matrices, dtype=np.complex128)
+    assert loaded.dtype == np.complex128 and loaded.shape == expected.shape
+    assert np.array_equal(loaded.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.fixture
@@ -299,6 +319,13 @@ class TestConfigDocument:
         with pytest.raises(ConfigError):
             config_from_dict(doc)
 
+    def test_integer_numbers_load_as_floats(self):
+        cfg = config_from_dict(
+            {"snr_grid_db": [5, 15], "keep_fraction": 1, "solver": {"mu": 0}}
+        )
+        assert cfg.snr_grid_db == (5.0, 15.0)
+        assert {type(v) for v in (*cfg.snr_grid_db, cfg.keep_fraction, cfg.solver.mu)} == {float}
+
     def test_infinite_snr_allowed(self):
         cfg = config_from_dict({"snr_grid_db": [-math.inf, math.inf]})
         assert cfg.snr_grid_db == (-math.inf, math.inf)
@@ -376,6 +403,15 @@ class TestCliConfig:
         assert err.startswith("config error") and key in err and "integer" in err
 
 
+    @pytest.mark.parametrize("doc,key", _MISTYPED_DOCS)
+    def test_mistyped_value_rejected(self, doc, key, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["config", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+
+
 class TestCliSimulate:
     def test_writes_artifacts(self, small_config, tmp_path, capsys):
         out = tmp_path / "sim"
@@ -383,10 +419,14 @@ class TestCliSimulate:
             ["simulate", "--config", str(small_config), "--out", str(out)]
         )
         assert code == 0
-        channels = load_tensor(out / "channels.ct")
-        observed = load_tensor(out / "observed.ct")
+        channels = np.load(out / "channels.npy")
+        observed = np.load(out / "observed.npy")
         assert channels.shape == (1, 4, 4)
         assert observed.shape == (1, 4, 8)
+        # Bit for bit what the program simulated, at the highest grid SNR.
+        track, observations = simulate_trial(load_config(small_config), snr_idx=1)
+        _assert_bit_exact(channels, [real.matrix for real in track])
+        _assert_bit_exact(observed, [obs.incomplete for obs in observations])
         assert (out / "singular_values.csv").exists()
         assert (out / "mask_t0.csv").exists()
         assert "simulated 1 step(s) at 20.0 dB" in capsys.readouterr().out
@@ -407,8 +447,10 @@ class TestCliEstimate:
         )
         assert code == 0
         assert (out / "records.csv").exists()
-        assert (out / "estimate.ct").exists()
-        assert (out / "truth.ct").exists()
+        artifacts: dict = {}
+        run_single_trial(load_config(small_config), snr_idx=1, artifacts=artifacts)
+        _assert_bit_exact(np.load(out / "estimate.npy"), artifacts["estimate"])
+        _assert_bit_exact(np.load(out / "truth.npy"), artifacts["truth"])
         assert (out / "support.csv").exists()
         assert (out / "trace.csv").exists()
         assert "nmse=" in capsys.readouterr().out

@@ -404,7 +404,6 @@ class TestRunSweep:
         run_single_trial(cfg, "rank_aware", artifacts=arts_a)
         run_single_trial(cfg, "coarse_only", artifacts=arts_b)
         assert np.array_equal(arts_a["truth"][0], arts_b["truth"][0])
-        assert np.array_equal(arts_a["mask"][0].observed, arts_b["mask"][0].observed)
 
 
 class TestRunSingleTrial:
