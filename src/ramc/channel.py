@@ -1,9 +1,9 @@
 """Clustered geometric narrowband MIMO channel model.
 
 Builds time-indexed channel matrices from path clusters (per-ray complex
-gains, angles, delays, Doppler shifts), exposes the angular-domain
-factorisation H = A_ms @ Hbar @ A_bs^H over overcomplete steering
-dictionaries, and evolves realizations step by step for tracking studies.
+gains, angles, delays, Doppler shifts), builds overcomplete steering
+dictionaries whose grids sampled rays can be snapped to, and evolves
+realizations step by step for tracking studies.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError, ShapeError
+from .errors import ConfigError, ShapeError
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -148,23 +148,6 @@ class ChannelRealization:
     def total_rays(self) -> int:
         return sum(len(c.rays) for c in self.clusters)
 
-    def iter_rays(self):
-        """Yield (cluster_idx, ray_idx, ray, eff_aoa, eff_aod)."""
-        for ci, cluster in enumerate(self.clusters):
-            for ri, ray in enumerate(cluster.rays):
-                yield (
-                    ci,
-                    ri,
-                    ray,
-                    cluster.mean_aoa - ray.aoa_offset,
-                    cluster.mean_aod - ray.aod_offset,
-                )
-
-
-def _ray_scale(real: ChannelRealization) -> float:
-    params = real.params
-    return math.sqrt(params.n_bs * params.n_ms / real.total_rays)
-
 
 def channel_matrix(real: ChannelRealization) -> np.ndarray:
     """Narrowband channel matrix.
@@ -173,15 +156,16 @@ def channel_matrix(real: ChannelRealization) -> np.ndarray:
     the complex gain and the pulse sampled at -delay.
     """
     params = real.params
-    scale = _ray_scale(real)
+    scale = math.sqrt(params.n_bs * params.n_ms / real.total_rays)
     h = np.zeros((params.n_ms, params.n_bs), dtype=np.complex128)
-    for _, _, ray, aoa, aod in real.iter_rays():
-        pulse = raised_cosine(-ray.delay, params.pulse_rolloff, params.sample_period)
-        if pulse == 0.0:
-            continue
-        a_ms = params.steering_ms(aoa)
-        a_bs = params.steering_bs(aod)
-        h += (scale * ray.gain * pulse) * np.outer(a_ms, a_bs.conj())
+    for cluster in real.clusters:
+        for ray in cluster.rays:
+            pulse = raised_cosine(-ray.delay, params.pulse_rolloff, params.sample_period)
+            if pulse == 0.0:
+                continue
+            a_ms = params.steering_ms(cluster.mean_aoa - ray.aoa_offset)
+            a_bs = params.steering_bs(cluster.mean_aod - ray.aod_offset)
+            h += (scale * ray.gain * pulse) * np.outer(a_ms, a_bs.conj())
     return h
 
 
@@ -316,36 +300,6 @@ def _draw_cluster_once(
             Ray(gain=gain, aoa_offset=aoa_off, aod_offset=aod_off, delay=ray_delay, doppler=doppler)
         )
     return PathCluster(mean_aoa=mean_aoa, mean_aod=mean_aod, rays=tuple(rays))
-
-
-def angular_factorization(
-    real: ChannelRealization, dictionary: AngularDictionary
-) -> np.ndarray:
-    """Sparse angular-domain gain matrix Hbar with one entry per ray.
-
-    Satisfies a_ms @ Hbar @ a_bs^H == channel_matrix(real) when every
-    effective ray angle coincides with a grid point; rays landing in the
-    same cell accumulate.
-
-    Raises
-    ------
-    GridMismatchError
-        Naming the first cluster/ray whose angle is off the grid.
-    """
-    params = real.params
-    scale = _ray_scale(real)
-    hbar = np.zeros((dictionary.size_aoa, dictionary.size_aod), dtype=np.complex128)
-    for ci, ri, ray, aoa, aod in real.iter_rays():
-        i = _grid_index(aoa, dictionary.grid_aoa)
-        j = _grid_index(aod, dictionary.grid_aod)
-        if i is None or j is None:
-            which = "AoA" if i is None else "AoD"
-            raise GridMismatchError(
-                f"cluster {ci} ray {ri}: {which} off the dictionary grid"
-            )
-        pulse = raised_cosine(-ray.delay, params.pulse_rolloff, params.sample_period)
-        hbar[i, j] += scale * ray.gain * pulse
-    return hbar
 
 
 def _evolve_cluster(cluster: PathCluster, params: ChannelParams) -> PathCluster:

@@ -174,8 +174,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
-    variant = args.variant if args.variant else cfg.estimator_variant
-    records = run_sweep(cfg, variants=[variant])
+    records = run_sweep(cfg, variants=None if args.variant is None else [args.variant])
     write_records(args.out, records)
     print(summarize_records(records))
     print(f"wrote {len(records)} records to {args.out}")

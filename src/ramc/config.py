@@ -79,8 +79,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must not be empty")
-        if any(math.isnan(snr) for snr in self.snr_grid_db):
-            raise ConfigError("snr_grid_db must not hold NaN")
+        # +inf is a noiseless link; -inf would leave no signal to estimate.
+        if not all(snr > -math.inf for snr in self.snr_grid_db):
+            raise ConfigError("snr_grid_db must not hold NaN or -inf")
         if not 0.0 < self.keep_fraction <= 1.0:
             raise ConfigError("keep_fraction must lie in (0, 1]")
         if self.n_trials < 1 or self.time_steps < 1:
@@ -190,6 +191,4 @@ def dump_defaults() -> str:
 
 
 def snr_to_linear(snr_db: float) -> float:
-    return 10.0 ** (snr_db / 10.0) if math.isfinite(snr_db) else (
-        0.0 if snr_db == -math.inf else math.inf
-    )
+    return 10.0 ** (snr_db / 10.0)

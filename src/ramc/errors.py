@@ -26,10 +26,6 @@ class DegenerateSystemError(RamcError, ValueError):
     """A matrix, linear system or selected sub-dictionary is rank deficient."""
 
 
-class GridMismatchError(RamcError, ValueError):
-    """A ray angle does not coincide with any dictionary grid point."""
-
-
 class InfeasibleMaskError(RamcError, ValueError):
     """A sampling mask cannot satisfy row/column coverage requirements."""
 

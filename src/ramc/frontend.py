@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InfeasibleMaskError, ShapeError
-from .numerics import SamplingMask, kron, project_mask, pseudo_inverse
+from .numerics import SamplingMask, project_mask, pseudo_inverse
 
 # Rejection sampling attempts before falling back to constructive masks.
 _MASK_ATTEMPTS = 500
@@ -138,11 +138,6 @@ def make_pilot_block(cfg: HybridConfig, n_bs: int, n_ms: int, seed) -> PilotBloc
     """Pilot block with random hybrid beamformers and DFT pilot symbols."""
     f, w = make_beamformers(cfg, n_bs, n_ms, seed)
     return PilotBlock(f=f, w=w, s=pilot_symbols(cfg))
-
-
-def measurement_matrix(block: PilotBlock) -> np.ndarray:
-    """Linear operator Phi with vec(Y) == Phi @ vec(H) (column stacking)."""
-    return kron(block.effective_precoder.T, block.w.conj().T)
 
 
 def observe(

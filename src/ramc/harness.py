@@ -128,21 +128,21 @@ def ber_link(h_true, h_est, snr_db: float, draws) -> float:
     combiner = u[:, :n_streams]
 
     effective = h @ precoder
-    # Transmit power is referenced to matched beamforming on the true
+    # The noise level is referenced to matched beamforming on the true
     # channel, so misaligned beams lose receive SNR rather than being
-    # compensated with extra power.
+    # compensated with extra power.  At +inf dB the noise vanishes.
     s_true = np.linalg.svd(h, compute_uv=False)
     signal_power = float(np.sum(s_true[:n_streams] ** 2)) / h.shape[0]
-    snr_lin = snr_to_linear(snr_db)
-    gain = math.sqrt(snr_lin / signal_power) if signal_power > 0 else 0.0
-    received = combiner.conj().T @ (gain * effective @ symbols + noise)
-
-    link = combiner.conj().T @ (gain * effective)
+    noise_scale = math.sqrt(signal_power / snr_to_linear(snr_db))
+    link = combiner.conj().T @ effective
+    # C^H (E S + sigma N) taken as (C^H E) S + sigma C^H N, so no
+    # n_rx x n_symbols array is built.
+    received = link @ symbols + noise_scale * (combiner.conj().T @ noise)
     diag = np.diagonal(link).copy()
-    # A pair of unit beams gains at most gain * s_true[0]; a stream whose
-    # link gain is roundoff next to that has no link, so it is not
-    # equalised by a gain whose phase is noise.
-    safe = np.abs(diag) > 1e-12 * gain * s_true[0]
+    # A pair of unit beams gains at most s_true[0]; a stream whose link
+    # gain is roundoff next to that has no link, so it is not equalised
+    # by a gain whose phase is noise.
+    safe = np.abs(diag) > 1e-12 * s_true[0]
     equalised = np.where(safe[:, None], received / np.where(safe, diag, 1.0)[:, None], received)
     errors = int(np.sum(bits[0::2] != (equalised.real < 0)))
     errors += int(np.sum(bits[1::2] != (equalised.imag < 0)))
@@ -157,10 +157,7 @@ def _seed(cfg: ExperimentConfig, tag: int, trial: int, t: int = 0):
 
 
 def _noise_var_for_snr(y_clean: np.ndarray, snr_db: float) -> float:
-    snr_lin = snr_to_linear(snr_db)
-    if snr_lin == 0.0:
-        return float("inf")
-    return float(np.linalg.norm(y_clean) ** 2 / (y_clean.size * snr_lin))
+    return float(np.linalg.norm(y_clean) ** 2 / (y_clean.size * snr_to_linear(snr_db)))
 
 
 def _dictionary(cfg: ExperimentConfig):

@@ -44,15 +44,6 @@ class SparseGainEstimate:
     parameter_set: tuple = ()
 
 
-def build_dictionary(dictionary: AngularDictionary) -> np.ndarray:
-    """Kronecker dictionary whose columns span vec(a_ms @ hbar @ a_bs^H).
-
-    Column j*L1 + i equals kron(conj(a_bs[:, j]), a_ms[:, i]); with
-    column-stacking vec this matches conj(A_bs) (x) A_ms.
-    """
-    return kron(dictionary.a_bs.conj(), dictionary.a_ms)
-
-
 @dataclass(frozen=True)
 class PursuitAtoms:
     """A dictionary's unit-norm columns (a zero column stays zero), their
@@ -149,12 +140,12 @@ def estimate_phase2(
     """Sparse angular recovery with a rank-derived sparsity budget.
 
     Batch OMP (see :func:`_pursuit`) matches the vectorised completed
-    observation against the Kronecker steering dictionary composed with
-    the pilot frontend, ``measurement_matrix(block) @ build_dictionary(dictionary)``.
-    By the mixed-product rule that product is kron(B, A) with
-    B = (FS)^T conj(A_bs) and A = W^H A_ms, so its unit atoms, norms and
-    Gram matrix are the Kronecker products of B's and A's; each call
-    builds them from the two small factors.
+    observation against the Kronecker steering dictionary
+    conj(A_bs) (x) A_ms composed with the pilot frontend
+    (FS)^T (x) W^H.  By the mixed-product rule that product is
+    kron((FS)^T conj(A_bs), W^H A_ms) = kron(B, A), so its unit atoms,
+    norms and Gram matrix are the Kronecker products of B's and A's; each
+    call builds them from the two small factors.
 
     Parameters
     ----------

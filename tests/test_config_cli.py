@@ -327,8 +327,11 @@ class TestConfigDocument:
         assert {type(v) for v in (*cfg.snr_grid_db, cfg.keep_fraction, cfg.solver.mu)} == {float}
 
     def test_infinite_snr_allowed(self):
-        cfg = config_from_dict({"snr_grid_db": [-math.inf, math.inf]})
-        assert cfg.snr_grid_db == (-math.inf, math.inf)
+        # +inf dB is a noiseless link; -inf dB leaves no signal to estimate.
+        cfg = config_from_dict({"snr_grid_db": [5.0, math.inf]})
+        assert cfg.snr_grid_db == (5.0, math.inf)
+        with pytest.raises(ConfigError, match="-inf"):
+            config_from_dict({"snr_grid_db": [5.0, -math.inf]})
 
     def test_load_config(self, small_config):
         cfg = load_config(small_config)
@@ -536,6 +539,15 @@ class TestCliSweep:
              "--out", str(tmp_path / "x.csv"), "--variant", "lmmse"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["sweep", "estimate"])
+    def test_empty_variant_rejected(self, command, small_config, tmp_path, capsys):
+        # An empty name is a bad variant, not a request for the default.
+        out = tmp_path / "x"
+        code = main([command, "--config", str(small_config), "--out", str(out), "--variant", ""])
+        assert code == 1
+        assert "unknown estimator variant ''" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override_changes_data(self, small_config, tmp_path):
         a = tmp_path / "a.csv"

@@ -19,13 +19,14 @@ from ramc.frontend import (
     coarse_channel,
     make_beamformers,
     make_pilot_block,
-    measurement_matrix,
     observe,
     pilot_symbols,
     subsample,
 )
 from ramc.harness import nmse
 from ramc.numerics import SamplingMask, vec
+
+from oracles import measurement_matrix
 
 
 @pytest.fixture

@@ -4,18 +4,19 @@ import dataclasses
 import importlib.util
 import inspect
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramc import channel, harness, numerics, recovery
 from ramc.channel import ChannelParams
 from ramc.config import DEFAULT_ABLATION, ExperimentConfig
 from ramc.errors import ConfigError, DegenerateSystemError, MatrixSizeError, UndefinedMetricError
-from ramc.frontend import HybridConfig, measurement_matrix
+from ramc.frontend import HybridConfig
 from ramc.harness import (
     NMSE_FLOOR_DB,
     MetricRecord,
@@ -31,6 +32,8 @@ from ramc.harness import (
     summarize_records,
     write_report,
 )
+
+from oracles import build_dictionary, measurement_matrix
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -131,6 +134,26 @@ class TestBerLink:
         bers = {ber_link(h, h_est * (1.0 + k * 2.0**-52), 10.0, draws) for k in range(20)}
         assert len(bers) == 1
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(2, 6), st.integers(2, 6)),
+        scale=st.floats(1e-6, 1e6),
+        seed=st.integers(0, 2**32 - 1),
+        n_streams=st.integers(1, 2),
+        draw_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_noiseless_matched_link_is_error_free(self, shape, scale, seed, n_streams, draw_seed):
+        # With no noise, beamforming on the true channel decodes every bit;
+        # the infinite SNR must not reach the arithmetic as inf * 0.
+        rng = np.random.default_rng(seed)
+        h = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        s = np.linalg.svd(h, compute_uv=False)
+        assume(s[-1] > 1e-6 * s[0])  # full rank
+        draws = draw_ber_link(shape[0], 1000, n_streams, seed=draw_seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ber_link(h, h, math.inf, draws) == 0.0
+
     def test_too_few_symbols(self):
         with pytest.raises(ConfigError):
             draw_ber_link(4, n_symbols=10, n_streams=2, seed=0)
@@ -228,7 +251,7 @@ class TestRunSweep:
         unpatched = self._timeless(run_sweep(cfg, variants))
         dictionary = _dictionary(cfg)
         block = _draw_trial(cfg, 0, dictionary)[0].block
-        composed = measurement_matrix(block) @ recovery.build_dictionary(dictionary)
+        composed = measurement_matrix(block) @ build_dictionary(dictionary)
         rows, cols = composed.shape
         sizes = {"measurement": rows * cols, "dictionary": cols * cols}
         cap = min(sizes[name] for name in too_large) - 1

@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 from ramc import recovery
 from ramc.channel import (
     ChannelParams,
-    angular_factorization,
     make_dictionary,
     sample_realization,
 )
 from ramc.completion import r1mc_complete
 from ramc.errors import ConfigError, DegenerateSystemError, ShapeError
-from ramc.frontend import HybridConfig, make_pilot_block, measurement_matrix, observe
+from ramc.frontend import HybridConfig, make_pilot_block, observe
 from ramc.harness import nmse
 from ramc.numerics import SamplingMask, vec
-from ramc.recovery import build_dictionary, estimate_phase2, pursuit_atoms, somp_baseline
+from ramc.recovery import estimate_phase2, pursuit_atoms, somp_baseline
+
+from oracles import angular_factorization, build_dictionary, measurement_matrix
 
 
 def _full_observation(real, block):
