@@ -84,35 +84,15 @@ class SolverOptions:
             raise ConfigError("rank headroom must be non-negative")
 
 
-@dataclass
-class FactorizationState:
-    """Mutable solver state: rank-one factors, multiplier and iterate."""
-
-    left: np.ndarray
-    right: np.ndarray
-    weights: np.ndarray
-    multiplier: np.ndarray
-    iterate: np.ndarray
-    active: np.ndarray
-
-    def model(self) -> np.ndarray:
-        """Current low-rank reconstruction from the active factors."""
-        idx = np.flatnonzero(self.active & (self.weights > 0.0))
-        if idx.size == 0:
-            return np.zeros_like(self.iterate)
-        return (self.left[:, idx] * self.weights[idx]) @ self.right[:, idx].conj().T
-
-    @property
-    def active_rank(self) -> int:
-        return int(np.sum(self.active & (self.weights > 0.0)))
-
-
 @dataclass(frozen=True)
 class CompletionResult:
     """Output of the completion solver.
 
-    ``trace`` holds one (iteration, objective, feasibility, active rank)
-    row per sweep, plus one for the shrink-free refit when a factor survives.
+    ``completed`` sums the factors of positive weight, ``rank`` counts them
+    and ``final_residual`` is ``||P_Omega(completed - Ytilde)||_F``.
+    ``trace`` holds one (iteration, objective, feasibility, active rank) row
+    per sweep, plus one for the shrink-free refit when a factor survives;
+    a full mask returns the observation itself with an empty trace.
     """
 
     completed: np.ndarray
@@ -150,38 +130,6 @@ def _update_factor(residual, u, v):
     return u_new, v_new, nu
 
 
-def _full_mask_result(y_tilde: np.ndarray) -> CompletionResult:
-    # A full mask pins every entry, so the constraint is the answer.
-    return CompletionResult(
-        completed=y_tilde.copy(),
-        rank=svd(y_tilde).rank,
-        iterations=0,
-        final_residual=0.0,
-        converged=True,
-    )
-
-
-def _refit_weights(state: FactorizationState) -> None:
-    """One shrink-free weight pass over the frozen support.
-
-    Each active factor takes the real inner product of its outer-product
-    atom with the running deflated iterate; non-positive fits retire the
-    factor.  Left and right vectors stay fixed, so the pass removes the
-    shrinkage bias without moving the subspace.
-    """
-    residual = state.iterate.copy()
-    for q in np.flatnonzero(state.active):
-        u = state.left[:, q]
-        v = state.right[:, q]
-        a = float(np.real(u.conj() @ residual @ v))
-        if a > 0.0:
-            state.weights[q] = a
-            residual -= a * np.outer(u, v.conj())
-        else:
-            state.weights[q] = 0.0
-            state.active[q] = False
-
-
 def r1mc_complete(
     incomplete: ObservationSet,
     rank_hint: int | None = None,
@@ -194,8 +142,14 @@ def r1mc_complete(
     multiplier-augmented iterate, its weight soft-shrunk by mu; observed
     entries are then re-imposed and the multiplier takes a dual-ascent
     step of size mu.  A factor whose weight stays zero for
-    ``DROP_STREAK`` consecutive sweeps is dropped.  A final shrink-free
-    pass re-fits the weights on the surviving support.
+    ``DROP_STREAK`` consecutive sweeps is dropped and keeps weight 0, so
+    the model is always the factors of positive weight.
+
+    A final shrink-free pass re-fits the weights on the surviving support:
+    each active factor takes the real inner product of its outer-product
+    atom with the running deflated iterate, and a non-positive fit retires
+    it with weight 0.  Left and right vectors stay fixed, so the pass
+    removes the shrinkage bias without moving the subspace.
 
     The solve converges at the first sweep where either test holds:
 
@@ -237,9 +191,16 @@ def r1mc_complete(
     if not mask.covers_all_lines():
         raise InfeasibleMaskError("mask must touch every row and column")
     if mask.count == mask.observed.size:
-        return _full_mask_result(y_tilde)
+        # A full mask pins every entry, so the constraint is the answer.
+        return CompletionResult(
+            completed=y_tilde,
+            rank=svd(y_tilde).rank,
+            iterations=0,
+            final_residual=0.0,
+            converged=True,
+        )
 
-    eps = 1e-6 * np.linalg.norm(y_tilde)
+    eps = 1e-6 * float(np.linalg.norm(y_tilde))
     # Expected norm of the noise on the observed entries.
     noise_floor = math.sqrt(mask.count * incomplete.noise_var)
     mu = opts.mu if opts.mu is not None else 1.0 / math.sqrt(max(rows, cols))
@@ -253,81 +214,82 @@ def r1mc_complete(
     else:
         n_factors = min(_energy_rank(init.s, opts.energy_ratio), cap)
 
-    state = FactorizationState(
-        left=init.u[:, :n_factors].copy(),
-        right=init.v[:, :n_factors].copy(),
-        weights=init.s[:n_factors].copy(),
-        multiplier=np.zeros_like(y_tilde),
-        iterate=y_tilde.copy(),
-        active=np.ones(n_factors, dtype=bool),
-    )
+    left = init.u[:, :n_factors].copy()
+    right = init.v[:, :n_factors].copy()
+    weights = init.s[:n_factors].copy()
+    active = np.ones(n_factors, dtype=bool)
     zero_streak = np.zeros(n_factors, dtype=int)
+    # Neither array is written in place, so the iterate can start as y_tilde.
+    multiplier = np.zeros_like(y_tilde)
+    iterate = y_tilde
 
     observed = mask.observed
     trace = []
-    converged = False
-    iteration = 0
     feas_prev = math.inf
 
     for iteration in range(1, opts.max_iters + 1):
-        residual = state.iterate + state.multiplier
-        for q in np.flatnonzero(state.active):
-            u, v, a = _update_factor(residual, state.left[:, q], state.right[:, q])
+        residual = iterate + multiplier
+        for q in np.flatnonzero(active):
+            u, v, a = _update_factor(residual, left[:, q], right[:, q])
             w = max(a - mu, 0.0)
-            state.left[:, q] = u
-            state.right[:, q] = v
-            state.weights[q] = w
+            left[:, q] = u
+            right[:, q] = v
+            weights[q] = w
             if w > 0.0:
                 residual -= w * np.outer(u, v.conj())
                 zero_streak[q] = 0
             else:
                 zero_streak[q] += 1
 
-        z = state.model()
+        # A factor leaves `active` only after DROP_STREAK sweeps at weight 0,
+        # so the model is the factors of positive weight; with none,
+        # (rows x 0) @ (0 x cols) is the zero matrix.
+        idx = np.flatnonzero(weights > 0.0)
+        z = (left[:, idx] * weights[idx]) @ right[:, idx].conj().T
         feas = float(np.linalg.norm((z - y_tilde)[observed]))
         y_new = np.where(observed, y_tilde, z)
-        change = float(np.linalg.norm(y_new - state.iterate))
+        change = float(np.linalg.norm(y_new - iterate))
         # The gap is zero off the mask and (y_tilde - z) on it, so its
         # norm is feas: the augmented Lagrangian needs no second norm.
         gap = y_new - z
         objective = (
             0.5 * feas**2
-            + float(np.real(np.vdot(state.multiplier, gap)))
-            + mu * float(np.sum(np.abs(state.weights[state.active])))
+            + float(np.real(np.vdot(multiplier, gap)))
+            + mu * float(np.sum(np.abs(weights[active])))
         )
-        state.multiplier = state.multiplier + mu * gap
-        state.iterate = y_new
+        multiplier = multiplier + mu * gap
+        iterate = y_new
 
-        expired = state.active & (zero_streak >= DROP_STREAK)
-        if expired.any():
-            state.active &= ~expired
-        trace.append((iteration, objective, feas, state.active_rank))
+        active &= zero_streak < DROP_STREAK
+        trace.append((iteration, objective, feas, idx.size))
 
-        if feas <= eps and change <= eps:
-            converged = True
-            break
-        if feas_prev <= feas <= noise_floor:
-            converged = True
-            break
-        if not state.active.any():
+        converged = (feas <= eps and change <= eps) or feas_prev <= feas <= noise_floor
+        if converged or not active.any():
             break
         feas_prev = feas
 
-    if state.active.any():
-        _refit_weights(state)
-        z = state.model()
+    if active.any():
+        residual = iterate.copy()
+        for q in np.flatnonzero(active):
+            u, v = left[:, q], right[:, q]
+            a = float(np.real(u.conj() @ residual @ v))
+            if a > 0.0:
+                weights[q] = a
+                residual -= a * np.outer(u, v.conj())
+            else:
+                weights[q] = 0.0
+        idx = np.flatnonzero(weights > 0.0)
+        z = (left[:, idx] * weights[idx]) @ right[:, idx].conj().T
         feas = float(np.linalg.norm((z - y_tilde)[observed]))
-        state.iterate = np.where(observed, y_tilde, z)
-        fit = 0.5 * float(np.linalg.norm(state.iterate - z) ** 2)
-        trace.append((iteration + 1, fit, feas, state.active_rank))
+        fit = 0.5 * float(np.linalg.norm(np.where(observed, y_tilde, z) - z) ** 2)
+        trace.append((iteration + 1, fit, feas, idx.size))
 
-    completed = state.model()
-    final_residual = float(np.linalg.norm((completed - y_tilde)[observed]))
+    # No weight changes after the last model, so z and feas are the result.
     return CompletionResult(
-        completed=completed,
-        rank=state.active_rank,
+        completed=z,
+        rank=idx.size,
         iterations=iteration,
-        final_residual=final_residual,
+        final_residual=feas,
         converged=converged,
         trace=tuple(trace),
     )

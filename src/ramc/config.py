@@ -82,6 +82,9 @@ class ExperimentConfig:
         # +inf is a noiseless link; -inf would leave no signal to estimate.
         if not all(snr > -math.inf for snr in self.snr_grid_db):
             raise ConfigError("snr_grid_db must not hold NaN or -inf")
+        # Within 300 dB (a ratio of 1e+-30) no noise variance or scale over- or underflows.
+        if any(math.isfinite(snr) and abs(snr) > 300.0 for snr in self.snr_grid_db):
+            raise ConfigError("finite snr_grid_db values must lie in [-300, 300] dB")
         if not 0.0 < self.keep_fraction <= 1.0:
             raise ConfigError("keep_fraction must lie in (0, 1]")
         if self.n_trials < 1 or self.time_steps < 1:
@@ -108,6 +111,9 @@ class ExperimentConfig:
                     )
                 if count < 1:
                     raise ConfigError("rank_schedule cluster counts must be >= 1")
+            times = [when for when, _ in self.rank_schedule]
+            if len(set(times)) != len(times):
+                raise ConfigError(f"rank_schedule repeats a time: {self.rank_schedule}")
 
 
 _JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramc.channel import ChannelParams, sample_realization
@@ -96,6 +96,11 @@ class TestR1mcComplete:
         result = r1mc_complete(obs)
         assert np.allclose(result.completed, m, atol=1e-12)
         assert result.iterations == 0
+        assert result.rank == 2
+        assert result.converged is True
+        assert result.final_residual == 0.0
+        assert result.trace == ()
+        assert not np.shares_memory(result.completed, obs.incomplete)
 
     def test_no_hint_allocates_from_data(self):
         rng = np.random.default_rng(143)
@@ -167,6 +172,50 @@ class TestR1mcComplete:
         assert len(result.trace) == result.iterations + 1
         assert [row[0] for row in result.trace] == list(range(1, result.iterations + 2))
         assert all(len(row) == 4 for row in result.trace)
+
+
+@st.composite
+def _completion_problems(draw):
+    """A noisy low-rank matrix, a mask touching every line, a hint and options."""
+    rows, cols = draw(st.tuples(st.integers(2, 12), st.integers(2, 12)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    m = _low_rank(rng, rows, cols, draw(st.integers(1, min(rows, cols))))
+    m += draw(st.sampled_from([0.0, 1e-3, 0.1])) * (
+        rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    )
+    keep = draw(st.sampled_from([0.3, 0.6, 0.8, 1.0]))
+    assume(math.ceil(keep * rows * cols) >= max(rows, cols))
+    mask = subsample(rows, cols, keep, seed=rng)
+    obs = ObservationSet(
+        mask=mask,
+        incomplete=project_mask(m, mask),
+        noise_var=draw(st.sampled_from([0.0, 1e-6, 1e-2])),
+    )
+    hint = draw(st.none() | st.integers(1, 8))
+    opts = SolverOptions(
+        mu=draw(st.none() | st.sampled_from([0.02, 3.0])),
+        max_iters=draw(st.sampled_from([1, 40, 500])),
+    )
+    return obs, hint, opts
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_completion_problems())
+def test_result_is_its_own_model(problem):
+    # final_residual, rank and the last trace row describe `completed`
+    # itself, not a model taken before the last weight change.
+    obs, hint, opts = problem
+    result = r1mc_complete(obs, rank_hint=hint, opts=opts)
+    kept = obs.mask.observed
+    assert result.final_residual == float(
+        np.linalg.norm((result.completed - obs.incomplete)[kept])
+    )
+    if result.trace:
+        _, _, feas, rank = result.trace[-1]
+        assert feas == result.final_residual
+        assert rank == result.rank
+    assert np.linalg.matrix_rank(result.completed) <= result.rank
+    assert type(result.converged) is bool
 
 
 def _reference_update(residual, u, v, norm=np.linalg.norm):

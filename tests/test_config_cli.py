@@ -79,7 +79,9 @@ def _experiment_configs(draw):
     schedule = None
     if time_steps > 1:
         pair = st.tuples(st.integers(1, time_steps - 1), st.integers(1, 4))
-        schedule = draw(st.none() | st.lists(pair, max_size=3).map(tuple))
+        schedule = draw(
+            st.none() | st.lists(pair, max_size=3, unique_by=lambda p: p[0]).map(tuple)
+        )
     return ExperimentConfig(
         channel=draw(_channel_params()),
         hybrid=draw(_hybrid_configs()),
@@ -222,6 +224,7 @@ class TestExperimentConfig:
             (((4, 3),), 4),       # beyond the horizon
             (((2, 0),), 4),       # empty channel
             (((1, 2, 3),), 4),    # not a pair
+            (((1, 3), (1, 1)), 3),  # one time, two cluster counts
         ],
     )
     def test_invalid_schedule(self, schedule, steps):
@@ -332,6 +335,13 @@ class TestConfigDocument:
         assert cfg.snr_grid_db == (5.0, math.inf)
         with pytest.raises(ConfigError, match="-inf"):
             config_from_dict({"snr_grid_db": [5.0, -math.inf]})
+
+    def test_finite_snr_within_300_db(self):
+        cfg = config_from_dict({"snr_grid_db": [-300.0, 300.0]})
+        assert cfg.snr_grid_db == (-300.0, 300.0)
+        for snr in (-300.5, 300.5):
+            with pytest.raises(ConfigError, match="300"):
+                config_from_dict({"snr_grid_db": [snr]})
 
     def test_load_config(self, small_config):
         cfg = load_config(small_config)
@@ -547,6 +557,17 @@ class TestCliSweep:
         code = main([command, "--config", str(small_config), "--out", str(out), "--variant", ""])
         assert code == 1
         assert "unknown estimator variant ''" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+    def test_extreme_snr_rejected(self, snr_db, tmp_path, capsys):
+        # 10**(snr/10) overflows above about 3,083 dB and underflows to 0
+        # below about -3,236 dB; either is a config error, not a traceback.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(SMALL_DOC, snr_grid_db=[snr_db])))
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert "[-300, 300] dB" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_override_changes_data(self, small_config, tmp_path):
