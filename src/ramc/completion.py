@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateSystemError, InfeasibleMaskError
-from .frontend import ObservationSet
-from .numerics import svd
+from .frontend import ObservationSet, covers_all_lines
 
 # Consecutive zero-weight sweeps before a factor is dropped.
 DROP_STREAK = 3
@@ -44,7 +43,7 @@ def estimate_rank(m, xi: float) -> int:
     """
     if not 0.0 < xi <= 1.0:
         raise ConfigError(f"energy ratio must lie in (0, 1], got {xi}")
-    return _energy_rank(svd(m).s, xi)
+    return _energy_rank(np.linalg.svd(m, full_matrices=False, compute_uv=False), xi)
 
 
 def _energy_rank(s: np.ndarray, xi: float) -> int:
@@ -185,16 +184,16 @@ def r1mc_complete(
         final observed-entry residual, convergence flag and trace.
     """
     opts = opts if opts is not None else SolverOptions()
-    mask = incomplete.mask
+    observed = incomplete.mask
     y_tilde = incomplete.incomplete.astype(np.complex128, copy=True)
     rows, cols = y_tilde.shape
-    if not mask.covers_all_lines():
+    if not covers_all_lines(observed):
         raise InfeasibleMaskError("mask must touch every row and column")
-    if mask.count == mask.observed.size:
+    if observed.all():
         # A full mask pins every entry, so the constraint is the answer.
         return CompletionResult(
             completed=y_tilde,
-            rank=svd(y_tilde).rank,
+            rank=int(np.linalg.matrix_rank(y_tilde)),
             iterations=0,
             final_residual=0.0,
             converged=True,
@@ -202,28 +201,27 @@ def r1mc_complete(
 
     eps = 1e-6 * float(np.linalg.norm(y_tilde))
     # Expected norm of the noise on the observed entries.
-    noise_floor = math.sqrt(mask.count * incomplete.noise_var)
+    noise_floor = math.sqrt(np.count_nonzero(observed) * incomplete.noise_var)
     mu = opts.mu if opts.mu is not None else 1.0 / math.sqrt(max(rows, cols))
 
-    init = svd(y_tilde)
+    u, s, vh = np.linalg.svd(y_tilde, full_matrices=False)
     cap = min(rows, cols)
     if rank_hint is not None:
         if rank_hint < 1:
             raise ConfigError(f"rank hint must be >= 1, got {rank_hint}")
         n_factors = min(rank_hint, cap)
     else:
-        n_factors = min(_energy_rank(init.s, opts.energy_ratio), cap)
+        n_factors = min(_energy_rank(s, opts.energy_ratio), cap)
 
-    left = init.u[:, :n_factors].copy()
-    right = init.v[:, :n_factors].copy()
-    weights = init.s[:n_factors].copy()
+    left = u[:, :n_factors].copy()
+    right = vh[:n_factors].conj().T.copy()
+    weights = s[:n_factors].copy()
     active = np.ones(n_factors, dtype=bool)
     zero_streak = np.zeros(n_factors, dtype=int)
     # Neither array is written in place, so the iterate can start as y_tilde.
     multiplier = np.zeros_like(y_tilde)
     iterate = y_tilde
 
-    observed = mask.observed
     trace = []
     feas_prev = math.inf
 

@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise ConfigError("keep_fraction must lie in (0, 1]")
         if self.n_trials < 1 or self.time_steps < 1:
             raise ConfigError("n_trials and time_steps must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
         if self.grid_oversampling < 1:
             raise ConfigError("grid_oversampling must be >= 1")
         if self.ber_symbols < 0:

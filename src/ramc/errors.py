@@ -18,10 +18,6 @@ class MatrixSizeError(RamcError, ValueError):
     """A result would exceed the configured maximum element count."""
 
 
-class SolverFailureError(RamcError, RuntimeError):
-    """A LAPACK kernel failed to converge; the message names the shape."""
-
-
 class DegenerateSystemError(RamcError, ValueError):
     """A matrix, linear system or selected sub-dictionary is rank deficient."""
 

@@ -1,9 +1,9 @@
 """Hybrid analog/digital pilot frontend.
 
 Forms pilot blocks (precoder F = F_rf @ F_bb, combiner W, orthogonal
-pilot symbols S), draws row/column-covering sampling masks, forms the
-masked noisy baseband observation Y = W^H @ H @ F @ S + N and provides
-the coarse pseudo-inverse channel estimate.
+pilot symbols S), draws row/column-covering boolean sampling masks,
+forms the masked noisy baseband observation Y = W^H @ H @ F @ S + N and
+provides the coarse pseudo-inverse channel estimate.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InfeasibleMaskError, ShapeError
-from .numerics import SamplingMask, project_mask, pseudo_inverse
 
 # Rejection sampling attempts before falling back to constructive masks.
 _MASK_ATTEMPTS = 500
@@ -69,21 +68,29 @@ class PilotBlock:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Masked view of one pilot observation matrix.
+    """Masked view of one pilot observation matrix, the estimators' one input check.
 
-    ``noise_var`` is the per-entry noise variance of the observation
-    (0.0 for noiseless data).  The completion solver stops once its fit
-    on the observed entries reaches that noise level, so the value must
-    describe the data, not a tuning choice.
+    ``mask`` is a 2-D ``bool`` array, True where ``incomplete`` holds a
+    measured entry.  ``noise_var`` is the per-entry noise variance (0.0
+    for noiseless data); the completion solver stops once its fit on the
+    observed entries reaches that noise level, so the value must describe
+    the data, not a tuning choice.  A mask of another type or shape and a
+    non-finite observation raise ShapeError, a mask with no observed entry
+    InfeasibleMaskError and a negative noise variance ConfigError.
     """
 
-    mask: SamplingMask
+    mask: np.ndarray
     incomplete: np.ndarray
     noise_var: float = 0.0
 
     def __post_init__(self):
-        if self.incomplete.shape != (self.mask.rows, self.mask.cols):
-            raise ShapeError("mask shape does not match observation")
+        shape = self.incomplete.shape
+        if getattr(self.mask, "dtype", None) != bool or self.mask.shape != shape or len(shape) != 2:
+            raise ShapeError(f"mask must be a 2-D bool array of the observation's shape {shape}")
+        if not self.mask.any():
+            raise InfeasibleMaskError("mask observes no entries")
+        if not np.isfinite(self.incomplete).all():
+            raise ShapeError("observation contains non-finite entries")
         if not self.noise_var >= 0:
             raise ConfigError("noise variance must be non-negative")
 
@@ -141,7 +148,7 @@ def make_pilot_block(cfg: HybridConfig, n_bs: int, n_ms: int, seed) -> PilotBloc
 
 
 def observe(
-    y_clean: np.ndarray, noise: np.ndarray, noise_var: float, mask: SamplingMask
+    y_clean: np.ndarray, noise: np.ndarray, noise_var: float, mask: np.ndarray
 ) -> ObservationSet:
     """Masked noisy pilot observation Y = W^H H F S + N.
 
@@ -151,38 +158,46 @@ def observe(
     y = y_clean
     if noise_var > 0.0:
         y = y + math.sqrt(noise_var / 2.0) * noise
-    return ObservationSet(mask=mask, incomplete=project_mask(y, mask), noise_var=noise_var)
+    if y.shape != mask.shape:
+        raise ShapeError(f"observation shape {y.shape} does not match mask {mask.shape}")
+    return ObservationSet(mask, np.where(mask, y, 0.0 + 0.0j), noise_var)
+
+
+def covers_all_lines(mask: np.ndarray) -> bool:
+    """True when every row and every column of ``mask`` holds an observation."""
+    return bool(mask.any(axis=1).all() and mask.any(axis=0).all())
 
 
 def _draw_mask(
     rows: int, cols: int, n_keep: int, rng: np.random.Generator
-) -> SamplingMask:
+) -> np.ndarray:
     flat = rng.choice(rows * cols, size=n_keep, replace=False)
     obs = np.zeros(rows * cols, dtype=bool)
     obs[flat] = True
-    return SamplingMask(obs.reshape(rows, cols))
+    return obs.reshape(rows, cols)
 
 
 def _constructive_mask(
     rows: int, cols: int, n_keep: int, rng: np.random.Generator
-) -> SamplingMask:
+) -> np.ndarray:
     # Cover every row and column with max(rows, cols) entries, fill the rest.
     if rows > cols:
-        return SamplingMask(_constructive_mask(cols, rows, n_keep, rng).observed.T.copy())
+        return _constructive_mask(cols, rows, n_keep, rng).T.copy()
     obs = np.zeros((rows, cols), dtype=bool)
     obs[np.arange(rows), rng.permutation(cols)[:rows]] = True
     for j in np.flatnonzero(~obs.any(axis=0)):
         obs[rng.integers(0, rows), j] = True
     picked = rng.choice(np.flatnonzero(~obs.ravel()), size=n_keep - cols, replace=False)
     obs.ravel()[picked] = True
-    return SamplingMask(obs)
+    return obs
 
 
-def subsample(rows: int, cols: int, keep_fraction: float, seed) -> SamplingMask:
+def subsample(rows: int, cols: int, keep_fraction: float, seed) -> np.ndarray:
     """Mask of a rows x cols observation keeping ceil(keep_fraction * entries).
 
-    Entries are drawn uniformly without replacement, redrawing until the
-    mask touches every row and column.
+    The mask is a ``bool`` array of shape (rows, cols), True where an
+    entry is kept.  Entries are drawn uniformly without replacement,
+    redrawing until the mask touches every row and column.
 
     Raises
     ------
@@ -197,11 +212,11 @@ def subsample(rows: int, cols: int, keep_fraction: float, seed) -> SamplingMask:
             f"{n_keep} observations cannot cover {rows} rows and {cols} columns"
         )
     if n_keep == rows * cols:
-        return SamplingMask.full(rows, cols)
+        return np.ones((rows, cols), dtype=bool)
     rng = np.random.default_rng(seed)
     for _ in range(_MASK_ATTEMPTS):
         candidate = _draw_mask(rows, cols, n_keep, rng)
-        if candidate.covers_all_lines():
+        if covers_all_lines(candidate):
             return candidate
     return _constructive_mask(rows, cols, n_keep, rng)
 
@@ -213,7 +228,7 @@ def coarse_channel(obs: ObservationSet, block: PilotBlock) -> np.ndarray:
     baseline the two-phase estimator is compared against.
     """
     return (
-        pseudo_inverse(block.w.conj().T)
+        np.linalg.pinv(block.w.conj().T, rcond=1e-12)
         @ obs.incomplete
-        @ pseudo_inverse(block.effective_precoder)
+        @ np.linalg.pinv(block.effective_precoder, rcond=1e-12)
     )

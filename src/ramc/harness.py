@@ -27,7 +27,6 @@ from .config import ExperimentConfig, parse_variant, snr_to_linear
 from .errors import ConfigError, DegenerateSystemError, RamcError, UndefinedMetricError
 from .frontend import PilotBlock, coarse_channel, make_pilot_block, observe, subsample
 from .io import read_cell, write_csv
-from .numerics import SamplingMask
 from .recovery import estimate_phase2, somp_baseline
 
 NMSE_FLOOR_DB = -120.0
@@ -187,15 +186,15 @@ def _channel_track(cfg: ExperimentConfig, trial: int, dictionary):
 @dataclass(frozen=True)
 class _StepDraws:
     """One step's SNR- and variant-free inputs; ``y_clean`` is the pilot
-    ``block``'s noiseless WᴴHFS, ``noise`` its unscaled observation
-    noise, and ``error`` is what a draw raised."""
+    ``block``'s noiseless WᴴHFS, ``noise`` its unscaled observation noise,
+    ``mask`` its boolean sampling mask and ``error`` what a draw raised."""
 
     real: chan.ChannelRealization
     rank_true: int
     block: PilotBlock | None = None
     y_clean: np.ndarray | None = None
     noise: np.ndarray | None = None
-    mask: SamplingMask | None = None
+    mask: np.ndarray | None = None
     ber: tuple | None = None
     error: Exception | None = None
 
@@ -226,7 +225,7 @@ def _draw_trial(cfg: ExperimentConfig, trial: int, dictionary) -> list[_StepDraw
             seed = _seed(cfg, _MASK_TAG, trial, t)
             mask = subsample(*y_clean.shape, cfg.keep_fraction, seed=seed)
             steps.append(_StepDraws(real, rank_true, block, y_clean, noise, mask, ber))
-            shared = [block.f, block.w, block.s, y_clean, noise, mask.observed, *(ber or ())]
+            shared = [block.f, block.w, block.s, y_clean, noise, mask, *(ber or ())]
         except (RamcError, np.linalg.LinAlgError) as exc:
             steps.append(_StepDraws(real, rank_true, error=exc))
             shared = []
@@ -243,17 +242,24 @@ def _observe_step(cfg: ExperimentConfig, snr_idx: int, step: _StepDraws):
     return observe(step.y_clean, step.noise, noise_var, step.mask)
 
 
+def _single_trial_draws(cfg: ExperimentConfig, snr_idx: int, trial: int):
+    """Checked ``(dictionary, steps)`` of one trial run outside the sweep."""
+    if not 0 <= snr_idx < len(cfg.snr_grid_db):
+        raise ConfigError(f"snr index {snr_idx} outside the configured grid")
+    if trial < 0:
+        raise ConfigError(f"trial index must be non-negative, got {trial}")
+    dictionary = _dictionary(cfg)
+    return dictionary, _draw_trial(cfg, trial, dictionary)
+
+
 def simulate_trial(cfg: ExperimentConfig, snr_idx: int = 0, trial: int = 0):
     """Generate one trial's channel track and masked pilot observations.
 
     Returns (track, observations) with one entry per time step, drawn
     from the same seed coordinates the sweep uses.
     """
-    if not 0 <= snr_idx < len(cfg.snr_grid_db):
-        raise ConfigError(f"snr index {snr_idx} outside the configured grid")
-    steps = _draw_trial(cfg, trial, _dictionary(cfg))
-    observed = [_observe_step(cfg, snr_idx, s) for s in steps]
-    return [s.real for s in steps], observed
+    _, steps = _single_trial_draws(cfg, snr_idx, trial)
+    return [s.real for s in steps], [_observe_step(cfg, snr_idx, s) for s in steps]
 
 
 def _estimate_one(
@@ -449,10 +455,7 @@ def run_single_trial(
     of the steps that succeeded, with their time indices in "t".
     """
     variant = variant if variant is not None else cfg.estimator_variant
-    if not 0 <= snr_idx < len(cfg.snr_grid_db):
-        raise ConfigError(f"snr index {snr_idx} outside the configured grid")
-    dictionary = _dictionary(cfg)
-    steps = _draw_trial(cfg, trial, dictionary)
+    dictionary, steps = _single_trial_draws(cfg, snr_idx, trial)
     return _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, artifacts=artifacts)
 
 

@@ -70,8 +70,8 @@ def export_singular_values(path, matrices) -> None:
 
 
 def export_mask(path, mask) -> None:
-    """Observed (row, col) index pairs of a sampling mask."""
-    write_csv(path, ["row", "col"], mask.indices())
+    """Observed (row, col) pairs, row-major, of a 2-D ``bool`` sampling mask."""
+    write_csv(path, ["row", "col"], np.argwhere(mask))
 
 
 def write_solver_trace(path, traces) -> None:

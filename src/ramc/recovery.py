@@ -14,10 +14,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import AngularDictionary
-from .errors import ConfigError, DegenerateSystemError, ShapeError
+from .errors import ConfigError, DegenerateSystemError, MatrixSizeError, ShapeError
 from .frontend import PilotBlock
-from .numerics import kron, vec
 
+# Largest element count _kron will materialise (256 MiB of complex128).
+MAX_KRON_ELEMENTS = 1 << 24
 # Correlations below this relative level stop the pursuit: the residual
 # is numerically inside the span of the selected columns.
 _CORRELATION_FLOOR = 1e-13
@@ -40,7 +41,6 @@ class SparseGainEstimate:
 
     gains: np.ndarray
     support: tuple[int, ...]
-    residual_norm: float
     parameter_set: tuple = ()
 
 
@@ -118,7 +118,15 @@ def _pursuit(targets, atoms: PursuitAtoms, cap: int) -> SparseGainEstimate:
     if support:
         # Undo the column normalisation on the recovered coefficients.
         gains[support, :] = coeffs / atoms.norms[support][:, None]
-    return SparseGainEstimate(gains=gains, support=tuple(support), residual_norm=residual)
+    return SparseGainEstimate(gains=gains, support=tuple(support))
+
+
+def _kron(a, b) -> np.ndarray:
+    """``np.kron(a, b)``, refused above ``MAX_KRON_ELEMENTS`` entries."""
+    size = a.size * b.size
+    if size > MAX_KRON_ELEMENTS:
+        raise MatrixSizeError(f"kron result would hold {size} entries (cap {MAX_KRON_ELEMENTS})")
+    return np.kron(a, b)
 
 
 def somp_baseline(targets, dictionary, sparsity_cap: int) -> SparseGainEstimate:
@@ -165,10 +173,11 @@ def estimate_phase2(
         raise ConfigError(f"rank {rank} yields an empty sparsity budget")
     b = pursuit_atoms(block.effective_precoder.T @ dictionary.a_bs.conj())
     a = pursuit_atoms(block.w.conj().T @ dictionary.a_ms)
-    # kron refuses atoms or a Gram matrix above MAX_KRON_ELEMENTS; the
+    # _kron refuses atoms or a Gram matrix above MAX_KRON_ELEMENTS; the
     # norms stay a real vector, one entry ||B_j|| ||A_i|| per atom.
-    atoms = PursuitAtoms(kron(b.unit, a.unit), np.kron(b.norms, a.norms), kron(b.gram, a.gram))
-    estimate = _pursuit(vec(completed), atoms, atoms.unit.shape[1] if rank is None else rank**2)
+    atoms = PursuitAtoms(_kron(b.unit, a.unit), np.kron(b.norms, a.norms), _kron(b.gram, a.gram))
+    y = np.asarray(completed).flatten(order="F")
+    estimate = _pursuit(y, atoms, atoms.unit.shape[1] if rank is None else rank**2)
     # Atom j*L1 + i is grid cell (aoa i, aod j), column-stacking order.
     rows = dictionary.size_aoa
     params = tuple(

@@ -11,6 +11,11 @@ import numpy as np
 from ramc.channel import _grid_index, raised_cosine
 
 
+def vec(m) -> np.ndarray:
+    """Column-stacking vectorisation, so vec(A X B) == (B^T kron A) vec(X)."""
+    return np.asarray(m).flatten(order="F")
+
+
 def measurement_matrix(block) -> np.ndarray:
     """Linear operator Phi with vec(Y) == Phi @ vec(H) (column stacking)."""
     return np.kron(block.effective_precoder.T, block.w.conj().T)

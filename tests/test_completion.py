@@ -21,12 +21,12 @@ from ramc.errors import ConfigError, DegenerateSystemError
 from ramc.frontend import (
     HybridConfig,
     ObservationSet,
+    covers_all_lines,
     make_pilot_block,
     observe,
     subsample,
 )
 from ramc.harness import run_sweep, summarize_records
-from ramc.numerics import SamplingMask, project_mask
 
 
 def _low_rank(rng, rows, cols, rank, sv=None):
@@ -43,10 +43,10 @@ def _low_rank(rng, rows, cols, rank, sv=None):
 def _masked_observation(rng, m, keep):
     rows, cols = m.shape
     while True:
-        mask = SamplingMask(rng.random((rows, cols)) < keep)
-        if mask.covers_all_lines():
+        mask = rng.random((rows, cols)) < keep
+        if covers_all_lines(mask):
             break
-    return ObservationSet(mask=mask, incomplete=project_mask(m, mask))
+    return ObservationSet(mask=mask, incomplete=np.where(mask, m, 0.0))
 
 
 class TestEstimateRank:
@@ -91,7 +91,7 @@ class TestR1mcComplete:
     def test_full_mask_shortcut(self):
         rng = np.random.default_rng(142)
         m = _low_rank(rng, 10, 10, 2)
-        mask = SamplingMask.full(10, 10)
+        mask = np.ones((10, 10), dtype=bool)
         obs = ObservationSet(mask=mask, incomplete=m.copy())
         result = r1mc_complete(obs)
         assert np.allclose(result.completed, m, atol=1e-12)
@@ -115,7 +115,7 @@ class TestR1mcComplete:
         m = _low_rank(rng, 16, 16, 2)
         obs = _masked_observation(rng, m, keep=0.6)
         result = r1mc_complete(obs, rank_hint=2)
-        kept = obs.mask.observed
+        kept = obs.mask
         residual = np.linalg.norm(result.completed[kept] - m[kept])
         assert residual <= 1e-4 * np.linalg.norm(m)
 
@@ -188,7 +188,7 @@ def _completion_problems(draw):
     mask = subsample(rows, cols, keep, seed=rng)
     obs = ObservationSet(
         mask=mask,
-        incomplete=project_mask(m, mask),
+        incomplete=np.where(mask, m, 0.0),
         noise_var=draw(st.sampled_from([0.0, 1e-6, 1e-2])),
     )
     hint = draw(st.none() | st.integers(1, 8))
@@ -206,7 +206,7 @@ def test_result_is_its_own_model(problem):
     # itself, not a model taken before the last weight change.
     obs, hint, opts = problem
     result = r1mc_complete(obs, rank_hint=hint, opts=opts)
-    kept = obs.mask.observed
+    kept = obs.mask
     assert result.final_residual == float(
         np.linalg.norm((result.completed - obs.incomplete)[kept])
     )

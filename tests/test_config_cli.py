@@ -205,6 +205,7 @@ class TestExperimentConfig:
             {"ber_symbols": -1},
             {"ber_symbols": 500},
             {"threads": 0},
+            {"master_seed": -1},
             {"estimator_variant": "magic"},
             {"snr_grid_db": (5.0, math.nan)},
         ],
@@ -387,6 +388,12 @@ class TestCliConfig:
         path.write_text(json.dumps({"keep_fraction": 2.0}))
         assert main(["config", "--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"master_seed": -5}))
+        assert main(["config", "--config", str(path)]) == 1
+        assert "config error: master_seed must be non-negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", _MALFORMED_DOCS)
     def test_malformed_config_exit_code(self, doc, tmp_path, capsys):
@@ -621,6 +628,19 @@ def test_cli_imports_numpy_only():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [("sweep", ["--seed", "-1"]), ("estimate", ["--trial", "-1"]), ("simulate", ["--trial", "-3"])],
+)
+def test_negative_seed_or_trial_is_a_config_error(command, option, small_config, tmp_path, capsys):
+    # Seeds derive from (master_seed, tag, trial, t), which numpy's
+    # SeedSequence takes only non-negative; the CLI reports a config error.
+    out = tmp_path / "x"
+    assert main([command, "--config", str(small_config), "--out", str(out), *option]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 class TestCliParsing:

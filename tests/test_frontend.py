@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from ramc import frontend
 from ramc.channel import ChannelParams, sample_realization
-from ramc.errors import ConfigError, InfeasibleMaskError
+from ramc.errors import ConfigError, InfeasibleMaskError, ShapeError
 from ramc.frontend import (
     HybridConfig,
     ObservationSet,
     PilotBlock,
     analog_stage,
     coarse_channel,
+    covers_all_lines,
     make_beamformers,
     make_pilot_block,
     observe,
@@ -24,9 +25,8 @@ from ramc.frontend import (
     subsample,
 )
 from ramc.harness import nmse
-from ramc.numerics import SamplingMask, vec
 
-from oracles import measurement_matrix
+from oracles import measurement_matrix, vec
 
 
 @pytest.fixture
@@ -120,15 +120,15 @@ class TestObserve:
     def test_noiseless_model(self, realization):
         block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
         y = _pilot_output(realization, block)
-        obs = observe(y, _unit_noise(y.shape, 0), 0.0, SamplingMask.full(*y.shape))
+        obs = observe(y, _unit_noise(y.shape, 0), 0.0, np.ones(y.shape, dtype=bool))
         expected = block.w.conj().T @ realization.matrix @ block.f @ block.s
         assert np.allclose(obs.incomplete, expected, atol=1e-12)
-        assert obs.mask.observed.all()
+        assert obs.mask.all()
 
     def test_noise_variance(self, realization):
         block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
         clean = _pilot_output(realization, block)
-        full = SamplingMask.full(*clean.shape)
+        full = np.ones(clean.shape, dtype=bool)
         noise = []
         for seed in range(200):
             obs = observe(clean, _unit_noise(clean.shape, seed), 0.25, full)
@@ -139,21 +139,45 @@ class TestObserve:
         block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
         y = _pilot_output(realization, block)
         noise = _unit_noise(y.shape, 3)
-        assert observe(y, noise, 0.25, SamplingMask.full(*y.shape)).noise_var == 0.25
+        assert observe(y, noise, 0.25, np.ones(y.shape, dtype=bool)).noise_var == 0.25
         assert observe(y, noise, 0.25, subsample(*y.shape, 0.6, seed=4)).noise_var == 0.25
-        assert observe(y, noise, 0.0, SamplingMask.full(*y.shape)).noise_var == 0.0
+        assert observe(y, noise, 0.0, np.ones(y.shape, dtype=bool)).noise_var == 0.0
 
     @pytest.mark.parametrize("noise_var", [-1e-3, float("nan")])
     def test_negative_noise_level_rejected(self, noise_var):
         ones = np.ones((2, 2), dtype=complex)
         with pytest.raises(ConfigError):
-            ObservationSet(SamplingMask.full(2, 2), ones, noise_var=noise_var)
+            ObservationSet(np.ones((2, 2), dtype=bool), ones, noise_var=noise_var)
+
+    @pytest.mark.parametrize(
+        "mask,value,error",
+        [
+            pytest.param(np.ones(4, dtype=bool), 1.0, ShapeError, id="1d-mask"),
+            pytest.param(np.ones((2, 2)), 1.0, ShapeError, id="float-mask"),
+            pytest.param(np.ones((2, 3), dtype=bool), 1.0, ShapeError, id="shape-mismatch"),
+            pytest.param(np.zeros((2, 2), dtype=bool), 1.0, InfeasibleMaskError, id="empty-mask"),
+            pytest.param(np.ones((2, 2), dtype=bool), np.nan, ShapeError, id="nan"),
+            pytest.param(np.ones((2, 2), dtype=bool), np.inf, ShapeError, id="inf"),
+            pytest.param(np.ones((2, 2), dtype=bool), -np.inf, ShapeError, id="-inf"),
+        ],
+    )
+    def test_invalid_observation_rejected(self, mask, value, error):
+        incomplete = np.ones((2, 2), dtype=complex)
+        incomplete[1, 0] = value
+        with pytest.raises(error):
+            ObservationSet(mask, incomplete)
+
+    def test_observation_must_match_mask(self):
+        # np.where would broadcast one row over every row of the mask.
+        y = np.ones((1, 32), dtype=complex)
+        with pytest.raises(ShapeError):
+            observe(y, np.zeros_like(y), 0.0, np.ones((8, 32), dtype=bool))
 
     def test_measurement_matrix_identity(self, realization):
         """vec(Y) == Phi @ vec(H) ties the matrix and operator views."""
         block = make_pilot_block(HybridConfig(), 8, 8, seed=2)
         y = _pilot_output(realization, block)
-        obs = observe(y, _unit_noise(y.shape, 0), 0.0, SamplingMask.full(*y.shape))
+        obs = observe(y, _unit_noise(y.shape, 0), 0.0, np.ones(y.shape, dtype=bool))
         phi = measurement_matrix(block)
         assert phi.shape == (8 * 32, 64)
         assert np.allclose(vec(obs.incomplete), phi @ vec(realization.matrix), atol=1e-10)
@@ -164,31 +188,32 @@ class TestSubsample:
         block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
         y = _pilot_output(realization, block)
         mask = subsample(8, 32, 0.6, seed=11)
-        assert mask.count == int(np.ceil(0.6 * 8 * 32))
-        assert mask.covers_all_lines()
+        assert mask.dtype == bool and mask.shape == (8, 32)
+        assert np.count_nonzero(mask) == int(np.ceil(0.6 * 8 * 32))
+        assert covers_all_lines(mask)
         # Unobserved entries are zeroed, observed ones untouched.
         obs = observe(y, _unit_noise(y.shape, 0), 0.0, mask)
-        kept = obs.mask.observed
+        kept = obs.mask
         assert np.array_equal(obs.incomplete[kept], y[kept])
         assert np.all(obs.incomplete[~kept] == 0)
 
     def test_full_keep(self):
-        assert subsample(8, 32, 1.0, seed=11).observed.all()
+        assert subsample(8, 32, 1.0, seed=11).all()
 
     def test_infeasible_fraction(self):
         with pytest.raises(InfeasibleMaskError):
             subsample(8, 32, 0.05, seed=11)
 
     def test_deterministic(self):
-        m1 = subsample(8, 32, 0.5, seed=7).observed
-        m2 = subsample(8, 32, 0.5, seed=7).observed
+        m1 = subsample(8, 32, 0.5, seed=7)
+        m2 = subsample(8, 32, 0.5, seed=7)
         assert np.array_equal(m1, m2)
 
     def test_sparse_fraction_still_covers_lines(self):
         # Near the feasibility edge the constructive fallback must still
         # produce a row/column cover.
         for seed in range(20):
-            assert subsample(8, 32, 0.14, seed=seed).covers_all_lines()
+            assert covers_all_lines(subsample(8, 32, 0.14, seed=seed))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -216,8 +241,16 @@ class TestSubsample:
                     subsample(rows, cols, keep, seed=seed)
                 return
             mask = subsample(rows, cols, keep, seed=seed)
-        assert mask.covers_all_lines()
-        assert mask.count == n_keep
+        assert mask.dtype == bool and mask.shape == (rows, cols)
+        assert covers_all_lines(mask)
+        assert np.count_nonzero(mask) == n_keep
+
+    def test_covers_all_lines(self):
+        mask = np.zeros((3, 4), dtype=bool)
+        mask[[0, 1, 2, 0], [0, 1, 2, 3]] = True
+        assert covers_all_lines(mask)
+        mask[1, 1] = False
+        assert not covers_all_lines(mask)
 
 
 def test_coarse_channel_full_mask_exact(realization):
@@ -225,7 +258,7 @@ def test_coarse_channel_full_mask_exact(realization):
     # estimate recovers the channel.
     block = make_pilot_block(HybridConfig(), 8, 8, seed=9)
     y = _pilot_output(realization, block)
-    obs = observe(y, _unit_noise(y.shape, 0), 0.0, SamplingMask.full(*y.shape))
+    obs = observe(y, _unit_noise(y.shape, 0), 0.0, np.ones(y.shape, dtype=bool))
     h = coarse_channel(obs, block)
     assert nmse(realization.matrix, h) <= 1e-20
 
@@ -234,7 +267,7 @@ def test_coarse_channel_degrades_with_mask(realization):
     block = make_pilot_block(HybridConfig(), 8, 8, seed=9)
     y = _pilot_output(realization, block)
     noise = _unit_noise(y.shape, 0)
-    full = observe(y, noise, 0.0, SamplingMask.full(*y.shape))
+    full = observe(y, noise, 0.0, np.ones(y.shape, dtype=bool))
     masked = observe(y, noise, 0.0, subsample(*y.shape, 0.5, seed=3))
     err_full = nmse(realization.matrix, coarse_channel(full, block))
     err_masked = nmse(realization.matrix, coarse_channel(masked, block))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ramc import channel, harness, numerics, recovery
+from ramc import channel, harness, recovery
 from ramc.channel import ChannelParams
 from ramc.config import DEFAULT_ABLATION, ExperimentConfig
 from ramc.errors import ConfigError, DegenerateSystemError, MatrixSizeError, UndefinedMetricError
@@ -221,7 +221,7 @@ class TestRunSweep:
         steps = _draw_trial(cfg, 0, dictionary)
         for step in steps:
             shared = [step.real.matrix, step.block.f, step.block.w, step.block.s,
-                      step.y_clean, step.noise, step.mask.observed, *step.ber]
+                      step.y_clean, step.noise, step.mask, *step.ber]
             assert not any(array.flags.writeable for array in shared)
         with pytest.raises(ValueError):
             steps[0].y_clean[0, 0] = 0.0
@@ -257,7 +257,7 @@ class TestRunSweep:
         cap = min(sizes[name] for name in too_large) - 1
         assert all(size > cap for name, size in sizes.items() if name in too_large)
         assert all(size <= cap for name, size in sizes.items() if name not in too_large)
-        monkeypatch.setattr(numerics, "MAX_KRON_ELEMENTS", cap)
+        monkeypatch.setattr(recovery, "MAX_KRON_ELEMENTS", cap)
         raised = sizes[too_large[0]]
         with pytest.raises(MatrixSizeError, match=f"would hold {raised} entries") as direct:
             recovery.estimate_phase2(np.zeros((4, 8)), block, dictionary, 2)
@@ -319,6 +319,32 @@ class TestRunSweep:
         assert len(records) == 12
         for r in records:
             assert r.error == ("ConfigError: injected failure at t=1" if r.t == 1 else "")
+
+    def test_linalg_error_fails_its_solve_alone(self, monkeypatch):
+        # A LAPACK failure inside one Phase-I solve (fixed_rank:2 at 25 dB,
+        # trial 0, t=0: the third solve of a one-thread sweep) fails that
+        # record with the numpy error and leaves every other one as it was.
+        cfg = ExperimentConfig(**SMALL, snr_grid_db=(5.0, 25.0), n_trials=2, time_steps=2)
+        variants = ("coarse_only", "fixed_rank:2", "rank_aware")
+        unpatched = self._timeless(run_sweep(cfg, variants))
+        real_complete = harness.r1mc_complete
+        calls = []
+
+        def diverge_third(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_complete(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "r1mc_complete", diverge_third)
+        records = self._timeless(run_sweep(cfg, variants))
+        assert len(records) == len(unpatched) == 24
+        for new, old in zip(records, unpatched):
+            if (new.variant, new.snr_db, new.trial, new.t) == ("fixed_rank:2", 25.0, 0, 0):
+                assert new.error == "LinAlgError: SVD did not converge"
+                assert math.isnan(new.nmse) and new.iterations == 0 and new.converged is None
+            else:
+                assert new == old and not new.error
 
     def test_repeated_variant_rejected(self):
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(10.0,), n_trials=1)
@@ -454,6 +480,13 @@ class TestRunSingleTrial:
         cfg = ExperimentConfig(**SMALL)
         with pytest.raises(ConfigError):
             run_single_trial(cfg, snr_idx=99)
+
+    def test_negative_trial_index(self):
+        cfg = ExperimentConfig(**SMALL)
+        with pytest.raises(ConfigError, match="trial index"):
+            run_single_trial(cfg, trial=-1)
+        with pytest.raises(ConfigError, match="trial index"):
+            simulate_trial(cfg, trial=-3)
 
     def test_rank_hint_survives_failed_phase2(self, monkeypatch):
         # rank_aware hints each solve with the previous step's corrected

@@ -15,7 +15,6 @@ from ramc.io import (
     write_csv,
     write_solver_trace,
 )
-from ramc.numerics import SamplingMask
 from ramc.recovery import SparseGainEstimate
 
 # Error strings a CSV cell must quote: separators, quotes, line breaks.
@@ -151,9 +150,8 @@ class TestWriteCsv:
 def test_export_mask(tmp_path):
     observed = np.zeros((3, 3), dtype=bool)
     observed[[0, 2], [1, 0]] = True
-    mask = SamplingMask(observed)
     path = tmp_path / "mask.csv"
-    export_mask(path, mask)
+    export_mask(path, observed)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "row,col"
     assert lines[1:] == ["0,1", "2,0"]
@@ -183,7 +181,6 @@ def test_export_support(tmp_path):
     est = SparseGainEstimate(
         gains=np.array([[1.0 + 1.0j]]),
         support=(0,),
-        residual_norm=0.0,
         parameter_set=((0.5, -0.25, 1.0 + 1.0j),),
     )
     path = tmp_path / "support.csv"
