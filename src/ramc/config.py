@@ -99,6 +99,12 @@ class ExperimentConfig:
             raise ConfigError("ber_symbols must be 0 (off) or >= 1000")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.hybrid.m_bs > self.channel.n_bs or self.hybrid.m_ms > self.channel.n_ms:
+            raise ConfigError(
+                f"RF chains (hybrid.m_bs={self.hybrid.m_bs}, hybrid.m_ms={self.hybrid.m_ms}) "
+                f"cannot exceed antenna count (channel.n_bs={self.channel.n_bs}, "
+                f"channel.n_ms={self.channel.n_ms})"
+            )
         parse_variant(self.estimator_variant)
         if self.rank_schedule is not None:
             for entry in self.rank_schedule:

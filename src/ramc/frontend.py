@@ -9,7 +9,7 @@ provides the coarse pseudo-inverse channel estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,9 +32,10 @@ class HybridConfig:
     def __post_init__(self):
         if min(self.m_bs, self.m_ms) < 1:
             raise ConfigError("RF chain counts must be positive")
-        if not 1 <= self.n_streams <= self.m_ms:
+        # Each stream needs an RF chain at both ends of the link.
+        if not 1 <= self.n_streams <= min(self.m_bs, self.m_ms):
             raise ConfigError(
-                f"n_streams must lie in [1, m_ms={self.m_ms}]"
+                f"n_streams must lie in [1, min(m_bs, m_ms)={min(self.m_bs, self.m_ms)}]"
             )
         if self.phase_bits < 1:
             raise ConfigError("phase shifters need at least one bit")
@@ -46,11 +47,19 @@ class HybridConfig:
 
 @dataclass(frozen=True)
 class PilotBlock:
-    """One pilot transmission: beamformers and symbols."""
+    """One pilot transmission: beamformers and symbols.
+
+    The products every estimate of the block reuses are formed once, on
+    construction: ``effective_precoder`` is F @ S, and ``combiner_pinv``
+    and ``precoder_pinv`` are the pseudo-inverses of W^H and of F @ S.
+    """
 
     f: np.ndarray
     w: np.ndarray
     s: np.ndarray
+    effective_precoder: np.ndarray = field(init=False)
+    combiner_pinv: np.ndarray = field(init=False)
+    precoder_pinv: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.f.ndim != 2 or self.w.ndim != 2 or self.s.ndim != 2:
@@ -59,11 +68,10 @@ class PilotBlock:
             raise ShapeError(
                 f"precoder columns {self.f.shape[1]} != pilot rows {self.s.shape[0]}"
             )
-
-    @property
-    def effective_precoder(self) -> np.ndarray:
-        """Combined transmit factor F @ S."""
-        return self.f @ self.s
+        fs = self.f @ self.s
+        object.__setattr__(self, "effective_precoder", fs)
+        object.__setattr__(self, "combiner_pinv", np.linalg.pinv(self.w.conj().T, rcond=1e-12))
+        object.__setattr__(self, "precoder_pinv", np.linalg.pinv(fs, rcond=1e-12))
 
 
 @dataclass(frozen=True)
@@ -225,10 +233,8 @@ def coarse_channel(obs: ObservationSet, block: PilotBlock) -> np.ndarray:
     """Pseudo-inverse channel estimate from the masked observation.
 
     Unobserved entries are treated as zero; this is the no-completion
-    baseline the two-phase estimator is compared against.
+    baseline the two-phase estimator is compared against.  The two
+    pseudo-inverses come from ``block``, which forms them once, so each
+    call is two matrix products.
     """
-    return (
-        np.linalg.pinv(block.w.conj().T, rcond=1e-12)
-        @ obs.incomplete
-        @ np.linalg.pinv(block.effective_precoder, rcond=1e-12)
-    )
+    return block.combiner_pinv @ obs.incomplete @ block.precoder_pinv

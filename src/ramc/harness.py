@@ -4,11 +4,12 @@ Runs the estimator variants over SNR grids with paired per-trial seeds,
 computes NMSE / recovery-probability / BER metrics, aggregates ablation
 reports and writes the canonical records CSV.  Seeds derive from
 (master_seed, purpose, trial, t) tuples, so records are reproducible
-regardless of scheduling order or worker count.  As no seed depends on
-the SNR or the variant, each trial's channel track, pilot blocks,
-observation noise, sampling masks and BER bits and noise are drawn once
-and shared, read-only, by every (variant, SNR) evaluated on that trial;
-per SNR the noise is only scaled and masked.
+regardless of scheduling order or worker count.  Each value is computed
+once, at the coarsest level it depends on, and shared read-only.  Once
+per step (trial, t): the channel and its singular values, the pilot
+block with F @ S and its two pseudo-inverses, the observation noise,
+the mask and the BER draws.  Once per (step, SNR), for every variant:
+the masked observation and the energy-rule rank of its zero fill.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -85,67 +87,64 @@ def nmse_db(value: float) -> float:
 
 
 def draw_ber_link(n_rx: int, n_symbols: int, n_streams: int, seed):
-    """Draw ``(bits, symbols, noise)``, the random inputs of :func:`ber_link`.
+    """Draw ``(signs, stack)``, the random inputs of :func:`ber_link`.
 
-    ``2 * n_streams`` rows of ``n_symbols`` bits map to ``n_streams`` rows
-    of QPSK symbols; the noise is unit-variance circular complex Gaussian
-    on ``n_rx`` receive antennas.  Nothing here depends on a channel, an
-    estimate or the SNR, so one draw serves every link evaluated on it.
+    ``signs`` holds one row of sign bits per stream, True for minus, laid
+    out as the float view of a complex row: entries 2j and 2j + 1 sign the
+    real and imaginary parts of QPSK symbol j.  ``stack`` holds those
+    symbols over unit-variance circular complex Gaussian noise on ``n_rx``
+    receive antennas.  Nothing here depends on a channel, an estimate or
+    the SNR, so one draw per step serves every link on it.
     """
     if n_symbols < 1000:
         raise ConfigError(f"need at least 1000 symbols, got {n_symbols}")
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(2 * n_streams, n_symbols))
-    symbols = (
-        (1.0 - 2.0 * bits[0::2]) + 1j * (1.0 - 2.0 * bits[1::2])
-    ) / math.sqrt(2.0)
-    noise = (
-        rng.normal(size=(n_rx, n_symbols)) + 1j * rng.normal(size=(n_rx, n_symbols))
-    ) / math.sqrt(2.0)
-    return bits, symbols, noise
+    bits = rng.integers(0, 2, size=(n_streams, 2, n_symbols))
+    signs = bits.transpose(0, 2, 1).reshape(n_streams, 2 * n_symbols) == 1
+    stack = np.empty((n_streams + n_rx, n_symbols), dtype=np.complex128)
+    stack[:n_streams].view(np.float64)[...] = np.where(signs, -1.0, 1.0)
+    stack.real[n_streams:] = rng.standard_normal((n_rx, n_symbols))
+    stack.imag[n_streams:] = rng.standard_normal((n_rx, n_symbols))
+    stack *= 1.0 / math.sqrt(2.0)
+    return signs, stack
 
 
-def ber_link(h_true, h_est, snr_db: float, draws) -> float:
+def ber_link(h_true, s_true, h_est, snr_db: float, draws) -> float:
     """QPSK bit error rate of an eigen-beamformed link.
 
     Precoder and combiner are the top singular vectors of the *estimate*,
     one per stream of ``draws`` (see :func:`draw_ber_link`); transmission
-    runs over the *true* channel with the drawn AWGN and per-stream scalar
-    equalisation, so estimation error shows up as inter-stream
-    interference and beamforming loss.  ``draws`` is only read.
+    runs over the *true* channel (singular values ``s_true``) with the
+    drawn AWGN and per-stream scalar equalisation, so estimation error
+    shows up as inter-stream interference and beamforming loss.  Per
+    call, the estimate's SVD and one product over the stack remain;
+    ``draws`` is only read.
     """
     h = np.asarray(h_true, dtype=np.complex128)
     est = np.asarray(h_est, dtype=np.complex128)
     u, s, vh = np.linalg.svd(est)
     if s.size == 0 or s[0] == 0.0:
         raise DegenerateSystemError("cannot beamform on a zero channel estimate")
-    bits, symbols, noise = draws
-    n_streams = symbols.shape[0]
+    signs, stack = draws
+    n_streams = signs.shape[0]
     if n_streams > min(h.shape):
         raise ConfigError(f"{n_streams} streams exceed channel dimensions {h.shape}")
-    precoder = vh.conj().T[:, :n_streams]
-    combiner = u[:, :n_streams]
-
-    effective = h @ precoder
+    combiner_h = u[:, :n_streams].conj().T
+    link = combiner_h @ (h @ vh.conj().T[:, :n_streams])
     # The noise level is referenced to matched beamforming on the true
     # channel, so misaligned beams lose receive SNR rather than being
     # compensated with extra power.  At +inf dB the noise vanishes.
-    s_true = np.linalg.svd(h, compute_uv=False)
     signal_power = float(np.sum(s_true[:n_streams] ** 2)) / h.shape[0]
     noise_scale = math.sqrt(signal_power / snr_to_linear(snr_db))
-    link = combiner.conj().T @ effective
-    # C^H (E S + sigma N) taken as (C^H E) S + sigma C^H N, so no
-    # n_rx x n_symbols array is built.
-    received = link @ symbols + noise_scale * (combiner.conj().T @ noise)
-    diag = np.diagonal(link).copy()
+    diag = np.diagonal(link)
     # A pair of unit beams gains at most s_true[0]; a stream whose link
     # gain is roundoff next to that has no link, so it is not equalised
     # by a gain whose phase is noise.
-    safe = np.abs(diag) > 1e-12 * s_true[0]
-    equalised = np.where(safe[:, None], received / np.where(safe, diag, 1.0)[:, None], received)
-    errors = int(np.sum(bits[0::2] != (equalised.real < 0)))
-    errors += int(np.sum(bits[1::2] != (equalised.imag < 0)))
-    return errors / bits.size
+    gains = np.where(np.abs(diag) > 1e-12 * s_true[0], diag, 1.0)
+    # C^H (H P S + sigma N) / g taken as ([C^H H P, sigma C^H] / g) @ [S; N],
+    # one product that builds no n_rx x n_symbols array.
+    equalised = (np.hstack([link, noise_scale * combiner_h]) / gains[:, None]) @ stack
+    return np.count_nonzero(signs != (equalised.view(np.float64) < 0)) / signs.size
 
 
 def _seed(cfg: ExperimentConfig, tag: int, trial: int, t: int = 0):
@@ -185,11 +184,13 @@ def _channel_track(cfg: ExperimentConfig, trial: int, dictionary):
 
 @dataclass(frozen=True)
 class _StepDraws:
-    """One step's SNR- and variant-free inputs; ``y_clean`` is the pilot
-    ``block``'s noiseless WᴴHFS, ``noise`` its unscaled observation noise,
-    ``mask`` its boolean sampling mask and ``error`` what a draw raised."""
+    """One step's SNR- and variant-free inputs; ``s_true`` holds the
+    channel's singular values, ``y_clean`` the pilot ``block``'s noiseless
+    WᴴHFS, ``noise`` its unscaled observation noise, ``mask`` its boolean
+    sampling mask and ``error`` what a draw raised."""
 
     real: chan.ChannelRealization
+    s_true: np.ndarray
     rank_true: int
     block: PilotBlock | None = None
     y_clean: np.ndarray | None = None
@@ -208,7 +209,10 @@ def _draw_trial(cfg: ExperimentConfig, trial: int, dictionary) -> list[_StepDraw
     """
     steps = []
     for t, real in enumerate(_channel_track(cfg, trial, dictionary)):
-        rank_true = int(np.linalg.matrix_rank(real.matrix, tol=None))
+        s_true = np.linalg.svd(real.matrix, compute_uv=False)
+        # np.linalg.matrix_rank's default rule, without a second SVD.
+        rtol = max(real.matrix.shape) * np.finfo(s_true.dtype).eps
+        rank_true = int(np.count_nonzero(s_true > s_true[0] * rtol))
         try:
             seed = _seed(cfg, _PILOT_TAG, trial, t)
             block = make_pilot_block(cfg.hybrid, cfg.channel.n_bs, cfg.channel.n_ms, seed=seed)
@@ -224,12 +228,13 @@ def _draw_trial(cfg: ExperimentConfig, trial: int, dictionary) -> list[_StepDraw
             # Drawn last: a pilot or BER draw error outranks an infeasible mask.
             seed = _seed(cfg, _MASK_TAG, trial, t)
             mask = subsample(*y_clean.shape, cfg.keep_fraction, seed=seed)
-            steps.append(_StepDraws(real, rank_true, block, y_clean, noise, mask, ber))
-            shared = [block.f, block.w, block.s, y_clean, noise, mask, *(ber or ())]
+            steps.append(_StepDraws(real, s_true, rank_true, block, y_clean, noise, mask, ber))
+            shared = [block.f, block.w, block.s, block.effective_precoder, block.combiner_pinv,
+                      block.precoder_pinv, y_clean, noise, mask, *(ber or ())]
         except (RamcError, np.linalg.LinAlgError) as exc:
-            steps.append(_StepDraws(real, rank_true, error=exc))
+            steps.append(_StepDraws(real, s_true, rank_true, error=exc))
             shared = []
-        for array in [real.matrix, *shared]:
+        for array in [real.matrix, s_true, *shared]:
             array.setflags(write=False)
     return steps
 
@@ -240,6 +245,27 @@ def _observe_step(cfg: ExperimentConfig, snr_idx: int, step: _StepDraws):
         raise step.error.with_traceback(None)
     noise_var = _noise_var_for_snr(step.y_clean, cfg.snr_grid_db[snr_idx])
     return observe(step.y_clean, step.noise, noise_var, step.mask)
+
+
+class _Observed:
+    """One step's masked observation ``obs`` at one SNR, shared read-only
+    by every variant, or the ``error`` that its draws or ``observe`` raised."""
+
+    def __init__(self, cfg: ExperimentConfig, snr_idx: int, step: _StepDraws):
+        self.obs, self.error, self.energy_ratio = None, None, cfg.solver.energy_ratio
+        try:
+            self.obs = _observe_step(cfg, snr_idx, step)
+            self.obs.incomplete.setflags(write=False)
+        except (RamcError, np.linalg.LinAlgError) as exc:
+            self.error = exc
+
+    @cached_property
+    def zero_fill_rank(self) -> int | None:
+        """The baselines' energy-rule rank of ``obs``; None when degenerate."""
+        try:
+            return estimate_rank(self.obs.incomplete, self.energy_ratio)
+        except DegenerateSystemError:
+            return None
 
 
 def _single_trial_draws(cfg: ExperimentConfig, snr_idx: int, trial: int):
@@ -266,12 +292,13 @@ def _estimate_one(
     variant_kind: str,
     variant_param: int | None,
     cfg: ExperimentConfig,
-    obs,
+    seen: _Observed,
     block,
     dictionary,
     ranks: list[int],
 ):
-    """Run one estimator variant; returns (h_hat, rank_est, sparse, solve).
+    """Run one estimator variant on ``seen.obs``; returns (h_hat, rank_est,
+    sparse, solve).
 
     ``solve`` is the completion solver's :class:`CompletionResult`, None
     for the variants that skip Phase I.  ``ranks`` holds the trial's
@@ -280,19 +307,15 @@ def _estimate_one(
     its own before Phase II runs, so a step whose Phase II fails still
     hints the next step.
     """
-    solver = cfg.solver
+    solver, obs = cfg.solver, seen.obs
     if variant_kind == "coarse_only":
-        try:
-            rank_est = estimate_rank(obs.incomplete, solver.energy_ratio)
-        except DegenerateSystemError:
-            rank_est = 0
-        return coarse_channel(obs, block), rank_est, None, None
+        rank_est = seen.zero_fill_rank
+        return coarse_channel(obs, block), 0 if rank_est is None else rank_est, None, None
 
     if variant_kind == "somp_baseline":
         rough = coarse_channel(obs, block)
-        try:
-            cap = estimate_rank(obs.incomplete, solver.energy_ratio)
-        except DegenerateSystemError:
+        cap = seen.zero_fill_rank
+        if cap is None:
             cap = min(obs.incomplete.shape)
         est = somp_baseline(rough, dictionary.a_ms, max(cap, 1))
         # AoA atoms only: no AoD, and each gain is a row over the BS antennas.
@@ -337,6 +360,7 @@ def _run_trial(
     trial: int,
     dictionary,
     steps: list[_StepDraws],
+    observed: list[_Observed],
     artifacts: dict | None = None,
 ):
     kind, param = parse_variant(variant)
@@ -345,13 +369,14 @@ def _run_trial(
     records = []
     if artifacts is not None:
         artifacts.update(t=[], truth=[], estimate=[], sparse=[], trace=[])
-    for t, step in enumerate(steps):
+    for t, (step, seen) in enumerate(zip(steps, observed)):
         started = time.perf_counter()
         real = step.real
         try:
-            obs = _observe_step(cfg, snr_idx, step)
+            if seen.error is not None:
+                raise seen.error.with_traceback(None)
             h_hat, rank_est, sparse, solve = _estimate_one(
-                kind, param, cfg, obs, step.block, dictionary, ranks
+                kind, param, cfg, seen, step.block, dictionary, ranks
             )
             if artifacts is not None:
                 artifacts["t"].append(t)
@@ -361,7 +386,9 @@ def _run_trial(
                 artifacts["trace"].append(solve.trace if solve is not None else ())
             value = nmse(real.matrix, h_hat)
             value_db = nmse_db(value)
-            ber = None if step.ber is None else ber_link(real.matrix, h_hat, snr_db, step.ber)
+            ber = None if step.ber is None else ber_link(
+                real.matrix, step.s_true, h_hat, snr_db, step.ber
+            )
             outcome = dict(
                 nmse=value,
                 nmse_db=value_db,
@@ -407,8 +434,9 @@ def run_sweep(
 
     Every draw depends only on (trial, t), so all variants and SNRs see
     identical data and pair trial for trial; workers take whole trials,
-    whose SNR- and variant-free draws are made once and shared.  Module
-    errors mark single records as failed; the sweep continues.
+    whose SNR- and variant-free draws are made once per step and whose
+    observations once per (step, SNR), and share them.  Module errors
+    mark single records as failed; the sweep continues.
 
     Records come back sorted by (variant, snr, trial, t) regardless of
     the worker count.  An unknown or repeated variant raises ConfigError.
@@ -423,11 +451,13 @@ def run_sweep(
 
     def trial_records(trial):
         steps = _draw_trial(cfg, trial, dictionary)
+        snrs = range(len(cfg.snr_grid_db))
+        observed = [[_Observed(cfg, snr_idx, step) for step in steps] for snr_idx in snrs]
         return [
             record
             for variant in variants
-            for snr_idx in range(len(cfg.snr_grid_db))
-            for record in _run_trial(cfg, variant, snr_idx, trial, dictionary, steps)
+            for snr_idx, seen in enumerate(observed)
+            for record in _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, seen)
         ]
 
     if workers == 1:
@@ -456,7 +486,8 @@ def run_single_trial(
     """
     variant = variant if variant is not None else cfg.estimator_variant
     dictionary, steps = _single_trial_draws(cfg, snr_idx, trial)
-    return _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, artifacts=artifacts)
+    observed = [_Observed(cfg, snr_idx, step) for step in steps]
+    return _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, observed, artifacts)
 
 
 def write_records(path, records) -> None:

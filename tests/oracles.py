@@ -1,7 +1,10 @@
 """Reference operators the tests check the estimator against.
 
-The package never forms these: Phase II builds its atoms from two small
-Kronecker factors (see ``ramc.recovery.estimate_phase2``).
+The package never forms Phi, Psi or the on-grid Hbar: Phase II builds
+its atoms from two small Kronecker factors (see
+``ramc.recovery.estimate_phase2``).  The coarse estimate, the BER draws
+and the BER link are written here the direct way, recomputing on each
+call what the package computes once per step.
 """
 
 import math
@@ -9,6 +12,7 @@ import math
 import numpy as np
 
 from ramc.channel import _grid_index, raised_cosine
+from ramc.config import snr_to_linear
 
 
 def vec(m) -> np.ndarray:
@@ -50,3 +54,44 @@ def angular_factorization(real, dictionary) -> np.ndarray:
             pulse = raised_cosine(-ray.delay, params.pulse_rolloff, params.sample_period)
             hbar[i, j] += scale * ray.gain * pulse
     return hbar
+
+
+def coarse_channel_two_pinvs(obs, block) -> np.ndarray:
+    """The coarse estimate with both pseudo-inverses taken on each call."""
+    return (
+        np.linalg.pinv(block.w.conj().T, rcond=1e-12)
+        @ obs.incomplete
+        @ np.linalg.pinv(block.f @ block.s, rcond=1e-12)
+    )
+
+
+def draw_ber_link_three_arrays(n_rx, n_symbols, n_streams, seed):
+    """BER draws as ``(bits, symbols, noise)`` from separate expressions."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(2 * n_streams, n_symbols))
+    symbols = ((1.0 - 2.0 * bits[0::2]) + 1j * (1.0 - 2.0 * bits[1::2])) / math.sqrt(2.0)
+    noise = (
+        rng.normal(size=(n_rx, n_symbols)) + 1j * rng.normal(size=(n_rx, n_symbols))
+    ) / math.sqrt(2.0)
+    return bits, symbols, noise
+
+
+def ber_link_two_products(h_true, h_est, snr_db, bits, symbols, noise) -> float:
+    """The BER link with its own SVD of the truth, received signal and
+    noise taken as two products, and the equaliser applied afterwards."""
+    h = np.asarray(h_true, dtype=np.complex128)
+    u, _, vh = np.linalg.svd(np.asarray(h_est, dtype=np.complex128))
+    n_streams = symbols.shape[0]
+    precoder = vh.conj().T[:, :n_streams]
+    combiner = u[:, :n_streams]
+    s_true = np.linalg.svd(h, compute_uv=False)
+    signal_power = float(np.sum(s_true[:n_streams] ** 2)) / h.shape[0]
+    noise_scale = math.sqrt(signal_power / snr_to_linear(snr_db))
+    link = combiner.conj().T @ (h @ precoder)
+    received = link @ symbols + noise_scale * (combiner.conj().T @ noise)
+    diag = np.diagonal(link).copy()
+    safe = np.abs(diag) > 1e-12 * s_true[0]
+    equalised = np.where(safe[:, None], received / np.where(safe, diag, 1.0)[:, None], received)
+    errors = int(np.sum(bits[0::2] != (equalised.real < 0)))
+    errors += int(np.sum(bits[1::2] != (equalised.imag < 0)))
+    return errors / bits.size

@@ -61,13 +61,15 @@ def _channel_params(draw):
 
 
 @st.composite
-def _hybrid_configs(draw):
-    m_bs = draw(st.integers(1, 16))
-    m_ms = draw(st.integers(1, 16))
+def _hybrid_configs(draw, channel):
+    # RF chains are bounded by the antennas at their end of the link, and
+    # each stream needs a chain at both ends.
+    m_bs = draw(st.integers(1, channel.n_bs))
+    m_ms = draw(st.integers(1, channel.n_ms))
     return HybridConfig(
         m_bs=m_bs,
         m_ms=m_ms,
-        n_streams=draw(st.integers(1, m_ms)),
+        n_streams=draw(st.integers(1, min(m_bs, m_ms))),
         phase_bits=draw(st.integers(1, 8)),
         pilot_length=draw(st.integers(m_bs, 64)),
     )
@@ -82,9 +84,10 @@ def _experiment_configs(draw):
         schedule = draw(
             st.none() | st.lists(pair, max_size=3, unique_by=lambda p: p[0]).map(tuple)
         )
+    channel = draw(_channel_params())
     return ExperimentConfig(
-        channel=draw(_channel_params()),
-        hybrid=draw(_hybrid_configs()),
+        channel=channel,
+        hybrid=draw(_hybrid_configs(channel)),
         solver=SolverOptions(
             mu=draw(st.none() | st.floats(0.0, 10.0)),
             max_iters=draw(st.integers(1, 1000)),
@@ -120,6 +123,27 @@ _MALFORMED_DOCS = [
     pytest.param({"rank_schedule": [["a", 2]]}, id="schedule-not-a-number"),
     pytest.param({"omp": {"sparsity_cap": 4}}, id="removed-omp-section"),
     pytest.param({"channel": {"n_delay_taps": 2}}, id="removed-delay-taps"),
+]
+
+
+# Geometries on which every record would fail; each must be rejected at
+# load, naming the bound it breaks.
+_INFEASIBLE_GEOMETRY_DOCS = [
+    pytest.param(
+        {"channel": {"n_bs": 2}, "hybrid": {"m_bs": 4}}, "RF chains", id="bs-chains-over-antennas"
+    ),
+    pytest.param(
+        {"channel": {"n_ms": 2}, "hybrid": {"m_ms": 4}}, "RF chains", id="ms-chains-over-antennas"
+    ),
+    pytest.param(
+        {
+            "channel": {"n_bs": 2},
+            "hybrid": {"m_bs": 2, "m_ms": 4, "n_streams": 3, "pilot_length": 8},
+            "ber_symbols": 1000,
+        },
+        "n_streams",
+        id="streams-over-chains",
+    ),
 ]
 
 
@@ -394,6 +418,14 @@ class TestCliConfig:
         path.write_text(json.dumps({"master_seed": -5}))
         assert main(["config", "--config", str(path)]) == 1
         assert "config error: master_seed must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc,bound", _INFEASIBLE_GEOMETRY_DOCS)
+    def test_infeasible_geometry_rejected(self, doc, bound, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["config", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and bound in err
 
     @pytest.mark.parametrize("doc", _MALFORMED_DOCS)
     def test_malformed_config_exit_code(self, doc, tmp_path, capsys):

@@ -26,7 +26,7 @@ from ramc.frontend import (
 )
 from ramc.harness import nmse
 
-from oracles import measurement_matrix, vec
+from oracles import coarse_channel_two_pinvs, measurement_matrix, vec
 
 
 @pytest.fixture
@@ -46,6 +46,7 @@ class TestHybridConfig:
             {"m_bs": 0},
             {"n_streams": 0},
             {"n_streams": 9},
+            {"m_bs": 1, "n_streams": 2},
             {"phase_bits": 0},
             {"pilot_length": 4},
         ],
@@ -272,6 +273,33 @@ def test_coarse_channel_degrades_with_mask(realization):
     err_full = nmse(realization.matrix, coarse_channel(full, block))
     err_masked = nmse(realization.matrix, coarse_channel(masked, block))
     assert err_masked > err_full
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_bs=st.integers(1, 8),
+    n_ms=st.integers(1, 8),
+    keep=st.floats(0.05, 1.0),
+    noise_var=st.sampled_from([0.0, 0.3]),
+    data=st.data(),
+)
+def test_coarse_channel_matches_two_pinvs(seed, n_bs, n_ms, keep, noise_var, data):
+    # The block's stored pseudo-inverses give the very bits of taking both
+    # on each call.
+    m_bs = data.draw(st.integers(1, n_bs))
+    m_ms = data.draw(st.integers(1, n_ms))
+    cfg = HybridConfig(
+        m_bs=m_bs, m_ms=m_ms, n_streams=1, pilot_length=data.draw(st.integers(m_bs, 3 * m_bs))
+    )
+    block = make_pilot_block(cfg, n_bs, n_ms, seed=seed)
+    rng = np.random.default_rng(seed)
+    real = sample_realization(ChannelParams(n_bs=n_bs, n_ms=n_ms), rng)
+    y = _pilot_output(real, block)
+    mask = rng.random(y.shape) < keep
+    mask[0, 0] = True
+    obs = observe(y, _unit_noise(y.shape, seed), noise_var, mask)
+    assert np.array_equal(coarse_channel(obs, block), coarse_channel_two_pinvs(obs, block))
 
 
 def test_pilot_block_shape_validation():

@@ -33,7 +33,12 @@ from ramc.harness import (
     write_report,
 )
 
-from oracles import build_dictionary, measurement_matrix
+from oracles import (
+    ber_link_two_products,
+    build_dictionary,
+    draw_ber_link_three_arrays,
+    measurement_matrix,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -94,16 +99,21 @@ class TestRecoveryProbability:
             summarize_records([])
 
 
+def _sv(h):
+    """Singular values of the true channel, as a step holds them."""
+    return np.linalg.svd(h, compute_uv=False)
+
+
 class TestBerLink:
     def test_matched_high_snr(self):
         rng = np.random.default_rng(410)
         h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        assert ber_link(h, h, snr_db=30.0, draws=draw_ber_link(8, 5000, 2, seed=1)) <= 1e-4
+        assert ber_link(h, _sv(h), h, snr_db=30.0, draws=draw_ber_link(8, 5000, 2, seed=1)) <= 1e-4
 
     def test_pure_noise_limit(self):
         rng = np.random.default_rng(411)
         h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        ber = ber_link(h, h, snr_db=-60.0, draws=draw_ber_link(8, 5000, 2, seed=2))
+        ber = ber_link(h, _sv(h), h, snr_db=-60.0, draws=draw_ber_link(8, 5000, 2, seed=2))
         # 20000 bits of coin flips: 0.5 within 3 binomial sigmas.
         assert abs(ber - 0.5) <= 3 * math.sqrt(0.25 / 20000)
 
@@ -116,8 +126,8 @@ class TestBerLink:
         # so the mismatched link degenerates to coin flipping.
         h_bad = u[:, 2:4] @ np.diag([5.0, 3.0]) @ vh[2:4, :]
         draws = draw_ber_link(8, 4000, 2, seed=3)
-        good = ber_link(h, h, snr_db=10.0, draws=draws)
-        bad = ber_link(h, h_bad, snr_db=10.0, draws=draws)
+        good = ber_link(h, _sv(h), h, snr_db=10.0, draws=draws)
+        bad = ber_link(h, _sv(h), h_bad, snr_db=10.0, draws=draws)
         assert good < bad
         assert abs(bad - 0.5) <= 3 * math.sqrt(0.25 / 8000)
 
@@ -131,7 +141,7 @@ class TestBerLink:
         h = 5.0 * np.outer(u[:, 0], vh[0])
         h_est = h + 2.0 * np.outer(u[:, 1], vh[1])
         draws = draw_ber_link(8, 4000, 2, seed=4)
-        bers = {ber_link(h, h_est * (1.0 + k * 2.0**-52), 10.0, draws) for k in range(20)}
+        bers = {ber_link(h, _sv(h), h_est * (1.0 + k * 2.0**-52), 10.0, draws) for k in range(20)}
         assert len(bers) == 1
 
     @settings(max_examples=40, deadline=None)
@@ -152,7 +162,48 @@ class TestBerLink:
         draws = draw_ber_link(shape[0], 1000, n_streams, seed=draw_seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert ber_link(h, h, math.inf, draws) == 0.0
+            assert ber_link(h, s, h, math.inf, draws) == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_rx=st.integers(1, 8),
+        n_streams=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_match_three_array_form(self, n_rx, n_streams, seed):
+        signs, stack = draw_ber_link(n_rx, 1000, n_streams, seed=seed)
+        bits, symbols, noise = draw_ber_link_three_arrays(n_rx, 1000, n_streams, seed)
+        assert signs.dtype == bool and signs.shape == (n_streams, 2000)
+        assert np.array_equal(signs[:, 0::2], bits[0::2])
+        assert np.array_equal(signs[:, 1::2], bits[1::2])
+        assert np.array_equal(stack.view(np.uint64), np.vstack([symbols, noise]).view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(2, 6), st.integers(2, 6)),
+        seed=st.integers(0, 2**32 - 1),
+        n_streams=st.integers(1, 2),
+        snr_db=st.sampled_from([-10.0, 0.0, 10.0, 30.0, math.inf]),
+        estimate=st.sampled_from(["perturbed", "orthogonal_beam"]),
+    )
+    def test_matches_two_product_form(self, shape, seed, n_streams, snr_db, estimate):
+        # One product over [symbols; noise] with the equaliser folded in
+        # decides every bit as the two products and the divide did, also
+        # at +inf dB and when a stream's link gain is roundoff.
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if estimate == "perturbed":
+            h = g
+            h_est = g + 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        else:
+            u, _, vh = np.linalg.svd(g)
+            h = 5.0 * np.outer(u[:, 0], vh[0])
+            h_est = h + 2.0 * np.outer(u[:, 1], vh[1])
+        draws = draw_ber_link(shape[0], 1000, n_streams, seed=seed)
+        reference = draw_ber_link_three_arrays(shape[0], 1000, n_streams, seed)
+        assert ber_link(h, _sv(h), h_est, snr_db, draws) == ber_link_two_products(
+            h, h_est, snr_db, *reference
+        )
 
     def test_too_few_symbols(self):
         with pytest.raises(ConfigError):
@@ -215,16 +266,72 @@ class TestRunSweep:
             ]
             assert rows == self._timeless(single)
 
-    def test_shared_arrays_read_only(self):
+    def test_shared_arrays_read_only(self, monkeypatch):
         cfg = ExperimentConfig(**SMALL, time_steps=2, ber_symbols=1000)
         dictionary = _dictionary(cfg)
         steps = _draw_trial(cfg, 0, dictionary)
         for step in steps:
-            shared = [step.real.matrix, step.block.f, step.block.w, step.block.s,
+            block = step.block
+            shared = [step.real.matrix, step.s_true, block.f, block.w, block.s,
+                      block.effective_precoder, block.combiner_pinv, block.precoder_pinv,
                       step.y_clean, step.noise, step.mask, *step.ber]
             assert not any(array.flags.writeable for array in shared)
         with pytest.raises(ValueError):
             steps[0].y_clean[0, 0] = 0.0
+        # The observation both baselines get at a (trial, t, SNR) is one
+        # read-only object.
+        real_coarse = harness.coarse_channel
+        seen = []
+
+        def spy_coarse(obs, block):
+            seen.append(obs)
+            return real_coarse(obs, block)
+
+        monkeypatch.setattr(harness, "coarse_channel", spy_coarse)
+        cfg = dataclasses.replace(cfg, snr_grid_db=(5.0, 25.0), n_trials=2)
+        run_sweep(cfg, ("coarse_only", "somp_baseline"))
+        assert len(seen) == 2 * 8 and len({id(obs) for obs in seen}) == 8
+        assert not any(obs.incomplete.flags.writeable for obs in seen)
+
+    def test_step_work_done_once(self, monkeypatch):
+        # Per (trial, t): the two pseudo-inverses of the coarse estimate
+        # and the true channel's SVD.  Per (trial, t, SNR), whatever the
+        # number of variants: the observation and the energy-rule rank of
+        # its zero fill.
+        cfg = ExperimentConfig(
+            **SMALL, snr_grid_db=(5.0, 15.0, 25.0), n_trials=2, time_steps=2,
+            ber_symbols=1000,
+        )
+        dictionary = _dictionary(cfg)
+        steps = [step for trial in range(2) for step in _draw_trial(cfg, trial, dictionary)]
+        truths = [step.real.matrix for step in steps]
+        # The rank is read off the one SVD by matrix_rank's own rule.
+        assert [step.rank_true for step in steps] == [np.linalg.matrix_rank(h) for h in truths]
+        counts = {}
+
+        def counting(module, name, count_if=lambda *args: True):
+            real = getattr(module, name)
+
+            def spy(*args, **kwargs):
+                if count_if(*args):
+                    counts[name] = counts.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+
+        def is_truth(a, *_):
+            return any(a.shape == h.shape and np.array_equal(a, h) for h in truths)
+
+        counting(np.linalg, "pinv")
+        counting(np.linalg, "svd", is_truth)
+        counting(harness, "observe")
+        counting(harness, "estimate_rank")
+        for variants in (("coarse_only",), ("coarse_only", "somp_baseline")):
+            counts.clear()
+            records = run_sweep(cfg, variants)
+            assert len(records) == 12 * len(variants) and not any(r.error for r in records)
+            assert all(r.ber is not None for r in records)
+            assert counts == {"pinv": 2 * 4, "svd": 4, "observe": 12, "estimate_rank": 12}
 
     @pytest.mark.parametrize(
         "grid_oversampling,too_large",
