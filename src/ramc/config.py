@@ -79,12 +79,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must not be empty")
-        # +inf is a noiseless link; -inf would leave no signal to estimate.
-        if not all(snr > -math.inf for snr in self.snr_grid_db):
-            raise ConfigError("snr_grid_db must not hold NaN or -inf")
-        # Within 300 dB (a ratio of 1e+-30) no noise variance or scale over- or underflows.
-        if any(math.isfinite(snr) and abs(snr) > 300.0 for snr in self.snr_grid_db):
-            raise ConfigError("finite snr_grid_db values must lie in [-300, 300] dB")
+        check_snr_db(self.snr_grid_db, "snr_grid_db")
         if not 0.0 < self.keep_fraction <= 1.0:
             raise ConfigError("keep_fraction must lie in (0, 1]")
         if self.n_trials < 1 or self.time_steps < 1:
@@ -202,6 +197,16 @@ def load_config(path) -> ExperimentConfig:
 def dump_defaults() -> str:
     """Default configuration as a JSON document."""
     return json.dumps(config_to_dict(ExperimentConfig()), indent=2)
+
+
+def check_snr_db(snrs, name: str) -> None:
+    """Raise ConfigError unless every SNR in ``snrs`` is +inf or within 300 dB."""
+    # +inf is a noiseless link; -inf would leave no signal to estimate.
+    if not all(snr > -math.inf for snr in snrs):
+        raise ConfigError(f"{name} must not hold NaN or -inf")
+    # Within 300 dB (a ratio of 1e+-30) no noise variance or scale over- or underflows.
+    if any(math.isfinite(snr) and abs(snr) > 300.0 for snr in snrs):
+        raise ConfigError(f"finite {name} values must lie in [-300, 300] dB")
 
 
 def snr_to_linear(snr_db: float) -> float:

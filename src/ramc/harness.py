@@ -9,7 +9,9 @@ once, at the coarsest level it depends on, and shared read-only.  Once
 per step (trial, t): the channel and its singular values, the pilot
 block with F @ S and its two pseudo-inverses, the observation noise,
 the mask and the BER draws.  Once per (step, SNR), for every variant:
-the masked observation and the energy-rule rank of its zero fill.
+the masked observation, the energy-rule rank of its zero fill and the
+coarse estimate.  Once per step, after every (variant, SNR) has its
+estimate: the BER of all of them, in one :func:`ber_link` call.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 
 from . import channel as chan
 from .completion import estimate_rank, r1mc_complete
-from .config import ExperimentConfig, parse_variant, snr_to_linear
-from .errors import ConfigError, DegenerateSystemError, RamcError, UndefinedMetricError
+from .config import ExperimentConfig, check_snr_db, parse_variant, snr_to_linear
+from .errors import ConfigError, DegenerateSystemError, RamcError, ShapeError, UndefinedMetricError
 from .frontend import PilotBlock, coarse_channel, make_pilot_block, observe, subsample
 from .io import read_cell, write_csv
 from .recovery import estimate_phase2, somp_baseline
@@ -109,42 +111,57 @@ def draw_ber_link(n_rx: int, n_symbols: int, n_streams: int, seed):
     return signs, stack
 
 
-def ber_link(h_true, s_true, h_est, snr_db: float, draws) -> float:
-    """QPSK bit error rate of an eigen-beamformed link.
+def ber_link(h_true, s_true, h_est, snr_db, draws) -> list:
+    """QPSK bit error rates of eigen-beamformed links, one per estimate.
 
-    Precoder and combiner are the top singular vectors of the *estimate*,
-    one per stream of ``draws`` (see :func:`draw_ber_link`); transmission
-    runs over the *true* channel (singular values ``s_true``) with the
-    drawn AWGN and per-stream scalar equalisation, so estimation error
-    shows up as inter-stream interference and beamforming loss.  Per
-    call, the estimate's SVD and one product over the stack remain;
-    ``draws`` is only read.
+    Row k of the stack ``h_est`` is one estimate of ``h_true``, whose
+    link runs at ``snr_db[k]``.  Precoder and combiner are the top
+    singular vectors of the *estimate*, one per stream of ``draws`` (see
+    :func:`draw_ber_link`); transmission runs over the *true* channel
+    (singular values ``s_true``) with the drawn AWGN and per-stream
+    scalar equalisation, so estimation error shows up as inter-stream
+    interference and beamforming loss.  One stacked SVD serves every
+    row, and one product ``[L_1; ...; L_K] @ stack`` every link, with the
+    errors counted per row; ``draws`` is only read.
+
+    Returns one entry per row: its BER, or the
+    :class:`DegenerateSystemError` of a zero estimate, which fails that
+    row alone.  An SNR that the config rejects (NaN, -inf, or finite
+    beyond 300 dB) raises :class:`ConfigError`; +inf is a noiseless link.
     """
     h = np.asarray(h_true, dtype=np.complex128)
     est = np.asarray(h_est, dtype=np.complex128)
-    u, s, vh = np.linalg.svd(est)
-    if s.size == 0 or s[0] == 0.0:
-        raise DegenerateSystemError("cannot beamform on a zero channel estimate")
+    if est.ndim != 3 or est.shape[1:] != h.shape or est.shape[0] != len(snr_db):
+        raise ShapeError(f"need one {h.shape} estimate per SNR, got {est.shape} for {len(snr_db)}")
+    check_snr_db(snr_db, "ber_link snr_db")
     signs, stack = draws
     n_streams = signs.shape[0]
     if n_streams > min(h.shape):
         raise ConfigError(f"{n_streams} streams exceed channel dimensions {h.shape}")
-    combiner_h = u[:, :n_streams].conj().T
-    link = combiner_h @ (h @ vh.conj().T[:, :n_streams])
+    u, s, vh = np.linalg.svd(est)
+    live = np.flatnonzero(s[:, 0] != 0.0)
+    combiner_h = u[live, :, :n_streams].conj().transpose(0, 2, 1)
+    link = combiner_h @ (h @ vh[live].conj().transpose(0, 2, 1)[:, :, :n_streams])
     # The noise level is referenced to matched beamforming on the true
     # channel, so misaligned beams lose receive SNR rather than being
     # compensated with extra power.  At +inf dB the noise vanishes.
     signal_power = float(np.sum(s_true[:n_streams] ** 2)) / h.shape[0]
-    noise_scale = math.sqrt(signal_power / snr_to_linear(snr_db))
-    diag = np.diagonal(link)
+    noise_scale = [math.sqrt(signal_power / snr_to_linear(snr_db[k])) for k in live]
+    diag = np.diagonal(link, axis1=1, axis2=2)
     # A pair of unit beams gains at most s_true[0]; a stream whose link
     # gain is roundoff next to that has no link, so it is not equalised
     # by a gain whose phase is noise.
     gains = np.where(np.abs(diag) > 1e-12 * s_true[0], diag, 1.0)
     # C^H (H P S + sigma N) / g taken as ([C^H H P, sigma C^H] / g) @ [S; N],
-    # one product that builds no n_rx x n_symbols array.
-    equalised = (np.hstack([link, noise_scale * combiner_h]) / gains[:, None]) @ stack
-    return np.count_nonzero(signs != (equalised.view(np.float64) < 0)) / signs.size
+    # one product for every row that builds no n_rx x n_symbols array.
+    scaled = np.array(noise_scale).reshape(-1, 1, 1) * combiner_h
+    rows = np.concatenate([link, scaled], axis=2) / gains[:, :, None]
+    equalised = rows.reshape(-1, stack.shape[0]) @ stack
+    decided = equalised.view(np.float64).reshape(len(live), *signs.shape) < 0
+    out: list = [DegenerateSystemError("cannot beamform on a zero channel estimate")] * len(est)
+    for k, wrong in zip(live, decided != signs):
+        out[k] = np.count_nonzero(wrong) / signs.size
+    return out
 
 
 def _seed(cfg: ExperimentConfig, tag: int, trial: int, t: int = 0):
@@ -253,6 +270,7 @@ class _Observed:
 
     def __init__(self, cfg: ExperimentConfig, snr_idx: int, step: _StepDraws):
         self.obs, self.error, self.energy_ratio = None, None, cfg.solver.energy_ratio
+        self.block = step.block
         try:
             self.obs = _observe_step(cfg, snr_idx, step)
             self.obs.incomplete.setflags(write=False)
@@ -266,6 +284,13 @@ class _Observed:
             return estimate_rank(self.obs.incomplete, self.energy_ratio)
         except DegenerateSystemError:
             return None
+
+    @cached_property
+    def coarse(self) -> np.ndarray:
+        """The baselines' read-only coarse estimate from ``obs``."""
+        estimate = coarse_channel(self.obs, self.block)
+        estimate.setflags(write=False)
+        return estimate
 
 
 def _single_trial_draws(cfg: ExperimentConfig, snr_idx: int, trial: int):
@@ -293,7 +318,6 @@ def _estimate_one(
     variant_param: int | None,
     cfg: ExperimentConfig,
     seen: _Observed,
-    block,
     dictionary,
     ranks: list[int],
 ):
@@ -307,17 +331,16 @@ def _estimate_one(
     its own before Phase II runs, so a step whose Phase II fails still
     hints the next step.
     """
-    solver, obs = cfg.solver, seen.obs
+    solver, obs, block = cfg.solver, seen.obs, seen.block
     if variant_kind == "coarse_only":
         rank_est = seen.zero_fill_rank
-        return coarse_channel(obs, block), 0 if rank_est is None else rank_est, None, None
+        return seen.coarse, 0 if rank_est is None else rank_est, None, None
 
     if variant_kind == "somp_baseline":
-        rough = coarse_channel(obs, block)
         cap = seen.zero_fill_rank
         if cap is None:
             cap = min(obs.incomplete.shape)
-        est = somp_baseline(rough, dictionary.a_ms, max(cap, 1))
+        est = somp_baseline(seen.coarse, dictionary.a_ms, max(cap, 1))
         # AoA atoms only: no AoD, and each gain is a row over the BS antennas.
         params = tuple((float(dictionary.grid_aoa[k]), None, est.gains[k]) for k in est.support)
         return dictionary.a_ms @ est.gains, cap, replace(est, parameter_set=params), None
@@ -353,6 +376,15 @@ def _estimate_one(
     raise ConfigError(f"unhandled estimator variant {variant_kind!r}")
 
 
+def _failed(exc: Exception) -> dict:
+    """The outcome fields of a record that ``exc`` failed."""
+    return dict(
+        nmse=math.nan, nmse_db=math.nan, recovered=False, ber=None, rank_est=0,
+        error=f"{type(exc).__name__}: {exc}", iterations=0, converged=None,
+        final_residual=None,
+    )
+
+
 def _run_trial(
     cfg: ExperimentConfig,
     variant: str,
@@ -363,10 +395,12 @@ def _run_trial(
     observed: list[_Observed],
     artifacts: dict | None = None,
 ):
+    """One (variant, SNR, trial): its records, without BER, and the
+    channel estimate of each step (None where the record failed)."""
     kind, param = parse_variant(variant)
     snr_db = cfg.snr_grid_db[snr_idx]
     ranks: list[int] = []
-    records = []
+    records, estimates = [], []
     if artifacts is not None:
         artifacts.update(t=[], truth=[], estimate=[], sparse=[], trace=[])
     for t, (step, seen) in enumerate(zip(steps, observed)):
@@ -376,7 +410,7 @@ def _run_trial(
             if seen.error is not None:
                 raise seen.error.with_traceback(None)
             h_hat, rank_est, sparse, solve = _estimate_one(
-                kind, param, cfg, seen, step.block, dictionary, ranks
+                kind, param, cfg, seen, dictionary, ranks
             )
             if artifacts is not None:
                 artifacts["t"].append(t)
@@ -386,14 +420,11 @@ def _run_trial(
                 artifacts["trace"].append(solve.trace if solve is not None else ())
             value = nmse(real.matrix, h_hat)
             value_db = nmse_db(value)
-            ber = None if step.ber is None else ber_link(
-                real.matrix, step.s_true, h_hat, snr_db, step.ber
-            )
             outcome = dict(
                 nmse=value,
                 nmse_db=value_db,
                 recovered=value_db <= cfg.recovery_threshold_db,
-                ber=ber,
+                ber=None,
                 rank_est=int(rank_est),
             )
             if solve is not None:
@@ -403,14 +434,7 @@ def _run_trial(
                     final_residual=solve.final_residual,
                 )
         except (RamcError, np.linalg.LinAlgError) as exc:
-            outcome = dict(
-                nmse=math.nan,
-                nmse_db=math.nan,
-                recovered=False,
-                ber=None,
-                rank_est=0,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            h_hat, outcome = None, _failed(exc)
         records.append(
             MetricRecord(
                 variant=variant,
@@ -422,6 +446,34 @@ def _run_trial(
                 **outcome,
             )
         )
+        estimates.append(h_hat)
+    return records, estimates
+
+
+def _with_ber(steps: list[_StepDraws], runs) -> list[MetricRecord]:
+    """One trial's records, from the ``(records, estimates)`` of each
+    :func:`_run_trial` in ``runs``, with their BER.
+
+    Each step makes one :func:`ber_link` call over the estimates of its
+    records that have not failed, at each record's own SNR.  A row that
+    ``ber_link`` fails, or an error of the whole call, fails its record.
+    """
+    records = [r for recs, _ in runs for r in recs]
+    estimates = [h for _, hs in runs for h in hs]
+    for t, step in enumerate(steps):
+        rows = [i for i, r in enumerate(records) if r.t == t and estimates[i] is not None]
+        if step.ber is None or not rows:
+            continue
+        try:
+            bers = ber_link(
+                step.real.matrix, step.s_true, np.stack([estimates[i] for i in rows]),
+                [records[i].snr_db for i in rows], step.ber,
+            )
+        except (RamcError, np.linalg.LinAlgError) as exc:
+            bers = [exc] * len(rows)
+        for i, ber in zip(rows, bers):
+            outcome = _failed(ber) if isinstance(ber, Exception) else dict(ber=ber)
+            records[i] = replace(records[i], **outcome)
     return records
 
 
@@ -434,9 +486,10 @@ def run_sweep(
 
     Every draw depends only on (trial, t), so all variants and SNRs see
     identical data and pair trial for trial; workers take whole trials,
-    whose SNR- and variant-free draws are made once per step and whose
-    observations once per (step, SNR), and share them.  Module errors
-    mark single records as failed; the sweep continues.
+    whose SNR- and variant-free draws are made once per step, whose
+    observations once per (step, SNR), and whose BER links once per step
+    for every (variant, SNR), and share them.  Module errors mark single
+    records as failed; the sweep continues.
 
     Records come back sorted by (variant, snr, trial, t) regardless of
     the worker count.  An unknown or repeated variant raises ConfigError.
@@ -453,12 +506,12 @@ def run_sweep(
         steps = _draw_trial(cfg, trial, dictionary)
         snrs = range(len(cfg.snr_grid_db))
         observed = [[_Observed(cfg, snr_idx, step) for step in steps] for snr_idx in snrs]
-        return [
-            record
+        runs = [
+            _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, seen)
             for variant in variants
             for snr_idx, seen in enumerate(observed)
-            for record in _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, seen)
         ]
+        return _with_ber(steps, runs)
 
     if workers == 1:
         chunks = [trial_records(trial) for trial in range(cfg.n_trials)]
@@ -482,12 +535,13 @@ def run_single_trial(
     Seeding matches :func:`run_sweep`, so the returned records equal the
     corresponding sweep rows.  Pass an ``artifacts`` dict to receive the
     per-step truth/estimate matrices, sparse estimates and solver traces
-    of the steps that succeeded, with their time indices in "t".
+    of the steps whose estimate succeeded, with their time indices in "t".
     """
     variant = variant if variant is not None else cfg.estimator_variant
     dictionary, steps = _single_trial_draws(cfg, snr_idx, trial)
     observed = [_Observed(cfg, snr_idx, step) for step in steps]
-    return _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, observed, artifacts)
+    run = _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, observed, artifacts)
+    return _with_ber(steps, [run])
 
 
 def write_records(path, records) -> None:

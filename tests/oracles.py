@@ -4,7 +4,8 @@ The package never forms Phi, Psi or the on-grid Hbar: Phase II builds
 its atoms from two small Kronecker factors (see
 ``ramc.recovery.estimate_phase2``).  The coarse estimate, the BER draws
 and the BER link are written here the direct way, recomputing on each
-call what the package computes once per step.
+call what the package computes once per step.  The pursuit is written
+with the residual taken directly after every atom.
 """
 
 import math
@@ -13,6 +14,8 @@ import numpy as np
 
 from ramc.channel import _grid_index, raised_cosine
 from ramc.config import snr_to_linear
+from ramc.errors import DegenerateSystemError
+from ramc.recovery import SparseGainEstimate
 
 
 def vec(m) -> np.ndarray:
@@ -95,3 +98,41 @@ def ber_link_two_products(h_true, h_est, snr_db, bits, symbols, noise) -> float:
     errors = int(np.sum(bits[0::2] != (equalised.real < 0)))
     errors += int(np.sum(bits[1::2] != (equalised.imag < 0)))
     return errors / bits.size
+
+
+def pursuit_direct_residual(targets, atoms, cap) -> SparseGainEstimate:
+    """``ramc.recovery._pursuit`` with the residual ||y - D_S c|| taken
+    directly after every atom, and the selected Gram columns and atoms
+    copied on every iteration."""
+    y = np.asarray(targets, dtype=np.complex128)
+    if y.ndim == 1:
+        y = y[:, None]
+    unit, gram = atoms.unit, atoms.gram
+    size = min(cap, unit.shape[1])
+    h0 = unit.conj().T @ y
+    residual = scale = float(np.linalg.norm(y))
+    support: list[int] = []
+    linv = np.zeros((size, size), dtype=np.complex128)
+    while len(support) < size and residual > 1e-8 * scale:
+        corr = h0 - gram[:, support] @ coeffs if support else h0
+        score = np.linalg.norm(corr, axis=1)
+        score[support] = -1.0
+        best = int(np.argmax(score))
+        if score[best] <= 1e-13 * max(scale, 1.0):
+            break
+        k = len(support)
+        w = linv[:k, :k] @ gram[support, best]
+        pivot = gram[best, best].real - np.vdot(w, w).real
+        support.append(best)
+        if not pivot > 1e-12:
+            raise DegenerateSystemError(f"selected columns {support} are numerically dependent")
+        d = np.sqrt(pivot)
+        linv[k, :k] = -(w.conj() @ linv[:k, :k]) / d
+        linv[k, k] = 1.0 / d
+        lk = linv[: k + 1, : k + 1]
+        coeffs = lk.conj().T @ (lk @ h0[support])
+        residual = float(np.linalg.norm(y - unit[:, support] @ coeffs))
+    gains = np.zeros((unit.shape[1], y.shape[1]), dtype=np.complex128)
+    if support:
+        gains[support, :] = coeffs / atoms.norms[support][:, None]
+    return SparseGainEstimate(gains=gains, support=tuple(support))

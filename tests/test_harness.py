@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 from ramc import channel, harness, recovery
 from ramc.channel import ChannelParams
 from ramc.config import DEFAULT_ABLATION, ExperimentConfig
-from ramc.errors import ConfigError, DegenerateSystemError, MatrixSizeError, UndefinedMetricError
+from ramc.errors import (
+    ConfigError,
+    DegenerateSystemError,
+    MatrixSizeError,
+    ShapeError,
+    UndefinedMetricError,
+)
 from ramc.frontend import HybridConfig
 from ramc.harness import (
     NMSE_FLOOR_DB,
@@ -104,16 +110,22 @@ def _sv(h):
     return np.linalg.svd(h, compute_uv=False)
 
 
+def _ber(h, h_est, snr_db, draws):
+    """The BER of one estimate: ``ber_link`` on a stack of one."""
+    (ber,) = ber_link(h, _sv(h), np.asarray(h_est)[None], [snr_db], draws)
+    return ber
+
+
 class TestBerLink:
     def test_matched_high_snr(self):
         rng = np.random.default_rng(410)
         h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        assert ber_link(h, _sv(h), h, snr_db=30.0, draws=draw_ber_link(8, 5000, 2, seed=1)) <= 1e-4
+        assert _ber(h, h, 30.0, draw_ber_link(8, 5000, 2, seed=1)) <= 1e-4
 
     def test_pure_noise_limit(self):
         rng = np.random.default_rng(411)
         h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        ber = ber_link(h, _sv(h), h, snr_db=-60.0, draws=draw_ber_link(8, 5000, 2, seed=2))
+        ber = _ber(h, h, -60.0, draw_ber_link(8, 5000, 2, seed=2))
         # 20000 bits of coin flips: 0.5 within 3 binomial sigmas.
         assert abs(ber - 0.5) <= 3 * math.sqrt(0.25 / 20000)
 
@@ -126,8 +138,8 @@ class TestBerLink:
         # so the mismatched link degenerates to coin flipping.
         h_bad = u[:, 2:4] @ np.diag([5.0, 3.0]) @ vh[2:4, :]
         draws = draw_ber_link(8, 4000, 2, seed=3)
-        good = ber_link(h, _sv(h), h, snr_db=10.0, draws=draws)
-        bad = ber_link(h, _sv(h), h_bad, snr_db=10.0, draws=draws)
+        good = _ber(h, h, 10.0, draws)
+        bad = _ber(h, h_bad, 10.0, draws)
         assert good < bad
         assert abs(bad - 0.5) <= 3 * math.sqrt(0.25 / 8000)
 
@@ -141,7 +153,7 @@ class TestBerLink:
         h = 5.0 * np.outer(u[:, 0], vh[0])
         h_est = h + 2.0 * np.outer(u[:, 1], vh[1])
         draws = draw_ber_link(8, 4000, 2, seed=4)
-        bers = {ber_link(h, _sv(h), h_est * (1.0 + k * 2.0**-52), 10.0, draws) for k in range(20)}
+        bers = {_ber(h, h_est * (1.0 + k * 2.0**-52), 10.0, draws) for k in range(20)}
         assert len(bers) == 1
 
     @settings(max_examples=40, deadline=None)
@@ -162,7 +174,7 @@ class TestBerLink:
         draws = draw_ber_link(shape[0], 1000, n_streams, seed=draw_seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert ber_link(h, s, h, math.inf, draws) == 0.0
+            assert _ber(h, h, math.inf, draws) == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -183,27 +195,68 @@ class TestBerLink:
         shape=st.tuples(st.integers(2, 6), st.integers(2, 6)),
         seed=st.integers(0, 2**32 - 1),
         n_streams=st.integers(1, 2),
-        snr_db=st.sampled_from([-10.0, 0.0, 10.0, 30.0, math.inf]),
-        estimate=st.sampled_from(["perturbed", "orthogonal_beam"]),
+        snrs=st.lists(
+            st.sampled_from([-10.0, 0.0, 10.0, 30.0, math.inf]), min_size=1, max_size=8
+        ),
+        rank_one=st.booleans(),
+        kinds=st.lists(st.sampled_from(["perturbed", "second_beam"]), min_size=8, max_size=8),
+        zero=st.booleans(),
     )
-    def test_matches_two_product_form(self, shape, seed, n_streams, snr_db, estimate):
+    def test_matches_two_product_form(self, shape, seed, n_streams, snrs, rank_one, kinds, zero):
         # One product over [symbols; noise] with the equaliser folded in
         # decides every bit as the two products and the divide did, also
-        # at +inf dB and when a stream's link gain is roundoff.
+        # at +inf dB and when a stream's link gain is roundoff (a second
+        # beam on a rank-one channel).  Row k of
+        # a stacked call is the link of estimate k at snrs[k]; a zero
+        # estimate in the middle fails its row alone.
         rng = np.random.default_rng(seed)
         g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        if estimate == "perturbed":
-            h = g
-            h_est = g + 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        else:
-            u, _, vh = np.linalg.svd(g)
-            h = 5.0 * np.outer(u[:, 0], vh[0])
-            h_est = h + 2.0 * np.outer(u[:, 1], vh[1])
+        u, _, vh = np.linalg.svd(g)
+        h = 5.0 * np.outer(u[:, 0], vh[0]) if rank_one else g
+        estimates = []
+        for kind in kinds[: len(snrs)]:
+            if kind == "perturbed":
+                noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                estimates.append(h + 0.3 * noise)
+            else:
+                estimates.append(h + rng.uniform(0.5, 3.0) * np.outer(u[:, 1], vh[1]))
+        middle = len(snrs) // 2
+        if zero:
+            estimates[middle] = np.zeros(shape)
         draws = draw_ber_link(shape[0], 1000, n_streams, seed=seed)
         reference = draw_ber_link_three_arrays(shape[0], 1000, n_streams, seed)
-        assert ber_link(h, _sv(h), h_est, snr_db, draws) == ber_link_two_products(
-            h, h_est, snr_db, *reference
-        )
+        bers = ber_link(h, _sv(h), np.stack(estimates), snrs, draws)
+        assert len(bers) == len(snrs)
+        for k, (est, snr_db, ber) in enumerate(zip(estimates, snrs, bers)):
+            if zero and k == middle:
+                assert isinstance(ber, DegenerateSystemError)
+                assert str(ber) == "cannot beamform on a zero channel estimate"
+            else:
+                assert ber == ber_link_two_products(h, est, snr_db, *reference)
+
+    @pytest.mark.parametrize(
+        "snr_db",
+        [
+            pytest.param(math.nan, id="nan"),
+            pytest.param(-math.inf, id="minus_inf"),
+            pytest.param(-4000.0, id="finite_below_300dB"),
+            pytest.param(300.5, id="finite_above_300dB"),
+        ],
+    )
+    def test_rejects_an_snr_the_config_rejects(self, snr_db):
+        # Before, NaN decided bits on NaN noise (a BER near 0.5) and -inf
+        # or -4000 dB raised ZeroDivisionError.  The whole call fails.
+        h = np.eye(8, dtype=complex)
+        draws = draw_ber_link(8, 1000, 2, seed=0)
+        with pytest.raises(ConfigError, match="ber_link snr_db"):
+            ber_link(h, _sv(h), np.stack([h, h]), [10.0, snr_db], draws)
+        with pytest.raises(ConfigError, match="snr_grid_db"):
+            ExperimentConfig(snr_grid_db=(snr_db,))
+
+    def test_one_snr_per_estimate(self):
+        h = np.eye(4, dtype=complex)
+        with pytest.raises(ShapeError):
+            ber_link(h, _sv(h), np.stack([h, h]), [10.0], draw_ber_link(4, 1000, 2, seed=0))
 
     def test_too_few_symbols(self):
         with pytest.raises(ConfigError):
@@ -279,25 +332,29 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             steps[0].y_clean[0, 0] = 0.0
         # The observation both baselines get at a (trial, t, SNR) is one
-        # read-only object.
+        # read-only object, and so is its one coarse estimate.
         real_coarse = harness.coarse_channel
         seen = []
 
         def spy_coarse(obs, block):
             seen.append(obs)
-            return real_coarse(obs, block)
+            estimates.append(real_coarse(obs, block))
+            return estimates[-1]
 
+        estimates = []
         monkeypatch.setattr(harness, "coarse_channel", spy_coarse)
         cfg = dataclasses.replace(cfg, snr_grid_db=(5.0, 25.0), n_trials=2)
         run_sweep(cfg, ("coarse_only", "somp_baseline"))
-        assert len(seen) == 2 * 8 and len({id(obs) for obs in seen}) == 8
+        assert len(seen) == 8 and len({id(obs) for obs in seen}) == 8
         assert not any(obs.incomplete.flags.writeable for obs in seen)
+        assert not any(h.flags.writeable for h in estimates)
 
     def test_step_work_done_once(self, monkeypatch):
-        # Per (trial, t): the two pseudo-inverses of the coarse estimate
-        # and the true channel's SVD.  Per (trial, t, SNR), whatever the
-        # number of variants: the observation and the energy-rule rank of
-        # its zero fill.
+        # Per (trial, t): the two pseudo-inverses of the coarse estimate,
+        # the true channel's SVD and one BER link over every (variant,
+        # SNR).  Per (trial, t, SNR), whatever the number of variants: the
+        # observation, the energy-rule rank of its zero fill and the
+        # coarse estimate.
         cfg = ExperimentConfig(
             **SMALL, snr_grid_db=(5.0, 15.0, 25.0), n_trials=2, time_steps=2,
             ber_symbols=1000,
@@ -326,12 +383,17 @@ class TestRunSweep:
         counting(np.linalg, "svd", is_truth)
         counting(harness, "observe")
         counting(harness, "estimate_rank")
+        counting(harness, "coarse_channel")
+        counting(harness, "ber_link")
         for variants in (("coarse_only",), ("coarse_only", "somp_baseline")):
             counts.clear()
             records = run_sweep(cfg, variants)
             assert len(records) == 12 * len(variants) and not any(r.error for r in records)
             assert all(r.ber is not None for r in records)
-            assert counts == {"pinv": 2 * 4, "svd": 4, "observe": 12, "estimate_rank": 12}
+            assert counts == {
+                "pinv": 2 * 4, "svd": 4, "observe": 12, "estimate_rank": 12,
+                "coarse_channel": 12, "ber_link": 4,
+            }
 
     @pytest.mark.parametrize(
         "grid_oversampling,too_large",
@@ -375,6 +437,39 @@ class TestRunSweep:
                 assert new == old
             else:
                 assert new.error == f"MatrixSizeError: {direct.value}"
+
+    def test_zero_estimate_fails_its_own_record(self, monkeypatch):
+        # The BER of a step is one call over all its records' estimates.
+        # A zero estimate (fixed_rank:2 at 25 dB, trial 0, t=0: the third
+        # Phase II of a one-thread sweep) fails that record alone, with
+        # every field as any failed record has it; the other records of
+        # its step keep their BER.
+        cfg = ExperimentConfig(
+            **SMALL, snr_grid_db=(5.0, 25.0), n_trials=2, time_steps=2, ber_symbols=1000
+        )
+        variants = ("coarse_only", "fixed_rank:2")
+        unpatched = self._timeless(run_sweep(cfg, variants))
+        real_phase2 = harness.estimate_phase2
+        calls = []
+
+        def zero_third(*args, **kwargs):
+            sparse, h_hat = real_phase2(*args, **kwargs)
+            calls.append(None)
+            return sparse, np.zeros_like(h_hat) if len(calls) == 3 else h_hat
+
+        monkeypatch.setattr(harness, "estimate_phase2", zero_third)
+        records = self._timeless(run_sweep(cfg, variants))
+        assert len(records) == len(unpatched) == 16
+        for new, old in zip(records, unpatched):
+            if (new.variant, new.snr_db, new.trial, new.t) == ("fixed_rank:2", 25.0, 0, 0):
+                assert new == dataclasses.replace(
+                    old, nmse=new.nmse, nmse_db=new.nmse_db, recovered=False, ber=None,
+                    rank_est=0, iterations=0, converged=None, final_residual=None,
+                    error="DegenerateSystemError: cannot beamform on a zero channel estimate",
+                )
+                assert math.isnan(new.nmse) and math.isnan(new.nmse_db)
+            else:
+                assert new == old and new.ber is not None
 
     def test_noise_and_mask_drawn_once_per_step(self, monkeypatch):
         # Each (variant, SNR) only scales and masks its step's shared
@@ -678,19 +773,23 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     spec.loader.exec_module(run)
     targets = run.trace_targets(harness, channel)
     assert targets
+    # A rename in either module would otherwise show only when a traced
+    # run crashes in ``Tracer.patched``.
     for target in targets:
-        assert callable(getattr(target.module, target.attr, None)), target.name
+        assert target.module in (harness, channel), target.name
+        assert callable(vars(target.module).get(target.attr)), target.name
     assert "threads" in inspect.signature(harness.run_sweep).parameters
 
     # One small traced sweep runs every ``on_result`` on a real result,
-    # and both pursuits must still be reached through the traced names.
+    # and both pursuits and the BER link must still be reached through
+    # the traced names.
     tracer = run.Tracer()
-    cfg = ExperimentConfig(**SMALL, snr_grid_db=(15.0,), n_trials=1)
+    cfg = ExperimentConfig(**SMALL, snr_grid_db=(15.0,), n_trials=1, ber_symbols=1000)
     with tracer.patched(targets):
         records = run_sweep(cfg, variants=("rank_aware", "somp_baseline"))
     assert records and not any(r.error for r in records)
     names = {sp.name for sp in tracer.spans}
-    assert {"recovery.phase2", "recovery.somp"} <= names
+    assert {"recovery.phase2", "recovery.somp", "harness.ber"} <= names
     # Every frontend stage behind perfbench's per-layer metrics must still
     # be called through its traced name, wherever the harness calls it.
     assert {"frontend.pilot", "frontend.observe", "frontend.mask", "frontend.coarse"} <= names

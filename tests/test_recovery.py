@@ -19,7 +19,13 @@ from ramc.frontend import HybridConfig, make_pilot_block, observe
 from ramc.harness import nmse
 from ramc.recovery import estimate_phase2, pursuit_atoms, somp_baseline
 
-from oracles import angular_factorization, build_dictionary, measurement_matrix, vec
+from oracles import (
+    angular_factorization,
+    build_dictionary,
+    measurement_matrix,
+    pursuit_direct_residual,
+    vec,
+)
 
 
 def _full_observation(real, block):
@@ -447,6 +453,53 @@ class TestSompReference:
         est = somp_baseline(y, d, cap)
         assert list(est.support) == support
         assert np.abs(est.gains[support] - gains).max() <= 1e-9 * np.abs(gains).max()
+
+
+@st.composite
+def _screen_problems(draw):
+    """A dictionary with uneven column norms, one or several targets, and
+    a cap.  The sparse targets combine k < cap atoms of an orthogonal
+    dictionary, exactly or with noise at 1e-10 of their norm, so the
+    residual stop fires after k atoms; with that noise no other stop
+    would."""
+    targets = draw(st.sampled_from([1, 3]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        rows = draw(st.integers(min_value=3, max_value=12))
+        cols = draw(st.integers(min_value=2, max_value=2 * rows))
+        d = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        y = rng.standard_normal((rows, targets)) + 1j * rng.standard_normal((rows, targets))
+        return y, d * rng.uniform(0.1, 10.0, size=cols), draw(st.integers(1, rows)), None
+    rows = draw(st.integers(min_value=3, max_value=12))
+    g = rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows))
+    q = np.linalg.qr(g)[0] * rng.uniform(0.1, 10.0, size=rows)
+    k = draw(st.integers(min_value=1, max_value=rows - 1))
+    picks = rng.choice(rows, size=k, replace=False)
+    x = rng.standard_normal((k, targets)) + 1j * rng.standard_normal((k, targets))
+    y = q[:, picks] @ x
+    if draw(st.booleans()):
+        noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+        y += 1e-10 * np.linalg.norm(y) / np.linalg.norm(noise) * noise
+    return y, q, draw(st.integers(k + 1, rows)), k
+
+
+class TestResidualScreen:
+    @settings(max_examples=80, deadline=None)
+    @given(problem=_screen_problems())
+    def test_matches_the_direct_residual_pursuit(self, problem):
+        # The Gram-domain screen and the gathered buffers leave every
+        # selection, its order and every gain bit as the pursuit that takes
+        # the residual directly after every atom.
+        y, d, cap, k = problem
+        atoms = pursuit_atoms(d)
+        for targets in (y[:, 0], y):
+            expected = pursuit_direct_residual(targets, atoms, cap)
+            est = recovery._pursuit(targets, atoms, cap)
+            assert est.support == expected.support
+            assert est.gains.tobytes() == expected.gains.tobytes()
+            if k is not None:
+                # The residual stop fired after the k true atoms.
+                assert len(est.support) == k < cap
 
 
 @pytest.mark.parametrize("tilt", [1e-8, 1e-7])
