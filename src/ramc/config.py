@@ -33,6 +33,9 @@ DEFAULT_ABLATION = (
 
 _FIXED_RANK_RE = re.compile(r"^fixed_rank:(\d+)$")
 
+# The exact BER's cost grows as 4^s in the stream count s.
+MAX_BER_STREAMS = 4
+
 
 def parse_variant(name: str) -> tuple[str, int | None]:
     """Split an estimator variant name into (kind, parameter).
@@ -73,6 +76,9 @@ class ExperimentConfig:
     # grids (2+) trade that for finer angle resolution.
     grid_oversampling: int = 1
     recovery_threshold_db: float = -10.0
+    # 0 turns the BER column off; any positive count turns it on.  The
+    # BER is exact (see ramc.harness.ber_link), so the count sets nothing
+    # else, and at most MAX_BER_STREAMS hybrid.n_streams are allowed.
     ber_symbols: int = 0
     threads: int = 1
 
@@ -90,8 +96,8 @@ class ExperimentConfig:
             raise ConfigError("grid_oversampling must be >= 1")
         if self.ber_symbols < 0:
             raise ConfigError("ber_symbols must be non-negative")
-        if 0 < self.ber_symbols < 1000:
-            raise ConfigError("ber_symbols must be 0 (off) or >= 1000")
+        if self.ber_symbols > 0 and self.hybrid.n_streams > MAX_BER_STREAMS:
+            raise ConfigError(f"ber_symbols > 0 needs hybrid.n_streams <= {MAX_BER_STREAMS}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.hybrid.m_bs > self.channel.n_bs or self.hybrid.m_ms > self.channel.n_ms:

@@ -7,8 +7,8 @@ reports and writes the canonical records CSV.  Seeds derive from
 regardless of scheduling order or worker count.  Each value is computed
 once, at the coarsest level it depends on, and shared read-only.  Once
 per step (trial, t): the channel and its singular values, the pilot
-block with F @ S and its two pseudo-inverses, the observation noise,
-the mask and the BER draws.  Once per (step, SNR), for every variant:
+block with F @ S and its two pseudo-inverses, the observation noise
+and the mask.  Once per (step, SNR), for every variant:
 the masked observation, the energy-rule rank of its zero fill and the
 coarse estimate.  Once per step, after every (variant, SNR) has its
 estimate: the BER of all of them, in one :func:`ber_link` call.
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import channel as chan
 from .completion import estimate_rank, r1mc_complete
-from .config import ExperimentConfig, check_snr_db, parse_variant, snr_to_linear
+from .config import MAX_BER_STREAMS, ExperimentConfig, check_snr_db, parse_variant, snr_to_linear
 from .errors import ConfigError, DegenerateSystemError, RamcError, ShapeError, UndefinedMetricError
 from .frontend import PilotBlock, coarse_channel, make_pilot_block, observe, subsample
 from .io import read_cell, write_csv
@@ -35,12 +35,11 @@ from .recovery import estimate_phase2, somp_baseline
 
 NMSE_FLOOR_DB = -120.0
 
-# Seed-purpose tags keep data and estimator randomness on disjoint streams.
+# Seed-purpose tags keep each kind of draw on its own random stream.
 _DATA_TAG = 101
 _NOISE_TAG = 202
 _MASK_TAG = 303
 _PILOT_TAG = 404
-_ESTIMATOR_TAG = 505
 
 
 @dataclass(frozen=True)
@@ -88,56 +87,44 @@ def nmse_db(value: float) -> float:
     return max(10.0 * math.log10(value), NMSE_FLOOR_DB)
 
 
-def draw_ber_link(n_rx: int, n_symbols: int, n_streams: int, seed):
-    """Draw ``(signs, stack)``, the random inputs of :func:`ber_link`.
-
-    ``signs`` holds one row of sign bits per stream, True for minus, laid
-    out as the float view of a complex row: entries 2j and 2j + 1 sign the
-    real and imaginary parts of QPSK symbol j.  ``stack`` holds those
-    symbols over unit-variance circular complex Gaussian noise on ``n_rx``
-    receive antennas.  Nothing here depends on a channel, an estimate or
-    the SNR, so one draw per step serves every link on it.
-    """
-    if n_symbols < 1000:
-        raise ConfigError(f"need at least 1000 symbols, got {n_symbols}")
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(n_streams, 2, n_symbols))
-    signs = bits.transpose(0, 2, 1).reshape(n_streams, 2 * n_symbols) == 1
-    stack = np.empty((n_streams + n_rx, n_symbols), dtype=np.complex128)
-    stack[:n_streams].view(np.float64)[...] = np.where(signs, -1.0, 1.0)
-    stack.real[n_streams:] = rng.standard_normal((n_rx, n_symbols))
-    stack.imag[n_streams:] = rng.standard_normal((n_rx, n_symbols))
-    stack *= 1.0 / math.sqrt(2.0)
-    return signs, stack
-
-
-def ber_link(h_true, s_true, h_est, snr_db, draws) -> list:
-    """QPSK bit error rates of eigen-beamformed links, one per estimate.
+def ber_link(h_true, s_true, h_est, snr_db, n_streams: int) -> list:
+    """Exact QPSK bit error rates of eigen-beamformed links, one per estimate.
 
     Row k of the stack ``h_est`` is one estimate of ``h_true``, whose
-    link runs at ``snr_db[k]``.  Precoder and combiner are the top
-    singular vectors of the *estimate*, one per stream of ``draws`` (see
-    :func:`draw_ber_link`); transmission runs over the *true* channel
-    (singular values ``s_true``) with the drawn AWGN and per-stream
-    scalar equalisation, so estimation error shows up as inter-stream
-    interference and beamforming loss.  One stacked SVD serves every
-    row, and one product ``[L_1; ...; L_K] @ stack`` every link, with the
-    errors counted per row; ``draws`` is only read.
+    link runs at ``snr_db[k]``.  Precoder P and combiner C are the top
+    ``n_streams`` singular vectors of the *estimate*, from one stacked
+    SVD; transmission runs over the *true* channel (singular values
+    ``s_true``) with AWGN and per-stream scalar equalisation by the link
+    gains g = diag(C^H H P), so estimation error shows up as inter-stream
+    interference and beamforming loss.
+
+    The BER is the sign-error rate's expectation given the link (Proakis
+    & Salehi, Digital Communications, 5th ed.).  Stream j's real and
+    imaginary parts are received as mu, a known mixture (C^H H P x / g)_j
+    of the +-1/sqrt(2) symbol parts x, plus Gaussian noise of standard
+    deviation sigma / (sqrt(2) |g_j|), because the combiner columns are
+    unit vectors.  A part sent with sign b is wrong with probability
+    Q(b mu / std), Q(x) = erfc(x / sqrt(2)) / 2, and the BER is the mean
+    of that over the 4^s sign patterns of s streams and their 2s parts.
+    At +inf dB each part is decided as the noiseless ``mu < 0``, so a
+    part received as exactly 0 is an error iff it was sent minus.  The cost
+    grows as 4^s, so at most ``MAX_BER_STREAMS`` (4) streams are taken.
 
     Returns one entry per row: its BER, or the
     :class:`DegenerateSystemError` of a zero estimate, which fails that
     row alone.  An SNR that the config rejects (NaN, -inf, or finite
-    beyond 300 dB) raises :class:`ConfigError`; +inf is a noiseless link.
+    beyond 300 dB) raises :class:`ConfigError`, and so do more streams
+    than the channel or the bound allows.
     """
     h = np.asarray(h_true, dtype=np.complex128)
     est = np.asarray(h_est, dtype=np.complex128)
     if est.ndim != 3 or est.shape[1:] != h.shape or est.shape[0] != len(snr_db):
         raise ShapeError(f"need one {h.shape} estimate per SNR, got {est.shape} for {len(snr_db)}")
     check_snr_db(snr_db, "ber_link snr_db")
-    signs, stack = draws
-    n_streams = signs.shape[0]
     if n_streams > min(h.shape):
         raise ConfigError(f"{n_streams} streams exceed channel dimensions {h.shape}")
+    if n_streams > MAX_BER_STREAMS:
+        raise ConfigError(f"the exact BER takes at most {MAX_BER_STREAMS} streams, got {n_streams}")
     u, s, vh = np.linalg.svd(est)
     live = np.flatnonzero(s[:, 0] != 0.0)
     combiner_h = u[live, :, :n_streams].conj().transpose(0, 2, 1)
@@ -146,21 +133,29 @@ def ber_link(h_true, s_true, h_est, snr_db, draws) -> list:
     # channel, so misaligned beams lose receive SNR rather than being
     # compensated with extra power.  At +inf dB the noise vanishes.
     signal_power = float(np.sum(s_true[:n_streams] ** 2)) / h.shape[0]
-    noise_scale = [math.sqrt(signal_power / snr_to_linear(snr_db[k])) for k in live]
+    sigma = np.array([math.sqrt(signal_power / snr_to_linear(snr_db[k])) for k in live])
     diag = np.diagonal(link, axis1=1, axis2=2)
     # A pair of unit beams gains at most s_true[0]; a stream whose link
     # gain is roundoff next to that has no link, so it is not equalised
     # by a gain whose phase is noise.
     gains = np.where(np.abs(diag) > 1e-12 * s_true[0], diag, 1.0)
-    # C^H (H P S + sigma N) / g taken as ([C^H H P, sigma C^H] / g) @ [S; N],
-    # one product for every row that builds no n_rx x n_symbols array.
-    scaled = np.array(noise_scale).reshape(-1, 1, 1) * combiner_h
-    rows = np.concatenate([link, scaled], axis=2) / gains[:, :, None]
-    equalised = rows.reshape(-1, stack.shape[0]) @ stack
-    decided = equalised.view(np.float64).reshape(len(live), *signs.shape) < 0
+    # Every pattern of the 2s sign bits, one column each, as QPSK symbols.
+    signs = 1.0 - 2.0 * (np.arange(4**n_streams) >> np.arange(2 * n_streams)[:, None] & 1)
+    symbols = (signs[0::2] + 1j * signs[1::2]) / math.sqrt(2.0)
+    mixed = (link / gains[:, :, None]) @ symbols
+    # Noiseless received parts, row 2j + 1 the imaginary part of stream j
+    # as in ``signs``, and each row's noise std times sqrt(2).
+    parts = np.stack([mixed.real, mixed.imag], axis=2).reshape(len(live), *signs.shape)
+    scale = np.repeat(sigma[:, None] / np.abs(gains), 2, axis=1)[:, :, None]
+    # Q(b mu / std) = erfc(b mu / scale) / 2; with no noise the argument
+    # is +inf where the decision mu < 0 is right and -inf where it is not.
+    arg = np.where(parts < 0, -np.inf, np.inf) * signs
+    noisy = sigma > 0.0
+    arg[noisy] = signs * parts[noisy] / scale[noisy]
+    erfc = np.array([math.erfc(x) for x in arg.ravel().tolist()]).reshape(arg.shape)
     out: list = [DegenerateSystemError("cannot beamform on a zero channel estimate")] * len(est)
-    for k, wrong in zip(live, decided != signs):
-        out[k] = np.count_nonzero(wrong) / signs.size
+    for k, ber in zip(live, 0.5 * erfc.mean(axis=(1, 2))):
+        out[k] = float(ber)
     return out
 
 
@@ -213,7 +208,6 @@ class _StepDraws:
     y_clean: np.ndarray | None = None
     noise: np.ndarray | None = None
     mask: np.ndarray | None = None
-    ber: tuple | None = None
     error: Exception | None = None
 
 
@@ -236,18 +230,11 @@ def _draw_trial(cfg: ExperimentConfig, trial: int, dictionary) -> list[_StepDraw
             y_clean = block.w.conj().T @ real.matrix @ block.effective_precoder
             rng = np.random.default_rng(_seed(cfg, _NOISE_TAG, trial, t))
             noise = rng.normal(size=y_clean.shape) + 1j * rng.normal(size=y_clean.shape)
-            ber = None
-            if cfg.ber_symbols > 0:
-                ber = draw_ber_link(
-                    real.matrix.shape[0], cfg.ber_symbols, cfg.hybrid.n_streams,
-                    seed=_seed(cfg, _ESTIMATOR_TAG, trial, t),
-                )
-            # Drawn last: a pilot or BER draw error outranks an infeasible mask.
             seed = _seed(cfg, _MASK_TAG, trial, t)
             mask = subsample(*y_clean.shape, cfg.keep_fraction, seed=seed)
-            steps.append(_StepDraws(real, s_true, rank_true, block, y_clean, noise, mask, ber))
+            steps.append(_StepDraws(real, s_true, rank_true, block, y_clean, noise, mask))
             shared = [block.f, block.w, block.s, block.effective_precoder, block.combiner_pinv,
-                      block.precoder_pinv, y_clean, noise, mask, *(ber or ())]
+                      block.precoder_pinv, y_clean, noise, mask]
         except (RamcError, np.linalg.LinAlgError) as exc:
             steps.append(_StepDraws(real, s_true, rank_true, error=exc))
             shared = []
@@ -450,24 +437,27 @@ def _run_trial(
     return records, estimates
 
 
-def _with_ber(steps: list[_StepDraws], runs) -> list[MetricRecord]:
+def _with_ber(cfg: ExperimentConfig, steps: list[_StepDraws], runs) -> list[MetricRecord]:
     """One trial's records, from the ``(records, estimates)`` of each
-    :func:`_run_trial` in ``runs``, with their BER.
+    :func:`_run_trial` in ``runs``, with their BER if ``cfg.ber_symbols``
+    is positive.
 
     Each step makes one :func:`ber_link` call over the estimates of its
     records that have not failed, at each record's own SNR.  A row that
     ``ber_link`` fails, or an error of the whole call, fails its record.
     """
     records = [r for recs, _ in runs for r in recs]
+    if cfg.ber_symbols == 0:
+        return records
     estimates = [h for _, hs in runs for h in hs]
     for t, step in enumerate(steps):
         rows = [i for i, r in enumerate(records) if r.t == t and estimates[i] is not None]
-        if step.ber is None or not rows:
+        if not rows:
             continue
         try:
             bers = ber_link(
                 step.real.matrix, step.s_true, np.stack([estimates[i] for i in rows]),
-                [records[i].snr_db for i in rows], step.ber,
+                [records[i].snr_db for i in rows], cfg.hybrid.n_streams,
             )
         except (RamcError, np.linalg.LinAlgError) as exc:
             bers = [exc] * len(rows)
@@ -511,7 +501,7 @@ def run_sweep(
             for variant in variants
             for snr_idx, seen in enumerate(observed)
         ]
-        return _with_ber(steps, runs)
+        return _with_ber(cfg, steps, runs)
 
     if workers == 1:
         chunks = [trial_records(trial) for trial in range(cfg.n_trials)]
@@ -541,7 +531,7 @@ def run_single_trial(
     dictionary, steps = _single_trial_draws(cfg, snr_idx, trial)
     observed = [_Observed(cfg, snr_idx, step) for step in steps]
     run = _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, observed, artifacts)
-    return _with_ber(steps, [run])
+    return _with_ber(cfg, steps, [run])
 
 
 def write_records(path, records) -> None:

@@ -120,7 +120,7 @@ def _pursuit(targets, atoms: PursuitAtoms, cap: int) -> SparseGainEstimate:
         score = np.linalg.norm(corr, axis=1)
         score[support] = -1.0
         best = int(np.argmax(score))
-        if score[best] <= _CORRELATION_FLOOR * max(scale, 1.0):
+        if score[best] <= _CORRELATION_FLOOR * scale:
             break
         w = linv[:k, :k] @ gram[support, best]
         pivot = gram[best, best].real - np.vdot(w, w).real

@@ -2,12 +2,14 @@
 
 The package never forms Phi, Psi or the on-grid Hbar: Phase II builds
 its atoms from two small Kronecker factors (see
-``ramc.recovery.estimate_phase2``).  The coarse estimate, the BER draws
-and the BER link are written here the direct way, recomputing on each
-call what the package computes once per step.  The pursuit is written
-with the residual taken directly after every atom.
+``ramc.recovery.estimate_phase2``).  The coarse estimate is written here
+the direct way, recomputing on each call what the package computes once
+per step.  The exact BER is written with its sign patterns enumerated
+one by one, next to the Monte-Carlo count it replaced.  The pursuit is
+written with the residual taken directly after every atom.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -68,36 +70,69 @@ def coarse_channel_two_pinvs(obs, block) -> np.ndarray:
     )
 
 
-def draw_ber_link_three_arrays(n_rx, n_symbols, n_streams, seed):
-    """BER draws as ``(bits, symbols, noise)`` from separate expressions."""
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(2 * n_streams, n_symbols))
-    symbols = ((1.0 - 2.0 * bits[0::2]) + 1j * (1.0 - 2.0 * bits[1::2])) / math.sqrt(2.0)
-    noise = (
-        rng.normal(size=(n_rx, n_symbols)) + 1j * rng.normal(size=(n_rx, n_symbols))
-    ) / math.sqrt(2.0)
-    return bits, symbols, noise
-
-
-def ber_link_two_products(h_true, h_est, snr_db, bits, symbols, noise) -> float:
-    """The BER link with its own SVD of the truth, received signal and
-    noise taken as two products, and the equaliser applied afterwards."""
-    h = np.asarray(h_true, dtype=np.complex128)
-    u, _, vh = np.linalg.svd(np.asarray(h_est, dtype=np.complex128))
-    n_streams = symbols.shape[0]
-    precoder = vh.conj().T[:, :n_streams]
-    combiner = u[:, :n_streams]
+def _link(h, h_est, n_streams):
+    """Combiner C^H and link matrix C^H H P of beams from the estimate's
+    own SVD, the truth's singular values, and the roundoff-floored
+    stream gains."""
+    u, s, vh = np.linalg.svd(np.asarray(h_est, dtype=np.complex128))
+    if s[0] == 0.0:
+        raise DegenerateSystemError("cannot beamform on a zero channel estimate")
+    combiner_h = u[:, :n_streams].conj().T
+    link = combiner_h @ (h @ vh.conj().T[:, :n_streams])
     s_true = np.linalg.svd(h, compute_uv=False)
+    diag = np.diagonal(link)
+    gains = np.where(np.abs(diag) > 1e-12 * s_true[0], diag, 1.0)
+    return combiner_h, link, s_true, gains
+
+
+def _noise_scale(h, s_true, n_streams, snr_db):
     signal_power = float(np.sum(s_true[:n_streams] ** 2)) / h.shape[0]
-    noise_scale = math.sqrt(signal_power / snr_to_linear(snr_db))
-    link = combiner.conj().T @ (h @ precoder)
-    received = link @ symbols + noise_scale * (combiner.conj().T @ noise)
-    diag = np.diagonal(link).copy()
-    safe = np.abs(diag) > 1e-12 * s_true[0]
-    equalised = np.where(safe[:, None], received / np.where(safe, diag, 1.0)[:, None], received)
-    errors = int(np.sum(bits[0::2] != (equalised.real < 0)))
-    errors += int(np.sum(bits[1::2] != (equalised.imag < 0)))
-    return errors / bits.size
+    return math.sqrt(signal_power / snr_to_linear(snr_db))
+
+
+def ber_link_enumerated(h_true, h_est, snr_db, n_streams) -> float:
+    """The exact BER of one link, with every sign pattern, stream and
+    part visited in plain Python: Q(b mu / std) for a part sent with sign
+    b, received noiselessly as mu, or the noiseless decision at +inf dB."""
+    h = np.asarray(h_true, dtype=np.complex128)
+    _, link, s_true, gains = _link(h, h_est, n_streams)
+    sigma = _noise_scale(h, s_true, n_streams, snr_db)
+    total, patterns = 0.0, list(itertools.product((1.0, -1.0), repeat=2 * n_streams))
+    for bits in patterns:
+        x = [complex(bits[2 * i], bits[2 * i + 1]) / math.sqrt(2.0) for i in range(n_streams)]
+        for j in range(n_streams):
+            mu = sum(complex(link[j, i] / gains[j]) * x[i] for i in range(n_streams))
+            std = sigma / (math.sqrt(2.0) * abs(gains[j]))
+            for value, sign in ((mu.real, bits[2 * j]), (mu.imag, bits[2 * j + 1])):
+                if std > 0.0:
+                    total += 0.5 * math.erfc(sign * value / (std * math.sqrt(2.0)))
+                else:
+                    total += (value < 0.0) != (sign < 0.0)
+    return total / (len(patterns) * 2 * n_streams)
+
+
+def ber_link_errors_drawn(h_true, h_est, snr_db, n_streams, n_symbols, seed) -> int:
+    """Sign errors of one link over ``n_symbols`` drawn QPSK symbols per
+    stream, each with its own complex Gaussian noise vector: the
+    Monte-Carlo BER count over ``2 * n_streams * n_symbols`` bits, drawn
+    in chunks so that no large array is held."""
+    h = np.asarray(h_true, dtype=np.complex128)
+    combiner_h, link, s_true, gains = _link(h, h_est, n_streams)
+    sigma = _noise_scale(h, s_true, n_streams, snr_db)
+    rng = np.random.default_rng(seed)
+    errors = 0
+    for start in range(0, n_symbols, 100_000):
+        size = min(100_000, n_symbols - start)
+        bits = rng.integers(0, 2, size=(2 * n_streams, size))
+        symbols = ((1.0 - 2.0 * bits[0::2]) + 1j * (1.0 - 2.0 * bits[1::2])) / math.sqrt(2.0)
+        noise = rng.standard_normal((h.shape[0], size)) + 1j * rng.standard_normal(
+            (h.shape[0], size)
+        )
+        received = link @ symbols + sigma / math.sqrt(2.0) * (combiner_h @ noise)
+        equalised = received / gains[:, None]
+        errors += int(np.sum(bits[0::2] != (equalised.real < 0)))
+        errors += int(np.sum(bits[1::2] != (equalised.imag < 0)))
+    return errors
 
 
 def pursuit_direct_residual(targets, atoms, cap) -> SparseGainEstimate:
@@ -118,7 +153,7 @@ def pursuit_direct_residual(targets, atoms, cap) -> SparseGainEstimate:
         score = np.linalg.norm(corr, axis=1)
         score[support] = -1.0
         best = int(np.argmax(score))
-        if score[best] <= 1e-13 * max(scale, 1.0):
+        if score[best] <= 1e-13 * scale:
             break
         k = len(support)
         w = linv[:k, :k] @ gram[support, best]

@@ -20,6 +20,7 @@ from ramc.cli import main
 from ramc.completion import SolverOptions
 from ramc.config import (
     DEFAULT_ABLATION,
+    MAX_BER_STREAMS,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
@@ -85,9 +86,12 @@ def _experiment_configs(draw):
             st.none() | st.lists(pair, max_size=3, unique_by=lambda p: p[0]).map(tuple)
         )
     channel = draw(_channel_params())
+    hybrid = draw(_hybrid_configs(channel))
+    # The exact BER takes at most MAX_BER_STREAMS streams.
+    ber_on = hybrid.n_streams <= MAX_BER_STREAMS
     return ExperimentConfig(
         channel=channel,
-        hybrid=draw(_hybrid_configs(channel)),
+        hybrid=hybrid,
         solver=SolverOptions(
             mu=draw(st.none() | st.floats(0.0, 10.0)),
             max_iters=draw(st.integers(1, 1000)),
@@ -108,7 +112,7 @@ def _experiment_configs(draw):
         on_grid=draw(st.booleans()),
         grid_oversampling=draw(st.integers(1, 4)),
         recovery_threshold_db=draw(st.floats(-40.0, 0.0)),
-        ber_symbols=draw(st.just(0) | st.integers(1000, 10**6)),
+        ber_symbols=draw(st.integers(0, 10**6)) if ber_on else 0,
         threads=draw(st.integers(1, 8)),
     )
 
@@ -143,6 +147,11 @@ _INFEASIBLE_GEOMETRY_DOCS = [
         },
         "n_streams",
         id="streams-over-chains",
+    ),
+    pytest.param(
+        {"hybrid": {"n_streams": 5}, "ber_symbols": 4000},
+        "ber_symbols > 0 needs hybrid.n_streams <= 4",
+        id="ber-streams-over-bound",
     ),
 ]
 
@@ -227,7 +236,7 @@ class TestExperimentConfig:
             {"time_steps": 0},
             {"grid_oversampling": 0},
             {"ber_symbols": -1},
-            {"ber_symbols": 500},
+            {"ber_symbols": 1, "hybrid": HybridConfig(n_streams=5)},
             {"threads": 0},
             {"master_seed": -1},
             {"estimator_variant": "magic"},
@@ -239,8 +248,12 @@ class TestExperimentConfig:
             ExperimentConfig(**overrides)
 
     def test_ber_symbols_off_or_large(self):
+        # 0 is off and any positive count is on: the BER is exact, so the
+        # count sets no sample size.
         assert ExperimentConfig(ber_symbols=0).ber_symbols == 0
+        assert ExperimentConfig(ber_symbols=1).ber_symbols == 1
         assert ExperimentConfig(ber_symbols=1000).ber_symbols == 1000
+        assert ExperimentConfig(hybrid=HybridConfig(n_streams=8)).hybrid.n_streams == 8
 
     @pytest.mark.parametrize(
         "schedule,steps",

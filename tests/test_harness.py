@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import inspect
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -29,7 +30,6 @@ from ramc.harness import (
     _dictionary,
     _draw_trial,
     ber_link,
-    draw_ber_link,
     nmse,
     nmse_db,
     run_single_trial,
@@ -40,9 +40,9 @@ from ramc.harness import (
 )
 
 from oracles import (
-    ber_link_two_products,
+    ber_link_enumerated,
+    ber_link_errors_drawn,
     build_dictionary,
-    draw_ber_link_three_arrays,
     measurement_matrix,
 )
 
@@ -110,24 +110,33 @@ def _sv(h):
     return np.linalg.svd(h, compute_uv=False)
 
 
-def _ber(h, h_est, snr_db, draws):
+def _ber(h, h_est, snr_db, n_streams=2):
     """The BER of one estimate: ``ber_link`` on a stack of one."""
-    (ber,) = ber_link(h, _sv(h), np.asarray(h_est)[None], [snr_db], draws)
+    (ber,) = ber_link(h, _sv(h), np.asarray(h_est)[None], [snr_db], n_streams)
     return ber
+
+
+def _poisson_tails(count, mean):
+    """P(X <= count) and P(X >= count) for X ~ Poisson(mean)."""
+    terms = [math.exp(-mean)]
+    for k in range(1, count + 1):
+        terms.append(terms[-1] * mean / k)
+    below = math.fsum(terms)
+    return below, 1.0 - below + terms[-1]
 
 
 class TestBerLink:
     def test_matched_high_snr(self):
         rng = np.random.default_rng(410)
         h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        assert _ber(h, h, 30.0, draw_ber_link(8, 5000, 2, seed=1)) <= 1e-4
+        assert _ber(h, h, 30.0) <= 1e-4
 
     def test_pure_noise_limit(self):
         rng = np.random.default_rng(411)
         h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        ber = _ber(h, h, -60.0, draw_ber_link(8, 5000, 2, seed=2))
-        # 20000 bits of coin flips: 0.5 within 3 binomial sigmas.
-        assert abs(ber - 0.5) <= 3 * math.sqrt(0.25 / 20000)
+        # At -60 dB each part's margin is below 3e-3 of its noise std, so
+        # Q of it lies within 1.2e-3 below 1/2.
+        assert 0.5 - 2e-3 < _ber(h, h, -60.0) < 0.5
 
     def test_mismatched_worse(self):
         rng = np.random.default_rng(412)
@@ -137,24 +146,37 @@ class TestBerLink:
         # Beams aimed at an orthogonal subspace receive no signal at all,
         # so the mismatched link degenerates to coin flipping.
         h_bad = u[:, 2:4] @ np.diag([5.0, 3.0]) @ vh[2:4, :]
-        draws = draw_ber_link(8, 4000, 2, seed=3)
-        good = _ber(h, h, 10.0, draws)
-        bad = _ber(h, h_bad, 10.0, draws)
+        good = _ber(h, h, 10.0)
+        bad = _ber(h, h_bad, 10.0)
         assert good < bad
-        assert abs(bad - 0.5) <= 3 * math.sqrt(0.25 / 8000)
+        assert abs(bad - 0.5) <= 1e-9
 
     def test_roundoff_link_gain_counts_as_no_link(self):
         # The estimate's second beam is orthogonal to a rank-one channel,
         # so that stream's link gain is roundoff; last-bit changes of the
-        # estimate must not move the bit decisions through its phase.
+        # estimate must not move the BER through its phase.  The exact BER
+        # is continuous in the estimate, so they agree to 1e-9.
         rng = np.random.default_rng(413)
         g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         u, _, vh = np.linalg.svd(g)
         h = 5.0 * np.outer(u[:, 0], vh[0])
         h_est = h + 2.0 * np.outer(u[:, 1], vh[1])
-        draws = draw_ber_link(8, 4000, 2, seed=4)
-        bers = {_ber(h, h_est * (1.0 + k * 2.0**-52), 10.0, draws) for k in range(20)}
-        assert len(bers) == 1
+        bers = [_ber(h, h_est * (1.0 + k * 2.0**-52), 10.0) for k in range(20)]
+        assert max(bers) - min(bers) <= 1e-9 * min(bers)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_zero_link_gain_is_a_coin_flip(self, n):
+        # A diagonal rank-one channel and a rank-two estimate: the second
+        # stream's link is exactly zero, so its parts are coin flips, with
+        # no division by its zero gain.  At +inf dB each zero margin is
+        # decided plus, wrong for the half of the parts sent minus.
+        h = np.diag([5.0, 0.0, 0.0][:n]).astype(complex)
+        h_est = np.diag([5.0, 2.0, 0.0][:n]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _ber(h, h_est, math.inf) == 0.25
+            two, one = _ber(h, h_est, 10.0), _ber(h, h_est, 10.0, n_streams=1)
+        assert 0.0 < one < 0.5 and two == pytest.approx((one + 0.5) / 2, rel=1e-15)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -162,39 +184,23 @@ class TestBerLink:
         scale=st.floats(1e-6, 1e6),
         seed=st.integers(0, 2**32 - 1),
         n_streams=st.integers(1, 2),
-        draw_seed=st.integers(0, 2**32 - 1),
     )
-    def test_noiseless_matched_link_is_error_free(self, shape, scale, seed, n_streams, draw_seed):
+    def test_noiseless_matched_link_is_error_free(self, shape, scale, seed, n_streams):
         # With no noise, beamforming on the true channel decodes every bit;
         # the infinite SNR must not reach the arithmetic as inf * 0.
         rng = np.random.default_rng(seed)
         h = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         s = np.linalg.svd(h, compute_uv=False)
         assume(s[-1] > 1e-6 * s[0])  # full rank
-        draws = draw_ber_link(shape[0], 1000, n_streams, seed=draw_seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _ber(h, h, math.inf, draws) == 0.0
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n_rx=st.integers(1, 8),
-        n_streams=st.integers(1, 3),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_draws_match_three_array_form(self, n_rx, n_streams, seed):
-        signs, stack = draw_ber_link(n_rx, 1000, n_streams, seed=seed)
-        bits, symbols, noise = draw_ber_link_three_arrays(n_rx, 1000, n_streams, seed)
-        assert signs.dtype == bool and signs.shape == (n_streams, 2000)
-        assert np.array_equal(signs[:, 0::2], bits[0::2])
-        assert np.array_equal(signs[:, 1::2], bits[1::2])
-        assert np.array_equal(stack.view(np.uint64), np.vstack([symbols, noise]).view(np.uint64))
+            assert _ber(h, h, math.inf, n_streams) == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(
         shape=st.tuples(st.integers(2, 6), st.integers(2, 6)),
         seed=st.integers(0, 2**32 - 1),
-        n_streams=st.integers(1, 2),
+        n_streams=st.integers(1, 3),
         snrs=st.lists(
             st.sampled_from([-10.0, 0.0, 10.0, 30.0, math.inf]), min_size=1, max_size=8
         ),
@@ -202,13 +208,14 @@ class TestBerLink:
         kinds=st.lists(st.sampled_from(["perturbed", "second_beam"]), min_size=8, max_size=8),
         zero=st.booleans(),
     )
-    def test_matches_two_product_form(self, shape, seed, n_streams, snrs, rank_one, kinds, zero):
-        # One product over [symbols; noise] with the equaliser folded in
-        # decides every bit as the two products and the divide did, also
-        # at +inf dB and when a stream's link gain is roundoff (a second
-        # beam on a rank-one channel).  Row k of
-        # a stacked call is the link of estimate k at snrs[k]; a zero
-        # estimate in the middle fails its row alone.
+    def test_matches_enumeration(self, shape, seed, n_streams, snrs, rank_one, kinds, zero):
+        # The vectorised BER equals the one that visits each sign pattern,
+        # stream and part in turn, also at +inf dB and when a stream's
+        # link gain is roundoff (a second beam on a rank-one channel).
+        # Row k of a stacked call is the link of estimate k at snrs[k]; a
+        # zero estimate in the middle fails its row alone.  Terms below
+        # 1e-300 are subnormal and carry no relative precision.
+        assume(min(shape) >= n_streams)
         rng = np.random.default_rng(seed)
         g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         u, _, vh = np.linalg.svd(g)
@@ -223,16 +230,38 @@ class TestBerLink:
         middle = len(snrs) // 2
         if zero:
             estimates[middle] = np.zeros(shape)
-        draws = draw_ber_link(shape[0], 1000, n_streams, seed=seed)
-        reference = draw_ber_link_three_arrays(shape[0], 1000, n_streams, seed)
-        bers = ber_link(h, _sv(h), np.stack(estimates), snrs, draws)
+        bers = ber_link(h, _sv(h), np.stack(estimates), snrs, n_streams)
         assert len(bers) == len(snrs)
         for k, (est, snr_db, ber) in enumerate(zip(estimates, snrs, bers)):
             if zero and k == middle:
                 assert isinstance(ber, DegenerateSystemError)
                 assert str(ber) == "cannot beamform on a zero channel estimate"
             else:
-                assert ber == ber_link_two_products(h, est, snr_db, *reference)
+                expected = ber_link_enumerated(h, est, snr_db, n_streams)
+                assert math.isclose(ber, expected, rel_tol=1e-12, abs_tol=1e-300)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_a_monte_carlo_draw(self, seed):
+        # 10^6 drawn symbols per stream count sign errors within 4
+        # binomial standard errors of the exact BER times the bit count.
+        # Where fewer than 10 errors are expected that normal limit is
+        # too narrow (one error where 0.1 are expected reads z = 3), so the
+        # count must then lie where a Poisson tail holds 3e-5 or more, the
+        # one-sided mass beyond 4 standard errors.
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h_est = h + 0.1 * np.linalg.norm(h) / np.linalg.norm(noise) * noise
+        snrs = [0.0, 8.0, 12.0]
+        bers = ber_link(h, _sv(h), np.stack([h_est] * len(snrs)), snrs, 2)
+        n_bits = 4 * 10**6
+        for k, (snr_db, ber) in enumerate(zip(snrs, bers)):
+            errors = ber_link_errors_drawn(h, h_est, snr_db, 2, 10**6, seed=(seed, k))
+            mean = n_bits * ber
+            if mean >= 10.0:
+                assert abs(errors - mean) <= 4.0 * math.sqrt(mean * (1.0 - ber)), snr_db
+            else:
+                assert min(_poisson_tails(errors, mean)) >= 3e-5, (snr_db, errors, mean)
 
     @pytest.mark.parametrize(
         "snr_db",
@@ -247,20 +276,24 @@ class TestBerLink:
         # Before, NaN decided bits on NaN noise (a BER near 0.5) and -inf
         # or -4000 dB raised ZeroDivisionError.  The whole call fails.
         h = np.eye(8, dtype=complex)
-        draws = draw_ber_link(8, 1000, 2, seed=0)
         with pytest.raises(ConfigError, match="ber_link snr_db"):
-            ber_link(h, _sv(h), np.stack([h, h]), [10.0, snr_db], draws)
+            ber_link(h, _sv(h), np.stack([h, h]), [10.0, snr_db], 2)
         with pytest.raises(ConfigError, match="snr_grid_db"):
             ExperimentConfig(snr_grid_db=(snr_db,))
 
     def test_one_snr_per_estimate(self):
         h = np.eye(4, dtype=complex)
         with pytest.raises(ShapeError):
-            ber_link(h, _sv(h), np.stack([h, h]), [10.0], draw_ber_link(4, 1000, 2, seed=0))
+            ber_link(h, _sv(h), np.stack([h, h]), [10.0], 2)
 
-    def test_too_few_symbols(self):
-        with pytest.raises(ConfigError):
-            draw_ber_link(4, n_symbols=10, n_streams=2, seed=0)
+    def test_stream_count_bounded(self):
+        # 4^s sign patterns: 4 streams is the most the exact BER takes.
+        h = np.eye(8, dtype=complex)
+        assert ber_link(h, _sv(h), h[None], [math.inf], 4) == [0.0]
+        with pytest.raises(ConfigError, match="at most 4 streams, got 5"):
+            ber_link(h, _sv(h), h[None], [10.0], 5)
+        with pytest.raises(ConfigError, match="exceed channel dimensions"):
+            ber_link(h[:2], _sv(h[:2]), h[None, :2], [10.0], 3)
 
 
 class TestRunSweep:
@@ -327,7 +360,7 @@ class TestRunSweep:
             block = step.block
             shared = [step.real.matrix, step.s_true, block.f, block.w, block.s,
                       block.effective_precoder, block.combiner_pinv, block.precoder_pinv,
-                      step.y_clean, step.noise, step.mask, *step.ber]
+                      step.y_clean, step.noise, step.mask]
             assert not any(array.flags.writeable for array in shared)
         with pytest.raises(ValueError):
             steps[0].y_clean[0, 0] = 0.0
@@ -761,6 +794,22 @@ class TestReports:
     def test_empty_rejected(self):
         with pytest.raises(UndefinedMetricError):
             summarize_records([])
+
+
+def test_benchmark_workloads_build(monkeypatch):
+    # Each benchmark workload is a config document; a config-key change
+    # that rejects one would otherwise show only when the benchmark runs.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # set_up prepends src/
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    configs = {}
+    for name in workloads.WORKLOADS:
+        cfg, dictionary = workloads.set_up(name, 0)
+        assert isinstance(cfg, ExperimentConfig) and dictionary.a_ms.shape[0] == cfg.channel.n_ms
+        configs[name] = cfg
+    assert configs["link"].ber_symbols > 0
 
 
 def test_benchmark_trace_targets_resolve(monkeypatch):

@@ -218,6 +218,30 @@ class TestPursuitProperties:
         assert _residual_norm(3.0 * q[:, 0], q, est) <= 1e-12
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        power=st.integers(min_value=-60, max_value=60),
+        noisy=st.booleans(),
+    )
+    def test_pursuit_is_scale_free(self, seed, power, noisy):
+        # Scaling the target by a power of two is exact in floating point,
+        # so it must scale every gain by exactly that power and keep the
+        # support; an absolute correlation floor used to drop atoms once
+        # ||y|| fell far below 1.
+        rng = np.random.default_rng(seed)
+        d = _unit_norm_dictionary(rng, 16, 32)
+        y = d[:, rng.choice(32, size=2, replace=False)] @ (rng.standard_normal(2) + 1j)
+        if noisy:
+            y += 0.01 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        base = somp_baseline(y, d, 4)
+        scaled = somp_baseline(np.ldexp(y.real, power) + 1j * np.ldexp(y.imag, power), d, 4)
+        assert scaled.support == base.support and len(base.support) >= 2
+        expected = np.ldexp(base.gains.real, power) + 1j * np.ldexp(base.gains.imag, power)
+        assert scaled.gains.tobytes() == expected.tobytes()
+        assert somp_baseline(0.0 * y, d, 4).support == ()
+
+
 def test_column_stacking_vec_identity():
     """vec(A X B) == (B^T kron A) vec(X), which Phase II's atoms rely on."""
     rng = np.random.default_rng(21)
