@@ -17,6 +17,15 @@ from .errors import ConfigError, ShapeError
 
 SPEED_OF_LIGHT = 299_792_458.0
 
+# Model constants: a 28 GHz carrier and 0.1 us sampling.  Arrays are
+# spaced at half a wavelength, so the wavelength cancels in every
+# steering vector, and delays are drawn in fractions of the sample
+# period, so the period cancels in the pulse; both act only through the
+# per-step Doppler phase 2*pi*velocity*Ts/wavelength*cos(aspect), which
+# ``ChannelParams.velocity`` sets.
+CARRIER_WAVELENGTH = SPEED_OF_LIGHT / 28e9
+SAMPLE_PERIOD = 1e-7
+
 # Raised-cosine pulses are truncated beyond this many symbol periods.
 PULSE_SUPPORT_PERIODS = 4.0
 
@@ -28,15 +37,16 @@ GRID_MATCH_TOL = 1e-9
 DEFAULT_DOMAIN = (-math.pi / 2.0, math.pi / 2.0)
 
 
-def steering_vector(n: int, angle: float, wavelength: float, spacing: float) -> np.ndarray:
-    """Unit-norm uniform-linear-array response.
+def steering_vector(n: int, angle: float) -> np.ndarray:
+    """Unit-norm response of a half-wavelength uniform linear array.
 
-    Entry k is exp(j * k * (2*pi/wavelength) * spacing * sin(angle)) / sqrt(n)
-    for k = 0..n-1.
+    Entry k is exp(j * k * pi * sin(angle)) / sqrt(n) for k = 0..n-1.
     """
     if n < 1:
         raise ShapeError(f"array size must be >= 1, got {n}")
-    phase = (2.0 * np.pi / wavelength) * spacing * math.sin(angle)
+    # (2*pi/wavelength) * (wavelength/2) per unit sine; at
+    # CARRIER_WAVELENGTH that float product is np.pi exactly.
+    phase = np.pi * math.sin(angle)
     return np.exp(1j * phase * np.arange(n)) / math.sqrt(n)
 
 
@@ -62,19 +72,18 @@ def raised_cosine(t, rolloff: float, period: float):
 class ChannelParams:
     """Static geometry and waveform parameters of the channel model.
 
-    Defaults follow a 28 GHz carrier, 0.1 us sampling and a mobile at
-    120 km/h.  Both arrays are uniform linear arrays with half-wavelength
-    spacing, and every cluster holds ``rays_per_cluster`` rays.  Ray
-    gains are scaled by sqrt(n_bs * n_ms / total ray count), so that
-    E||H||_F^2 = n_bs * n_ms.
+    The 28 GHz carrier and 0.1 us sampling are model constants
+    (``CARRIER_WAVELENGTH``, ``SAMPLE_PERIOD``), and ``velocity`` (m/s,
+    default 120 km/h) alone sets the Doppler.  Both arrays are uniform
+    linear arrays with half-wavelength spacing, and every cluster holds
+    ``rays_per_cluster`` rays.  Ray gains are scaled by
+    sqrt(n_bs * n_ms / total ray count), so that E||H||_F^2 = n_bs * n_ms.
     """
 
     n_bs: int = 8
     n_ms: int = 8
     n_clusters: int = 2
     rays_per_cluster: int = 1
-    carrier_wavelength: float = SPEED_OF_LIGHT / 28e9
-    sample_period: float = 1e-7
     pulse_rolloff: float = 0.3
     angle_spread: float = 0.1
     velocity: float = 120.0 / 3.6
@@ -86,22 +95,16 @@ class ChannelParams:
             raise ConfigError("need at least one cluster")
         if not isinstance(self.rays_per_cluster, int) or self.rays_per_cluster < 1:
             raise ConfigError("rays_per_cluster must be a positive integer")
-        if self.carrier_wavelength <= 0 or self.sample_period <= 0:
-            raise ConfigError("wavelength and sample period must be positive")
         if not 0.0 <= self.pulse_rolloff <= 1.0:
             raise ConfigError("pulse rolloff must lie in [0, 1]")
         if self.angle_spread < 0:
             raise ConfigError("angle spread must be non-negative")
 
-    @property
-    def spacing(self) -> float:
-        return self.carrier_wavelength / 2.0
-
     def steering_bs(self, angle: float) -> np.ndarray:
-        return steering_vector(self.n_bs, angle, self.carrier_wavelength, self.spacing)
+        return steering_vector(self.n_bs, angle)
 
     def steering_ms(self, angle: float) -> np.ndarray:
-        return steering_vector(self.n_ms, angle, self.carrier_wavelength, self.spacing)
+        return steering_vector(self.n_ms, angle)
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,7 @@ def channel_matrix(real: ChannelRealization) -> np.ndarray:
     h = np.zeros((params.n_ms, params.n_bs), dtype=np.complex128)
     for cluster in real.clusters:
         for ray in cluster.rays:
-            pulse = raised_cosine(-ray.delay, params.pulse_rolloff, params.sample_period)
+            pulse = raised_cosine(-ray.delay, params.pulse_rolloff, SAMPLE_PERIOD)
             if pulse == 0.0:
                 continue
             a_ms = params.steering_ms(cluster.mean_aoa - ray.aoa_offset)
@@ -293,18 +296,18 @@ def _draw_cluster_once(
             aoa_off = _snap_offset(mean_aoa, aoa_off, dictionary.grid_aoa)
             aod_off = _snap_offset(mean_aod, aod_off, dictionary.grid_aod)
         gain = complex(rng.normal(), rng.normal()) / math.sqrt(2.0)
-        ray_delay = float(rng.uniform(0.0, 0.25 * params.sample_period))
+        ray_delay = float(rng.uniform(0.0, 0.25 * SAMPLE_PERIOD))
         aspect = rng.uniform(0.0, 2.0 * np.pi)
-        doppler = params.velocity / params.carrier_wavelength * math.cos(aspect)
+        doppler = params.velocity / CARRIER_WAVELENGTH * math.cos(aspect)
         rays.append(
             Ray(gain=gain, aoa_offset=aoa_off, aod_offset=aod_off, delay=ray_delay, doppler=doppler)
         )
     return PathCluster(mean_aoa=mean_aoa, mean_aod=mean_aod, rays=tuple(rays))
 
 
-def _evolve_cluster(cluster: PathCluster, params: ChannelParams) -> PathCluster:
+def _evolve_cluster(cluster: PathCluster) -> PathCluster:
     rays = tuple(
-        replace(ray, gain=ray.gain * np.exp(2j * np.pi * ray.doppler * params.sample_period))
+        replace(ray, gain=ray.gain * np.exp(2j * np.pi * ray.doppler * SAMPLE_PERIOD))
         for ray in cluster.rays
     )
     return replace(cluster, rays=rays)
@@ -313,15 +316,16 @@ def _evolve_cluster(cluster: PathCluster, params: ChannelParams) -> PathCluster:
 def evolve(
     real: ChannelRealization,
     steps: int,
+    rng: np.random.Generator,
     rank_schedule=None,
-    rng: np.random.Generator | None = None,
     dictionary: AngularDictionary | None = None,
 ) -> list[ChannelRealization]:
     """Advance a realization ``steps`` times.
 
     Per step every ray gain rotates by exp(j*2*pi*doppler*Ts), and
     ``rank_schedule`` entries (time, n_clusters) add or remove clusters
-    when their absolute time index is reached.
+    when their absolute time index is reached; ``rng`` draws the clusters
+    that a schedule entry adds.
 
     Returns the ``steps`` new realizations, excluding the input.
     """
@@ -344,14 +348,12 @@ def evolve(
     params = real.params
     for _ in range(steps):
         t = current.time_index + 1
-        clusters = [_evolve_cluster(c, params) for c in current.clusters]
+        clusters = [_evolve_cluster(c) for c in current.clusters]
         if t in schedule:
             target = schedule[t]
             if target < len(clusters):
                 clusters = clusters[:target]
             while len(clusters) > 0 and len(clusters) < target:
-                if rng is None:
-                    raise ConfigError("cluster birth requires a random generator")
                 occupied: set = set()
                 if dictionary is not None:
                     for existing in clusters:

@@ -2,12 +2,15 @@
 
 Subcommands: ``simulate`` (channel + masked pilot data), ``estimate``
 (one two-phase estimation trial with artifact export), ``sweep``
-(records over the SNR grid), ``ablate`` (variant comparison) and
-``config`` (defaults / validation).  ``simulate`` writes
-``channels.npy`` and ``observed.npy``, ``estimate`` writes
-``estimate.npy`` and ``truth.npy``: complex128 (steps, rows, cols)
-arrays for ``np.load``.  Exit code 0 on success, 1 for configuration
-problems, 2 for runtime failures.
+(estimator variants compared over the SNR grid) and ``config``
+(defaults / validation).
+
+``simulate`` writes ``channels.npy`` and ``observed.npy``, ``estimate``
+writes ``estimate.npy`` and ``truth.npy``: complex128 (steps, rows,
+cols) arrays for ``np.load``.  ``sweep`` writes ``records.csv`` and the
+ablation ``report.csv`` of its variants, all five of
+``DEFAULT_ABLATION`` unless ``--variant`` names some.  Exit code 0 on
+success, 1 for configuration problems, 2 for runtime failures.
 """
 
 from __future__ import annotations
@@ -21,15 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    DEFAULT_ABLATION,
-    ExperimentConfig,
-    config_to_dict,
-    dump_defaults,
-    load_config,
-)
+from .config import ExperimentConfig, config_to_dict, dump_defaults, load_config
 from .errors import ConfigError, RamcError
 from .harness import (
+    DEFAULT_ABLATION,
     run_single_trial,
     run_sweep,
     simulate_trial,
@@ -66,22 +64,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "output directory for estimate.npy, truth.npy and CSV exports")
     p.add_argument("--snr", type=float, help="grid SNR in dB (default: highest)")
     p.add_argument("--trial", type=int, default=0, help="trial index (default 0)")
-    p.add_argument("--variant", help="estimator variant (default from config)")
+    p.add_argument(
+        "--variant", default="rank_aware", help="estimator variant (default rank_aware)"
+    )
     p.add_argument(
         "--trace", action="store_true", help="write the completion solver trace"
     )
 
-    p = sub.add_parser("sweep", help="evaluate one variant over the SNR grid")
-    _add_common(p, "records CSV path")
-    p.add_argument("--variant", help="estimator variant (default from config)")
-    p.add_argument("--threads", type=int, help="worker threads")
-
-    p = sub.add_parser("ablate", help="compare estimator variants")
-    _add_common(p, "output directory for records and report")
+    p = sub.add_parser("sweep", help="compare estimator variants over the SNR grid")
+    _add_common(p, "output directory for records.csv and report.csv")
     p.add_argument(
         "--variant",
         action="append",
-        help="variant to include (repeatable, two or more; default: all)",
+        help="variant to include (repeatable; default: all of DEFAULT_ABLATION)",
     )
     p.add_argument("--threads", type=int, help="worker threads")
 
@@ -174,24 +169,13 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
-    records = run_sweep(cfg, variants=None if args.variant is None else [args.variant])
-    write_records(args.out, records)
-    print(summarize_records(records))
-    print(f"wrote {len(records)} records to {args.out}")
-    return 0
-
-
-def _cmd_ablate(args) -> int:
-    cfg = _load(args)
-    variants = args.variant if args.variant else list(DEFAULT_ABLATION)
-    if len(set(variants)) < 2:
-        raise ConfigError(f"ablate compares at least two distinct variants, got {variants}")
-    records = run_sweep(cfg, variants=variants)
+    records = run_sweep(cfg, args.variant or DEFAULT_ABLATION)
     out = _outdir(args.out)
     write_records(out / "records.csv", records)
     report = summarize_records(records)
     write_report(out / "report.csv", report)
     print(report)
+    print(f"wrote {len(records)} records to {out}")
     return 0
 
 
@@ -212,7 +196,6 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "estimate": _cmd_estimate,
     "sweep": _cmd_sweep,
-    "ablate": _cmd_ablate,
     "config": _cmd_config,
 }
 

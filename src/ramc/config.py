@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import re
 import types
 from dataclasses import dataclass, field
 from typing import get_args, get_origin, get_type_hints
@@ -20,40 +19,8 @@ from .completion import SolverOptions
 from .errors import ConfigError
 from .frontend import HybridConfig
 
-VARIANTS = ("rank_aware", "fixed_rank", "rank_oblivious", "coarse_only", "somp_baseline")
-
-# Concrete variant list for side-by-side ablations (fixed_rank needs a rank).
-DEFAULT_ABLATION = (
-    "rank_aware",
-    "fixed_rank:2",
-    "rank_oblivious",
-    "coarse_only",
-    "somp_baseline",
-)
-
-_FIXED_RANK_RE = re.compile(r"^fixed_rank:(\d+)$")
-
 # The exact BER's cost grows as 4^s in the stream count s.
 MAX_BER_STREAMS = 4
-
-
-def parse_variant(name: str) -> tuple[str, int | None]:
-    """Split an estimator variant name into (kind, parameter).
-
-    ``fixed_rank`` takes its rank as ``fixed_rank:k``.
-    """
-    if name in ("rank_aware", "rank_oblivious", "coarse_only", "somp_baseline"):
-        return name, None
-    match = _FIXED_RANK_RE.match(name)
-    if match:
-        k = int(match.group(1))
-        if k < 1:
-            raise ConfigError(f"fixed rank must be >= 1 in {name!r}")
-        return "fixed_rank", k
-    raise ConfigError(
-        f"unknown estimator variant {name!r}; expected one of {VARIANTS} "
-        "(fixed_rank takes a rank, e.g. fixed_rank:3)"
-    )
 
 
 @dataclass(frozen=True)
@@ -69,7 +36,6 @@ class ExperimentConfig:
     time_steps: int = 1
     rank_schedule: tuple[tuple[int, int], ...] | None = None
     master_seed: int = 0
-    estimator_variant: str = "rank_aware"
     on_grid: bool = True
     # Critically sampled grid: steering columns are orthogonal, so greedy
     # atom selection is exact on noiseless on-grid channels.  Oversampled
@@ -106,7 +72,6 @@ class ExperimentConfig:
                 f"cannot exceed antenna count (channel.n_bs={self.channel.n_bs}, "
                 f"channel.n_ms={self.channel.n_ms})"
             )
-        parse_variant(self.estimator_variant)
         if self.rank_schedule is not None:
             for entry in self.rank_schedule:
                 if len(entry) != 2:
@@ -125,7 +90,7 @@ class ExperimentConfig:
                 raise ConfigError(f"rank_schedule repeats a time: {self.rank_schedule}")
 
 
-_JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false"}
 
 
 def _typed(kind, value):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import channel as chan
 from .completion import estimate_rank, r1mc_complete
-from .config import MAX_BER_STREAMS, ExperimentConfig, check_snr_db, parse_variant, snr_to_linear
+from .config import MAX_BER_STREAMS, ExperimentConfig, check_snr_db, snr_to_linear
 from .errors import ConfigError, DegenerateSystemError, RamcError, ShapeError, UndefinedMetricError
 from .frontend import PilotBlock, coarse_channel, make_pilot_block, observe, subsample
 from .io import read_cell, write_csv
@@ -106,9 +107,11 @@ def ber_link(h_true, s_true, h_est, snr_db, n_streams: int) -> list:
     unit vectors.  A part sent with sign b is wrong with probability
     Q(b mu / std), Q(x) = erfc(x / sqrt(2)) / 2, and the BER is the mean
     of that over the 4^s sign patterns of s streams and their 2s parts.
-    At +inf dB each part is decided as the noiseless ``mu < 0``, so a
-    part received as exactly 0 is an error iff it was sent minus.  The cost
-    grows as 4^s, so at most ``MAX_BER_STREAMS`` (4) streams are taken.
+    At +inf dB each part is decided as the noiseless ``mu < 0``, but a
+    part below the gain floor's scale, |mu| < 1e-12 s_true[0] / |g_j|,
+    is roundoff and is decided as exactly 0: an error iff it was sent
+    minus.  The cost grows as 4^s, so at most ``MAX_BER_STREAMS`` (4)
+    streams are taken.
 
     Returns one entry per row: its BER, or the
     :class:`DegenerateSystemError` of a zero estimate, which fails that
@@ -138,7 +141,8 @@ def ber_link(h_true, s_true, h_est, snr_db, n_streams: int) -> list:
     # A pair of unit beams gains at most s_true[0]; a stream whose link
     # gain is roundoff next to that has no link, so it is not equalised
     # by a gain whose phase is noise.
-    gains = np.where(np.abs(diag) > 1e-12 * s_true[0], diag, 1.0)
+    floor = 1e-12 * s_true[0]
+    gains = np.where(np.abs(diag) > floor, diag, 1.0)
     # Every pattern of the 2s sign bits, one column each, as QPSK symbols.
     signs = 1.0 - 2.0 * (np.arange(4**n_streams) >> np.arange(2 * n_streams)[:, None] & 1)
     symbols = (signs[0::2] + 1j * signs[1::2]) / math.sqrt(2.0)
@@ -146,10 +150,13 @@ def ber_link(h_true, s_true, h_est, snr_db, n_streams: int) -> list:
     # Noiseless received parts, row 2j + 1 the imaginary part of stream j
     # as in ``signs``, and each row's noise std times sqrt(2).
     parts = np.stack([mixed.real, mixed.imag], axis=2).reshape(len(live), *signs.shape)
-    scale = np.repeat(sigma[:, None] / np.abs(gains), 2, axis=1)[:, :, None]
+    gain_abs = np.repeat(np.abs(gains), 2, axis=1)[:, :, None]
+    scale = sigma[:, None, None] / gain_abs
     # Q(b mu / std) = erfc(b mu / scale) / 2; with no noise the argument
-    # is +inf where the decision mu < 0 is right and -inf where it is not.
-    arg = np.where(parts < 0, -np.inf, np.inf) * signs
+    # is +inf where the decision mu < 0 is right and -inf where it is not,
+    # and a part whose link is roundoff (below the floor scaled as mu) is 0.
+    roundoff = np.abs(parts) < floor / gain_abs
+    arg = np.where((parts < 0) & ~roundoff, -np.inf, np.inf) * signs
     noisy = sigma > 0.0
     arg[noisy] = signs * parts[noisy] / scale[noisy]
     erfc = np.array([math.erfc(x) for x in arg.ravel().tolist()]).reshape(arg.shape)
@@ -300,6 +307,39 @@ def simulate_trial(cfg: ExperimentConfig, snr_idx: int = 0, trial: int = 0):
     return [s.real for s in steps], [_observe_step(cfg, snr_idx, s) for s in steps]
 
 
+VARIANTS = ("rank_aware", "fixed_rank", "rank_oblivious", "coarse_only", "somp_baseline")
+
+# Concrete variant list for side-by-side ablations (fixed_rank needs a rank).
+DEFAULT_ABLATION = (
+    "rank_aware",
+    "fixed_rank:2",
+    "rank_oblivious",
+    "coarse_only",
+    "somp_baseline",
+)
+
+_FIXED_RANK_RE = re.compile(r"^fixed_rank:(\d+)$")
+
+
+def parse_variant(name: str) -> tuple[str, int | None]:
+    """Split an estimator variant name into (kind, parameter).
+
+    ``fixed_rank`` takes its rank as ``fixed_rank:k``.
+    """
+    if name in ("rank_aware", "rank_oblivious", "coarse_only", "somp_baseline"):
+        return name, None
+    match = _FIXED_RANK_RE.match(name)
+    if match:
+        k = int(match.group(1))
+        if k < 1:
+            raise ConfigError(f"fixed rank must be >= 1 in {name!r}")
+        return "fixed_rank", k
+    raise ConfigError(
+        f"unknown estimator variant {name!r}; expected one of {VARIANTS} "
+        "(fixed_rank takes a rank, e.g. fixed_rank:3)"
+    )
+
+
 def _estimate_one(
     variant_kind: str,
     variant_param: int | None,
@@ -352,15 +392,11 @@ def _estimate_one(
         sparse, h_hat = estimate_phase2(result.completed, block, dictionary, variant_param)
         return h_hat, variant_param, sparse, result
 
-    if variant_kind == "rank_oblivious":
-        result = r1mc_complete(
-            obs, rank_hint=min(obs.incomplete.shape), opts=solver
-        )
-        # No rank feedback: the pursuit stops on its residual alone.
-        sparse, h_hat = estimate_phase2(result.completed, block, dictionary, None)
-        return h_hat, result.rank, sparse, result
-
-    raise ConfigError(f"unhandled estimator variant {variant_kind!r}")
+    # rank_oblivious, the one kind left that parse_variant returns.
+    result = r1mc_complete(obs, rank_hint=min(obs.incomplete.shape), opts=solver)
+    # No rank feedback: the pursuit stops on its residual alone.
+    sparse, h_hat = estimate_phase2(result.completed, block, dictionary, None)
+    return h_hat, result.rank, sparse, result
 
 
 def _failed(exc: Exception) -> dict:
@@ -469,10 +505,11 @@ def _with_ber(cfg: ExperimentConfig, steps: list[_StepDraws], runs) -> list[Metr
 
 def run_sweep(
     cfg: ExperimentConfig,
-    variants=None,
+    variants,
     threads: int | None = None,
 ) -> list[MetricRecord]:
-    """Evaluate estimator variants over the configured SNR grid.
+    """Evaluate the estimator ``variants`` (names that :func:`parse_variant`
+    accepts, one or more) over the configured SNR grid.
 
     Every draw depends only on (trial, t), so all variants and SNRs see
     identical data and pair trial for trial; workers take whole trials,
@@ -482,9 +519,10 @@ def run_sweep(
     records as failed; the sweep continues.
 
     Records come back sorted by (variant, snr, trial, t) regardless of
-    the worker count.  An unknown or repeated variant raises ConfigError.
+    the worker count.  An unknown or repeated variant raises ConfigError
+    before any trial runs.
     """
-    variants = list(variants) if variants is not None else [cfg.estimator_variant]
+    variants = list(variants)
     for name in variants:
         parse_variant(name)
     if len(set(variants)) < len(variants):
@@ -515,19 +553,19 @@ def run_sweep(
 
 def run_single_trial(
     cfg: ExperimentConfig,
-    variant: str | None = None,
+    variant: str,
     snr_idx: int = 0,
     trial: int = 0,
     artifacts: dict | None = None,
 ) -> list[MetricRecord]:
-    """One (variant, snr, trial) evaluation outside the sweep pool.
+    """One (variant, snr, trial) evaluation outside the sweep pool, for
+    one variant name that :func:`parse_variant` accepts.
 
     Seeding matches :func:`run_sweep`, so the returned records equal the
     corresponding sweep rows.  Pass an ``artifacts`` dict to receive the
     per-step truth/estimate matrices, sparse estimates and solver traces
     of the steps whose estimate succeeded, with their time indices in "t".
     """
-    variant = variant if variant is not None else cfg.estimator_variant
     dictionary, steps = _single_trial_draws(cfg, snr_idx, trial)
     observed = [_Observed(cfg, snr_idx, step) for step in steps]
     run = _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, observed, artifacts)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ramc.channel import _grid_index, raised_cosine
+from ramc.channel import SAMPLE_PERIOD, _grid_index, raised_cosine
 from ramc.config import snr_to_linear
 from ramc.errors import DegenerateSystemError
 from ramc.recovery import SparseGainEstimate
@@ -56,7 +56,7 @@ def angular_factorization(real, dictionary) -> np.ndarray:
             if i is None or j is None:
                 which = "AoA" if i is None else "AoD"
                 raise ValueError(f"cluster {ci} ray {ri}: {which} off the dictionary grid")
-            pulse = raised_cosine(-ray.delay, params.pulse_rolloff, params.sample_period)
+            pulse = raised_cosine(-ray.delay, params.pulse_rolloff, SAMPLE_PERIOD)
             hbar[i, j] += scale * ray.gain * pulse
     return hbar
 
@@ -93,7 +93,8 @@ def _noise_scale(h, s_true, n_streams, snr_db):
 def ber_link_enumerated(h_true, h_est, snr_db, n_streams) -> float:
     """The exact BER of one link, with every sign pattern, stream and
     part visited in plain Python: Q(b mu / std) for a part sent with sign
-    b, received noiselessly as mu, or the noiseless decision at +inf dB."""
+    b, received noiselessly as mu, or the noiseless decision at +inf dB,
+    where a part below 1e-12 s_true[0] / |g_j| is roundoff, decided as 0."""
     h = np.asarray(h_true, dtype=np.complex128)
     _, link, s_true, gains = _link(h, h_est, n_streams)
     sigma = _noise_scale(h, s_true, n_streams, snr_db)
@@ -107,7 +108,8 @@ def ber_link_enumerated(h_true, h_est, snr_db, n_streams) -> float:
                 if std > 0.0:
                     total += 0.5 * math.erfc(sign * value / (std * math.sqrt(2.0)))
                 else:
-                    total += (value < 0.0) != (sign < 0.0)
+                    roundoff = abs(value) < 1e-12 * s_true[0] / abs(gains[j])
+                    total += (value < 0.0 and not roundoff) != (sign < 0.0)
     return total / (len(patterns) * 2 * n_streams)
 
 

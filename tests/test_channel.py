@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ramc.channel import (
+    SAMPLE_PERIOD,
     AngularDictionary,
     ChannelParams,
     ChannelRealization,
@@ -32,18 +33,18 @@ def _single_ray_realization(params, aoa, aod, gain=1.0 + 0.0j):
 class TestSteeringVector:
     @pytest.mark.parametrize("n", [1, 4, 8, 64])
     def test_unit_norm(self, n):
-        v = steering_vector(n, 0.7, wavelength=1.0, spacing=0.5)
+        v = steering_vector(n, 0.7)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
     def test_linear_phase(self):
-        v = steering_vector(8, 0.3, wavelength=1.0, spacing=0.5)
+        v = steering_vector(8, 0.3)
         # Adjacent elements differ by a constant phase factor.
         ratios = v[1:] / v[:-1]
         assert np.allclose(ratios, ratios[0], atol=1e-12)
         assert abs(np.angle(ratios[0]) - np.pi * math.sin(0.3)) <= 1e-12
 
     def test_broadside_is_constant(self):
-        v = steering_vector(6, 0.0, wavelength=1.0, spacing=0.5)
+        v = steering_vector(6, 0.0)
         assert np.allclose(v, v[0])
 
 
@@ -106,8 +107,8 @@ class TestChannelMatrix:
     def test_single_ray_outer_product(self):
         params = ChannelParams(n_bs=8, n_ms=8, n_clusters=1, rays_per_cluster=1)
         real = _single_ray_realization(params, aoa=0.9, aod=1.4)
-        a_ms = steering_vector(8, 0.9, params.carrier_wavelength, params.spacing)
-        a_bs = steering_vector(8, 1.4, params.carrier_wavelength, params.spacing)
+        a_ms = steering_vector(8, 0.9)
+        a_bs = steering_vector(8, 1.4)
         expected = math.sqrt(64.0) * np.outer(a_ms, a_bs.conj())
         assert np.allclose(real.matrix, expected, atol=1e-12)
 
@@ -139,7 +140,7 @@ class TestChannelMatrix:
         expected = np.zeros((params.n_ms, params.n_bs), dtype=complex)
         for cluster in real.clusters:
             for ray in cluster.rays:
-                pulse = raised_cosine(-ray.delay, params.pulse_rolloff, params.sample_period)
+                pulse = raised_cosine(-ray.delay, params.pulse_rolloff, SAMPLE_PERIOD)
                 a_ms = params.steering_ms(cluster.mean_aoa - ray.aoa_offset)
                 a_bs = params.steering_bs(cluster.mean_aod - ray.aod_offset)
                 expected += scale * ray.gain * pulse * np.outer(a_ms, a_bs.conj())

@@ -1,10 +1,12 @@
 """Configuration parsing, validation, and command-line entry points."""
 
+import argparse
 import csv
 import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -16,22 +18,31 @@ from hypothesis import strategies as st
 import ramc
 from ramc import harness
 from ramc.channel import ChannelParams
+from ramc import cli
 from ramc.cli import main
 from ramc.completion import SolverOptions
 from ramc.config import (
-    DEFAULT_ABLATION,
     MAX_BER_STREAMS,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
     dump_defaults,
     load_config,
-    parse_variant,
     snr_to_linear,
 )
 from ramc.errors import ConfigError, InfeasibleMaskError
 from ramc.frontend import HybridConfig
-from ramc.harness import read_records, run_single_trial, simulate_trial
+from ramc.harness import (
+    DEFAULT_ABLATION,
+    parse_variant,
+    read_records,
+    run_single_trial,
+    run_sweep,
+    simulate_trial,
+    summarize_records,
+    write_records,
+    write_report,
+)
 
 # Geometry small enough that CLI smoke tests run in well under a second.
 SMALL_DOC = {
@@ -43,9 +54,6 @@ SMALL_DOC = {
 }
 
 
-_POSITIVE = st.floats(min_value=1e-9, max_value=1e9)
-
-
 @st.composite
 def _channel_params(draw):
     return ChannelParams(
@@ -53,8 +61,6 @@ def _channel_params(draw):
         n_ms=draw(st.integers(1, 16)),
         n_clusters=draw(st.integers(1, 4)),
         rays_per_cluster=draw(st.integers(1, 5)),
-        carrier_wavelength=draw(_POSITIVE),
-        sample_period=draw(_POSITIVE),
         pulse_rolloff=draw(st.floats(0.0, 1.0)),
         angle_spread=draw(st.floats(0.0, 1.0)),
         velocity=draw(st.floats(-100.0, 100.0)),
@@ -106,9 +112,6 @@ def _experiment_configs(draw):
         time_steps=time_steps,
         rank_schedule=schedule,
         master_seed=draw(st.integers(0, 2**32 - 1)),
-        estimator_variant=draw(
-            st.sampled_from(DEFAULT_ABLATION) | st.integers(1, 8).map("fixed_rank:{}".format)
-        ),
         on_grid=draw(st.booleans()),
         grid_oversampling=draw(st.integers(1, 4)),
         recovery_threshold_db=draw(st.floats(-40.0, 0.0)),
@@ -167,6 +170,13 @@ _REMOVED_OPTION_DOCS = [
         "rays_per_cluster",
         id="rays-per-cluster-list",
     ),
+    # Variants are chosen per run (run_sweep, run_single_trial and the
+    # CLI's --variant), and velocity alone sets the Doppler.
+    pytest.param({"estimator_variant": "coarse_only"}, "estimator_variant", id="estimator-variant"),
+    pytest.param(
+        {"channel": {"carrier_wavelength": 0.01}}, "carrier_wavelength", id="carrier-wavelength"
+    ),
+    pytest.param({"channel": {"sample_period": 1e-6}}, "sample_period", id="sample-period"),
 ]
 
 # Integer keys given a float or a bool; each must fail at load, naming
@@ -189,19 +199,17 @@ _MISTYPED_DOCS = [
     pytest.param({"solver": {"mu": True}}, "solver.mu", id="optional-float-bool"),
     pytest.param({"snr_grid_db": [True, "5"]}, "snr_grid_db", id="snr-bool-string"),
     pytest.param({"on_grid": 1}, "on_grid", id="bool-int"),
-    pytest.param({"estimator_variant": 2}, "estimator_variant", id="str-int"),
 ]
 
 # Every key dump_defaults() prints, sections flattened to "section.key".
 _DEFAULT_KEYS = {
     "channel.n_bs", "channel.n_ms", "channel.n_clusters", "channel.rays_per_cluster",
-    "channel.carrier_wavelength", "channel.sample_period", "channel.pulse_rolloff",
-    "channel.angle_spread", "channel.velocity",
+    "channel.pulse_rolloff", "channel.angle_spread", "channel.velocity",
     "hybrid.m_bs", "hybrid.m_ms", "hybrid.n_streams", "hybrid.phase_bits",
     "hybrid.pilot_length",
     "solver.mu", "solver.max_iters", "solver.energy_ratio", "solver.rank_headroom",
     "snr_grid_db", "keep_fraction", "n_trials", "time_steps", "rank_schedule",
-    "master_seed", "estimator_variant", "on_grid", "grid_oversampling",
+    "master_seed", "on_grid", "grid_oversampling",
     "recovery_threshold_db", "ber_symbols", "threads",
 }
 
@@ -224,7 +232,6 @@ class TestExperimentConfig:
         cfg = ExperimentConfig()
         assert cfg.snr_grid_db == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
         assert cfg.keep_fraction == 0.6
-        assert cfg.estimator_variant == "rank_aware"
 
     @pytest.mark.parametrize(
         "overrides",
@@ -239,7 +246,7 @@ class TestExperimentConfig:
             {"ber_symbols": 1, "hybrid": HybridConfig(n_streams=5)},
             {"threads": 0},
             {"master_seed": -1},
-            {"estimator_variant": "magic"},
+            {"channel": ChannelParams(n_bs=4)},
             {"snr_grid_db": (5.0, math.nan)},
         ],
     )
@@ -327,7 +334,7 @@ class TestConfigDocument:
         keys = set()
         for name, value in json.loads(dump_defaults()).items():
             keys |= {f"{name}.{key}" for key in value} if isinstance(value, dict) else {name}
-        assert keys == _DEFAULT_KEYS and len(keys) == 30
+        assert keys == _DEFAULT_KEYS and len(keys) == 27
 
     def test_sections_built(self):
         cfg = config_from_dict(SMALL_DOC)
@@ -462,7 +469,7 @@ class TestCliConfig:
         path.write_text(json.dumps(dict(SMALL_DOC, **doc)))
         args = [command, "--config", str(path)]
         if command == "sweep":
-            args += ["--out", str(tmp_path / "records.csv")]
+            args += ["--out", str(tmp_path / "sweep")]
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error") and key in err and "integer" in err
@@ -513,7 +520,7 @@ class TestCliEstimate:
         assert code == 0
         assert (out / "records.csv").exists()
         artifacts: dict = {}
-        run_single_trial(load_config(small_config), snr_idx=1, artifacts=artifacts)
+        run_single_trial(load_config(small_config), "rank_aware", snr_idx=1, artifacts=artifacts)
         _assert_bit_exact(np.load(out / "estimate.npy"), artifacts["estimate"])
         _assert_bit_exact(np.load(out / "truth.npy"), artifacts["truth"])
         assert (out / "support.csv").exists()
@@ -587,18 +594,65 @@ class TestCliEstimate:
 
 class TestCliSweep:
     def test_deterministic_csv(self, small_config, tmp_path, capsys):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
+        a = tmp_path / "a"
+        b = tmp_path / "b"
         assert main(["sweep", "--config", str(small_config), "--out", str(a)]) == 0
         assert main(["sweep", "--config", str(small_config), "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-        assert len(read_records(a)) == 4
+        assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
+        # All of DEFAULT_ABLATION by default: 5 variants x 2 SNRs x 2 trials.
+        records = read_records(a / "records.csv")
+        assert len(records) == 20
+        assert {r.variant for r in records} == set(DEFAULT_ABLATION)
+        assert "wrote 20 records" in capsys.readouterr().out
+
+    def test_two_variants(self, small_config, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        variants = ["coarse_only", "fixed_rank:2"]
+        code = main(
+            ["sweep", "--config", str(small_config), "--out", str(out),
+             "--variant", variants[0], "--variant", variants[1]]
+        )
+        assert code == 0
+        # Byte for byte what the library writes for the same sweep.
+        records = run_sweep(load_config(small_config), variants)
+        write_records(tmp_path / "records.csv", records)
+        write_report(tmp_path / "report.csv", summarize_records(records))
+        for name in ("records.csv", "report.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+        printed = capsys.readouterr().out
+        assert "gap coarse_only - fixed_rank:2" in printed
+        assert f"wrote {len(records)} records" in printed
+
+    def test_one_variant(self, small_config, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(
+            ["sweep", "--config", str(small_config), "--out", str(out), "--variant", "coarse_only"]
+        )
+        assert code == 0
+        assert {r.variant for r in read_records(out / "records.csv")} == {"coarse_only"}
+        assert (out / "report.csv").exists()
         assert "wrote 4 records" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "variants",
+        [
+            pytest.param(["rank_aware", "rank_aware"], id="one-repeated"),
+            pytest.param(["coarse_only", "rank_aware", "coarse_only"], id="repeated"),
+        ],
+    )
+    def test_repeated_variant_rejected(self, variants, small_config, tmp_path, capsys):
+        # run_sweep rejects it before any trial runs, so nothing is written.
+        out = tmp_path / "sweep"
+        flags = [arg for name in variants for arg in ("--variant", name)]
+        code = main(["sweep", "--config", str(small_config), "--out", str(out), *flags])
+        assert code == 1
+        assert "variants must not repeat" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_variant(self, small_config, tmp_path):
         code = main(
             ["sweep", "--config", str(small_config),
-             "--out", str(tmp_path / "x.csv"), "--variant", "lmmse"]
+             "--out", str(tmp_path / "x"), "--variant", "lmmse"]
         )
         assert code == 1
 
@@ -617,48 +671,17 @@ class TestCliSweep:
         # below about -3,236 dB; either is a config error, not a traceback.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(SMALL_DOC, snr_grid_db=[snr_db])))
-        out = tmp_path / "x.csv"
+        out = tmp_path / "x"
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
         assert "[-300, 300] dB" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_override_changes_data(self, small_config, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
+        a = tmp_path / "a"
+        b = tmp_path / "b"
         main(["sweep", "--config", str(small_config), "--out", str(a)])
         main(["sweep", "--config", str(small_config), "--out", str(b), "--seed", "9"])
-        assert a.read_bytes() != b.read_bytes()
-
-
-class TestCliAblate:
-    def test_two_variants(self, small_config, tmp_path, capsys):
-        out = tmp_path / "abl"
-        code = main(
-            ["ablate", "--config", str(small_config), "--out", str(out),
-             "--variant", "coarse_only", "--variant", "fixed_rank:2"]
-        )
-        assert code == 0
-        records = read_records(out / "records.csv")
-        assert {r.variant for r in records} == {"coarse_only", "fixed_rank:2"}
-        assert (out / "report.csv").exists()
-        assert "gap" in capsys.readouterr().out
-
-    @pytest.mark.parametrize(
-        "variants",
-        [
-            pytest.param(["rank_aware"], id="one"),
-            pytest.param(["rank_aware", "rank_aware"], id="one-repeated"),
-            pytest.param(["coarse_only", "rank_aware", "coarse_only"], id="repeated"),
-        ],
-    )
-    def test_single_variant_rejected(self, variants, small_config, tmp_path, capsys):
-        # Rejected before the sweep runs, so nothing is written.
-        out = tmp_path / "abl"
-        flags = [arg for name in variants for arg in ("--variant", name)]
-        code = main(["ablate", "--config", str(small_config), "--out", str(out), *flags])
-        assert code == 1
-        assert "config error" in capsys.readouterr().err
-        assert not (out / "records.csv").exists()
+        assert (a / "records.csv").read_bytes() != (b / "records.csv").read_bytes()
 
 
 def test_cli_imports_numpy_only():
@@ -697,6 +720,23 @@ class TestCliParsing:
 
     def test_missing_out(self):
         assert main(["sweep"]) == 1
+
+    def test_ablate_is_gone(self, small_config, tmp_path, capsys):
+        # ``sweep`` compares variants; there is no second command for it.
+        out = tmp_path / "abl"
+        assert main(["ablate", "--config", str(small_config), "--out", str(out)]) == 1
+        assert "invalid choice: 'ablate'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_docstring_names_every_subcommand(self):
+        # The module docstring's "Subcommands:" paragraph names exactly
+        # the subcommands that the parser registers.
+        paragraph = next(p for p in cli.__doc__.split("\n\n") if p.startswith("Subcommands:"))
+        named = re.findall(r"``(\w+)``", paragraph)
+        (action,) = [
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert sorted(named) == sorted(action.choices)
 
     def test_bad_threads(self, small_config, tmp_path):
         code = main(

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ramc import channel, harness, recovery
 from ramc.channel import ChannelParams
-from ramc.config import DEFAULT_ABLATION, ExperimentConfig
+from ramc.config import ExperimentConfig
 from ramc.errors import (
     ConfigError,
     DegenerateSystemError,
@@ -25,6 +25,7 @@ from ramc.errors import (
 )
 from ramc.frontend import HybridConfig
 from ramc.harness import (
+    DEFAULT_ABLATION,
     NMSE_FLOOR_DB,
     MetricRecord,
     _dictionary,
@@ -155,14 +156,18 @@ class TestBerLink:
         # The estimate's second beam is orthogonal to a rank-one channel,
         # so that stream's link gain is roundoff; last-bit changes of the
         # estimate must not move the BER through its phase.  The exact BER
-        # is continuous in the estimate, so they agree to 1e-9.
+        # is continuous in the estimate, so they agree to 1e-9.  With no
+        # noise the second stream's parts are roundoff, decided as 0: the
+        # first stream is error-free and the second a coin flip.
         rng = np.random.default_rng(413)
         g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         u, _, vh = np.linalg.svd(g)
         h = 5.0 * np.outer(u[:, 0], vh[0])
         h_est = h + 2.0 * np.outer(u[:, 1], vh[1])
-        bers = [_ber(h, h_est * (1.0 + k * 2.0**-52), 10.0) for k in range(20)]
+        perturbed = [h_est * (1.0 + k * 2.0**-52) for k in range(20)]
+        bers = [_ber(h, est, 10.0) for est in perturbed]
         assert max(bers) - min(bers) <= 1e-9 * min(bers)
+        assert [_ber(h, est, math.inf) for est in perturbed] == [0.25] * 20
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_zero_link_gain_is_a_coin_flip(self, n):
@@ -300,9 +305,8 @@ class TestRunSweep:
     def test_record_bookkeeping(self):
         cfg = ExperimentConfig(
             **SMALL, snr_grid_db=(10.0,), n_trials=1, time_steps=3,
-            estimator_variant="coarse_only",
         )
-        records = run_sweep(cfg)
+        records = run_sweep(cfg, ("coarse_only",))
         assert len(records) == 3
         assert [r.t for r in records] == [0, 1, 2]
         assert all(r.variant == "coarse_only" for r in records)
@@ -313,12 +317,13 @@ class TestRunSweep:
 
     def test_deterministic(self):
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(15.0,), n_trials=2)
-        assert self._timeless(run_sweep(cfg)) == self._timeless(run_sweep(cfg))
+        variants = ("rank_aware",)
+        assert self._timeless(run_sweep(cfg, variants)) == self._timeless(run_sweep(cfg, variants))
 
     def test_thread_count_invariant(self):
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(5.0, 15.0), n_trials=2)
-        one = self._timeless(run_sweep(cfg, threads=1))
-        four = self._timeless(run_sweep(cfg, threads=4))
+        one = self._timeless(run_sweep(cfg, ("rank_aware",), threads=1))
+        four = self._timeless(run_sweep(cfg, ("rank_aware",), threads=4))
         assert one == four
 
     @settings(max_examples=6, deadline=None)
@@ -624,7 +629,7 @@ class TestRunSweep:
     def test_infeasible_mask_recorded_not_raised(self):
         cfg = ExperimentConfig(**dict(SMALL, keep_fraction=0.14),
                                snr_grid_db=(10.0,), n_trials=1)
-        records = run_sweep(cfg)
+        records = run_sweep(cfg, ("rank_aware",))
         assert len(records) == 1
         assert records[0].error == (
             "InfeasibleMaskError: 5 observations cannot cover 4 rows and 8 columns"
@@ -672,9 +677,9 @@ class TestRunSweep:
         for keep in (0.14, 0.8):
             cfg = ExperimentConfig(
                 **dict(SMALL, channel=channel, keep_fraction=keep),
-                snr_grid_db=(10.0,), n_trials=1, estimator_variant="coarse_only",
+                snr_grid_db=(10.0,), n_trials=1,
             )
-            (record,) = run_sweep(cfg)
+            (record,) = run_sweep(cfg, ("coarse_only",))
             ranks.append((record.error, record.rank_true))
         assert ranks == [
             ("InfeasibleMaskError: 5 observations cannot cover 4 rows and 8 columns", 1),
@@ -705,7 +710,7 @@ class TestRunSingleTrial:
     def test_artifacts_populated(self):
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(20.0,), n_trials=1, time_steps=2)
         artifacts: dict = {}
-        records = run_single_trial(cfg, artifacts=artifacts)
+        records = run_single_trial(cfg, "rank_aware", artifacts=artifacts)
         assert len(records) == 2
         assert len(artifacts["truth"]) == 2
         assert len(artifacts["estimate"]) == 2
@@ -714,12 +719,12 @@ class TestRunSingleTrial:
     def test_bad_snr_index(self):
         cfg = ExperimentConfig(**SMALL)
         with pytest.raises(ConfigError):
-            run_single_trial(cfg, snr_idx=99)
+            run_single_trial(cfg, "rank_aware", snr_idx=99)
 
     def test_negative_trial_index(self):
         cfg = ExperimentConfig(**SMALL)
         with pytest.raises(ConfigError, match="trial index"):
-            run_single_trial(cfg, trial=-1)
+            run_single_trial(cfg, "rank_aware", trial=-1)
         with pytest.raises(ConfigError, match="trial index"):
             simulate_trial(cfg, trial=-3)
 
