@@ -10,8 +10,11 @@ per step (trial, t): the channel and its singular values, the pilot
 block with F @ S and its two pseudo-inverses, the observation noise
 and the mask.  Once per (step, SNR), for every variant:
 the masked observation, the energy-rule rank of its zero fill and the
-coarse estimate.  Once per step, after every (variant, SNR) has its
-estimate: the BER of all of them, in one :func:`ber_link` call.
+coarse estimate.  Once per trial, after every (step, SNR) has its
+observation: the SOMP estimates of all their coarse estimates, in one
+stacked :func:`somp_baseline` call.  Once per step, after every
+(variant, SNR) has its estimate: the BER of all of them, in one
+:func:`ber_link` call.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +35,7 @@ from .config import MAX_BER_STREAMS, ExperimentConfig, check_snr_db, snr_to_line
 from .errors import ConfigError, DegenerateSystemError, RamcError, ShapeError, UndefinedMetricError
 from .frontend import PilotBlock, coarse_channel, make_pilot_block, observe, subsample
 from .io import read_cell, write_csv
-from .recovery import estimate_phase2, somp_baseline
+from .recovery import SparseGainEstimate, estimate_phase2, somp_baseline
 
 NMSE_FLOOR_DB = -120.0
 
@@ -50,7 +53,9 @@ class MetricRecord:
     ``iterations``, ``converged`` and ``final_residual`` (the observed-entry
     fit of the completion) come from the Phase-I completion solve; they
     are 0, None and None for variants without Phase I and for failed
-    records.
+    records.  ``runtime_ms`` is the wall time of the record's own
+    estimate and NMSE; it excludes the SOMP pursuit and the BER, which
+    run for many records at once.
     """
 
     variant: str
@@ -260,10 +265,13 @@ def _observe_step(cfg: ExperimentConfig, snr_idx: int, step: _StepDraws):
 
 class _Observed:
     """One step's masked observation ``obs`` at one SNR, shared read-only
-    by every variant, or the ``error`` that its draws or ``observe`` raised."""
+    by every variant, or the ``error`` that its draws or ``observe`` raised.
+    ``somp`` is the SOMP estimate from ``obs``, or the error that failed
+    it, once :func:`_run_somp` has run."""
 
     def __init__(self, cfg: ExperimentConfig, snr_idx: int, step: _StepDraws):
         self.obs, self.error, self.energy_ratio = None, None, cfg.solver.energy_ratio
+        self.somp: SparseGainEstimate | Exception | None = None
         self.block = step.block
         try:
             self.obs = _observe_step(cfg, snr_idx, step)
@@ -285,6 +293,50 @@ class _Observed:
         estimate = coarse_channel(self.obs, self.block)
         estimate.setflags(write=False)
         return estimate
+
+    @property
+    def somp_cap(self) -> int:
+        """SOMP's rank estimate: ``zero_fill_rank``, or the full shape when
+        that is degenerate."""
+        rank = self.zero_fill_rank
+        return min(self.obs.incomplete.shape) if rank is None else rank
+
+
+def _run_somp(variants, observed: list[_Observed], dictionary) -> None:
+    """Set ``somp`` on each of ``observed`` that did not fail, if
+    ``variants`` holds ``somp_baseline``.
+
+    One :func:`somp_baseline` call pursues all their coarse estimates on
+    the ``a_ms`` atoms, each capped at ``max(somp_cap, 1)`` atoms.  An
+    error of one entry's inputs or pursuit fails that entry, and an error
+    of the whole call fails them all.
+    """
+    if "somp_baseline" not in variants:
+        return
+    stacked, targets, caps = [], [], []
+    for seen in observed:
+        if seen.error is not None:
+            continue
+        try:
+            cap, target = seen.somp_cap, seen.coarse
+        except (RamcError, np.linalg.LinAlgError) as exc:
+            seen.somp = exc
+            continue
+        stacked.append(seen)
+        targets.append(target)
+        caps.append(max(cap, 1))
+    if not stacked:
+        return
+    try:
+        estimates = somp_baseline(np.stack(targets), dictionary.a_ms, caps)
+    except (RamcError, np.linalg.LinAlgError) as exc:
+        estimates = [exc] * len(stacked)
+    for seen, est in zip(stacked, estimates):
+        if isinstance(est, SparseGainEstimate):
+            # AoA atoms only: no AoD, and each gain is a row over the BS antennas.
+            params = tuple((float(dictionary.grid_aoa[k]), None, est.gains[k]) for k in est.support)
+            est = SparseGainEstimate(est.gains, est.support, params)
+        seen.somp = est
 
 
 def _single_trial_draws(cfg: ExperimentConfig, snr_idx: int, trial: int):
@@ -356,7 +408,8 @@ def _estimate_one(
     corrected ranks so far: ``rank_aware`` hints its solve with the last
     one plus ``rank_headroom`` (no hint on the first step) and appends
     its own before Phase II runs, so a step whose Phase II fails still
-    hints the next step.
+    hints the next step.  ``somp_baseline`` reads the estimate that
+    :func:`_run_somp` left in ``seen.somp``.
     """
     solver, obs, block = cfg.solver, seen.obs, seen.block
     if variant_kind == "coarse_only":
@@ -364,13 +417,9 @@ def _estimate_one(
         return seen.coarse, 0 if rank_est is None else rank_est, None, None
 
     if variant_kind == "somp_baseline":
-        cap = seen.zero_fill_rank
-        if cap is None:
-            cap = min(obs.incomplete.shape)
-        est = somp_baseline(seen.coarse, dictionary.a_ms, max(cap, 1))
-        # AoA atoms only: no AoD, and each gain is a row over the BS antennas.
-        params = tuple((float(dictionary.grid_aoa[k]), None, est.gains[k]) for k in est.support)
-        return dictionary.a_ms @ est.gains, cap, replace(est, parameter_set=params), None
+        if isinstance(seen.somp, Exception):
+            raise seen.somp.with_traceback(None)
+        return dictionary.a_ms @ seen.somp.gains, seen.somp_cap, seen.somp, None
 
     if variant_kind == "rank_aware":
         hint = None
@@ -418,12 +467,13 @@ def _run_trial(
     observed: list[_Observed],
     artifacts: dict | None = None,
 ):
-    """One (variant, SNR, trial): its records, without BER, and the
-    channel estimate of each step (None where the record failed)."""
+    """One (variant, SNR, trial): a row of :class:`MetricRecord` fields
+    for each step, without BER, and its channel estimate (None where the
+    record failed)."""
     kind, param = parse_variant(variant)
     snr_db = cfg.snr_grid_db[snr_idx]
     ranks: list[int] = []
-    records, estimates = [], []
+    rows, estimates = [], []
     if artifacts is not None:
         artifacts.update(t=[], truth=[], estimate=[], sparse=[], trace=[])
     for t, (step, seen) in enumerate(zip(steps, observed)):
@@ -458,49 +508,45 @@ def _run_trial(
                 )
         except (RamcError, np.linalg.LinAlgError) as exc:
             h_hat, outcome = None, _failed(exc)
-        records.append(
-            MetricRecord(
-                variant=variant,
-                snr_db=snr_db,
-                trial=trial,
-                t=t,
-                rank_true=step.rank_true,
-                runtime_ms=(time.perf_counter() - started) * 1e3,
-                **outcome,
-            )
-        )
+        rows.append(dict(
+            variant=variant,
+            snr_db=snr_db,
+            trial=trial,
+            t=t,
+            rank_true=step.rank_true,
+            runtime_ms=(time.perf_counter() - started) * 1e3,
+            **outcome,
+        ))
         estimates.append(h_hat)
-    return records, estimates
+    return rows, estimates
 
 
 def _with_ber(cfg: ExperimentConfig, steps: list[_StepDraws], runs) -> list[MetricRecord]:
-    """One trial's records, from the ``(records, estimates)`` of each
+    """One trial's records, from the ``(rows, estimates)`` of each
     :func:`_run_trial` in ``runs``, with their BER if ``cfg.ber_symbols``
     is positive.
 
     Each step makes one :func:`ber_link` call over the estimates of its
     records that have not failed, at each record's own SNR.  A row that
     ``ber_link`` fails, or an error of the whole call, fails its record.
+    Each record is built once, after its BER.
     """
-    records = [r for recs, _ in runs for r in recs]
-    if cfg.ber_symbols == 0:
-        return records
+    rows = [row for run_rows, _ in runs for row in run_rows]
     estimates = [h for _, hs in runs for h in hs]
-    for t, step in enumerate(steps):
-        rows = [i for i, r in enumerate(records) if r.t == t and estimates[i] is not None]
-        if not rows:
+    for t, step in enumerate(steps if cfg.ber_symbols else ()):
+        live = [i for i, row in enumerate(rows) if row["t"] == t and estimates[i] is not None]
+        if not live:
             continue
         try:
             bers = ber_link(
-                step.real.matrix, step.s_true, np.stack([estimates[i] for i in rows]),
-                [records[i].snr_db for i in rows], cfg.hybrid.n_streams,
+                step.real.matrix, step.s_true, np.stack([estimates[i] for i in live]),
+                [rows[i]["snr_db"] for i in live], cfg.hybrid.n_streams,
             )
         except (RamcError, np.linalg.LinAlgError) as exc:
-            bers = [exc] * len(rows)
-        for i, ber in zip(rows, bers):
-            outcome = _failed(ber) if isinstance(ber, Exception) else dict(ber=ber)
-            records[i] = replace(records[i], **outcome)
-    return records
+            bers = [exc] * len(live)
+        for i, ber in zip(live, bers):
+            rows[i].update(_failed(ber) if isinstance(ber, Exception) else dict(ber=ber))
+    return [MetricRecord(**row) for row in rows]
 
 
 def run_sweep(
@@ -534,6 +580,7 @@ def run_sweep(
         steps = _draw_trial(cfg, trial, dictionary)
         snrs = range(len(cfg.snr_grid_db))
         observed = [[_Observed(cfg, snr_idx, step) for step in steps] for snr_idx in snrs]
+        _run_somp(variants, [seen for row in observed for seen in row], dictionary)
         runs = [
             _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, seen)
             for variant in variants
@@ -568,6 +615,7 @@ def run_single_trial(
     """
     dictionary, steps = _single_trial_draws(cfg, snr_idx, trial)
     observed = [_Observed(cfg, snr_idx, step) for step in steps]
+    _run_somp((variant,), observed, dictionary)
     run = _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, observed, artifacts)
     return _with_ber(cfg, steps, [run])
 

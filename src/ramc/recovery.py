@@ -9,7 +9,7 @@ angle/gain triplets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class SparseGainEstimate:
 
     ``support`` holds the selected atom (dictionary column) indices in
     selection order, ``gains`` the least-squares coefficients with one
-    row per atom and one column per target, and ``parameter_set``
+    row per atom and one column per target column, and ``parameter_set``
     (aoa, aod, gain) triplets when grid angles are known (aod None and
     the gain row for an AoA-only pursuit).
     """
@@ -65,82 +65,139 @@ def pursuit_atoms(dictionary) -> PursuitAtoms:
     return PursuitAtoms(unit, norms, unit.conj().T @ unit)
 
 
-def _pursuit(targets, atoms: PursuitAtoms, cap: int) -> SparseGainEstimate:
-    """Batch OMP on prebuilt atoms, shared by OMP (1 column) and SOMP (many).
+def _pursuit(targets, atoms: PursuitAtoms, caps) -> list:
+    """Batch OMP on prebuilt atoms over a stack of targets, one cap each.
 
-    Atoms are selected at unit norm, else low-norm ones (the pilot
-    frontend scales composed atoms unevenly) are never picked; the gains
-    are scaled back.  Correlations are refreshed from the Gram matrix G,
-    whose selected columns, like the selected atoms and their h0 = D^H y
-    rows, are gathered into buffers allocated once per call.  The
-    inverse L^-1 of the support Gram's Cholesky factor grows by one row
-    per atom b: with w = L^-1 G[S, b] and pivot d^2 = G[b, b] - ||w||^2
-    the row is [-w^H L^-1 / d, 1/d], and the coefficients are
-    L^-H L^-1 h0[S] (Rubinstein, Zibulevsky & Elad, Technion CS-2008-08).
-    A pivot at roundoff level raises :class:`DegenerateSystemError`.  The
-    pursuit stops after ``cap`` atoms, once the residual falls to
+    ``targets`` is a (B, rows, columns) stack.  Each target is pursued
+    on its own, its columns sharing one support: one column is OMP, more
+    are SOMP.  Atoms are selected at unit norm, else low-norm ones (the
+    pilot frontend scales composed atoms unevenly) are never picked; the
+    gains are scaled back.  Correlations are refreshed from the Gram
+    matrix G, whose selected columns, like their h0 = D^H y rows, are
+    gathered into buffers allocated once per call.  The inverse L^-1 of
+    the support Gram's Cholesky factor grows by one row per atom b: with
+    w = L^-1 G[S, b] and pivot d^2 = G[b, b] - ||w||^2 the row is
+    [-w^H L^-1 / d, 1/d], and the coefficients are L^-H L^-1 h0[S]
+    (Rubinstein, Zibulevsky & Elad, Technion CS-2008-08).  A target
+    stops after its cap of atoms, once its residual falls to
     ``_RESIDUAL_TOL * ||y||``, or when no atom correlates with it.
+
+    Each iteration adds one atom to every live target through stacked
+    products, so all live targets hold the same number of atoms.  The
+    products act on each target's slice alone, and the pivot and the
+    screen energy take one ``np.vdot`` per target, so every target gets
+    bit for bit the estimate it gets in a stack of one.  Stopped targets
+    are dropped from the buffers, so the others keep stepping on whole
+    arrays rather than gathering by index.
 
     The residual is screened in the Gram domain: ||y||^2 - Re<h0[S], c>
     is ||y - D_S c||^2 up to Re<c, G_S c - h0[S]>, and the direct
-    residual is taken only when that energy is at most
-    ``_SCREEN_TOL * ||y||^2``.  The screen cannot change a stop decision.
-    With c = c* + e off the exact fit c*, the direct energy is
-    ||r*||^2 + ||D_S e||^2 and the Gram one differs from it by at most
-    ||y|| ||D_S e|| + ||D_S e||^2.  So a direct residual at or below
-    ``_RESIDUAL_TOL * ||y||`` (1e-8) puts the Gram energy at or below
-    about 1e-8 ||y||^2, a hundredth of the screen, and that residual is
-    always taken.  Over the 2,880 pursuits of ``ablation`` seeds 0-39 the
-    two energies differed by at most 1.7e-15 ||y||^2 with a rank cap and
-    2.0e-12 ||y||^2 in the 64-atom fits with none, where the smallest
-    residual energy of these noisy targets was 9.9e-4 ||y||^2.
+    residual, from the selected atoms gathered then, is taken only when
+    that energy is at most ``_SCREEN_TOL * ||y||^2``.  The screen cannot
+    change a stop decision.  With c = c* + e off the exact fit c*, the
+    direct energy is ||r*||^2 + ||D_S e||^2 and the Gram one differs
+    from it by at most ||y|| ||D_S e|| + ||D_S e||^2.  So a direct
+    residual at or below ``_RESIDUAL_TOL * ||y||`` (1e-8) puts the Gram
+    energy at or below about 1e-8 ||y||^2, a hundredth of the screen,
+    and that residual is always taken.  Over the 2,880 pursuits of
+    ``ablation`` seeds 0-39 the two energies differed by at most
+    1.7e-15 ||y||^2 with a rank cap and 2.0e-12 ||y||^2 in the 64-atom
+    fits with none, where the smallest residual energy of these noisy
+    targets was 9.9e-4 ||y||^2.
+
+    Returns one :class:`SparseGainEstimate` per target, or the
+    :class:`DegenerateSystemError` of a target whose pivot is at
+    roundoff level, which fails that target alone.
     """
     y = np.asarray(targets, dtype=np.complex128)
-    if y.ndim == 1:
-        y = y[:, None]
     unit, gram = atoms.unit, atoms.gram
-    if unit.shape[0] != y.shape[0]:
-        raise ShapeError(f"dictionary rows {unit.shape[0]} != target rows {y.shape[0]}")
-    if cap < 1:
+    if y.ndim != 3 or len(caps) != len(y):
+        raise ShapeError(f"need a (targets, rows, columns) stack and one cap each, "
+                         f"got {y.shape} and {len(caps)} caps")
+    if unit.shape[0] != y.shape[1]:
+        raise ShapeError(f"dictionary rows {unit.shape[0]} != target rows {y.shape[1]}")
+    if min(caps, default=1) < 1:
         raise ConfigError("sparsity cap must be >= 1")
     if not atoms.norms.all():
         raise DegenerateSystemError("dictionary holds a zero column")
-    size = min(cap, unit.shape[1])  # the most atoms the pursuit can select
+    count, cols = len(y), y.shape[2]
+    sizes = [min(cap, unit.shape[1]) for cap in caps]  # the most atoms each can select
+    size = max(sizes, default=0)
     h0 = unit.conj().T @ y
-    residual = scale = float(np.linalg.norm(y))
+    scale = [np.linalg.norm(target) for target in y]
 
-    support: list[int] = []
-    linv = np.zeros((size, size), dtype=np.complex128)
-    gram_s = np.empty((gram.shape[0], size), dtype=np.complex128)
-    unit_s = np.empty((unit.shape[0], size), dtype=np.complex128)
-    h0_s = np.empty((size, y.shape[1]), dtype=np.complex128)
-    while len(support) < size and residual > _RESIDUAL_TOL * scale:
-        k = len(support)
-        corr = h0 - gram_s[:, :k] @ coeffs if support else h0
-        score = np.linalg.norm(corr, axis=1)
-        score[support] = -1.0
-        best = int(np.argmax(score))
-        if score[best] <= _CORRELATION_FLOOR * scale:
-            break
-        w = linv[:k, :k] @ gram[support, best]
-        pivot = gram[best, best].real - np.vdot(w, w).real
-        support.append(best)
-        if not pivot > _PIVOT_FLOOR:
-            raise DegenerateSystemError(f"selected columns {support} are numerically dependent")
-        gram_s[:, k], unit_s[:, k], h0_s[k] = gram[:, best], unit[:, best], h0[best]
+    out: list = [None] * count
+    slot = list(range(count))  # each live target's index in ``targets``
+    support = np.empty((count, size), dtype=np.intp)
+    linv = np.zeros((count, size, size), dtype=np.complex128)
+    gram_s = np.empty((count, gram.shape[0], size), dtype=np.complex128)
+    h0_s = np.empty((count, size, cols), dtype=np.complex128)
+    coeffs = np.empty((count, 0, cols), dtype=np.complex128)
+    done = {i for i, n in enumerate(scale) if size == 0 or not n > _RESIDUAL_TOL * n}
+    # ``ends`` holds the atom counts at which some live target hits its cap.
+    ends, lane, k = set(sizes), np.arange(count), 0
+    while slot:
+        if done:
+            for i in done:
+                if out[slot[i]] is None:  # else it was cut in the last step
+                    out[slot[i]] = _estimate(support[i, :k], coeffs[i], atoms.norms)
+            if len(done) == len(slot):
+                return out
+            keep = [i for i in range(len(slot)) if i not in done]
+            slot, sizes, scale = ([a[i] for i in keep] for a in (slot, sizes, scale))
+            h0, support, linv, gram_s, h0_s, coeffs = (
+                a[keep] for a in (h0, support, linv, gram_s, h0_s, coeffs)
+            )
+            done, ends, lane = set(), set(sizes), np.arange(len(slot))
+        corr = h0 - gram_s[:, :, :k] @ coeffs if k else h0
+        # np.linalg.norm(corr, axis=2) without its argument handling.
+        score = np.sqrt(np.add.reduce((corr.conj() * corr).real, axis=2))
+        score[lane[:, None], support[:, :k]] = -1.0
+        best = score.argmax(axis=1)
+        top = score[lane, best]
+        w = linv[:, :k, :k] @ gram[support[:, :k], best[:, None], None]
+        support[:, k] = best
+        pivot = gram[best, best].real
+        for i, v in enumerate(w):
+            pivot[i] -= np.vdot(v, v).real
+            # A target whose best correlation is at the floor keeps its k
+            # atoms, and one whose pivot is at roundoff level fails; either
+            # is done, and a unit pivot keeps its discarded update finite.
+            if top[i] <= _CORRELATION_FLOOR * scale[i]:
+                out[slot[i]] = _estimate(support[i, :k], coeffs[i], atoms.norms)
+            elif not pivot[i] > _PIVOT_FLOOR:
+                out[slot[i]] = DegenerateSystemError(
+                    f"selected columns {support[i, : k + 1].tolist()} are numerically dependent"
+                )
+            else:
+                continue
+            done.add(i)
+            pivot[i] = 1.0
+        gram_s[:, :, k], h0_s[:, k] = gram[:, best].T, h0[lane, best]
         d = np.sqrt(pivot)
-        linv[k, :k] = -(w.conj() @ linv[:k, :k]) / d
-        linv[k, k] = 1.0 / d
-        lk = linv[: k + 1, : k + 1]
-        coeffs = lk.conj().T @ (lk @ h0_s[: k + 1])
-        if scale * scale - np.vdot(h0_s[: k + 1], coeffs).real <= _SCREEN_TOL * scale * scale:
-            residual = float(np.linalg.norm(y - unit_s[:, : k + 1] @ coeffs))
+        linv[:, k, :k] = -(w.conj().transpose(0, 2, 1) @ linv[:, :k, :k])[:, 0] / d[:, None]
+        linv[:, k, k] = 1.0 / d
+        lk = linv[:, : k + 1, : k + 1]
+        coeffs = lk.conj().transpose(0, 2, 1) @ (lk @ h0_s[:, : k + 1])
+        k += 1
+        for i, ynorm in enumerate(scale):
+            c = coeffs[i]
+            if ynorm * ynorm - np.vdot(h0_s[i, :k], c).real <= _SCREEN_TOL * ynorm * ynorm:
+                residual = np.linalg.norm(y[slot[i]] - unit[:, support[i, :k]] @ c)
+                if not residual > _RESIDUAL_TOL * ynorm:
+                    done.add(i)
+        if k in ends:
+            done.update(i for i, n in enumerate(sizes) if n == k)
+    return out
 
-    gains = np.zeros((unit.shape[1], y.shape[1]), dtype=np.complex128)
-    if support:
+
+def _estimate(support, coeffs, norms) -> SparseGainEstimate:
+    """The estimate on ``support``'s atoms from their unit-norm ``coeffs``."""
+    gains = np.zeros((norms.size, coeffs.shape[1]), dtype=np.complex128)
+    if support.size:
         # Undo the column normalisation on the recovered coefficients.
-        gains[support, :] = coeffs / atoms.norms[support][:, None]
-    return SparseGainEstimate(gains=gains, support=tuple(support))
+        gains[support, :] = coeffs / norms[support][:, None]
+    return SparseGainEstimate(gains=gains, support=tuple(support.tolist()))
 
 
 def _kron(a, b) -> np.ndarray:
@@ -151,14 +208,19 @@ def _kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def somp_baseline(targets, dictionary, sparsity_cap: int) -> SparseGainEstimate:
-    """Simultaneous OMP over multiple measurement vectors.
+def somp_baseline(targets, dictionary, caps) -> list:
+    """Simultaneous OMP over a stack of multi-column targets, one cap each.
 
-    Atom scores aggregate correlations across target columns by their l2
-    norm; all targets share one support and one Cholesky update (see
-    :func:`_pursuit`), on the :func:`pursuit_atoms` of ``dictionary``.
+    ``targets`` is a (B, rows, columns) stack.  Each target's atom scores
+    aggregate its columns' correlations by their l2 norm, and its columns
+    share one support and one Cholesky update; the targets step together
+    through :func:`_pursuit`, on one :func:`pursuit_atoms` of
+    ``dictionary`` built per call.  Returns one
+    :class:`SparseGainEstimate` per target, or the
+    :class:`DegenerateSystemError` of a target whose support became
+    numerically dependent.
     """
-    return _pursuit(targets, pursuit_atoms(dictionary), sparsity_cap)
+    return _pursuit(targets, pursuit_atoms(dictionary), caps)
 
 
 def estimate_phase2(
@@ -199,7 +261,10 @@ def estimate_phase2(
     # norms stay a real vector, one entry ||B_j|| ||A_i|| per atom.
     atoms = PursuitAtoms(_kron(b.unit, a.unit), np.kron(b.norms, a.norms), _kron(b.gram, a.gram))
     y = np.asarray(completed).flatten(order="F")
-    estimate = _pursuit(y, atoms, atoms.unit.shape[1] if rank is None else rank**2)
+    cap = atoms.unit.shape[1] if rank is None else rank**2
+    (estimate,) = _pursuit(y[None, :, None], atoms, [cap])
+    if isinstance(estimate, DegenerateSystemError):
+        raise estimate
     # Atom j*L1 + i is grid cell (aoa i, aod j), column-stacking order.
     rows = dictionary.size_aoa
     params = tuple(
@@ -212,4 +277,4 @@ def estimate_phase2(
     )
     grid = estimate.gains.reshape((rows, dictionary.size_aod), order="F")
     h = dictionary.a_ms @ grid @ dictionary.a_bs.conj().T
-    return replace(estimate, parameter_set=params), h
+    return SparseGainEstimate(estimate.gains, estimate.support, params), h

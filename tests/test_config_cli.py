@@ -567,11 +567,12 @@ class TestCliEstimate:
         code = main(
             ["estimate", "--config", str(path), "--out", str(out), "--variant", "somp_baseline"]
         )
-        assert code == 0 and len(found) == 2
+        # One stacked pursuit holds both steps' estimates.
+        assert code == 0 and len(found) == 1 and len(found[0]) == 2
         grid_aoa = harness._dictionary(load_config(path)).grid_aoa
         with open(out / "support.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        for t, est in enumerate(found):
+        for t, est in enumerate(found[0]):
             step = [row for row in rows if row["t"] == str(t)]
             assert len(step) == len(est.support) > 0
             for row, k in zip(step, est.support):

@@ -392,7 +392,8 @@ class TestRunSweep:
         # the true channel's SVD and one BER link over every (variant,
         # SNR).  Per (trial, t, SNR), whatever the number of variants: the
         # observation, the energy-rule rank of its zero fill and the
-        # coarse estimate.
+        # coarse estimate.  Per trial: one stacked SOMP pursuit, if a
+        # variant runs it.
         cfg = ExperimentConfig(
             **SMALL, snr_grid_db=(5.0, 15.0, 25.0), n_trials=2, time_steps=2,
             ber_symbols=1000,
@@ -423,15 +424,24 @@ class TestRunSweep:
         counting(harness, "estimate_rank")
         counting(harness, "coarse_channel")
         counting(harness, "ber_link")
-        for variants in (("coarse_only",), ("coarse_only", "somp_baseline")):
+        counting(harness, "somp_baseline")
+        once = {
+            "pinv": 2 * 4, "svd": 4, "observe": 12, "estimate_rank": 12,
+            "coarse_channel": 12, "ber_link": 4,
+        }
+        for variants, expected in (
+            (("coarse_only",), once),
+            (("coarse_only", "somp_baseline"), {**once, "somp_baseline": 2}),
+        ):
             counts.clear()
             records = run_sweep(cfg, variants)
             assert len(records) == 12 * len(variants) and not any(r.error for r in records)
             assert all(r.ber is not None for r in records)
-            assert counts == {
-                "pinv": 2 * 4, "svd": 4, "observe": 12, "estimate_rank": 12,
-                "coarse_channel": 12, "ber_link": 4,
-            }
+            assert counts == expected
+        for variant, somp in (("coarse_only", 0), ("somp_baseline", 1)):
+            counts.clear()
+            run_single_trial(cfg, variant, snr_idx=1)
+            assert counts.get("somp_baseline", 0) == somp
 
     @pytest.mark.parametrize(
         "grid_oversampling,too_large",
@@ -508,6 +518,40 @@ class TestRunSweep:
                 assert math.isnan(new.nmse) and math.isnan(new.nmse_db)
             else:
                 assert new == old and new.ber is not None
+
+    def test_failed_somp_target_fails_its_own_record(self, monkeypatch):
+        # One stacked SOMP pursuit serves every (step, SNR) of a trial.  A
+        # target that fails in it (its slot holds the error, as a
+        # degenerate pivot leaves it) fails that record alone: here the
+        # first slot of trial 0, which is t=0 at the first SNR.
+        cfg = ExperimentConfig(
+            **SMALL, snr_grid_db=(5.0, 25.0), n_trials=2, time_steps=2, ber_symbols=1000
+        )
+        variants = ("coarse_only", "somp_baseline")
+        unpatched = self._timeless(run_sweep(cfg, variants))
+        real_somp = harness.somp_baseline
+        failure = DegenerateSystemError("selected columns [1, 0] are numerically dependent")
+        calls = []
+
+        def fail_first_slot(targets, dictionary, caps):
+            estimates = real_somp(targets, dictionary, caps)
+            calls.append(len(estimates))
+            if len(calls) == 1:
+                estimates[0] = failure
+            return estimates
+
+        monkeypatch.setattr(harness, "somp_baseline", fail_first_slot)
+        records = self._timeless(run_sweep(cfg, variants))
+        assert calls == [4, 4] and len(records) == len(unpatched) == 16
+        for new, old in zip(records, unpatched):
+            if (new.variant, new.snr_db, new.trial, new.t) == ("somp_baseline", 5.0, 0, 0):
+                assert new == dataclasses.replace(
+                    old, nmse=new.nmse, nmse_db=new.nmse_db, recovered=False, ber=None,
+                    rank_est=0, error=f"DegenerateSystemError: {failure}",
+                )
+                assert math.isnan(new.nmse) and math.isnan(new.nmse_db)
+            else:
+                assert new == old
 
     def test_noise_and_mask_drawn_once_per_step(self, monkeypatch):
         # Each (variant, SNR) only scales and masks its step's shared

@@ -1,6 +1,7 @@
 """Tests of the sparse angular gain recovery (batch OMP and helpers)."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -56,20 +57,27 @@ def _naive_omp(y, d, cap, tol):
     return support
 
 
+def _solo(y, d, cap):
+    """``somp_baseline`` on a stack of one: the target ``y`` (one column,
+    or several) against ``d``; its estimate or its error."""
+    (est,) = somp_baseline(np.reshape(y, (1, len(y), -1)), d, [cap])
+    return est
+
+
 def _unit_norm_dictionary(rng, rows, cols):
     d = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     return d / np.linalg.norm(d, axis=0)
 
 
 class TestBatchOmp:
-    """Single-target pursuit: somp_baseline on one column."""
+    """Single-target pursuit: somp_baseline on a stack of one column."""
 
     def test_matches_naive_selection(self):
         rng = np.random.default_rng(200)
         for _ in range(50):
             d = _unit_norm_dictionary(rng, 8, 16)
             y = d @ (rng.standard_normal(16) + 1j * rng.standard_normal(16))
-            est = somp_baseline(y, d, 4)
+            est = _solo(y, d, 4)
             ref = _naive_omp(y, d, 4, 1e-8 * np.linalg.norm(y))
             assert list(est.support) == ref
 
@@ -78,7 +86,7 @@ class TestBatchOmp:
         d = _unit_norm_dictionary(rng, 16, 24)
         x = np.zeros(24, dtype=complex)
         x[[3, 17]] = [2.0, -1.5j]
-        est = somp_baseline(d @ x, d, 2)
+        est = _solo(d @ x, d, 2)
         assert sorted(est.support) == [3, 17]
         assert np.allclose(est.gains[[3, 17], 0], [2.0, -1.5j], atol=1e-9)
         assert _residual_norm(d @ x, d, est) <= 1e-9
@@ -87,7 +95,7 @@ class TestBatchOmp:
         rng = np.random.default_rng(202)
         d = _unit_norm_dictionary(rng, 12, 20)
         y = d[:, 5] * 3.0
-        est = somp_baseline(y, d, 10)
+        est = _solo(y, d, 10)
         assert len(est.support) == 1
 
     def test_tie_breaks_to_lowest_index(self):
@@ -95,7 +103,7 @@ class TestBatchOmp:
         d = np.eye(4, dtype=complex)
         d = np.concatenate([d[:, :1], d], axis=1)
         y = np.array([1.0, 0, 0, 0], dtype=complex)
-        est = somp_baseline(y, d, 1)
+        est = _solo(y, d, 1)
         assert est.support == (0,)
 
     def test_dependent_columns_raise(self):
@@ -106,8 +114,7 @@ class TestBatchOmp:
         d[:, 0] = [1, 0, 0, 0]
         d[:, 1] = np.array([1, tilt, 0, 0]) / np.sqrt(1 + tilt**2)
         y = np.array([1.0, 0.5, 0, 0], dtype=complex)
-        with pytest.raises(DegenerateSystemError):
-            somp_baseline(y, d, 2)
+        assert isinstance(_solo(y, d, 2), DegenerateSystemError)
 
     def test_orthogonal_residual_stops_cleanly(self):
         # An exact duplicate is never selected: after the first pick the
@@ -117,22 +124,27 @@ class TestBatchOmp:
         d[:, 0] = [1, 0, 0, 0]
         d[:, 1] = [1, 0, 0, 0]
         y = np.array([1.0, 0.3, 0, 0], dtype=complex)
-        est = somp_baseline(y, d, 2)
+        est = _solo(y, d, 2)
         assert est.support == (0,)
         assert _residual_norm(y, d, est) == pytest.approx(0.3, abs=1e-9)
 
     def test_rejects_empty_cap_and_row_mismatch(self):
         d = np.eye(4, dtype=complex)
         with pytest.raises(ConfigError):
-            somp_baseline(d[:, 0], d, 0)
+            somp_baseline(d[None, :, :1], d, [0])
+        with pytest.raises(ShapeError, match="dictionary rows 4 != target rows 3"):
+            somp_baseline(np.ones((1, 3, 2)), d, [1])
+        # A stack is three-dimensional and has one cap per target.
         with pytest.raises(ShapeError):
-            somp_baseline(np.ones((3, 2)), d, 1)
+            somp_baseline(d[:, :1], d, [1])
+        with pytest.raises(ShapeError):
+            somp_baseline(d[None, :, :1], d, [1, 1])
 
     def test_gain_rows_map_to_grid_cells(self):
         rng = np.random.default_rng(203)
         d = _unit_norm_dictionary(rng, 16, 12)
         y = d[:, 7] * 2.0
-        est = somp_baseline(y, d, 1)
+        est = _solo(y, d, 1)
         assert est.support == (7,)
         assert est.gains.shape == (12, 1)
         # Column k is cell (k % rows, k // rows) of a column-stacked grid.
@@ -150,7 +162,7 @@ class TestBatchOmp:
             picks = rng.choice(16, size=2, replace=False)
             x[picks] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             y = d @ x
-            est = somp_baseline(y, d, 2)
+            est = _solo(y, d, 2)
             best, best_err = None, np.inf
             for combo in itertools.combinations(range(16), 2):
                 sub = d[:, combo]
@@ -169,16 +181,15 @@ class TestSompBaseline:
         d = _unit_norm_dictionary(rng, 16, 24)
         x = np.zeros((24, 3), dtype=complex)
         x[[2, 9], :] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        est = somp_baseline(d @ x, d, 2)
+        est = _solo(d @ x, d, 2)
         assert sorted(est.support) == [2, 9]
 
     def test_single_vector_matches_omp(self):
         rng = np.random.default_rng(211)
         d = _unit_norm_dictionary(rng, 12, 18)
         y = d @ (rng.standard_normal(18) + 1j * rng.standard_normal(18))
-        single = somp_baseline(y.reshape(-1, 1), d, 3)
-        plain = somp_baseline(y, d, 3)
-        assert single.support == plain.support
+        (single,) = somp_baseline(y[None, :, None], d, [3])
+        assert list(single.support) == _naive_omp(y, d, 3, 1e-8 * np.linalg.norm(y))
 
 
 _GAINS = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0)
@@ -201,7 +212,7 @@ class TestPursuitProperties:
         )
         x = np.zeros(size, dtype=complex)
         x[picks] = data.draw(st.lists(_GAINS, min_size=k, max_size=k))
-        est = somp_baseline(q @ x, q, k)
+        est = _solo(q @ x, q, k)
         assert sorted(est.support) == sorted(picks)
         assert np.allclose(est.gains[:, 0], x, atol=1e-9 * np.abs(x).max())
         assert _residual_norm(q @ x, q, est) <= 1e-9 * np.linalg.norm(x)
@@ -213,7 +224,7 @@ class TestPursuitProperties:
         q, _ = np.linalg.qr(
             rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         )
-        est = somp_baseline(3.0 * q[:, 0], q, 2)
+        est = _solo(3.0 * q[:, 0], q, 2)
         assert est.support == (0,)
         assert _residual_norm(3.0 * q[:, 0], q, est) <= 1e-12
 
@@ -234,12 +245,12 @@ class TestPursuitProperties:
         y = d[:, rng.choice(32, size=2, replace=False)] @ (rng.standard_normal(2) + 1j)
         if noisy:
             y += 0.01 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
-        base = somp_baseline(y, d, 4)
-        scaled = somp_baseline(np.ldexp(y.real, power) + 1j * np.ldexp(y.imag, power), d, 4)
+        base = _solo(y, d, 4)
+        scaled = _solo(np.ldexp(y.real, power) + 1j * np.ldexp(y.imag, power), d, 4)
         assert scaled.support == base.support and len(base.support) >= 2
         expected = np.ldexp(base.gains.real, power) + 1j * np.ldexp(base.gains.imag, power)
         assert scaled.gains.tobytes() == expected.tobytes()
-        assert somp_baseline(0.0 * y, d, 4).support == ()
+        assert _solo(0.0 * y, d, 4).support == ()
 
 
 def test_column_stacking_vec_identity():
@@ -269,7 +280,7 @@ class TestAngularPipeline:
         real = sample_realization(params, rng, dictionary=dic)
         hbar = angular_factorization(real, dic)
         psi = build_dictionary(dic)
-        est = somp_baseline(psi @ vec(hbar), psi, 2)
+        est = _solo(psi @ vec(hbar), psi, 2)
         grid = est.gains.reshape((dic.size_aoa, dic.size_aod), order="F")
         h = dic.a_ms @ grid @ dic.a_bs.conj().T
         assert nmse(real.matrix, h) <= 1e-18
@@ -318,6 +329,16 @@ class TestAngularPipeline:
         est, _ = estimate_phase2(r1mc_complete(obs).completed, block, dic, rank=rank)
         assert len(est.support) <= expected
 
+    def test_phase2_raises_its_pursuit_error(self, monkeypatch):
+        # Phase II runs a stack of one; an error in its slot is raised.
+        failure = DegenerateSystemError("selected columns [1, 0] are numerically dependent")
+        monkeypatch.setattr(recovery, "_pursuit", lambda targets, atoms, caps: [failure])
+        dic = make_dictionary(ChannelParams(), size_ms=8, size_bs=8)
+        block = make_pilot_block(HybridConfig(), 8, 8, seed=7)
+        with pytest.raises(DegenerateSystemError) as raised:
+            estimate_phase2(np.ones((8, 32), dtype=complex), block, dic, rank=2)
+        assert raised.value is failure
+
     def test_phase2_rejects_bad_rank(self):
         dic = make_dictionary(ChannelParams(), size_ms=16, size_bs=16)
         block = make_pilot_block(HybridConfig(), 8, 8, seed=7)
@@ -339,9 +360,9 @@ class TestPhase2Atoms:
         seen = []
         real_pursuit = recovery._pursuit
 
-        def recording_pursuit(targets, atoms, cap):
+        def recording_pursuit(targets, atoms, caps):
             seen.append(atoms)
-            return real_pursuit(targets, atoms, cap)
+            return real_pursuit(targets, atoms, caps)
 
         monkeypatch.setattr(recovery, "_pursuit", recording_pursuit)
         rng = np.random.default_rng(226)
@@ -474,7 +495,7 @@ class TestSompReference:
     def test_cholesky_update_matches_solve(self, problem):
         y, d, cap = problem
         support, gains = _reference_somp(y, d, cap)
-        est = somp_baseline(y, d, cap)
+        est = _solo(y, d, cap)
         assert list(est.support) == support
         assert np.abs(est.gains[support] - gains).max() <= 1e-9 * np.abs(gains).max()
 
@@ -516,14 +537,76 @@ class TestResidualScreen:
         # the residual directly after every atom.
         y, d, cap, k = problem
         atoms = pursuit_atoms(d)
-        for targets in (y[:, 0], y):
+        for targets in (y[:, :1], y):
             expected = pursuit_direct_residual(targets, atoms, cap)
-            est = recovery._pursuit(targets, atoms, cap)
+            (est,) = recovery._pursuit(targets[None], atoms, [cap])
             assert est.support == expected.support
             assert est.gains.tobytes() == expected.gains.tobytes()
             if k is not None:
                 # The residual stop fired after the k true atoms.
                 assert len(est.support) == k < cap
+
+
+@st.composite
+def _stacks(draw):
+    """A dictionary with uneven column norms and a stack of 1-8 targets
+    with mixed caps, some above the atom count.  A target is dense, zero,
+    or one atom times 3 with noise at 1e-10 of its norm, which one atom
+    fits to below the residual tolerance but above the correlation floor,
+    so only the residual stop ends it there.  Returns (targets,
+    dictionary, caps, kinds)."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = draw(st.integers(min_value=3, max_value=10))
+    n_atoms = draw(st.integers(min_value=2, max_value=2 * rows))
+    cols = draw(st.sampled_from([1, 3]))
+    d = rng.standard_normal((rows, n_atoms)) + 1j * rng.standard_normal((rows, n_atoms))
+    d *= rng.uniform(0.1, 10.0, size=n_atoms)
+    kinds = draw(st.lists(st.sampled_from(["dense", "zero", "atom"]), min_size=1, max_size=8))
+    targets = []
+    for kind in kinds:
+        if kind == "dense":
+            dense = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            targets.append(10.0 ** rng.uniform(-2, 2) * dense)
+        elif kind == "zero":
+            targets.append(np.zeros((rows, cols), dtype=complex))
+        else:
+            atom = 3.0 * np.repeat(d[:, :1], cols, axis=1)
+            noise = rng.standard_normal(atom.shape) + 1j * rng.standard_normal(atom.shape)
+            targets.append(atom + 1e-10 * np.linalg.norm(atom) / np.linalg.norm(noise) * noise)
+    caps = draw(st.lists(st.integers(1, n_atoms + 2), min_size=len(kinds), max_size=len(kinds)))
+    return np.stack(targets), d, caps, kinds
+
+
+def _same(a, b):
+    """Two pursuit results are equal bit for bit, or are equal errors."""
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return a.support == b.support and a.gains.tobytes() == b.gains.tobytes()
+
+
+class TestStackedPursuit:
+    @settings(max_examples=80, deadline=None)
+    @given(problem=_stacks(), order=st.randoms(use_true_random=False))
+    def test_each_target_as_in_a_stack_of_one(self, problem, order):
+        # Every slot of a stack is what its target gets alone, and
+        # reordering the stack moves each slot's estimate with it.
+        y, d, caps, kinds = problem
+        stacked = somp_baseline(y, d, caps)
+        assert len(stacked) == len(y)
+        for target, cap, kind, est in zip(y, caps, kinds, stacked):
+            assert _same(est, somp_baseline(target[None], d, [cap])[0])
+            if kind == "zero":
+                assert est.support == () and not est.gains.any()
+            elif kind == "atom" and cap > 1:
+                # The residual stop ended it below its cap.
+                assert est.support == (0,)
+        perm = list(range(len(y)))
+        order.shuffle(perm)
+        shuffled = somp_baseline(y[perm], d, [caps[i] for i in perm])
+        assert all(_same(shuffled[j], stacked[i]) for j, i in enumerate(perm))
+
+    def test_empty_stack(self):
+        assert somp_baseline(np.zeros((0, 4, 2)), np.eye(4), []) == []
 
 
 @pytest.mark.parametrize("tilt", [1e-8, 1e-7])
@@ -535,10 +618,19 @@ def test_near_parallel_atoms_raise_on_the_pivot(tilt):
     d[:, 1] = np.array([1, tilt, 0, 0]) / np.sqrt(1 + tilt**2)
     d[:, 2] = [0, 0, 1, 0]
     y = np.array([[1.0, 0.7], [0.5, 0.2], [0, 0], [0, 0]], dtype=complex)
-    with pytest.raises(DegenerateSystemError, match=r"columns \[1, 0\] are numerically"):
-        somp_baseline(y[:, 0], d, 2)
-    with pytest.raises(DegenerateSystemError, match=r"columns \[1, 0\] are numerically"):
-        somp_baseline(y, d, 2)
+    for target in (y[:, 0], y):
+        est = _solo(target, d, 2)
+        assert isinstance(est, DegenerateSystemError)
+        assert re.search(r"columns \[1, 0\] are numerically", str(est))
+    # In a stack, the error fails its own slot alone: the target that
+    # needs only atom 0 gets, bit for bit, what it gets on its own.
+    one_atom = 2.0 * d[:, :1]
+    stacked = somp_baseline(np.stack([y[:, :1], one_atom]), d, [2, 2])
+    assert isinstance(stacked[0], DegenerateSystemError)
+    assert str(stacked[0]) == str(_solo(y[:, 0], d, 2))
+    alone = _solo(one_atom, d, 2)
+    assert stacked[1].support == alone.support == (0,)
+    assert stacked[1].gains.tobytes() == alone.gains.tobytes()
 
 
 def test_separated_atoms_pass_the_pivot():
@@ -549,6 +641,6 @@ def test_separated_atoms_pass_the_pivot():
     d[:, 0] = [1, 0, 0, 0]
     d[:, 1] = np.array([1, tilt, 0, 0]) / np.sqrt(1 + tilt**2)
     y = np.array([[1.0, 0.7], [0.5, 0.2], [0, 0], [0, 0]], dtype=complex)
-    est = somp_baseline(y, d, 2)
+    est = _solo(y, d, 2)
     assert sorted(est.support) == [0, 1]
     assert _residual_norm(y, d, est) <= 1e-6 * np.linalg.norm(y)
