@@ -97,8 +97,17 @@ class ChannelParams:
             raise ConfigError("rays_per_cluster must be a positive integer")
         if not 0.0 <= self.pulse_rolloff <= 1.0:
             raise ConfigError("pulse rolloff must lie in [0, 1]")
-        if self.angle_spread < 0:
-            raise ConfigError("angle spread must be non-negative")
+        # The angle domain is pi wide, and a bounded spread keeps every
+        # drawn offset finite.
+        if not 0.0 <= self.angle_spread <= math.pi:
+            raise ConfigError(f"angle_spread must lie in [0, pi], got {self.angle_spread}")
+        # No velocity reaches the speed of light, and a huge one overflows
+        # the Doppler shift into NaN ray gains.
+        if not abs(self.velocity) < SPEED_OF_LIGHT:
+            raise ConfigError(
+                f"velocity must be finite with |velocity| < {SPEED_OF_LIGHT} m/s, "
+                f"got {self.velocity}"
+            )
 
     def steering_bs(self, angle: float) -> np.ndarray:
         return steering_vector(self.n_bs, angle)

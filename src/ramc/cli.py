@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="variant to include (repeatable; default: all of DEFAULT_ABLATION)",
     )
-    p.add_argument("--threads", type=int, help="worker threads")
 
     p = sub.add_parser("config", help="print defaults or validate a config")
     p.add_argument("--config", metavar="PATH", help="JSON config to validate")
@@ -90,8 +89,6 @@ def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, master_seed=args.seed)
-    if getattr(args, "threads", None) is not None:
-        cfg = replace(cfg, threads=args.threads)
     return cfg
 
 

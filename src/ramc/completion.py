@@ -20,67 +20,34 @@ from .frontend import ObservationSet, covers_all_lines
 
 # Consecutive zero-weight sweeps before a factor is dropped.
 DROP_STREAK = 3
+# Sweeps after which a solve that has not converged stops.
+MAX_SWEEPS = 500
+# Share of the Frobenius energy that the rank estimate retains.
+ENERGY_RATIO = 0.95
 
 
-def estimate_rank(m, xi: float) -> int:
-    """Estimate rank as the smallest k retaining xi of the Frobenius energy.
+def estimate_rank(m) -> int:
+    """Estimate rank as the smallest k retaining ``ENERGY_RATIO`` of the
+    Frobenius energy.
 
     Energy means squared singular values.  The trace-norm reading fails
     on noisy matrices: broadband noise inflates the unsquared tail until
-    the retained fraction undershoots xi at the true rank.
-
-    Parameters
-    ----------
-    m : array_like
-        Matrix whose singular spectrum is analysed.
-    xi : float
-        Retained-energy ratio in (0, 1].
+    the retained fraction undershoots the ratio at the true rank.
 
     Raises
     ------
     DegenerateSystemError
         If the matrix is numerically zero.
     """
-    if not 0.0 < xi <= 1.0:
-        raise ConfigError(f"energy ratio must lie in (0, 1], got {xi}")
-    return _energy_rank(np.linalg.svd(m, full_matrices=False, compute_uv=False), xi)
+    return _energy_rank(np.linalg.svd(m, full_matrices=False, compute_uv=False))
 
 
-def _energy_rank(s: np.ndarray, xi: float) -> int:
+def _energy_rank(s: np.ndarray) -> int:
     """The energy-rule count on descending singular values ``s``."""
     if s.size == 0 or s[0] <= 0.0:
         raise DegenerateSystemError("cannot estimate the rank of a zero matrix")
     energy = np.cumsum(s**2)
-    return min(int(np.searchsorted(energy, xi * energy[-1])) + 1, s.size)
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tunable parameters of the completion solver.
-
-    A ``None`` mu resolves to 1/sqrt(max(rows, cols)) at solve time.  The
-    noiseless stop tolerance epsilon is always 1e-6 * ||Ytilde||_F: a
-    noisy fit cannot reach it, and the solver stops at the observation's
-    noise level instead (see :func:`r1mc_complete`).  ``max_iters`` caps
-    the sweeps either way.
-    """
-
-    mu: float | None = None
-    max_iters: int = 500
-    energy_ratio: float = 0.95
-    # Extra factors granted above the previous step's rank so an
-    # understated rank can grow back; consumed by the harness, not the solver.
-    rank_headroom: int = 2
-
-    def __post_init__(self):
-        if self.mu is not None and self.mu < 0:
-            raise ConfigError("mu must be non-negative")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
-        if not 0.0 < self.energy_ratio <= 1.0:
-            raise ConfigError("energy_ratio must lie in (0, 1]")
-        if self.rank_headroom < 0:
-            raise ConfigError("rank headroom must be non-negative")
+    return min(int(np.searchsorted(energy, ENERGY_RATIO * energy[-1])) + 1, s.size)
 
 
 @dataclass(frozen=True)
@@ -129,20 +96,17 @@ def _update_factor(residual, u, v):
     return u_new, v_new, nu
 
 
-def r1mc_complete(
-    incomplete: ObservationSet,
-    rank_hint: int | None = None,
-    opts: SolverOptions | None = None,
-) -> CompletionResult:
+def r1mc_complete(incomplete: ObservationSet, rank_hint: int | None = None) -> CompletionResult:
     """Complete a masked matrix as an l1-regularised sum of rank-one factors.
 
     Per sweep, every active factor q is refit by one power step
     (:func:`_update_factor`) against the running deflated residual of the
-    multiplier-augmented iterate, its weight soft-shrunk by mu; observed
-    entries are then re-imposed and the multiplier takes a dual-ascent
-    step of size mu.  A factor whose weight stays zero for
-    ``DROP_STREAK`` consecutive sweeps is dropped and keeps weight 0, so
-    the model is always the factors of positive weight.
+    multiplier-augmented iterate, its weight soft-shrunk by
+    mu = 1/sqrt(max(rows, cols)); observed entries are then re-imposed
+    and the multiplier takes a dual-ascent step of size mu.  A factor
+    whose weight stays zero for ``DROP_STREAK`` consecutive sweeps is
+    dropped and keeps weight 0, so the model is always the factors of
+    positive weight.
 
     A final shrink-free pass re-fits the weights on the surviving support:
     each active factor takes the real inner product of its outer-product
@@ -163,8 +127,8 @@ def r1mc_complete(
       noise level within a sweep or two.  With ``noise_var`` 0 it fires
       only on an exact fit.
 
-    Otherwise the solve ends unconverged after ``opts.max_iters`` sweeps,
-    or when every factor has been dropped.
+    Otherwise the solve ends unconverged after ``MAX_SWEEPS`` sweeps, or
+    when every factor has been dropped.
 
     Parameters
     ----------
@@ -173,9 +137,8 @@ def r1mc_complete(
         Its ``noise_var`` sets the noise level the stop test uses.
     rank_hint : int, optional
         Number of rank-one factors to allocate.  Defaults to the
-        singular-value rank estimate of the zero-filled observation;
-        the harness adds ``opts.rank_headroom`` to its own hints, not here.
-    opts : SolverOptions, optional
+        energy-rule rank of the zero-filled observation; the harness adds
+        its ``RANK_HEADROOM`` to its own hints, not here.
 
     Returns
     -------
@@ -183,7 +146,6 @@ def r1mc_complete(
         The low-rank completion, achieved rank, iteration count,
         final observed-entry residual, convergence flag and trace.
     """
-    opts = opts if opts is not None else SolverOptions()
     observed = incomplete.mask
     y_tilde = incomplete.incomplete.astype(np.complex128, copy=True)
     rows, cols = y_tilde.shape
@@ -202,7 +164,7 @@ def r1mc_complete(
     eps = 1e-6 * float(np.linalg.norm(y_tilde))
     # Expected norm of the noise on the observed entries.
     noise_floor = math.sqrt(np.count_nonzero(observed) * incomplete.noise_var)
-    mu = opts.mu if opts.mu is not None else 1.0 / math.sqrt(max(rows, cols))
+    mu = 1.0 / math.sqrt(max(rows, cols))
 
     u, s, vh = np.linalg.svd(y_tilde, full_matrices=False)
     cap = min(rows, cols)
@@ -211,7 +173,7 @@ def r1mc_complete(
             raise ConfigError(f"rank hint must be >= 1, got {rank_hint}")
         n_factors = min(rank_hint, cap)
     else:
-        n_factors = min(_energy_rank(s, opts.energy_ratio), cap)
+        n_factors = min(_energy_rank(s), cap)
 
     left = u[:, :n_factors].copy()
     right = vh[:n_factors].conj().T.copy()
@@ -225,7 +187,7 @@ def r1mc_complete(
     trace = []
     feas_prev = math.inf
 
-    for iteration in range(1, opts.max_iters + 1):
+    for iteration in range(1, MAX_SWEEPS + 1):
         residual = iterate + multiplier
         for q in np.flatnonzero(active):
             u, v, a = _update_factor(residual, left[:, q], right[:, q])

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import get_args, get_origin, get_type_hints
 
 from .channel import ChannelParams
-from .completion import SolverOptions
 from .errors import ConfigError
 from .frontend import HybridConfig
 
@@ -29,7 +28,6 @@ class ExperimentConfig:
 
     channel: ChannelParams = field(default_factory=ChannelParams)
     hybrid: HybridConfig = field(default_factory=HybridConfig)
-    solver: SolverOptions = field(default_factory=SolverOptions)
     snr_grid_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
     keep_fraction: float = 0.6
     n_trials: int = 20
@@ -52,10 +50,14 @@ class ExperimentConfig:
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must not be empty")
         check_snr_db(self.snr_grid_db, "snr_grid_db")
+        if len(set(self.snr_grid_db)) != len(self.snr_grid_db):
+            raise ConfigError(f"snr_grid_db repeats an SNR: {self.snr_grid_db}")
         if not 0.0 < self.keep_fraction <= 1.0:
             raise ConfigError("keep_fraction must lie in (0, 1]")
         if self.n_trials < 1 or self.time_steps < 1:
             raise ConfigError("n_trials and time_steps must be >= 1")
+        if not math.isfinite(self.recovery_threshold_db):
+            raise ConfigError("recovery_threshold_db must be finite")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
         if self.grid_oversampling < 1:
@@ -106,7 +108,10 @@ def _typed(kind, value):
             raise TypeError(f"expected a {kind} as a list, got {value!r}")
         return tuple(_typed(k, v) for k, v in zip(args, value))
     if kind is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise TypeError(f"expected {_JSON_KINDS[kind]} within the float range") from None
     if type(value) is not kind:
         raise TypeError(f"expected {_JSON_KINDS[kind]}, got {value!r}")
     return value
@@ -122,7 +127,10 @@ def _build(cls, data, path: str):
     for key, value in data.items():
         name = f"{path}.{key}" if path else key
         if key not in hints:
-            raise ConfigError(f"unknown config key {name}")
+            # Each key of an unknown section is named, so that a deleted
+            # section's keys are too.
+            inner = [f"{name}.{k}" for k in value] if isinstance(value, dict) else []
+            raise ConfigError(f"unknown config key {', '.join(inner or [name])}")
         if dataclasses.is_dataclass(hints[key]):
             kwargs[key] = _build(hints[key], value, name)
             continue
@@ -160,7 +168,7 @@ def load_config(path) -> ExperimentConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)
 

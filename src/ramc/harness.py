@@ -270,7 +270,7 @@ class _Observed:
     it, once :func:`_run_somp` has run."""
 
     def __init__(self, cfg: ExperimentConfig, snr_idx: int, step: _StepDraws):
-        self.obs, self.error, self.energy_ratio = None, None, cfg.solver.energy_ratio
+        self.obs, self.error = None, None
         self.somp: SparseGainEstimate | Exception | None = None
         self.block = step.block
         try:
@@ -283,7 +283,7 @@ class _Observed:
     def zero_fill_rank(self) -> int | None:
         """The baselines' energy-rule rank of ``obs``; None when degenerate."""
         try:
-            return estimate_rank(self.obs.incomplete, self.energy_ratio)
+            return estimate_rank(self.obs.incomplete)
         except DegenerateSystemError:
             return None
 
@@ -307,7 +307,7 @@ def _run_somp(variants, observed: list[_Observed], dictionary) -> None:
     ``variants`` holds ``somp_baseline``.
 
     One :func:`somp_baseline` call pursues all their coarse estimates on
-    the ``a_ms`` atoms, each capped at ``max(somp_cap, 1)`` atoms.  An
+    the ``a_ms`` atoms, each capped at its ``somp_cap`` atoms.  An
     error of one entry's inputs or pursuit fails that entry, and an error
     of the whole call fails them all.
     """
@@ -324,7 +324,7 @@ def _run_somp(variants, observed: list[_Observed], dictionary) -> None:
             continue
         stacked.append(seen)
         targets.append(target)
-        caps.append(max(cap, 1))
+        caps.append(cap)
     if not stacked:
         return
     try:
@@ -392,10 +392,14 @@ def parse_variant(name: str) -> tuple[str, int | None]:
     )
 
 
+# Factors that rank_aware grants above the previous step's rank, so that
+# an understated rank can grow back.
+RANK_HEADROOM = 2
+
+
 def _estimate_one(
     variant_kind: str,
     variant_param: int | None,
-    cfg: ExperimentConfig,
     seen: _Observed,
     dictionary,
     ranks: list[int],
@@ -406,12 +410,12 @@ def _estimate_one(
     ``solve`` is the completion solver's :class:`CompletionResult`, None
     for the variants that skip Phase I.  ``ranks`` holds the trial's
     corrected ranks so far: ``rank_aware`` hints its solve with the last
-    one plus ``rank_headroom`` (no hint on the first step) and appends
+    one plus ``RANK_HEADROOM`` (no hint on the first step) and appends
     its own before Phase II runs, so a step whose Phase II fails still
     hints the next step.  ``somp_baseline`` reads the estimate that
     :func:`_run_somp` left in ``seen.somp``.
     """
-    solver, obs, block = cfg.solver, seen.obs, seen.block
+    obs, block = seen.obs, seen.block
     if variant_kind == "coarse_only":
         rank_est = seen.zero_fill_rank
         return seen.coarse, 0 if rank_est is None else rank_est, None, None
@@ -424,12 +428,12 @@ def _estimate_one(
     if variant_kind == "rank_aware":
         hint = None
         if ranks:
-            hint = min(ranks[-1] + solver.rank_headroom, min(obs.incomplete.shape))
-        result = r1mc_complete(obs, rank_hint=hint, opts=solver)
+            hint = min(ranks[-1] + RANK_HEADROOM, min(obs.incomplete.shape))
+        result = r1mc_complete(obs, rank_hint=hint)
         # Corrector: the next hint comes from the rank of the completed
         # matrix, not from the raw factor count.
         try:
-            corrected = estimate_rank(result.completed, solver.energy_ratio)
+            corrected = estimate_rank(result.completed)
         except DegenerateSystemError:
             corrected = result.rank
         ranks.append(max(corrected, 1))
@@ -437,12 +441,12 @@ def _estimate_one(
         return h_hat, corrected, sparse, result
 
     if variant_kind == "fixed_rank":
-        result = r1mc_complete(obs, rank_hint=variant_param, opts=solver)
+        result = r1mc_complete(obs, rank_hint=variant_param)
         sparse, h_hat = estimate_phase2(result.completed, block, dictionary, variant_param)
         return h_hat, variant_param, sparse, result
 
     # rank_oblivious, the one kind left that parse_variant returns.
-    result = r1mc_complete(obs, rank_hint=min(obs.incomplete.shape), opts=solver)
+    result = r1mc_complete(obs, rank_hint=min(obs.incomplete.shape))
     # No rank feedback: the pursuit stops on its residual alone.
     sparse, h_hat = estimate_phase2(result.completed, block, dictionary, None)
     return h_hat, result.rank, sparse, result
@@ -482,9 +486,7 @@ def _run_trial(
         try:
             if seen.error is not None:
                 raise seen.error.with_traceback(None)
-            h_hat, rank_est, sparse, solve = _estimate_one(
-                kind, param, cfg, seen, dictionary, ranks
-            )
+            h_hat, rank_est, sparse, solve = _estimate_one(kind, param, seen, dictionary, ranks)
             if artifacts is not None:
                 artifacts["t"].append(t)
                 artifacts["truth"].append(real.matrix)

@@ -96,6 +96,11 @@ class TestChannelParams:
             {"rays_per_cluster": 0},
             {"pulse_rolloff": 1.5},
             {"angle_spread": -0.1},
+            {"angle_spread": math.inf},
+            {"angle_spread": math.nan},
+            {"velocity": math.nan},
+            {"velocity": math.inf},
+            {"velocity": 1e308},
         ],
     )
     def test_invalid_params(self, kwargs):

@@ -20,7 +20,6 @@ from ramc import harness
 from ramc.channel import ChannelParams
 from ramc import cli
 from ramc.cli import main
-from ramc.completion import SolverOptions
 from ramc.config import (
     MAX_BER_STREAMS,
     ExperimentConfig,
@@ -98,14 +97,8 @@ def _experiment_configs(draw):
     return ExperimentConfig(
         channel=channel,
         hybrid=hybrid,
-        solver=SolverOptions(
-            mu=draw(st.none() | st.floats(0.0, 10.0)),
-            max_iters=draw(st.integers(1, 1000)),
-            energy_ratio=draw(st.floats(0.01, 1.0)),
-            rank_headroom=draw(st.integers(0, 4)),
-        ),
         snr_grid_db=tuple(
-            draw(st.lists(st.floats(-30.0, 60.0), min_size=1, max_size=6))
+            draw(st.lists(st.floats(-30.0, 60.0), min_size=1, max_size=6, unique=True))
         ),
         keep_fraction=draw(st.floats(0.01, 1.0)),
         n_trials=draw(st.integers(1, 50)),
@@ -121,15 +114,30 @@ def _experiment_configs(draw):
 
 
 # Documents whose values cannot be converted or validated; each must be
-# rejected with ConfigError, not escape as a bare ValueError/TypeError.
+# rejected with a ConfigError naming the key, not escape as a bare
+# ValueError/TypeError/OverflowError or crash the sweep later.  JSON
+# writes NaN and Infinity literals, which json.load accepts.
 _MALFORMED_DOCS = [
-    pytest.param({"snr_grid_db": ["x"]}, id="snr-not-a-number"),
-    pytest.param({"snr_grid_db": 5}, id="snr-not-a-list"),
-    pytest.param({"snr_grid_db": [10.0, math.nan]}, id="snr-nan"),
-    pytest.param({"rank_schedule": [[1]]}, id="schedule-short-pair"),
-    pytest.param({"rank_schedule": [["a", 2]]}, id="schedule-not-a-number"),
-    pytest.param({"omp": {"sparsity_cap": 4}}, id="removed-omp-section"),
-    pytest.param({"channel": {"n_delay_taps": 2}}, id="removed-delay-taps"),
+    pytest.param({"snr_grid_db": ["x"]}, "snr_grid_db", id="snr-not-a-number"),
+    pytest.param({"snr_grid_db": 5}, "snr_grid_db", id="snr-not-a-list"),
+    pytest.param({"snr_grid_db": [10.0, math.nan]}, "snr_grid_db", id="snr-nan"),
+    pytest.param({"rank_schedule": [[1]]}, "rank_schedule", id="schedule-short-pair"),
+    pytest.param({"rank_schedule": [["a", 2]]}, "rank_schedule", id="schedule-not-a-number"),
+    pytest.param({"omp": {"sparsity_cap": 4}}, "omp", id="removed-omp-section"),
+    pytest.param({"channel": {"n_delay_taps": 2}}, "n_delay_taps", id="removed-delay-taps"),
+    pytest.param({"channel": {"velocity": math.nan}}, "velocity", id="velocity-nan"),
+    pytest.param({"channel": {"velocity": 1e308}}, "velocity", id="velocity-huge"),
+    pytest.param({"channel": {"velocity": -3e8}}, "velocity", id="velocity-past-light"),
+    pytest.param({"channel": {"angle_spread": math.inf}}, "angle_spread", id="spread-inf"),
+    pytest.param({"channel": {"angle_spread": math.nan}}, "angle_spread", id="spread-nan"),
+    pytest.param({"channel": {"angle_spread": 4.0}}, "angle_spread", id="spread-over-pi"),
+    pytest.param({"recovery_threshold_db": math.nan}, "recovery_threshold_db", id="threshold-nan"),
+    pytest.param({"recovery_threshold_db": -math.inf}, "recovery_threshold_db", id="threshold-inf"),
+    pytest.param({"channel": {"velocity": 10**400}}, "channel.velocity", id="int-overflows-float"),
+    pytest.param({"snr_grid_db": [1, 10**400]}, "snr_grid_db", id="snr-int-overflows-float"),
+    pytest.param({"snr_grid_db": [5.0, 5.0]}, "snr_grid_db", id="snr-repeated"),
+    pytest.param({"snr_grid_db": [5, 15.0, 5.0]}, "snr_grid_db", id="snr-repeated-int"),
+    pytest.param({"snr_grid_db": [-0.0, 0.0]}, "snr_grid_db", id="snr-repeated-signed-zero"),
 ]
 
 
@@ -165,6 +173,17 @@ _REMOVED_OPTION_DOCS = [
     pytest.param({"channel": {"element_spacing": 0.005}}, "element_spacing", id="element-spacing"),
     pytest.param({"channel": {"normalization": 2}}, "normalization", id="normalization"),
     pytest.param({"solver": {"epsilon": 1e-6}}, "epsilon", id="epsilon"),
+    # Phase I's settings are the module constants of ramc.completion and
+    # ramc.harness, which every caller used.
+    pytest.param({"solver": {}}, "solver", id="solver-section"),
+    pytest.param({"solver": {"mu": 0.1}}, "solver.mu", id="solver-mu"),
+    pytest.param({"solver": {"max_iters": 500}}, "solver.max_iters", id="solver-max-iters"),
+    pytest.param(
+        {"solver": {"energy_ratio": 0.95}}, "solver.energy_ratio", id="solver-energy-ratio"
+    ),
+    pytest.param(
+        {"solver": {"rank_headroom": 2}}, "solver.rank_headroom", id="solver-rank-headroom"
+    ),
     pytest.param(
         {"channel": {"n_clusters": 2, "rays_per_cluster": [1, 2]}},
         "rays_per_cluster",
@@ -184,7 +203,7 @@ _REMOVED_OPTION_DOCS = [
 _NON_INTEGER_DOCS = [
     pytest.param({"n_trials": 2.5}, "n_trials", id="top-level-float"),
     pytest.param({"channel": {"rays_per_cluster": True}}, "rays_per_cluster", id="section-bool"),
-    pytest.param({"solver": {"max_iters": 500.0}}, "max_iters", id="section-float"),
+    pytest.param({"hybrid": {"m_bs": 8.0}}, "hybrid.m_bs", id="section-float"),
 ]
 
 # Values whose JSON type differs from the key's type hint; each must fail
@@ -196,7 +215,6 @@ _MISTYPED_DOCS = [
         id="schedule-floats-bools-strings",
     ),
     pytest.param({"keep_fraction": True}, "keep_fraction", id="float-bool"),
-    pytest.param({"solver": {"mu": True}}, "solver.mu", id="optional-float-bool"),
     pytest.param({"snr_grid_db": [True, "5"]}, "snr_grid_db", id="snr-bool-string"),
     pytest.param({"on_grid": 1}, "on_grid", id="bool-int"),
 ]
@@ -207,7 +225,6 @@ _DEFAULT_KEYS = {
     "channel.pulse_rolloff", "channel.angle_spread", "channel.velocity",
     "hybrid.m_bs", "hybrid.m_ms", "hybrid.n_streams", "hybrid.phase_bits",
     "hybrid.pilot_length",
-    "solver.mu", "solver.max_iters", "solver.energy_ratio", "solver.rank_headroom",
     "snr_grid_db", "keep_fraction", "n_trials", "time_steps", "rank_schedule",
     "master_seed", "on_grid", "grid_oversampling",
     "recovery_threshold_db", "ber_symbols", "threads",
@@ -248,6 +265,8 @@ class TestExperimentConfig:
             {"master_seed": -1},
             {"channel": ChannelParams(n_bs=4)},
             {"snr_grid_db": (5.0, math.nan)},
+            {"recovery_threshold_db": math.nan},
+            {"snr_grid_db": (5.0, 15.0, 5.0)},
         ],
     )
     def test_invalid_fields(self, overrides):
@@ -283,7 +302,7 @@ class TestExperimentConfig:
     def test_every_section_frozen(self):
         cfg = ExperimentConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.solver.max_iters = 1
+            cfg.channel.n_bs = 1
         assert hash(cfg) == hash(ExperimentConfig())
 
 
@@ -334,7 +353,7 @@ class TestConfigDocument:
         keys = set()
         for name, value in json.loads(dump_defaults()).items():
             keys |= {f"{name}.{key}" for key in value} if isinstance(value, dict) else {name}
-        assert keys == _DEFAULT_KEYS and len(keys) == 27
+        assert keys == _DEFAULT_KEYS and len(keys) == 23
 
     def test_sections_built(self):
         cfg = config_from_dict(SMALL_DOC)
@@ -347,8 +366,8 @@ class TestConfigDocument:
             config_from_dict({"snr_grid": [0.0]})
 
     def test_unknown_section_key_reports_path(self):
-        with pytest.raises(ConfigError, match=r"solver\.bogus"):
-            config_from_dict({"solver": {"bogus": 1}})
+        with pytest.raises(ConfigError, match=r"channel\.bogus"):
+            config_from_dict({"channel": {"bogus": 1}})
 
     def test_section_must_be_object(self):
         with pytest.raises(ConfigError, match="channel"):
@@ -362,17 +381,18 @@ class TestConfigDocument:
         with pytest.raises(ConfigError, match="channel"):
             config_from_dict({"channel": {"n_bs": 0}})
 
-    @pytest.mark.parametrize("doc", _MALFORMED_DOCS)
-    def test_malformed_values_rejected(self, doc):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("doc,key", _MALFORMED_DOCS)
+    def test_malformed_values_rejected(self, doc, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
             config_from_dict(doc)
 
     def test_integer_numbers_load_as_floats(self):
         cfg = config_from_dict(
-            {"snr_grid_db": [5, 15], "keep_fraction": 1, "solver": {"mu": 0}}
+            {"snr_grid_db": [5, 15], "keep_fraction": 1, "channel": {"velocity": 30}}
         )
         assert cfg.snr_grid_db == (5.0, 15.0)
-        assert {type(v) for v in (*cfg.snr_grid_db, cfg.keep_fraction, cfg.solver.mu)} == {float}
+        floats = (*cfg.snr_grid_db, cfg.keep_fraction, cfg.channel.velocity)
+        assert {type(v) for v in floats} == {float}
 
     def test_infinite_snr_allowed(self):
         # +inf dB is a noiseless link; -inf dB leaves no signal to estimate.
@@ -395,6 +415,14 @@ class TestConfigDocument:
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
+        with pytest.raises(ConfigError, match="JSON"):
+            load_config(path)
+
+    def test_load_config_overlong_integer(self, tmp_path):
+        # json.load raises a plain ValueError for an integer literal past
+        # Python's digit limit for str-to-int conversion.
+        path = tmp_path / "long.json"
+        path.write_text('{"n_trials": ' + "1" * 5000 + "}")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
 
@@ -447,12 +475,13 @@ class TestCliConfig:
         err = capsys.readouterr().err
         assert "config error" in err and bound in err
 
-    @pytest.mark.parametrize("doc", _MALFORMED_DOCS)
-    def test_malformed_config_exit_code(self, doc, tmp_path, capsys):
+    @pytest.mark.parametrize("doc,key", _MALFORMED_DOCS)
+    def test_malformed_config_exit_code(self, doc, key, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["config", "--config", str(path)]) == 1
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
 
     @pytest.mark.parametrize("doc,key", _REMOVED_OPTION_DOCS)
     def test_removed_option_rejected(self, doc, key, tmp_path, capsys):
@@ -677,6 +706,18 @@ class TestCliSweep:
         assert "[-300, 300] dB" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_velocity_rejected(self, tmp_path, capsys):
+        # A NaN velocity made every ray gain NaN, and the sweep died in an
+        # SVD that did not converge; it is a config error at load.
+        path = tmp_path / "cfg.json"
+        doc = dict(SMALL_DOC, channel=dict(SMALL_DOC["channel"], velocity=math.nan))
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "velocity" in err
+        assert not out.exists()
+
     def test_seed_override_changes_data(self, small_config, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -739,9 +780,12 @@ class TestCliParsing:
         ]
         assert sorted(named) == sorted(action.choices)
 
-    def test_bad_threads(self, small_config, tmp_path):
+    def test_bad_threads(self, small_config, tmp_path, capsys):
+        # The worker count is the config's ``threads`` key alone.
+        out = tmp_path / "sweep"
         code = main(
-            ["sweep", "--config", str(small_config),
-             "--out", str(tmp_path / "x.csv"), "--threads", "0"]
+            ["sweep", "--config", str(small_config), "--out", str(out), "--threads", "1"]
         )
         assert code == 1
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        assert not out.exists()

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ramc import channel, harness, recovery
+from ramc import channel, completion, harness, recovery
 from ramc.channel import ChannelParams
 from ramc.config import ExperimentConfig
 from ramc.errors import (
@@ -688,7 +688,7 @@ class TestRunSweep:
             if r.variant == "coarse_only":
                 assert (r.iterations, r.converged) == (0, None)
             else:
-                assert 1 <= r.iterations <= cfg.solver.max_iters
+                assert 1 <= r.iterations <= completion.MAX_SWEEPS
                 assert isinstance(r.converged, bool)
         failed = dataclasses.replace(cfg, keep_fraction=0.14)
         for r in run_sweep(failed, variants=("rank_aware",)):
@@ -781,9 +781,9 @@ class TestRunSingleTrial:
         real_complete = harness.r1mc_complete
         real_phase2 = harness.estimate_phase2
 
-        def recording_complete(obs, rank_hint=None, opts=None):
+        def recording_complete(obs, rank_hint=None):
             hints.append(rank_hint)
-            return real_complete(obs, rank_hint=rank_hint, opts=opts)
+            return real_complete(obs, rank_hint=rank_hint)
 
         def fail_first_phase2(*args, **kwargs):
             phase2_calls.append(None)
