@@ -69,31 +69,39 @@ class CompletionResult:
     trace: tuple = ()
 
 
-def _update_factor(residual, u, v):
-    """One power step of a rank-one factor against the deflated residual.
+def _norm(x) -> float:
+    """``np.linalg.norm`` of a complex vector, bit for bit: numpy's own
+    sqrt(re.re + im.im) without its argument handling."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
-    Returns ``(u, v, a)`` with ``v = R^H u / ||R^H u||``, then
+
+def _update_factor(residual, u, vh):
+    """One power step of a rank-one factor u vᴴ against the deflated residual.
+
+    Returns ``(u, vh, a)`` with ``vh = uᴴR / ||uᴴR||``, then
     ``u = R v / ||R v||`` and ``a = ||R v||``; a zero norm returns weight
     0 and keeps the vectors not yet replaced.  Factors start each sweep
     warm, so one step per sweep is enough.
 
     Exactness contract: on a residual of at least 2 x 2, every result is
-    bit-identical to the same step written with ``@`` and
-    ``np.linalg.norm``.  Only numpy dispatch is shed: the norm is numpy's
-    own sqrt(re.re + im.im), and ``.dot`` reaches the same zgemv as ``@``
-    (on a single row or column the two round differently).
+    bit-identical to the same step written with ``@`` and the norm
+    ``sqrt(Re vdot(x, x))``.  Only numpy dispatch is shed: ``.dot``
+    reaches the same zgemv as ``@`` (on a single row or column the two
+    round differently), and the division is in place.  The norm is one
+    zdotc, not ``np.linalg.norm``'s two ddots, so it may differ from that
+    in the last bit.
     """
-    v_new = residual.conj().T.dot(u)
-    nv = math.sqrt(v_new.real.dot(v_new.real) + v_new.imag.dot(v_new.imag))
+    vh_new = u.conj().dot(residual)
+    nv = math.sqrt(np.vdot(vh_new, vh_new).real)
     if nv == 0.0:
-        return u, v, 0.0
-    v_new /= nv
-    u_new = residual.dot(v_new)
-    nu = math.sqrt(u_new.real.dot(u_new.real) + u_new.imag.dot(u_new.imag))
+        return u, vh, 0.0
+    vh_new /= nv
+    u_new = residual.dot(vh_new.conj())
+    nu = math.sqrt(np.vdot(u_new, u_new).real)
     if nu == 0.0:
-        return u, v_new, 0.0
+        return u, vh_new, 0.0
     u_new /= nu
-    return u_new, v_new, nu
+    return u_new, vh_new, nu
 
 
 def r1mc_complete(incomplete: ObservationSet, rank_hint: int | None = None) -> CompletionResult:
@@ -129,6 +137,17 @@ def r1mc_complete(incomplete: ObservationSet, rank_hint: int | None = None) -> C
 
     Otherwise the solve ends unconverged after ``MAX_SWEEPS`` sweeps, or
     when every factor has been dropped.
+
+    Exactness contract: factor q is held as the contiguous rows
+    ``left[q]`` (u), ``right_h[q]`` (vᴴ) and ``scaled[q]`` (w u, zero at
+    weight 0), the residual is deflated by ``np.multiply.outer(w u, vᴴ)``,
+    and the model is ``scaled.T @ right_h``, so the power steps round as
+    :func:`_update_factor` states rather than as ``np.linalg.norm``.  ``feas``, and so ``final_residual``, is
+    bit-identical to ``np.linalg.norm((completed - Ytilde)[mask])``: the
+    observed entries are gathered by their flat indices and normed by
+    numpy's own formula.  The trace's objective and the change test sum
+    over the observed entries only, so they may differ from full-matrix
+    sums in the last bits.
 
     Parameters
     ----------
@@ -175,13 +194,18 @@ def r1mc_complete(incomplete: ObservationSet, rank_hint: int | None = None) -> C
     else:
         n_factors = min(_energy_rank(s), cap)
 
-    left = u[:, :n_factors].copy()
-    right = vh[:n_factors].conj().T.copy()
-    weights = s[:n_factors].copy()
-    active = np.ones(n_factors, dtype=bool)
-    zero_streak = np.zeros(n_factors, dtype=int)
-    # Neither array is written in place, so the iterate can start as y_tilde.
+    left = np.ascontiguousarray(u[:, :n_factors].T)
+    right_h = vh[:n_factors].copy()
+    scaled = np.zeros_like(left)
+    weights = [0.0] * n_factors
+    zero_streak = [0] * n_factors
+    active = list(range(n_factors))
+    at = np.flatnonzero(observed)  # flat indices of the observed entries
+    y_seen = y_tilde.take(at)
+    # The multiplier is zero off the mask; ``m_seen`` is its observed part.
+    # The iterate starts as y_tilde, which is never written in place.
     multiplier = np.zeros_like(y_tilde)
+    m_seen = np.zeros_like(y_seen)
     iterate = y_tilde
 
     trace = []
@@ -189,65 +213,69 @@ def r1mc_complete(incomplete: ObservationSet, rank_hint: int | None = None) -> C
 
     for iteration in range(1, MAX_SWEEPS + 1):
         residual = iterate + multiplier
-        for q in np.flatnonzero(active):
-            u, v, a = _update_factor(residual, left[:, q], right[:, q])
-            w = max(a - mu, 0.0)
-            left[:, q] = u
-            right[:, q] = v
-            weights[q] = w
+        for q in active:
+            u, v_h, a = _update_factor(residual, left[q], right_h[q])
+            left[q], right_h[q] = u, v_h
+            w = a - mu
             if w > 0.0:
-                residual -= w * np.outer(u, v.conj())
-                zero_streak[q] = 0
+                scaled[q] = w_u = w * u
+                residual -= np.multiply.outer(w_u, v_h)
+                weights[q], zero_streak[q] = w, 0
             else:
+                scaled[q] = weights[q] = 0.0
                 zero_streak[q] += 1
 
         # A factor leaves `active` only after DROP_STREAK sweeps at weight 0,
-        # so the model is the factors of positive weight; with none,
-        # (rows x 0) @ (0 x cols) is the zero matrix.
-        idx = np.flatnonzero(weights > 0.0)
-        z = (left[:, idx] * weights[idx]) @ right[:, idx].conj().T
-        feas = float(np.linalg.norm((z - y_tilde)[observed]))
+        # so the model is the factors of positive weight.  The others'
+        # ``scaled`` rows are zero, and exact zeros leave the product's sums
+        # as they are.
+        rank = sum(weights[q] > 0.0 for q in active)
+        z = scaled.T.dot(right_h)
+        misfit = z.take(at) - y_seen
+        feas = _norm(misfit)
         y_new = np.where(observed, y_tilde, z)
-        change = float(np.linalg.norm(y_new - iterate))
-        # The gap is zero off the mask and (y_tilde - z) on it, so its
+        # The gap y_new - z is zero off the mask and -misfit on it, so its
         # norm is feas: the augmented Lagrangian needs no second norm.
-        gap = y_new - z
         objective = (
             0.5 * feas**2
-            + float(np.real(np.vdot(multiplier, gap)))
-            + mu * float(np.sum(np.abs(weights[active])))
+            - float(np.vdot(m_seen, misfit).real)
+            + mu * sum(weights[q] for q in active)
         )
-        multiplier = multiplier + mu * gap
+        # The iterate's change is needed by the noiseless test alone.
+        converged = feas_prev <= feas <= noise_floor or (
+            feas <= eps and _norm((y_new - iterate).ravel()) <= eps
+        )
+        m_seen = m_seen - mu * misfit
+        multiplier.put(at, m_seen)
         iterate = y_new
 
-        active &= zero_streak < DROP_STREAK
-        trace.append((iteration, objective, feas, idx.size))
+        active = [q for q in active if zero_streak[q] < DROP_STREAK]
+        trace.append((iteration, objective, feas, rank))
 
-        converged = (feas <= eps and change <= eps) or feas_prev <= feas <= noise_floor
-        if converged or not active.any():
+        if converged or not active:
             break
         feas_prev = feas
 
-    if active.any():
+    if active:
         residual = iterate.copy()
-        for q in np.flatnonzero(active):
-            u, v = left[:, q], right[:, q]
-            a = float(np.real(u.conj() @ residual @ v))
+        for q in active:
+            u, v_h = left[q], right_h[q]
+            a = float(np.vdot(v_h, u.conj().dot(residual)).real)
             if a > 0.0:
+                scaled[q] = w_u = a * u
+                residual -= np.multiply.outer(w_u, v_h)
                 weights[q] = a
-                residual -= a * np.outer(u, v.conj())
             else:
-                weights[q] = 0.0
-        idx = np.flatnonzero(weights > 0.0)
-        z = (left[:, idx] * weights[idx]) @ right[:, idx].conj().T
-        feas = float(np.linalg.norm((z - y_tilde)[observed]))
-        fit = 0.5 * float(np.linalg.norm(np.where(observed, y_tilde, z) - z) ** 2)
-        trace.append((iteration + 1, fit, feas, idx.size))
+                scaled[q] = weights[q] = 0.0
+        rank = sum(weights[q] > 0.0 for q in active)
+        z = scaled.T.dot(right_h)
+        feas = _norm(z.take(at) - y_seen)
+        trace.append((iteration + 1, 0.5 * feas**2, feas, rank))
 
     # No weight changes after the last model, so z and feas are the result.
     return CompletionResult(
         completed=z,
-        rank=idx.size,
+        rank=rank,
         iterations=iteration,
         final_residual=feas,
         converged=converged,

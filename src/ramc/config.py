@@ -90,6 +90,20 @@ class ExperimentConfig:
             times = [when for when, _ in self.rank_schedule]
             if len(set(times)) != len(times):
                 raise ConfigError(f"rank_schedule repeats a time: {self.rank_schedule}")
+        if self.on_grid:
+            # Each on-grid cluster takes an AoA row and an AoD column that no
+            # earlier one holds; past the grid's min(rows, cols) every further
+            # cluster spends all its rejection draws.
+            cells = self.grid_oversampling * min(self.channel.n_ms, self.channel.n_bs)
+            counts = [("channel.n_clusters", self.channel.n_clusters)]
+            counts += [("rank_schedule", count) for _, count in self.rank_schedule or ()]
+            for key, count in counts:
+                if count > cells:
+                    raise ConfigError(
+                        f"{key} cluster count {count} exceeds the {cells} distinct rows and "
+                        "columns of the on-grid dictionary "
+                        "(grid_oversampling * min(channel.n_ms, channel.n_bs))"
+                    )
 
 
 _JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false"}

@@ -17,6 +17,8 @@ from .errors import ConfigError, InfeasibleMaskError, ShapeError
 
 # Rejection sampling attempts before falling back to constructive masks.
 _MASK_ATTEMPTS = 500
+# Phase levels are drawn as int64 below 2**phase_bits.
+MAX_PHASE_BITS = 63
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,10 @@ class HybridConfig:
             raise ConfigError(
                 f"n_streams must lie in [1, min(m_bs, m_ms)={min(self.m_bs, self.m_ms)}]"
             )
-        if self.phase_bits < 1:
-            raise ConfigError("phase shifters need at least one bit")
+        if not 1 <= self.phase_bits <= MAX_PHASE_BITS:
+            raise ConfigError(
+                f"hybrid.phase_bits must lie in [1, {MAX_PHASE_BITS}], got {self.phase_bits}"
+            )
         if self.pilot_length < self.m_bs:
             raise ConfigError(
                 "pilot_length must be >= m_bs for orthogonal pilots"

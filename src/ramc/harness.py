@@ -13,8 +13,10 @@ the masked observation, the energy-rule rank of its zero fill and the
 coarse estimate.  Once per trial, after every (step, SNR) has its
 observation: the SOMP estimates of all their coarse estimates, in one
 stacked :func:`somp_baseline` call.  Once per step, after every
-(variant, SNR) has its estimate: the BER of all of them, in one
-:func:`ber_link` call.
+(variant, SNR) of the trial has its Phase-I completion: the Phase-II
+estimates of all of them, on atoms built once, in one stacked
+:func:`estimate_phase2` call.  Once per step, after every (variant, SNR)
+has its estimate: the BER of all of them, in one :func:`ber_link` call.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ from functools import cached_property
 import numpy as np
 
 from . import channel as chan
-from .completion import estimate_rank, r1mc_complete
+from .completion import CompletionResult, estimate_rank, r1mc_complete
 from .config import MAX_BER_STREAMS, ExperimentConfig, check_snr_db, snr_to_linear
 from .errors import ConfigError, DegenerateSystemError, RamcError, ShapeError, UndefinedMetricError
 from .frontend import PilotBlock, coarse_channel, make_pilot_block, observe, subsample
 from .io import read_cell, write_csv
-from .recovery import SparseGainEstimate, estimate_phase2, somp_baseline
+from .recovery import SparseGainEstimate, estimate_phase2, grid_channel, somp_baseline
 
 NMSE_FLOOR_DB = -120.0
 
@@ -54,8 +56,8 @@ class MetricRecord:
     fit of the completion) come from the Phase-I completion solve; they
     are 0, None and None for variants without Phase I and for failed
     records.  ``runtime_ms`` is the wall time of the record's own
-    estimate and NMSE; it excludes the SOMP pursuit and the BER, which
-    run for many records at once.
+    Phase-I solve (or baseline estimate) and NMSE; it excludes the SOMP
+    pursuit, Phase II and the BER, which run for many records at once.
     """
 
     variant: str
@@ -404,26 +406,29 @@ def _estimate_one(
     dictionary,
     ranks: list[int],
 ):
-    """Run one estimator variant on ``seen.obs``; returns (h_hat, rank_est,
-    sparse, solve).
+    """Run one estimator variant on ``seen.obs`` up to Phase II; returns
+    (h_hat, rank_est, sparse, solve, cap).
 
-    ``solve`` is the completion solver's :class:`CompletionResult`, None
-    for the variants that skip Phase I.  ``ranks`` holds the trial's
-    corrected ranks so far: ``rank_aware`` hints its solve with the last
-    one plus ``RANK_HEADROOM`` (no hint on the first step) and appends
-    its own before Phase II runs, so a step whose Phase II fails still
-    hints the next step.  ``somp_baseline`` reads the estimate that
-    :func:`_run_somp` left in ``seen.somp``.
+    The variants that skip Phase I return their channel estimate h_hat
+    with ``solve`` None.  The others return h_hat and ``sparse`` None,
+    their completion solver's :class:`CompletionResult` as ``solve`` and
+    the rank ``cap`` at which Phase II is to pursue its completion (None
+    for no cap).  ``ranks`` holds the trial's corrected ranks so far:
+    ``rank_aware`` hints its solve with the last one plus
+    ``RANK_HEADROOM`` (no hint on the first step) and appends its own, so
+    a step whose Phase II fails still hints the next step.
+    ``somp_baseline`` reads the estimate that :func:`_run_somp` left in
+    ``seen.somp``.
     """
-    obs, block = seen.obs, seen.block
+    obs = seen.obs
     if variant_kind == "coarse_only":
         rank_est = seen.zero_fill_rank
-        return seen.coarse, 0 if rank_est is None else rank_est, None, None
+        return seen.coarse, 0 if rank_est is None else rank_est, None, None, None
 
     if variant_kind == "somp_baseline":
         if isinstance(seen.somp, Exception):
             raise seen.somp.with_traceback(None)
-        return dictionary.a_ms @ seen.somp.gains, seen.somp_cap, seen.somp, None
+        return dictionary.a_ms @ seen.somp.gains, seen.somp_cap, seen.somp, None, None
 
     if variant_kind == "rank_aware":
         hint = None
@@ -437,19 +442,16 @@ def _estimate_one(
         except DegenerateSystemError:
             corrected = result.rank
         ranks.append(max(corrected, 1))
-        sparse, h_hat = estimate_phase2(result.completed, block, dictionary, max(corrected, 1))
-        return h_hat, corrected, sparse, result
+        return None, corrected, None, result, max(corrected, 1)
 
     if variant_kind == "fixed_rank":
         result = r1mc_complete(obs, rank_hint=variant_param)
-        sparse, h_hat = estimate_phase2(result.completed, block, dictionary, variant_param)
-        return h_hat, variant_param, sparse, result
+        return None, variant_param, None, result, variant_param
 
     # rank_oblivious, the one kind left that parse_variant returns.
     result = r1mc_complete(obs, rank_hint=min(obs.incomplete.shape))
     # No rank feedback: the pursuit stops on its residual alone.
-    sparse, h_hat = estimate_phase2(result.completed, block, dictionary, None)
-    return h_hat, result.rank, sparse, result
+    return None, result.rank, None, result, None
 
 
 def _failed(exc: Exception) -> dict:
@@ -461,6 +463,29 @@ def _failed(exc: Exception) -> dict:
     )
 
 
+@dataclass
+class _Pending:
+    """One record before its NMSE: its :class:`MetricRecord` ``fields`` so
+    far and its channel estimate ``h`` with its ``sparse`` estimate, or,
+    while it waits for Phase II, the Phase-I ``solve`` whose completion
+    Phase II pursues at rank ``cap`` (None for no cap).  A failed record
+    has no ``h``."""
+
+    fields: dict
+    h: np.ndarray | None = None
+    sparse: SparseGainEstimate | None = None
+    solve: CompletionResult | None = None
+    cap: int | None = None
+
+    @property
+    def awaits_phase2(self) -> bool:
+        return self.solve is not None and self.h is None
+
+    def fail(self, exc: Exception) -> None:
+        self.fields.update(_failed(exc))
+        self.h = self.sparse = self.solve = None
+
+
 def _run_trial(
     cfg: ExperimentConfig,
     variant: str,
@@ -469,86 +494,116 @@ def _run_trial(
     dictionary,
     steps: list[_StepDraws],
     observed: list[_Observed],
-    artifacts: dict | None = None,
-):
-    """One (variant, SNR, trial): a row of :class:`MetricRecord` fields
-    for each step, without BER, and its channel estimate (None where the
-    record failed)."""
+) -> list[_Pending]:
+    """One (variant, SNR, trial) up to Phase II: a :class:`_Pending` per
+    step, its ``runtime_ms`` the wall time of its estimate so far."""
     kind, param = parse_variant(variant)
     snr_db = cfg.snr_grid_db[snr_idx]
     ranks: list[int] = []
-    rows, estimates = [], []
-    if artifacts is not None:
-        artifacts.update(t=[], truth=[], estimate=[], sparse=[], trace=[])
+    rows = []
     for t, (step, seen) in enumerate(zip(steps, observed)):
         started = time.perf_counter()
-        real = step.real
+        row = _Pending(dict(variant=variant, snr_db=snr_db, trial=trial, t=t,
+                            rank_true=step.rank_true))
         try:
             if seen.error is not None:
                 raise seen.error.with_traceback(None)
-            h_hat, rank_est, sparse, solve = _estimate_one(kind, param, seen, dictionary, ranks)
-            if artifacts is not None:
-                artifacts["t"].append(t)
-                artifacts["truth"].append(real.matrix)
-                artifacts["estimate"].append(h_hat)
-                artifacts["sparse"].append(sparse)
-                artifacts["trace"].append(solve.trace if solve is not None else ())
-            value = nmse(real.matrix, h_hat)
-            value_db = nmse_db(value)
-            outcome = dict(
-                nmse=value,
-                nmse_db=value_db,
-                recovered=value_db <= cfg.recovery_threshold_db,
-                ber=None,
-                rank_est=int(rank_est),
+            row.h, rank_est, row.sparse, row.solve, row.cap = _estimate_one(
+                kind, param, seen, dictionary, ranks
             )
-            if solve is not None:
-                outcome.update(
-                    iterations=solve.iterations,
-                    converged=solve.converged,
-                    final_residual=solve.final_residual,
+            row.fields["rank_est"] = int(rank_est)
+            if row.solve is not None:
+                row.fields.update(
+                    iterations=row.solve.iterations,
+                    converged=row.solve.converged,
+                    final_residual=row.solve.final_residual,
                 )
         except (RamcError, np.linalg.LinAlgError) as exc:
-            h_hat, outcome = None, _failed(exc)
-        rows.append(dict(
-            variant=variant,
-            snr_db=snr_db,
-            trial=trial,
-            t=t,
-            rank_true=step.rank_true,
-            runtime_ms=(time.perf_counter() - started) * 1e3,
-            **outcome,
-        ))
-        estimates.append(h_hat)
-    return rows, estimates
+            row.fail(exc)
+        row.fields["runtime_ms"] = (time.perf_counter() - started) * 1e3
+        rows.append(row)
+    return rows
 
 
-def _with_ber(cfg: ExperimentConfig, steps: list[_StepDraws], runs) -> list[MetricRecord]:
-    """One trial's records, from the ``(rows, estimates)`` of each
-    :func:`_run_trial` in ``runs``, with their BER if ``cfg.ber_symbols``
-    is positive.
+def _run_phase2(step: _StepDraws, dictionary, rows: list[_Pending]) -> None:
+    """Give each of ``rows``, which await Phase II at one step, its
+    estimate from one :func:`estimate_phase2` call on the stack of their
+    completions; an error of one slot fails its record, and an error of
+    the whole call fails them all."""
+    if not rows:
+        return
+    try:
+        estimates = estimate_phase2(
+            np.stack([row.solve.completed for row in rows]), step.block, dictionary,
+            [row.cap for row in rows],
+        )
+    except (RamcError, np.linalg.LinAlgError) as exc:
+        estimates = [exc] * len(rows)
+    for row, est in zip(rows, estimates):
+        if isinstance(est, Exception):
+            row.fail(est)
+        else:
+            row.h, row.sparse = grid_channel(est, dictionary), est
 
-    Each step makes one :func:`ber_link` call over the estimates of its
-    records that have not failed, at each record's own SNR.  A row that
-    ``ber_link`` fails, or an error of the whole call, fails its record.
-    Each record is built once, after its BER.
+
+def _finish_trial(
+    cfg: ExperimentConfig,
+    dictionary,
+    steps: list[_StepDraws],
+    runs,
+    artifacts: dict | None = None,
+) -> list[MetricRecord]:
+    """One trial's records from the :class:`_Pending` rows of each
+    :func:`_run_trial` in ``runs``.
+
+    Each step runs Phase II once for its rows that await it
+    (:func:`_run_phase2`), then takes each row's NMSE, adding its time to
+    ``runtime_ms``, and, if ``cfg.ber_symbols`` is positive, makes one
+    :func:`ber_link` call over the estimates of its records that have
+    not failed, at each record's own SNR.  A row that ``ber_link`` fails,
+    or an error of the whole call, fails its record.  ``artifacts``, if
+    given, receives the truth, estimate, sparse estimate and solver trace
+    of each step whose estimate succeeded, with its time index in "t".
     """
-    rows = [row for run_rows, _ in runs for row in run_rows]
-    estimates = [h for _, hs in runs for h in hs]
-    for t, step in enumerate(steps if cfg.ber_symbols else ()):
-        live = [i for i, row in enumerate(rows) if row["t"] == t and estimates[i] is not None]
-        if not live:
+    rows = [row for run in runs for row in run]
+    if artifacts is not None:
+        artifacts.update(t=[], truth=[], estimate=[], sparse=[], trace=[])
+    for t, step in enumerate(steps):
+        at_t = [row for row in rows if row.fields["t"] == t]
+        _run_phase2(step, dictionary, [row for row in at_t if row.awaits_phase2])
+        live = [row for row in at_t if row.h is not None]
+        for row in live:
+            started = time.perf_counter()
+            if artifacts is not None:
+                artifacts["t"].append(t)
+                artifacts["truth"].append(step.real.matrix)
+                artifacts["estimate"].append(row.h)
+                artifacts["sparse"].append(row.sparse)
+                artifacts["trace"].append(row.solve.trace if row.solve is not None else ())
+            try:
+                value = nmse(step.real.matrix, row.h)
+                value_db = nmse_db(value)
+                row.fields.update(nmse=value, nmse_db=value_db, ber=None,
+                                  recovered=value_db <= cfg.recovery_threshold_db)
+            except (RamcError, np.linalg.LinAlgError) as exc:
+                row.fail(exc)
+            row.fields["runtime_ms"] += (time.perf_counter() - started) * 1e3
+        live = [row for row in live if row.h is not None]
+        if not cfg.ber_symbols or not live:
             continue
         try:
             bers = ber_link(
-                step.real.matrix, step.s_true, np.stack([estimates[i] for i in live]),
-                [rows[i]["snr_db"] for i in live], cfg.hybrid.n_streams,
+                step.real.matrix, step.s_true, np.stack([row.h for row in live]),
+                [row.fields["snr_db"] for row in live], cfg.hybrid.n_streams,
             )
         except (RamcError, np.linalg.LinAlgError) as exc:
             bers = [exc] * len(live)
-        for i, ber in zip(live, bers):
-            rows[i].update(_failed(ber) if isinstance(ber, Exception) else dict(ber=ber))
-    return [MetricRecord(**row) for row in rows]
+        for row, ber in zip(live, bers):
+            if isinstance(ber, Exception):
+                row.fail(ber)
+            else:
+                row.fields["ber"] = ber
+    return [MetricRecord(**row.fields) for row in rows]
 
 
 def run_sweep(
@@ -562,8 +617,8 @@ def run_sweep(
     Every draw depends only on (trial, t), so all variants and SNRs see
     identical data and pair trial for trial; workers take whole trials,
     whose SNR- and variant-free draws are made once per step, whose
-    observations once per (step, SNR), and whose BER links once per step
-    for every (variant, SNR), and share them.  Module errors mark single
+    observations once per (step, SNR), and whose Phase-II pursuits and
+    BER links once per step for every (variant, SNR), and share them.  Module errors mark single
     records as failed; the sweep continues.
 
     Records come back sorted by (variant, snr, trial, t) regardless of
@@ -588,7 +643,7 @@ def run_sweep(
             for variant in variants
             for snr_idx, seen in enumerate(observed)
         ]
-        return _with_ber(cfg, steps, runs)
+        return _finish_trial(cfg, dictionary, steps, runs)
 
     if workers == 1:
         chunks = [trial_records(trial) for trial in range(cfg.n_trials)]
@@ -618,8 +673,8 @@ def run_single_trial(
     dictionary, steps = _single_trial_draws(cfg, snr_idx, trial)
     observed = [_Observed(cfg, snr_idx, step) for step in steps]
     _run_somp((variant,), observed, dictionary)
-    run = _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, observed, artifacts)
-    return _with_ber(cfg, steps, [run])
+    run = _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, observed)
+    return _finish_trial(cfg, dictionary, steps, [run], artifacts)
 
 
 def write_records(path, records) -> None:

@@ -1,10 +1,10 @@
 """Rank-constrained greedy sparse recovery of angular-domain gains.
 
-Phase II of the pipeline: vectorise the completed pilot observation, run
-batch orthogonal matching pursuit against the Kronecker steering
-dictionary composed with the pilot frontend, with the sparsity budget
-set by the Phase-I rank estimate, and map the recovered support back to
-angle/gain triplets.
+Phase II of the pipeline: vectorise the completed pilot observations of
+one pilot block, run batch orthogonal matching pursuit on all of them
+against the Kronecker steering dictionary composed with the pilot
+frontend, each with the sparsity budget set by its Phase-I rank
+estimate, and map the recovered supports back to angle/gain triplets.
 """
 
 from __future__ import annotations
@@ -227,54 +227,71 @@ def estimate_phase2(
     completed,
     block: PilotBlock,
     dictionary: AngularDictionary,
-    rank: int | None,
-) -> tuple[SparseGainEstimate, np.ndarray]:
-    """Sparse angular recovery with a rank-derived sparsity budget.
+    ranks,
+) -> list:
+    """Sparse angular recovery of a stack of completed observations of one
+    pilot block, each with a rank-derived sparsity budget.
 
-    Batch OMP (see :func:`_pursuit`) matches the vectorised completed
+    Batch OMP (see :func:`_pursuit`) matches each vectorised completed
     observation against the Kronecker steering dictionary
     conj(A_bs) (x) A_ms composed with the pilot frontend
     (FS)^T (x) W^H.  By the mixed-product rule that product is
     kron((FS)^T conj(A_bs), W^H A_ms) = kron(B, A), so its unit atoms,
-    norms and Gram matrix are the Kronecker products of B's and A's; each
-    call builds them from the two small factors.
+    norms and Gram matrix are the Kronecker products of B's and A's.  Each
+    call builds them once, from the two small factors, and pursues the
+    whole stack on them in one :func:`_pursuit`, so every slot gets bit
+    for bit what it gets in a stack of one.
 
     Parameters
     ----------
     completed : array_like
-        Completed pilot observation (m_ms x pilot_length).
-    rank : int or None
-        Phase-I rank; the sparsity cap is rank**2.  None sets no cap, so
-        the pursuit stops on its residual alone.
+        Completed pilot observations, a (B, m_ms, pilot_length) stack.
+    ranks : sequence of int or None
+        One Phase-I rank per slot; its sparsity cap is rank**2.  None
+        sets no cap, so that slot's pursuit stops on its residual alone.
 
     Returns
     -------
-    (SparseGainEstimate, numpy.ndarray)
-        The sparse estimate with its parameter set filled in and the
-        reconstructed channel matrix a_ms @ gains @ a_bs^H.
+    list
+        One entry per slot: its :class:`SparseGainEstimate` with the
+        parameter set filled in (:func:`grid_channel` maps it to a
+        channel matrix), or the :class:`DegenerateSystemError` of a slot
+        whose pivot is at roundoff level, which fails that slot alone.
+        An error of the whole call, such as atoms over
+        ``MAX_KRON_ELEMENTS``, is raised.
     """
-    if rank is not None and rank < 1:
-        raise ConfigError(f"rank {rank} yields an empty sparsity budget")
+    for rank in ranks:
+        if rank is not None and rank < 1:
+            raise ConfigError(f"rank {rank} yields an empty sparsity budget")
     b = pursuit_atoms(block.effective_precoder.T @ dictionary.a_bs.conj())
     a = pursuit_atoms(block.w.conj().T @ dictionary.a_ms)
     # _kron refuses atoms or a Gram matrix above MAX_KRON_ELEMENTS; the
     # norms stay a real vector, one entry ||B_j|| ||A_i|| per atom.
     atoms = PursuitAtoms(_kron(b.unit, a.unit), np.kron(b.norms, a.norms), _kron(b.gram, a.gram))
-    y = np.asarray(completed).flatten(order="F")
-    cap = atoms.unit.shape[1] if rank is None else rank**2
-    (estimate,) = _pursuit(y[None, :, None], atoms, [cap])
-    if isinstance(estimate, DegenerateSystemError):
-        raise estimate
+    y = np.asarray(completed)
+    # Each slot's column-stacking vec, as one target column.
+    targets = y.transpose(0, 2, 1).reshape(len(y), y.shape[1] * y.shape[2], 1)
+    caps = [atoms.unit.shape[1] if rank is None else rank**2 for rank in ranks]
     # Atom j*L1 + i is grid cell (aoa i, aod j), column-stacking order.
     rows = dictionary.size_aoa
-    params = tuple(
-        (
-            float(dictionary.grid_aoa[k % rows]),
-            float(dictionary.grid_aod[k // rows]),
-            complex(estimate.gains[k, 0]),
-        )
-        for k in estimate.support
-    )
-    grid = estimate.gains.reshape((rows, dictionary.size_aod), order="F")
-    h = dictionary.a_ms @ grid @ dictionary.a_bs.conj().T
-    return SparseGainEstimate(estimate.gains, estimate.support, params), h
+    out = []
+    for est in _pursuit(targets, atoms, caps):
+        if isinstance(est, SparseGainEstimate):
+            params = tuple(
+                (
+                    float(dictionary.grid_aoa[k % rows]),
+                    float(dictionary.grid_aod[k // rows]),
+                    complex(est.gains[k, 0]),
+                )
+                for k in est.support
+            )
+            est = SparseGainEstimate(est.gains, est.support, params)
+        out.append(est)
+    return out
+
+
+def grid_channel(estimate: SparseGainEstimate, dictionary: AngularDictionary) -> np.ndarray:
+    """The channel a_ms @ Hbar @ a_bs^H of an :func:`estimate_phase2`
+    estimate, whose gain at atom j*L1 + i is the grid cell (aoa i, aod j)."""
+    grid = estimate.gains.reshape((dictionary.size_aoa, dictionary.size_aod), order="F")
+    return dictionary.a_ms @ grid @ dictionary.a_bs.conj().T

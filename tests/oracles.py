@@ -6,7 +6,9 @@ its atoms from two small Kronecker factors (see
 the direct way, recomputing on each call what the package computes once
 per step.  The exact BER is written with its sign patterns enumerated
 one by one, next to the Monte-Carlo count it replaced.  The pursuit is
-written with the residual taken directly after every atom.
+written with the residual taken directly after every atom.  The Phase-I
+solver is written as whole-matrix steps over factor columns, normed by
+``np.linalg.norm``.
 """
 
 import itertools
@@ -15,6 +17,7 @@ import math
 import numpy as np
 
 from ramc.channel import SAMPLE_PERIOD, _grid_index, raised_cosine
+from ramc.completion import DROP_STREAK, MAX_SWEEPS, _energy_rank
 from ramc.config import snr_to_linear
 from ramc.errors import DegenerateSystemError
 from ramc.recovery import SparseGainEstimate
@@ -173,3 +176,89 @@ def pursuit_direct_residual(targets, atoms, cap) -> SparseGainEstimate:
     if support:
         gains[support, :] = coeffs / atoms.norms[support][:, None]
     return SparseGainEstimate(gains=gains, support=tuple(support))
+
+
+def r1mc_sweeps(incomplete, rank_hint=None):
+    """``ramc.completion.r1mc_complete`` on a partial mask, written as
+    whole-matrix steps: factors are columns, each power step is normed
+    by ``np.linalg.norm``, the residual is deflated by ``w * outer(u, vᴴ)``
+    and every sweep recomputes the masked misfit, the change and the
+    Lagrangian on full matrices.  Returns (completed, rank, iterations,
+    converged, trace, margin), where ``margin`` is the smallest distance
+    of a compared value from its threshold in any decision the solve took:
+    a power step's a from mu, a refit's a from 0, a fit from the previous
+    one, the noise level or eps, and the change from eps."""
+    observed = incomplete.mask
+    y_tilde = incomplete.incomplete.astype(np.complex128)
+    rows, cols = y_tilde.shape
+    eps = 1e-6 * float(np.linalg.norm(y_tilde))
+    noise_floor = math.sqrt(np.count_nonzero(observed) * incomplete.noise_var)
+    mu = 1.0 / math.sqrt(max(rows, cols))
+    u0, s, vh0 = np.linalg.svd(y_tilde, full_matrices=False)
+    cap = min(rows, cols)
+    n_factors = min(rank_hint if rank_hint is not None else _energy_rank(s), cap)
+    left = u0[:, :n_factors].copy()
+    right = vh0[:n_factors].conj().T.copy()
+    weights = np.zeros(n_factors)
+    active = np.ones(n_factors, dtype=bool)
+    zero_streak = np.zeros(n_factors, dtype=int)
+    multiplier = np.zeros_like(y_tilde)
+    iterate = y_tilde
+    trace = []
+    feas_prev = math.inf
+    margins = [math.inf]
+    for iteration in range(1, MAX_SWEEPS + 1):
+        residual = iterate + multiplier
+        for q in np.flatnonzero(active):
+            u, v, a = left[:, q], right[:, q], 0.0
+            v_new = residual.conj().T @ u
+            if np.linalg.norm(v_new) > 0.0:
+                v = v_new / np.linalg.norm(v_new)
+                u_new = residual @ v
+                a = np.linalg.norm(u_new)
+                if a > 0.0:
+                    u = u_new / a
+            w = max(a - mu, 0.0)
+            margins.append(abs(a - mu))
+            left[:, q], right[:, q], weights[q] = u, v, w
+            if w > 0.0:
+                residual -= w * np.outer(u, v.conj())
+                zero_streak[q] = 0
+            else:
+                zero_streak[q] += 1
+        idx = np.flatnonzero(weights > 0.0)
+        z = (left[:, idx] * weights[idx]) @ right[:, idx].conj().T
+        feas = float(np.linalg.norm((z - y_tilde)[observed]))
+        y_new = np.where(observed, y_tilde, z)
+        change = float(np.linalg.norm(y_new - iterate))
+        gap = y_new - z
+        objective = (
+            0.5 * feas**2
+            + float(np.real(np.vdot(multiplier, gap)))
+            + mu * float(np.sum(np.abs(weights[active])))
+        )
+        multiplier = multiplier + mu * gap
+        iterate = y_new
+        active &= zero_streak < DROP_STREAK
+        trace.append((iteration, objective, feas, idx.size))
+        converged = (feas <= eps and change <= eps) or feas_prev <= feas <= noise_floor
+        margins += [abs(feas - eps), abs(change - eps), abs(feas - noise_floor)]
+        if feas <= noise_floor:
+            margins.append(abs(feas - feas_prev))
+        if converged or not active.any():
+            break
+        feas_prev = feas
+    if active.any():
+        residual = iterate.copy()
+        for q in np.flatnonzero(active):
+            u, v = left[:, q], right[:, q]
+            a = float(np.real(u.conj() @ residual @ v))
+            margins.append(abs(a))
+            weights[q] = max(a, 0.0)
+            if a > 0.0:
+                residual -= a * np.outer(u, v.conj())
+        idx = np.flatnonzero(weights > 0.0)
+        z = (left[:, idx] * weights[idx]) @ right[:, idx].conj().T
+        feas = float(np.linalg.norm((z - y_tilde)[observed]))
+        trace.append((iteration + 1, 0.5 * feas**2, feas, idx.size))
+    return z, idx.size, iteration, converged, trace, min(margins)

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from ramc.channel import ChannelParams, sample_realization
 from ramc import completion
-from ramc.completion import MAX_SWEEPS, _update_factor, estimate_rank, r1mc_complete
+from ramc.completion import (
+    MAX_SWEEPS,
+    _energy_rank,
+    _update_factor,
+    estimate_rank,
+    r1mc_complete,
+)
 from ramc.config import ExperimentConfig
 from ramc.errors import DegenerateSystemError
 from ramc.frontend import (
@@ -23,6 +29,8 @@ from ramc.frontend import (
     subsample,
 )
 from ramc.harness import run_sweep, summarize_records
+
+import oracles
 
 
 def _low_rank(rng, rows, cols, rank, sv=None):
@@ -191,27 +199,32 @@ def test_result_is_its_own_model(problem):
     assert type(result.converged) is bool
 
 
-def _reference_update(residual, u, v, norm=np.linalg.norm):
-    """The power step written plainly, with @ and ``norm`` (np.linalg.norm by default)."""
-    v_new = residual.conj().T @ u
-    nv = norm(v_new)
+def _vdot_norm(x):
+    return math.sqrt(np.vdot(x, x).real)
+
+
+def _reference_update(residual, u, vh, norm=_vdot_norm):
+    """The power step written plainly, with @ and ``norm`` (sqrt(Re vdot(x, x))
+    by default)."""
+    vh_new = u.conj() @ residual
+    nv = norm(vh_new)
     if nv == 0.0:
-        return u, v, 0.0
-    v = v_new / nv
-    u_new = residual @ v
+        return u, vh, 0.0
+    vh = vh_new / nv
+    u_new = residual @ vh.conj()
     nu = norm(u_new)
     if nu == 0.0:
-        return u, v, 0.0
-    return u_new / nu, v, nu
+        return u, vh, 0.0
+    return u_new / nu, vh, nu
 
 
 @st.composite
 def _factor_problems(draw):
-    """Residual and factor columns as the solver passes them.
+    """Residual and factor rows as the solver passes them.
 
-    u and v are strided columns of C-ordered factor matrices; the
-    residual is either full rank or low rank plus a small perturbation.
-    Shapes start at 2 x 2, where the exactness contract holds.
+    u and vh are rows of C-ordered factor matrices; the residual is
+    either full rank or low rank plus a small perturbation.  Shapes
+    start at 2 x 2, where the exactness contract holds.
     """
     rows, cols = draw(
         st.one_of(
@@ -228,32 +241,32 @@ def _factor_problems(draw):
     residual += draw(st.sampled_from([0.0, 1e-6, 1.0])) * scale * (
         rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     )
-    left = rng.standard_normal((rows, n_factors)) + 1j * rng.standard_normal((rows, n_factors))
-    right = rng.standard_normal((cols, n_factors)) + 1j * rng.standard_normal((cols, n_factors))
-    left /= np.linalg.norm(left, axis=0)
-    right /= np.linalg.norm(right, axis=0)
-    return residual, left[:, q], right[:, q]
+    left = rng.standard_normal((n_factors, rows)) + 1j * rng.standard_normal((n_factors, rows))
+    right_h = rng.standard_normal((n_factors, cols)) + 1j * rng.standard_normal((n_factors, cols))
+    left /= np.linalg.norm(left, axis=1)[:, None]
+    right_h /= np.linalg.norm(right_h, axis=1)[:, None]
+    return residual, left[q], right_h[q]
 
 
 class TestUpdateFactor:
     @settings(max_examples=80, deadline=None)
     @given(problem=_factor_problems())
     def test_bit_identical_to_plain_loop(self, problem):
-        residual, u, v = problem
+        residual, u, vh = problem
         before = residual.copy()
-        u_fast, v_fast, a_fast = _update_factor(residual, u, v)
-        u_ref, v_ref, a_ref = _reference_update(residual, u, v)
+        u_fast, vh_fast, a_fast = _update_factor(residual, u, vh)
+        u_ref, vh_ref, a_ref = _reference_update(residual, u, vh)
         assert np.array_equal(u_fast, u_ref)
-        assert np.array_equal(v_fast, v_ref)
+        assert np.array_equal(vh_fast, vh_ref)
         assert a_fast == a_ref
         assert np.array_equal(residual, before)
 
     def test_zero_residual_returns_inputs(self):
-        left = np.ones((8, 3), dtype=complex) / np.sqrt(8)
-        right = np.ones((32, 3), dtype=complex) / np.sqrt(32)
-        u, v, a = _update_factor(np.zeros((8, 32), dtype=complex), left[:, 1], right[:, 1])
-        assert np.array_equal(u, left[:, 1])
-        assert np.array_equal(v, right[:, 1])
+        left = np.ones((3, 8), dtype=complex) / np.sqrt(8)
+        right_h = np.ones((3, 32), dtype=complex) / np.sqrt(32)
+        u, vh, a = _update_factor(np.zeros((8, 32), dtype=complex), left[1], right_h[1])
+        assert np.array_equal(u, left[1])
+        assert np.array_equal(vh, right_h[1])
         assert a == 0.0
 
 
@@ -265,14 +278,74 @@ def test_sweep_medians_robust_to_roundoff(monkeypatch):
     variants = ("rank_aware", "fixed_rank:2", "rank_oblivious")
     base = summarize_records(run_sweep(cfg, variants=variants))
 
-    def vdot_norm(x):
-        return math.sqrt(np.vdot(x, x).real)
-
+    # The solver norms its power steps with one vdot; np.linalg.norm
+    # rounds differently in the last bit.
     monkeypatch.setattr(
         completion,
         "_update_factor",
-        lambda residual, u, v: _reference_update(residual, u, v, norm=vdot_norm),
+        lambda residual, u, vh: _reference_update(residual, u, vh, norm=np.linalg.norm),
     )
     moved = summarize_records(run_sweep(cfg, variants=variants))
     assert moved.variants == base.variants and moved.snrs == base.snrs
     assert np.max(np.abs(moved.median_nmse_db - base.median_nmse_db)) <= 0.1
+
+
+@st.composite
+def _partial_problems(draw):
+    """A noisy low-rank matrix on a partial mask with at least the
+    k (rows + cols - k) entries that fix a rank-k matrix, the solver's
+    factor count k as its hint or as the energy rule's, and a cap of 1 or
+    40 sweeps.  The noise level is the one the noise was drawn at, as the
+    harness sets it."""
+    rows, cols = draw(st.tuples(st.integers(3, 12), st.integers(3, 12)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    m = _low_rank(rng, rows, cols, draw(st.integers(1, min(rows, cols))))
+    sigma = draw(st.sampled_from([0.0, 1e-3, 0.1]))
+    m += sigma * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+    hint = draw(st.integers(1, min(rows, cols) - 1))
+    n_keep = draw(st.integers(hint * (rows + cols - hint), rows * cols - 1))
+    mask = subsample(rows, cols, n_keep / (rows * cols), seed=rng)
+    assume(not mask.all())
+    obs = ObservationSet(mask=mask, incomplete=np.where(mask, m, 0.0), noise_var=2 * sigma**2)
+    if draw(st.booleans()):
+        k = _energy_rank(np.linalg.svd(obs.incomplete, compute_uv=False))
+        assume(k * (rows + cols - k) <= n_keep)
+        hint = None
+    return obs, hint, draw(st.sampled_from([1, 40]))
+
+
+# Derandomized: the filters below leave about one problem in 5,600 on
+# which the two still part, each a form in which the whole-matrix solver
+# is itself sensitive to the last bits (a power step from a direction
+# that the residual nearly annihilates), so a random draw would make the
+# test flaky rather than stricter.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(problem=_partial_problems())
+def test_matches_the_whole_matrix_solver(problem):
+    # The solver's rows, gathered misfit and vdot norms round differently
+    # from whole-matrix steps, yet it decides as they do and its result
+    # is theirs to within 1e-9 ||Ytilde||.
+    obs, hint, max_sweeps = problem
+    # Every entry moved by a relative 2^-50, up or down.
+    signs = np.where(np.random.default_rng(0).random(obs.mask.shape) < 0.5, -1.0, 1.0)
+    nudged = replace(obs, incomplete=obs.incomplete * (1.0 + 2.0**-50 * signs))
+    with mock.patch.object(completion, "MAX_SWEEPS", max_sweeps), \
+            mock.patch.object(oracles, "MAX_SWEEPS", max_sweeps):
+        result = r1mc_complete(obs, rank_hint=hint)
+        completed, rank, iterations, converged, trace, margin = oracles.r1mc_sweeps(obs, hint)
+        again, *moved, _ = oracles.r1mc_sweeps(nudged, hint)
+    tol = 1e-9 * np.linalg.norm(obs.incomplete)
+    # That holds where the whole-matrix solver is itself defined to within
+    # roundoff.  Each of its decisions must clear its threshold by more
+    # than tol: a weight or a fit that stalls at a threshold is decided by
+    # the last bits.  And a last-bit change of the data must leave its
+    # decisions and move its result by less than tol: a factor started on
+    # a roundoff-level singular vector or on one of two near-equal
+    # singular values, a mask that leaves the completion free to drift,
+    # or a multiplier that grows without converging each break that.
+    assume(margin > tol and np.linalg.norm(again - completed) <= tol)
+    assume(moved[:3] == [rank, iterations, converged])
+    assume([row[3] for row in moved[3]] == [row[3] for row in trace])
+    assert (result.iterations, result.rank, result.converged) == (iterations, rank, converged)
+    assert [row[3] for row in result.trace] == [row[3] for row in trace]
+    assert np.linalg.norm(result.completed - completed) <= tol

@@ -83,14 +83,19 @@ def _hybrid_configs(draw, channel):
 
 @st.composite
 def _experiment_configs(draw):
+    channel = draw(_channel_params())
+    on_grid = draw(st.booleans())
+    oversampling = draw(st.integers(1, 4))
+    # On the grid, no cluster count may exceed the dictionary's min(rows, cols).
+    most = min(4, oversampling * min(channel.n_ms, channel.n_bs)) if on_grid else 4
+    channel = dataclasses.replace(channel, n_clusters=draw(st.integers(1, most)))
     time_steps = draw(st.integers(1, 6))
     schedule = None
     if time_steps > 1:
-        pair = st.tuples(st.integers(1, time_steps - 1), st.integers(1, 4))
+        pair = st.tuples(st.integers(1, time_steps - 1), st.integers(1, most))
         schedule = draw(
             st.none() | st.lists(pair, max_size=3, unique_by=lambda p: p[0]).map(tuple)
         )
-    channel = draw(_channel_params())
     hybrid = draw(_hybrid_configs(channel))
     # The exact BER takes at most MAX_BER_STREAMS streams.
     ber_on = hybrid.n_streams <= MAX_BER_STREAMS
@@ -105,8 +110,8 @@ def _experiment_configs(draw):
         time_steps=time_steps,
         rank_schedule=schedule,
         master_seed=draw(st.integers(0, 2**32 - 1)),
-        on_grid=draw(st.booleans()),
-        grid_oversampling=draw(st.integers(1, 4)),
+        on_grid=on_grid,
+        grid_oversampling=oversampling,
         recovery_threshold_db=draw(st.floats(-40.0, 0.0)),
         ber_symbols=draw(st.integers(0, 10**6)) if ber_on else 0,
         threads=draw(st.integers(1, 8)),
@@ -138,6 +143,13 @@ _MALFORMED_DOCS = [
     pytest.param({"snr_grid_db": [5.0, 5.0]}, "snr_grid_db", id="snr-repeated"),
     pytest.param({"snr_grid_db": [5, 15.0, 5.0]}, "snr_grid_db", id="snr-repeated-int"),
     pytest.param({"snr_grid_db": [-0.0, 0.0]}, "snr_grid_db", id="snr-repeated-signed-zero"),
+    # Phase levels are int64 draws below 2**phase_bits.
+    pytest.param({"hybrid": {"phase_bits": 64}}, "hybrid.phase_bits", id="phase-bits-over-int64"),
+    # On the 8 x 8 default grid each cluster needs a row and a column of its own.
+    pytest.param({"channel": {"n_clusters": 9}}, "channel.n_clusters", id="clusters-over-grid"),
+    pytest.param(
+        {"time_steps": 2, "rank_schedule": [[1, 9]]}, "rank_schedule", id="schedule-over-grid"
+    ),
 ]
 
 
@@ -503,6 +515,28 @@ class TestCliConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error") and key in err and "integer" in err
 
+
+    @pytest.mark.parametrize(
+        "section,value,key",
+        [
+            pytest.param("hybrid", {"phase_bits": 64}, "hybrid.phase_bits", id="phase-bits"),
+            pytest.param("channel", {"n_clusters": 5}, "channel.n_clusters", id="clusters"),
+            pytest.param(None, {"time_steps": 2, "rank_schedule": [[1, 5]]}, "rank_schedule",
+                         id="schedule"),
+        ],
+    )
+    def test_sweep_rejects_what_it_cannot_draw(self, section, value, key, tmp_path, capsys):
+        # 2**64 phase levels overflow the int64 draw, which ended the sweep
+        # in a ValueError traceback; and each cluster past the 4 x 4 grid's
+        # 4 rows spent all its rejection draws.  The config now refuses both.
+        doc = dict(SMALL_DOC, **({section: {**SMALL_DOC[section], **value}} if section else value))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        args = ["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "sweep").exists()
 
     @pytest.mark.parametrize("doc,key", _MISTYPED_DOCS)
     def test_mistyped_value_rejected(self, doc, key, tmp_path, capsys):

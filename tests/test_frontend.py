@@ -12,6 +12,7 @@ from ramc import frontend
 from ramc.channel import ChannelParams, sample_realization
 from ramc.errors import ConfigError, InfeasibleMaskError, ShapeError
 from ramc.frontend import (
+    MAX_PHASE_BITS,
     HybridConfig,
     ObservationSet,
     PilotBlock,
@@ -49,11 +50,19 @@ class TestHybridConfig:
             {"m_bs": 1, "n_streams": 2},
             {"phase_bits": 0},
             {"pilot_length": 4},
+            {"phase_bits": 64},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             HybridConfig(**kwargs)
+
+    def test_most_phase_bits_draw_a_block(self):
+        # Phase levels are int64 draws below 2**phase_bits.
+        stage = analog_stage(8, 4, MAX_PHASE_BITS, np.random.default_rng(3))
+        assert np.allclose(np.abs(stage), 1 / np.sqrt(8))
+        block = make_pilot_block(HybridConfig(phase_bits=MAX_PHASE_BITS), 8, 8, seed=3)
+        assert block.f.shape[0] == 8 and np.isfinite(block.f).all()
 
 
 class TestBeamformers:

@@ -393,7 +393,8 @@ class TestRunSweep:
         # SNR).  Per (trial, t, SNR), whatever the number of variants: the
         # observation, the energy-rule rank of its zero fill and the
         # coarse estimate.  Per trial: one stacked SOMP pursuit, if a
-        # variant runs it.
+        # variant runs it.  Per (trial, t): one stacked Phase II over every
+        # (variant, SNR) that runs Phase I, if any does.
         cfg = ExperimentConfig(
             **SMALL, snr_grid_db=(5.0, 15.0, 25.0), n_trials=2, time_steps=2,
             ber_symbols=1000,
@@ -425,13 +426,21 @@ class TestRunSweep:
         counting(harness, "coarse_channel")
         counting(harness, "ber_link")
         counting(harness, "somp_baseline")
+        counting(harness, "estimate_phase2")
         once = {
             "pinv": 2 * 4, "svd": 4, "observe": 12, "estimate_rank": 12,
             "coarse_channel": 12, "ber_link": 4,
         }
+        # Without a baseline no coarse estimate or zero-fill rank is
+        # taken; rank_aware takes the energy-rule rank of each completion.
+        phase1 = {"pinv": 2 * 4, "svd": 4, "observe": 12, "estimate_rank": 12,
+                  "ber_link": 4, "estimate_phase2": 4}
         for variants, expected in (
             (("coarse_only",), once),
             (("coarse_only", "somp_baseline"), {**once, "somp_baseline": 2}),
+            (("rank_aware", "fixed_rank:2"), phase1),
+            (("fixed_rank:2", "coarse_only", "somp_baseline", "rank_oblivious"),
+             {**once, "somp_baseline": 2, "estimate_phase2": 4}),
         ):
             counts.clear()
             records = run_sweep(cfg, variants)
@@ -477,7 +486,7 @@ class TestRunSweep:
         monkeypatch.setattr(recovery, "MAX_KRON_ELEMENTS", cap)
         raised = sizes[too_large[0]]
         with pytest.raises(MatrixSizeError, match=f"would hold {raised} entries") as direct:
-            recovery.estimate_phase2(np.zeros((4, 8)), block, dictionary, 2)
+            recovery.estimate_phase2(np.zeros((1, 4, 8)), block, dictionary, [2])
         records = self._timeless(run_sweep(cfg, variants))
         assert len(records) == len(unpatched) == 32
         for new, old in zip(records, unpatched):
@@ -488,10 +497,10 @@ class TestRunSweep:
 
     def test_zero_estimate_fails_its_own_record(self, monkeypatch):
         # The BER of a step is one call over all its records' estimates.
-        # A zero estimate (fixed_rank:2 at 25 dB, trial 0, t=0: the third
-        # Phase II of a one-thread sweep) fails that record alone, with
-        # every field as any failed record has it; the other records of
-        # its step keep their BER.
+        # A zero estimate (fixed_rank:2 at 25 dB, trial 0, t=0: the second
+        # slot of the first Phase II of a one-thread sweep) fails that
+        # record alone, with every field as any failed record has it; the
+        # other records of its step keep their BER.
         cfg = ExperimentConfig(
             **SMALL, snr_grid_db=(5.0, 25.0), n_trials=2, time_steps=2, ber_symbols=1000
         )
@@ -500,14 +509,17 @@ class TestRunSweep:
         real_phase2 = harness.estimate_phase2
         calls = []
 
-        def zero_third(*args, **kwargs):
-            sparse, h_hat = real_phase2(*args, **kwargs)
-            calls.append(None)
-            return sparse, np.zeros_like(h_hat) if len(calls) == 3 else h_hat
+        def zero_second_slot(*args, **kwargs):
+            estimates = real_phase2(*args, **kwargs)
+            calls.append(len(estimates))
+            if len(calls) == 1:
+                est = estimates[1]
+                estimates[1] = dataclasses.replace(est, gains=np.zeros_like(est.gains))
+            return estimates
 
-        monkeypatch.setattr(harness, "estimate_phase2", zero_third)
+        monkeypatch.setattr(harness, "estimate_phase2", zero_second_slot)
         records = self._timeless(run_sweep(cfg, variants))
-        assert len(records) == len(unpatched) == 16
+        assert calls == [2, 2, 2, 2] and len(records) == len(unpatched) == 16
         for new, old in zip(records, unpatched):
             if (new.variant, new.snr_db, new.trial, new.t) == ("fixed_rank:2", 25.0, 0, 0):
                 assert new == dataclasses.replace(
@@ -518,6 +530,66 @@ class TestRunSweep:
                 assert math.isnan(new.nmse) and math.isnan(new.nmse_db)
             else:
                 assert new == old and new.ber is not None
+
+    def test_stacked_phase2_slots_as_alone(self, monkeypatch):
+        # Each step's one Phase-II call gives every slot, bit for bit, the
+        # support and gains of that slot's completion pursued alone, and
+        # each record's estimate is its slot's channel.
+        cfg = ExperimentConfig(**SMALL, snr_grid_db=(5.0, 25.0), n_trials=2, time_steps=2)
+        real_phase2 = harness.estimate_phase2
+        calls = []
+
+        def recording(completed, block, dictionary, ranks):
+            estimates = real_phase2(completed, block, dictionary, ranks)
+            calls.append((completed, block, dictionary, ranks, estimates))
+            return estimates
+
+        monkeypatch.setattr(harness, "estimate_phase2", recording)
+        variants = ("rank_aware", "fixed_rank:2", "rank_oblivious", "coarse_only")
+        records = run_sweep(cfg, variants)
+        assert not any(r.error for r in records)
+        assert [len(call[3]) for call in calls] == [6] * 4
+        for completed, block, dictionary, ranks, estimates in calls:
+            assert [rank is None for rank in ranks] == [False] * 4 + [True] * 2
+            for target, rank, est in zip(completed, ranks, estimates):
+                (alone,) = real_phase2(target[None], block, dictionary, [rank])
+                assert est.support == alone.support
+                assert est.gains.tobytes() == alone.gains.tobytes()
+
+    def test_degenerate_phase2_slot_fails_its_own_record(self, monkeypatch):
+        # A slot whose Cholesky pivot is at roundoff level holds the
+        # pursuit's error: here the third slot of trial 0's first step,
+        # which is rank_aware at 5 dB.  That record alone fails; every
+        # other one, in the same stacked call too, is as it was.
+        cfg = ExperimentConfig(
+            **SMALL, snr_grid_db=(5.0, 25.0), n_trials=2, time_steps=2, ber_symbols=1000
+        )
+        variants = ("coarse_only", "fixed_rank:2", "rank_aware")
+        unpatched = self._timeless(run_sweep(cfg, variants))
+        real_phase2 = harness.estimate_phase2
+        failure = DegenerateSystemError("selected columns [3, 1] are numerically dependent")
+        calls = []
+
+        def fail_third_slot(*args):
+            estimates = real_phase2(*args)
+            calls.append(len(estimates))
+            if len(calls) == 1:
+                estimates[2] = failure
+            return estimates
+
+        monkeypatch.setattr(harness, "estimate_phase2", fail_third_slot)
+        records = self._timeless(run_sweep(cfg, variants))
+        assert calls == [4] * 4 and len(records) == len(unpatched) == 24
+        for new, old in zip(records, unpatched):
+            if (new.variant, new.snr_db, new.trial, new.t) == ("rank_aware", 5.0, 0, 0):
+                assert new == dataclasses.replace(
+                    old, nmse=new.nmse, nmse_db=new.nmse_db, recovered=False, ber=None,
+                    rank_est=0, iterations=0, converged=None, final_residual=None,
+                    error=f"DegenerateSystemError: {failure}",
+                )
+                assert math.isnan(new.nmse) and math.isnan(new.nmse_db)
+            else:
+                assert new == old
 
     def test_failed_somp_target_fails_its_own_record(self, monkeypatch):
         # One stacked SOMP pursuit serves every (step, SNR) of a trial.  A
@@ -895,3 +967,34 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
         if target.on_result is not None:
             infos = [sp.info for sp in tracer.spans if sp.name == target.name]
             assert infos and all(infos), target.name
+
+
+def test_benchmark_tracer_sees_each_layer(monkeypatch):
+    # The traced benchmark keys each job by _run_trial's (variant, SNR,
+    # trial) arguments, counts a Phase-I solve only under its trial span
+    # and reads the atom count of slot 0 of each Phase-II call.  With
+    # Phase II stacked per step outside _run_trial, all three must still
+    # hold, and tracing must not change a record.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    # run.py imports perfbench/spans.py as ``spans``; its Tracer is the one
+    # the benchmark runs.
+    spans = sys.modules["spans"]
+    assert run.Tracer is spans.Tracer
+    cfg = ExperimentConfig(**SMALL, snr_grid_db=(5.0, 25.0), n_trials=1, time_steps=2)
+    untraced = [dataclasses.replace(r, runtime_ms=0.0) for r in run_sweep(cfg, DEFAULT_ABLATION)]
+    tracer = spans.Tracer()
+    with tracer.patched(run.trace_targets(harness, channel)):
+        records = run_sweep(cfg, DEFAULT_ABLATION)
+    assert [dataclasses.replace(r, runtime_ms=0.0) for r in records] == untraced
+    by_id = {sp.id: sp for sp in tracer.spans}
+    solves = [sp for sp in tracer.spans if sp.name == "completion.solve"]
+    # 3 Phase-I variants x 2 SNRs x 2 steps.
+    assert len(solves) == 12
+    assert all(by_id[sp.parent].name == "harness.trial" for sp in solves)
+    phase2 = [sp for sp in tracer.spans if sp.name == "recovery.phase2"]
+    assert len(phase2) == 2 and all("atoms" in sp.info for sp in phase2)
+    keys = {by_id[sp.parent].key for sp in solves}
+    assert keys == {f"{v}/snr{i}/trial0" for v in DEFAULT_ABLATION[:3] for i in (0, 1)}

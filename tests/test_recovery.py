@@ -18,7 +18,7 @@ from ramc.completion import r1mc_complete
 from ramc.errors import ConfigError, DegenerateSystemError, ShapeError
 from ramc.frontend import HybridConfig, make_pilot_block, observe
 from ramc.harness import nmse
-from ramc.recovery import estimate_phase2, pursuit_atoms, somp_baseline
+from ramc.recovery import estimate_phase2, grid_channel, pursuit_atoms, somp_baseline
 
 from oracles import (
     angular_factorization,
@@ -62,6 +62,13 @@ def _solo(y, d, cap):
     or several) against ``d``; its estimate or its error."""
     (est,) = somp_baseline(np.reshape(y, (1, len(y), -1)), d, [cap])
     return est
+
+
+def _phase2(completed, block, dic, rank):
+    """``estimate_phase2`` on a stack of one: the estimate (or its error)
+    and, for an estimate, its channel."""
+    (est,) = estimate_phase2(np.asarray(completed)[None], block, dic, [rank])
+    return est, None if isinstance(est, Exception) else grid_channel(est, dic)
 
 
 def _unit_norm_dictionary(rng, rows, cols):
@@ -293,7 +300,7 @@ class TestAngularPipeline:
         block = make_pilot_block(HybridConfig(), 8, 8, seed=4)
         obs = _full_observation(real, block)
         completed = r1mc_complete(obs).completed
-        est, h = estimate_phase2(completed, block, dic, rank=2)
+        est, h = _phase2(completed, block, dic, 2)
         assert nmse(real.matrix, h) <= 1e-16
         assert len(est.support) <= 4  # squared rule on rank 2
 
@@ -304,7 +311,7 @@ class TestAngularPipeline:
         real = sample_realization(params, rng, dictionary=dic)
         block = make_pilot_block(HybridConfig(), 8, 8, seed=5)
         obs = _full_observation(real, block)
-        est, _ = estimate_phase2(r1mc_complete(obs).completed, block, dic, rank=1)
+        est, _ = _phase2(r1mc_complete(obs).completed, block, dic, 1)
         assert len(est.support) == 1
         j, i = divmod(est.support[0], dic.size_aoa)
         truth = angular_factorization(real, dic)
@@ -326,24 +333,30 @@ class TestAngularPipeline:
         block = make_pilot_block(HybridConfig(m_bs=4, m_ms=4, pilot_length=8), 4, 4, seed=6)
         real = sample_realization(ChannelParams(n_bs=4, n_ms=4), rng)
         obs = _full_observation(real, block)
-        est, _ = estimate_phase2(r1mc_complete(obs).completed, block, dic, rank=rank)
+        est, _ = _phase2(r1mc_complete(obs).completed, block, dic, rank)
         assert len(est.support) <= expected
 
-    def test_phase2_raises_its_pursuit_error(self, monkeypatch):
-        # Phase II runs a stack of one; an error in its slot is raised.
+    def test_phase2_returns_its_pursuit_error_in_its_slot(self, monkeypatch):
+        # An error of one slot's pursuit is that slot's entry, not raised.
         failure = DegenerateSystemError("selected columns [1, 0] are numerically dependent")
-        monkeypatch.setattr(recovery, "_pursuit", lambda targets, atoms, caps: [failure])
+        real_pursuit = recovery._pursuit
+
+        def fail_second(targets, atoms, caps):
+            estimates = real_pursuit(targets, atoms, caps)
+            estimates[1] = failure
+            return estimates
+
+        monkeypatch.setattr(recovery, "_pursuit", fail_second)
         dic = make_dictionary(ChannelParams(), size_ms=8, size_bs=8)
         block = make_pilot_block(HybridConfig(), 8, 8, seed=7)
-        with pytest.raises(DegenerateSystemError) as raised:
-            estimate_phase2(np.ones((8, 32), dtype=complex), block, dic, rank=2)
-        assert raised.value is failure
+        first, second = estimate_phase2(np.ones((2, 8, 32), dtype=complex), block, dic, [2, 2])
+        assert second is failure and first.support and len(first.parameter_set) == 4
 
     def test_phase2_rejects_bad_rank(self):
         dic = make_dictionary(ChannelParams(), size_ms=16, size_bs=16)
         block = make_pilot_block(HybridConfig(), 8, 8, seed=7)
         with pytest.raises(ConfigError):
-            estimate_phase2(np.eye(8), block, dic, rank=0)
+            estimate_phase2(np.ones((2, 8, 32), dtype=complex), block, dic, [2, 0])
 
 
 class TestPhase2Atoms:
@@ -367,7 +380,7 @@ class TestPhase2Atoms:
         monkeypatch.setattr(recovery, "_pursuit", recording_pursuit)
         rng = np.random.default_rng(226)
         completed = rng.standard_normal((8, 32)) + 1j * rng.standard_normal((8, 32))
-        estimate_phase2(completed, block, dic, rank=2)
+        estimate_phase2(completed[None], block, dic, [2])
         (atoms,) = seen
         reference = pursuit_atoms(measurement_matrix(block) @ build_dictionary(dic))
         for name in ("unit", "norms", "gram"):
@@ -441,12 +454,37 @@ class TestPhase2Reference:
     def test_single_scaling_matches_double_scaling(self, problem, rank):
         completed, block, dic = problem
         support, gains, angles = _reference_phase2(completed, block, dic, rank)
-        est, _ = estimate_phase2(completed, block, dic, rank)
+        est, _ = _phase2(completed, block, dic, rank)
         assert list(est.support) == support
         new_gains = np.array([gain for _, _, gain in est.parameter_set])
         assert np.abs(new_gains - gains).max() <= 1e-9 * np.abs(gains).max()
         assert np.array_equal(est.gains[support, 0], new_gains)
         assert [(aoa, aod) for aoa, aod, _ in est.parameter_set] == angles
+
+
+class TestStackedPhase2:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        problem=_phase2_problems(),
+        ranks=st.lists(st.none() | st.integers(1, 3), min_size=1, max_size=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_each_slot_as_in_a_stack_of_one(self, problem, ranks, seed):
+        # One call pursues every slot on atoms built once; each slot's
+        # support, gains and parameter set are bit for bit what a stack of
+        # one gives, whatever the other slots' ranks.
+        completed, block, dic = problem
+        rng = np.random.default_rng(seed)
+        stack = [completed] + [
+            rng.standard_normal(completed.shape) + 1j * rng.standard_normal(completed.shape)
+            for _ in ranks[1:]
+        ]
+        stacked = estimate_phase2(np.stack(stack), block, dic, ranks)
+        assert len(stacked) == len(ranks)
+        for target, rank, est in zip(stack, ranks, stacked):
+            alone, _ = _phase2(target, block, dic, rank)
+            assert _same(est, alone)
+            assert est.parameter_set == alone.parameter_set
 
 
 def _reference_somp(y, d, cap):
