@@ -4,19 +4,21 @@ Runs the estimator variants over SNR grids with paired per-trial seeds,
 computes NMSE / recovery-probability / BER metrics, aggregates ablation
 reports and writes the canonical records CSV.  Seeds derive from
 (master_seed, purpose, trial, t) tuples, so records are reproducible
-regardless of scheduling order or worker count.  Each value is computed
-once, at the coarsest level it depends on, and shared read-only.  Once
-per step (trial, t): the channel and its singular values, the pilot
-block with F @ S and its two pseudo-inverses, the observation noise
-and the mask.  Once per (step, SNR), for every variant:
-the masked observation, the energy-rule rank of its zero fill and the
-coarse estimate.  Once per trial, after every (step, SNR) has its
-observation: the SOMP estimates of all their coarse estimates, in one
-stacked :func:`somp_baseline` call.  Once per step, after every
-(variant, SNR) of the trial has its Phase-I completion: the Phase-II
-estimates of all of them, on atoms built once, in one stacked
-:func:`estimate_phase2` call.  Once per step, after every (variant, SNR)
-has its estimate: the BER of all of them, in one :func:`ber_link` call.
+regardless of scheduling order or worker count.
+
+A trial is a list of rows, one per record (variant, SNR, t), that pass
+through its stages.  Each value is computed once, at the coarsest level
+it depends on, and shared read-only.  Per step (trial, t): the channel
+and its singular values, the pilot block with F @ S and its two
+pseudo-inverses, the observation noise and the mask.  Per (step, SNR),
+for every variant: the masked observation, the energy-rule rank of its
+zero fill and the coarse estimate.  Per trial: the estimates of every
+``somp_baseline`` row, in one :func:`somp_baseline` call.  Per step:
+the Phase-II estimates of every row with a Phase-I completion, in one
+:func:`estimate_phase2` call on atoms built once, then the BER of every
+row with an estimate, in one :func:`ber_link` call.  These three stacked
+stages run through :func:`_stacked`, so an error fails its own rows and
+no others.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ _NOISE_TAG = 202
 _MASK_TAG = 303
 _PILOT_TAG = 404
 
+# The errors that fail a record; any other error stops the sweep.
+_ERRORS = (RamcError, np.linalg.LinAlgError)
+
 
 @dataclass(frozen=True)
 class MetricRecord:
@@ -55,9 +60,12 @@ class MetricRecord:
     ``iterations``, ``converged`` and ``final_residual`` (the observed-entry
     fit of the completion) come from the Phase-I completion solve; they
     are 0, None and None for variants without Phase I and for failed
-    records.  ``runtime_ms`` is the wall time of the record's own
-    Phase-I solve (or baseline estimate) and NMSE; it excludes the SOMP
-    pursuit, Phase II and the BER, which run for many records at once.
+    records.  ``runtime_ms`` is the wall time of the record's own work
+    before its stacked stage (its Phase-I solve, or a baseline's
+    zero-fill rank and ``coarse_only``'s coarse estimate, timed in the
+    first record that takes them) and of its NMSE.  It leaves out the
+    SOMP pursuit with its coarse estimates, Phase II and the BER, which
+    run for many records at once.
     """
 
     variant: str
@@ -249,7 +257,7 @@ def _draw_trial(cfg: ExperimentConfig, trial: int, dictionary) -> list[_StepDraw
             steps.append(_StepDraws(real, s_true, rank_true, block, y_clean, noise, mask))
             shared = [block.f, block.w, block.s, block.effective_precoder, block.combiner_pinv,
                       block.precoder_pinv, y_clean, noise, mask]
-        except (RamcError, np.linalg.LinAlgError) as exc:
+        except _ERRORS as exc:
             steps.append(_StepDraws(real, s_true, rank_true, error=exc))
             shared = []
         for array in [real.matrix, s_true, *shared]:
@@ -267,18 +275,15 @@ def _observe_step(cfg: ExperimentConfig, snr_idx: int, step: _StepDraws):
 
 class _Observed:
     """One step's masked observation ``obs`` at one SNR, shared read-only
-    by every variant, or the ``error`` that its draws or ``observe`` raised.
-    ``somp`` is the SOMP estimate from ``obs``, or the error that failed
-    it, once :func:`_run_somp` has run."""
+    by every variant, or the ``error`` that its draws or ``observe`` raised."""
 
     def __init__(self, cfg: ExperimentConfig, snr_idx: int, step: _StepDraws):
         self.obs, self.error = None, None
-        self.somp: SparseGainEstimate | Exception | None = None
         self.block = step.block
         try:
             self.obs = _observe_step(cfg, snr_idx, step)
             self.obs.incomplete.setflags(write=False)
-        except (RamcError, np.linalg.LinAlgError) as exc:
+        except _ERRORS as exc:
             self.error = exc
 
     @cached_property
@@ -295,50 +300,6 @@ class _Observed:
         estimate = coarse_channel(self.obs, self.block)
         estimate.setflags(write=False)
         return estimate
-
-    @property
-    def somp_cap(self) -> int:
-        """SOMP's rank estimate: ``zero_fill_rank``, or the full shape when
-        that is degenerate."""
-        rank = self.zero_fill_rank
-        return min(self.obs.incomplete.shape) if rank is None else rank
-
-
-def _run_somp(variants, observed: list[_Observed], dictionary) -> None:
-    """Set ``somp`` on each of ``observed`` that did not fail, if
-    ``variants`` holds ``somp_baseline``.
-
-    One :func:`somp_baseline` call pursues all their coarse estimates on
-    the ``a_ms`` atoms, each capped at its ``somp_cap`` atoms.  An
-    error of one entry's inputs or pursuit fails that entry, and an error
-    of the whole call fails them all.
-    """
-    if "somp_baseline" not in variants:
-        return
-    stacked, targets, caps = [], [], []
-    for seen in observed:
-        if seen.error is not None:
-            continue
-        try:
-            cap, target = seen.somp_cap, seen.coarse
-        except (RamcError, np.linalg.LinAlgError) as exc:
-            seen.somp = exc
-            continue
-        stacked.append(seen)
-        targets.append(target)
-        caps.append(cap)
-    if not stacked:
-        return
-    try:
-        estimates = somp_baseline(np.stack(targets), dictionary.a_ms, caps)
-    except (RamcError, np.linalg.LinAlgError) as exc:
-        estimates = [exc] * len(stacked)
-    for seen, est in zip(stacked, estimates):
-        if isinstance(est, SparseGainEstimate):
-            # AoA atoms only: no AoD, and each gain is a row over the BS antennas.
-            params = tuple((float(dictionary.grid_aoa[k]), None, est.gains[k]) for k in est.support)
-            est = SparseGainEstimate(est.gains, est.support, params)
-        seen.somp = est
 
 
 def _single_trial_draws(cfg: ExperimentConfig, snr_idx: int, trial: int):
@@ -399,37 +360,56 @@ def parse_variant(name: str) -> tuple[str, int | None]:
 RANK_HEADROOM = 2
 
 
-def _estimate_one(
-    variant_kind: str,
-    variant_param: int | None,
-    seen: _Observed,
-    dictionary,
-    ranks: list[int],
-):
-    """Run one estimator variant on ``seen.obs`` up to Phase II; returns
-    (h_hat, rank_est, sparse, solve, cap).
+@dataclass
+class _Row:
+    """One record on its way through a trial's stages: its
+    :class:`MetricRecord` ``fields`` so far, its step's observation
+    ``seen``, and its channel estimate ``h`` with its ``sparse`` estimate
+    once it has one.  A row whose estimate comes from a stacked ``stage``,
+    "somp" or "phase2", waits for it with the ``cap`` (None for no cap)
+    at which that stage pursues the coarse estimate of ``seen`` or the
+    completion of its Phase-I ``solve``.  A failed row has no ``h``."""
 
-    The variants that skip Phase I return their channel estimate h_hat
-    with ``solve`` None.  The others return h_hat and ``sparse`` None,
-    their completion solver's :class:`CompletionResult` as ``solve`` and
-    the rank ``cap`` at which Phase II is to pursue its completion (None
-    for no cap).  ``ranks`` holds the trial's corrected ranks so far:
-    ``rank_aware`` hints its solve with the last one plus
-    ``RANK_HEADROOM`` (no hint on the first step) and appends its own, so
-    a step whose Phase II fails still hints the next step.
-    ``somp_baseline`` reads the estimate that :func:`_run_somp` left in
-    ``seen.somp``.
+    fields: dict
+    seen: _Observed
+    h: np.ndarray | None = None
+    sparse: SparseGainEstimate | None = None
+    solve: CompletionResult | None = None
+    cap: int | None = None
+    stage: str | None = None
+
+    def fail(self, exc: Exception) -> None:
+        """Give the record the outcome fields of one that ``exc`` failed."""
+        self.fields.update(
+            nmse=math.nan, nmse_db=math.nan, recovered=False, ber=None, rank_est=0,
+            error=f"{type(exc).__name__}: {exc}", iterations=0, converged=None,
+            final_residual=None,
+        )
+        self.h = self.sparse = self.solve = self.stage = None
+
+
+def _estimate_one(variant_kind: str, variant_param: int | None, row: _Row, ranks: list[int]):
+    """Run one estimator variant on ``row.seen.obs`` up to its stacked
+    stage, setting the row's ``rank_est`` and its ``h`` or ``stage``.
+
+    ``somp_baseline`` caps SOMP at the zero fill's rank (the full shape
+    when that is degenerate).  The Phase-I variants set their solver's
+    :class:`CompletionResult` as ``solve``.  ``ranks`` holds the trial's
+    corrected ranks so far: ``rank_aware`` hints its solve with the last
+    one plus ``RANK_HEADROOM`` (no hint on the first step) and appends
+    its own, so a step whose Phase II fails still hints the next step.
     """
-    obs = seen.obs
+    seen, obs = row.seen, row.seen.obs
     if variant_kind == "coarse_only":
-        rank_est = seen.zero_fill_rank
-        return seen.coarse, 0 if rank_est is None else rank_est, None, None, None
-
+        rank = seen.zero_fill_rank
+        row.fields["rank_est"] = 0 if rank is None else rank
+        row.h = seen.coarse
+        return
     if variant_kind == "somp_baseline":
-        if isinstance(seen.somp, Exception):
-            raise seen.somp.with_traceback(None)
-        return dictionary.a_ms @ seen.somp.gains, seen.somp_cap, seen.somp, None, None
-
+        rank = seen.zero_fill_rank
+        row.cap = row.fields["rank_est"] = min(obs.incomplete.shape) if rank is None else rank
+        row.stage = "somp"
+        return
     if variant_kind == "rank_aware":
         hint = None
         if ranks:
@@ -438,52 +418,22 @@ def _estimate_one(
         # Corrector: the next hint comes from the rank of the completed
         # matrix, not from the raw factor count.
         try:
-            corrected = estimate_rank(result.completed)
+            rank_est = estimate_rank(result.completed)
         except DegenerateSystemError:
-            corrected = result.rank
-        ranks.append(max(corrected, 1))
-        return None, corrected, None, result, max(corrected, 1)
-
-    if variant_kind == "fixed_rank":
+            rank_est = result.rank
+        ranks.append(max(rank_est, 1))
+        cap = max(rank_est, 1)
+    elif variant_kind == "fixed_rank":
         result = r1mc_complete(obs, rank_hint=variant_param)
-        return None, variant_param, None, result, variant_param
-
-    # rank_oblivious, the one kind left that parse_variant returns.
-    result = r1mc_complete(obs, rank_hint=min(obs.incomplete.shape))
-    # No rank feedback: the pursuit stops on its residual alone.
-    return None, result.rank, None, result, None
-
-
-def _failed(exc: Exception) -> dict:
-    """The outcome fields of a record that ``exc`` failed."""
-    return dict(
-        nmse=math.nan, nmse_db=math.nan, recovered=False, ber=None, rank_est=0,
-        error=f"{type(exc).__name__}: {exc}", iterations=0, converged=None,
-        final_residual=None,
-    )
-
-
-@dataclass
-class _Pending:
-    """One record before its NMSE: its :class:`MetricRecord` ``fields`` so
-    far and its channel estimate ``h`` with its ``sparse`` estimate, or,
-    while it waits for Phase II, the Phase-I ``solve`` whose completion
-    Phase II pursues at rank ``cap`` (None for no cap).  A failed record
-    has no ``h``."""
-
-    fields: dict
-    h: np.ndarray | None = None
-    sparse: SparseGainEstimate | None = None
-    solve: CompletionResult | None = None
-    cap: int | None = None
-
-    @property
-    def awaits_phase2(self) -> bool:
-        return self.solve is not None and self.h is None
-
-    def fail(self, exc: Exception) -> None:
-        self.fields.update(_failed(exc))
-        self.h = self.sparse = self.solve = None
+        rank_est = cap = variant_param
+    else:
+        # rank_oblivious, the one kind left that parse_variant returns.
+        result = r1mc_complete(obs, rank_hint=min(obs.incomplete.shape))
+        # No rank feedback: the pursuit stops on its residual alone.
+        rank_est, cap = result.rank, None
+    row.fields.update(rank_est=int(rank_est), iterations=result.iterations,
+                      converged=result.converged, final_residual=result.final_residual)
+    row.solve, row.cap, row.stage = result, cap, "phase2"
 
 
 def _run_trial(
@@ -491,88 +441,106 @@ def _run_trial(
     variant: str,
     snr_idx: int,
     trial: int,
-    dictionary,
     steps: list[_StepDraws],
     observed: list[_Observed],
-) -> list[_Pending]:
-    """One (variant, SNR, trial) up to Phase II: a :class:`_Pending` per
-    step, its ``runtime_ms`` the wall time of its estimate so far."""
+) -> list[_Row]:
+    """One (variant, SNR, trial) up to its stacked stage: a :class:`_Row`
+    per step, its ``runtime_ms`` the wall time of its estimate so far."""
     kind, param = parse_variant(variant)
     snr_db = cfg.snr_grid_db[snr_idx]
     ranks: list[int] = []
     rows = []
     for t, (step, seen) in enumerate(zip(steps, observed)):
         started = time.perf_counter()
-        row = _Pending(dict(variant=variant, snr_db=snr_db, trial=trial, t=t,
-                            rank_true=step.rank_true))
+        row = _Row(dict(variant=variant, snr_db=snr_db, trial=trial, t=t,
+                        rank_true=step.rank_true), seen)
         try:
             if seen.error is not None:
                 raise seen.error.with_traceback(None)
-            row.h, rank_est, row.sparse, row.solve, row.cap = _estimate_one(
-                kind, param, seen, dictionary, ranks
-            )
-            row.fields["rank_est"] = int(rank_est)
-            if row.solve is not None:
-                row.fields.update(
-                    iterations=row.solve.iterations,
-                    converged=row.solve.converged,
-                    final_residual=row.solve.final_residual,
-                )
-        except (RamcError, np.linalg.LinAlgError) as exc:
+            _estimate_one(kind, param, row, ranks)
+        except _ERRORS as exc:
             row.fail(exc)
         row.fields["runtime_ms"] = (time.perf_counter() - started) * 1e3
         rows.append(row)
     return rows
 
 
-def _run_phase2(step: _StepDraws, dictionary, rows: list[_Pending]) -> None:
-    """Give each of ``rows``, which await Phase II at one step, its
-    estimate from one :func:`estimate_phase2` call on the stack of their
-    completions; an error of one slot fails its record, and an error of
-    the whole call fails them all."""
-    if not rows:
+def _stacked(rows: list[_Row], inputs, call, place) -> None:
+    """Run one stacked stage over ``rows``.
+
+    ``inputs(row)`` gives a row's tuple of inputs, and a row whose inputs
+    raise fails alone.  If any row is ready, one ``call`` takes the ready
+    rows' inputs, one sequence per tuple position in row order, and
+    returns one result per row.  A result that is an error fails its row,
+    an error of the whole call fails every ready row, and
+    ``place(row, result)`` stores each other result.
+    """
+    ready, args = [], []
+    for row in rows:
+        try:
+            args.append(inputs(row))
+        except _ERRORS as exc:
+            row.fail(exc)
+        else:
+            ready.append(row)
+    if not ready:
         return
     try:
-        estimates = estimate_phase2(
-            np.stack([row.solve.completed for row in rows]), step.block, dictionary,
-            [row.cap for row in rows],
-        )
-    except (RamcError, np.linalg.LinAlgError) as exc:
-        estimates = [exc] * len(rows)
-    for row, est in zip(rows, estimates):
-        if isinstance(est, Exception):
-            row.fail(est)
+        results = call(*zip(*args))
+    except _ERRORS as exc:
+        results = [exc] * len(ready)
+    for row, result in zip(ready, results):
+        if isinstance(result, Exception):
+            row.fail(result)
         else:
-            row.h, row.sparse = grid_channel(est, dictionary), est
+            place(row, result)
 
 
-def _finish_trial(
-    cfg: ExperimentConfig,
-    dictionary,
-    steps: list[_StepDraws],
-    runs,
-    artifacts: dict | None = None,
-) -> list[MetricRecord]:
-    """One trial's records from the :class:`_Pending` rows of each
-    :func:`_run_trial` in ``runs``.
-
-    Each step runs Phase II once for its rows that await it
-    (:func:`_run_phase2`), then takes each row's NMSE, adding its time to
-    ``runtime_ms``, and, if ``cfg.ber_symbols`` is positive, makes one
-    :func:`ber_link` call over the estimates of its records that have
-    not failed, at each record's own SNR.  A row that ``ber_link`` fails,
-    or an error of the whole call, fails its record.  ``artifacts``, if
-    given, receives the truth, estimate, sparse estimate and solver trace
-    of each step whose estimate succeeded, with its time index in "t".
+def _trial_records(cfg: ExperimentConfig, variants, snr_indices, trial: int, dictionary,
+                   steps: list[_StepDraws], artifacts: dict | None = None) -> list[MetricRecord]:
+    """One trial's records of every variant at every SNR index, through
+    the stages in the order that the module docstring lists; the NMSE of
+    each row, before the BER, adds its time to ``runtime_ms``.
+    ``artifacts``, if given, receives the truth, estimate, sparse
+    estimate and solver trace of each row whose estimate succeeded, with
+    its time index in "t".
     """
-    rows = [row for run in runs for row in run]
+    observed = [[_Observed(cfg, snr_idx, step) for step in steps] for snr_idx in snr_indices]
+    rows = [
+        row
+        for variant in variants
+        for snr_idx, seen in zip(snr_indices, observed)
+        for row in _run_trial(cfg, variant, snr_idx, trial, steps, seen)
+    ]
+
+    def somp_done(row, est):
+        # AoA atoms only: no AoD, and each gain is a row over the BS antennas.
+        params = tuple((float(dictionary.grid_aoa[k]), None, est.gains[k]) for k in est.support)
+        row.h = dictionary.a_ms @ est.gains
+        row.sparse = SparseGainEstimate(est.gains, est.support, params)
+
+    def phase2_done(row, est):
+        row.h, row.sparse = grid_channel(est, dictionary), est
+
+    _stacked(
+        [row for row in rows if row.stage == "somp"],
+        lambda row: (row.seen.coarse, row.cap),
+        lambda targets, caps: somp_baseline(np.stack(targets), dictionary.a_ms, caps),
+        somp_done,
+    )
     if artifacts is not None:
         artifacts.update(t=[], truth=[], estimate=[], sparse=[], trace=[])
     for t, step in enumerate(steps):
         at_t = [row for row in rows if row.fields["t"] == t]
-        _run_phase2(step, dictionary, [row for row in at_t if row.awaits_phase2])
-        live = [row for row in at_t if row.h is not None]
-        for row in live:
+        _stacked(
+            [row for row in at_t if row.stage == "phase2"],
+            lambda row: (row.solve.completed, row.cap),
+            lambda targets, caps: estimate_phase2(np.stack(targets), step.block, dictionary, caps),
+            phase2_done,
+        )
+        for row in at_t:
+            if row.h is None:
+                continue
             started = time.perf_counter()
             if artifacts is not None:
                 artifacts["t"].append(t)
@@ -585,24 +553,18 @@ def _finish_trial(
                 value_db = nmse_db(value)
                 row.fields.update(nmse=value, nmse_db=value_db, ber=None,
                                   recovered=value_db <= cfg.recovery_threshold_db)
-            except (RamcError, np.linalg.LinAlgError) as exc:
+            except _ERRORS as exc:
                 row.fail(exc)
             row.fields["runtime_ms"] += (time.perf_counter() - started) * 1e3
-        live = [row for row in live if row.h is not None]
-        if not cfg.ber_symbols or not live:
-            continue
-        try:
-            bers = ber_link(
-                step.real.matrix, step.s_true, np.stack([row.h for row in live]),
-                [row.fields["snr_db"] for row in live], cfg.hybrid.n_streams,
+        if cfg.ber_symbols:
+            _stacked(
+                [row for row in at_t if row.h is not None],
+                lambda row: (row.h, row.fields["snr_db"]),
+                lambda estimates, snrs: ber_link(
+                    step.real.matrix, step.s_true, np.stack(estimates), snrs, cfg.hybrid.n_streams
+                ),
+                lambda row, ber: row.fields.update(ber=ber),
             )
-        except (RamcError, np.linalg.LinAlgError) as exc:
-            bers = [exc] * len(live)
-        for row, ber in zip(live, bers):
-            if isinstance(ber, Exception):
-                row.fail(ber)
-            else:
-                row.fields["ber"] = ber
     return [MetricRecord(**row.fields) for row in rows]
 
 
@@ -611,39 +573,33 @@ def run_sweep(
     variants,
     threads: int | None = None,
 ) -> list[MetricRecord]:
-    """Evaluate the estimator ``variants`` (names that :func:`parse_variant`
-    accepts, one or more) over the configured SNR grid.
+    """Evaluate the estimator ``variants`` (a sequence of one or more
+    names that :func:`parse_variant` accepts) over the configured SNR
+    grid.
 
     Every draw depends only on (trial, t), so all variants and SNRs see
-    identical data and pair trial for trial; workers take whole trials,
-    whose SNR- and variant-free draws are made once per step, whose
-    observations once per (step, SNR), and whose Phase-II pursuits and
-    BER links once per step for every (variant, SNR), and share them.  Module errors mark single
+    identical data and pair trial for trial.  Workers take whole trials,
+    each run as one :func:`_trial_records`.  Module errors mark single
     records as failed; the sweep continues.
 
     Records come back sorted by (variant, snr, trial, t) regardless of
-    the worker count.  An unknown or repeated variant raises ConfigError
-    before any trial runs.
+    the worker count.  No variant, a bare string, or an unknown or
+    repeated variant raises ConfigError before any trial runs.
     """
-    variants = list(variants)
-    for name in variants:
+    names = [] if isinstance(variants, str) else list(variants)
+    if not names:
+        raise ConfigError(f"variants must be a sequence of one or more names, got {variants!r}")
+    for name in names:
         parse_variant(name)
-    if len(set(variants)) < len(variants):
-        raise ConfigError(f"variants must not repeat, got {variants}")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"variants must not repeat, got {names}")
     workers = threads if threads is not None else cfg.threads
     dictionary = _dictionary(cfg)
+    snr_indices = range(len(cfg.snr_grid_db))
 
     def trial_records(trial):
         steps = _draw_trial(cfg, trial, dictionary)
-        snrs = range(len(cfg.snr_grid_db))
-        observed = [[_Observed(cfg, snr_idx, step) for step in steps] for snr_idx in snrs]
-        _run_somp(variants, [seen for row in observed for seen in row], dictionary)
-        runs = [
-            _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, seen)
-            for variant in variants
-            for snr_idx, seen in enumerate(observed)
-        ]
-        return _finish_trial(cfg, dictionary, steps, runs)
+        return _trial_records(cfg, names, snr_indices, trial, dictionary, steps)
 
     if workers == 1:
         chunks = [trial_records(trial) for trial in range(cfg.n_trials)]
@@ -671,10 +627,7 @@ def run_single_trial(
     of the steps whose estimate succeeded, with their time indices in "t".
     """
     dictionary, steps = _single_trial_draws(cfg, snr_idx, trial)
-    observed = [_Observed(cfg, snr_idx, step) for step in steps]
-    _run_somp((variant,), observed, dictionary)
-    run = _run_trial(cfg, variant, snr_idx, trial, dictionary, steps, observed)
-    return _finish_trial(cfg, dictionary, steps, [run], artifacts)
+    return _trial_records(cfg, [variant], [snr_idx], trial, dictionary, steps, artifacts)
 
 
 def write_records(path, records) -> None:

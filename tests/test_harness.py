@@ -702,10 +702,19 @@ class TestRunSweep:
             else:
                 assert new == old and not new.error
 
-    def test_repeated_variant_rejected(self):
+    def test_repeated_variant_rejected(self, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(harness, "_draw_trial", no_trial)
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(10.0,), n_trials=1)
         with pytest.raises(ConfigError, match="repeat"):
             run_sweep(cfg, variants=("rank_aware", "coarse_only", "rank_aware"))
+        # No variant at all, or a bare string, which would otherwise be
+        # read as one variant per character.
+        for variants in ([], (), "rank_aware"):
+            with pytest.raises(ConfigError, match="one or more names, got"):
+                run_sweep(cfg, variants)
 
     def test_cluster_birth_sweeps_without_failure(self):
         # A schedule that grows 2 clusters to 3 draws the new cluster with
@@ -809,6 +818,54 @@ class TestRunSweep:
         run_single_trial(cfg, "rank_aware", artifacts=arts_a)
         run_single_trial(cfg, "coarse_only", artifacts=arts_b)
         assert np.array_equal(arts_a["truth"][0], arts_b["truth"][0])
+
+
+class TestStacked:
+    # Each row is "ready", "input" (its inputs raise) or "slot" (its slot
+    # of the call holds an error); ``whole`` is an error the call raises.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        states=st.lists(st.sampled_from(["ready", "input", "slot"]), max_size=8),
+        input_error=st.sampled_from([ShapeError, np.linalg.LinAlgError]),
+        whole=st.sampled_from([None, MatrixSizeError("whole"), np.linalg.LinAlgError("whole")]),
+    )
+    def test_each_row_gets_its_own_slot_or_error(self, states, input_error, whole):
+        rows = [harness._Row(dict(index=i), seen=None, h=np.ones(1), stage="phase2")
+                for i in range(len(states))]
+        calls = []
+
+        def inputs(row):
+            i = row.fields["index"]
+            if states[i] == "input":
+                raise input_error(f"input {i}")
+            return i, f"x{i}"
+
+        def call(indices, labels):
+            calls.append((indices, labels))
+            if whole is not None:
+                raise whole
+            return [DegenerateSystemError(f"slot {i}") if states[i] == "slot" else f"result {i}"
+                    for i in indices]
+
+        harness._stacked(rows, inputs, call, lambda row, got: row.fields.update(result=got))
+        ready = [i for i, state in enumerate(states) if state != "input"]
+        assert calls == ([(tuple(ready), tuple(f"x{i}" for i in ready))] if ready else [])
+        for i, (state, row) in enumerate(zip(states, rows)):
+            if state == "input":
+                error = f"{input_error.__name__}: input {i}"
+            elif whole is not None:
+                error = f"{type(whole).__name__}: whole"
+            elif state == "slot":
+                error = f"DegenerateSystemError: slot {i}"
+            else:
+                assert row.fields == {"index": i, "result": f"result {i}"}
+                assert row.h is not None and row.stage == "phase2"
+                continue
+            assert math.isnan(row.fields.pop("nmse")) and math.isnan(row.fields.pop("nmse_db"))
+            assert row.fields == dict(index=i, error=error, recovered=False, ber=None,
+                                      rank_est=0, iterations=0, converged=None,
+                                      final_residual=None)
+            assert (row.h, row.sparse, row.solve, row.stage) == (None, None, None, None)
 
 
 class TestRunSingleTrial:
@@ -971,10 +1028,11 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
 
 def test_benchmark_tracer_sees_each_layer(monkeypatch):
     # The traced benchmark keys each job by _run_trial's (variant, SNR,
-    # trial) arguments, counts a Phase-I solve only under its trial span
-    # and reads the atom count of slot 0 of each Phase-II call.  With
-    # Phase II stacked per step outside _run_trial, all three must still
-    # hold, and tracing must not change a record.
+    # trial) arguments, counts a Phase-I solve only under its trial span,
+    # reads the atom count of slot 0 of each Phase-II call and counts the
+    # SOMP and Phase-II calls.  With SOMP stacked per trial and Phase II
+    # per step, both outside _run_trial, all of these must still hold,
+    # and tracing must not change a record.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
@@ -983,7 +1041,7 @@ def test_benchmark_tracer_sees_each_layer(monkeypatch):
     # the benchmark runs.
     spans = sys.modules["spans"]
     assert run.Tracer is spans.Tracer
-    cfg = ExperimentConfig(**SMALL, snr_grid_db=(5.0, 25.0), n_trials=1, time_steps=2)
+    cfg = ExperimentConfig(**SMALL, snr_grid_db=(5.0, 25.0), n_trials=2, time_steps=2)
     untraced = [dataclasses.replace(r, runtime_ms=0.0) for r in run_sweep(cfg, DEFAULT_ABLATION)]
     tracer = spans.Tracer()
     with tracer.patched(run.trace_targets(harness, channel)):
@@ -991,10 +1049,13 @@ def test_benchmark_tracer_sees_each_layer(monkeypatch):
     assert [dataclasses.replace(r, runtime_ms=0.0) for r in records] == untraced
     by_id = {sp.id: sp for sp in tracer.spans}
     solves = [sp for sp in tracer.spans if sp.name == "completion.solve"]
-    # 3 Phase-I variants x 2 SNRs x 2 steps.
-    assert len(solves) == 12
+    # 3 Phase-I variants x 2 SNRs x 2 trials x 2 steps.
+    assert len(solves) == 24
     assert all(by_id[sp.parent].name == "harness.trial" for sp in solves)
+    # One Phase-II call per step and one SOMP call per trial.
     phase2 = [sp for sp in tracer.spans if sp.name == "recovery.phase2"]
-    assert len(phase2) == 2 and all("atoms" in sp.info for sp in phase2)
+    assert len(phase2) == 4 and all("atoms" in sp.info for sp in phase2)
+    assert sum(sp.name == "recovery.somp" for sp in tracer.spans) == 2
     keys = {by_id[sp.parent].key for sp in solves}
-    assert keys == {f"{v}/snr{i}/trial0" for v in DEFAULT_ABLATION[:3] for i in (0, 1)}
+    assert keys == {f"{v}/snr{i}/trial{n}" for v in DEFAULT_ABLATION[:3] for i in (0, 1)
+                    for n in (0, 1)}
