@@ -12,13 +12,15 @@ it depends on, and shared read-only.  Per step (trial, t): the channel
 and its singular values, the pilot block with F @ S and its two
 pseudo-inverses, the observation noise and the mask.  Per (step, SNR),
 for every variant: the masked observation, the energy-rule rank of its
-zero fill and the coarse estimate.  Per trial: the estimates of every
-``somp_baseline`` row, in one :func:`somp_baseline` call.  Per step:
-the Phase-II estimates of every row with a Phase-I completion, in one
-:func:`estimate_phase2` call on atoms built once, then the BER of every
-row with an estimate, in one :func:`ber_link` call.  These three stacked
-stages run through :func:`_stacked`, so an error fails its own rows and
-no others.
+zero fill and the coarse estimate.  Per (step, SNR, rank hint), for
+every Phase-I variant that gives that hint: the :func:`r1mc_complete`
+solve and the energy-rule rank of its completion.  Per trial: the
+estimates of every ``somp_baseline`` row, in one :func:`somp_baseline`
+call.  Per step: the Phase-II estimates of every row with a Phase-I
+completion, in one :func:`estimate_phase2` call on atoms built once,
+then the BER of every row with an estimate, in one :func:`ber_link`
+call.  These three stacked stages run through :func:`_stacked`, so an
+error fails its own rows and no others.
 """
 
 from __future__ import annotations
@@ -60,12 +62,15 @@ class MetricRecord:
     ``iterations``, ``converged`` and ``final_residual`` (the observed-entry
     fit of the completion) come from the Phase-I completion solve; they
     are 0, None and None for variants without Phase I and for failed
-    records.  ``runtime_ms`` is the wall time of the record's own work
-    before its stacked stage (its Phase-I solve, or a baseline's
-    zero-fill rank and ``coarse_only``'s coarse estimate, timed in the
-    first record that takes them) and of its NMSE.  It leaves out the
-    SOMP pursuit with its coarse estimates, Phase II and the BER, which
-    run for many records at once.
+    records.  ``rank_est`` is the energy-rule rank of the completion for
+    ``rank_aware`` and ``rank_oblivious``, k for ``fixed_rank:k``, and the
+    zero fill's energy-rule rank for the baselines.  ``runtime_ms`` is
+    the wall time of the record's own work before its stacked stage (its
+    Phase-I solve, or a baseline's zero-fill rank and ``coarse_only``'s
+    coarse estimate, each timed in the first record that takes it, so a
+    record that shares another's solve does not time it) and of its
+    NMSE.  It leaves out the SOMP pursuit with its coarse estimates,
+    Phase II and the BER, which run for many records at once.
     """
 
     variant: str
@@ -275,16 +280,41 @@ def _observe_step(cfg: ExperimentConfig, snr_idx: int, step: _StepDraws):
 
 class _Observed:
     """One step's masked observation ``obs`` at one SNR, shared read-only
-    by every variant, or the ``error`` that its draws or ``observe`` raised."""
+    by every variant, or the ``error`` that its draws or ``observe`` raised.
+
+    Its Phase-I completions are shared too: one solve per rank hint, and
+    the energy-rule rank of each, computed when a variant first asks."""
 
     def __init__(self, cfg: ExperimentConfig, snr_idx: int, step: _StepDraws):
         self.obs, self.error = None, None
         self.block = step.block
+        self._solves: dict[int | None, CompletionResult] = {}
+        self._ranks: dict[int | None, int] = {}
         try:
             self.obs = _observe_step(cfg, snr_idx, step)
             self.obs.incomplete.setflags(write=False)
         except _ERRORS as exc:
             self.error = exc
+
+    def completion(self, hint: int | None) -> CompletionResult:
+        """The :func:`r1mc_complete` result of ``obs`` at ``hint``, with
+        a read-only ``completed``."""
+        if hint not in self._solves:
+            result = r1mc_complete(self.obs, rank_hint=hint)
+            result.completed.setflags(write=False)
+            self._solves[hint] = result
+        return self._solves[hint]
+
+    def corrected_rank(self, hint: int | None) -> int:
+        """The energy-rule rank of the completion at ``hint``, or its
+        factor count when the completion is zero."""
+        if hint not in self._ranks:
+            result = self.completion(hint)
+            try:
+                self._ranks[hint] = estimate_rank(result.completed)
+            except DegenerateSystemError:
+                self._ranks[hint] = result.rank
+        return self._ranks[hint]
 
     @cached_property
     def zero_fill_rank(self) -> int | None:
@@ -393,11 +423,15 @@ def _estimate_one(variant_kind: str, variant_param: int | None, row: _Row, ranks
     stage, setting the row's ``rank_est`` and its ``h`` or ``stage``.
 
     ``somp_baseline`` caps SOMP at the zero fill's rank (the full shape
-    when that is degenerate).  The Phase-I variants set their solver's
-    :class:`CompletionResult` as ``solve``.  ``ranks`` holds the trial's
+    when that is degenerate).  The Phase-I variants set their solve's
+    :class:`CompletionResult` as ``solve``, taken from ``row.seen``, so
+    variants that give the same hint share one solve.  ``fixed_rank:k``
+    hints k and caps Phase II at k.  ``ranks`` holds the trial's
     corrected ranks so far: ``rank_aware`` hints its solve with the last
-    one plus ``RANK_HEADROOM`` (no hint on the first step) and appends
-    its own, so a step whose Phase II fails still hints the next step.
+    one plus ``RANK_HEADROOM`` (no hint on the first step), reports the
+    completion's corrected rank as ``rank_est`` and appends it, so a step
+    whose Phase II fails still hints the next step.  ``rank_oblivious``
+    does the same but pursues without the rank cap.
     """
     seen, obs = row.seen, row.seen.obs
     if variant_kind == "coarse_only":
@@ -410,27 +444,21 @@ def _estimate_one(variant_kind: str, variant_param: int | None, row: _Row, ranks
         row.cap = row.fields["rank_est"] = min(obs.incomplete.shape) if rank is None else rank
         row.stage = "somp"
         return
-    if variant_kind == "rank_aware":
+    if variant_kind == "fixed_rank":
+        result = seen.completion(variant_param)
+        rank_est = cap = variant_param
+    else:
+        # rank_aware or rank_oblivious, the kinds left that parse_variant
+        # returns.
         hint = None
         if ranks:
             hint = min(ranks[-1] + RANK_HEADROOM, min(obs.incomplete.shape))
-        result = r1mc_complete(obs, rank_hint=hint)
+        result = seen.completion(hint)
         # Corrector: the next hint comes from the rank of the completed
         # matrix, not from the raw factor count.
-        try:
-            rank_est = estimate_rank(result.completed)
-        except DegenerateSystemError:
-            rank_est = result.rank
+        rank_est = seen.corrected_rank(hint)
         ranks.append(max(rank_est, 1))
-        cap = max(rank_est, 1)
-    elif variant_kind == "fixed_rank":
-        result = r1mc_complete(obs, rank_hint=variant_param)
-        rank_est = cap = variant_param
-    else:
-        # rank_oblivious, the one kind left that parse_variant returns.
-        result = r1mc_complete(obs, rank_hint=min(obs.incomplete.shape))
-        # No rank feedback: the pursuit stops on its residual alone.
-        rank_est, cap = result.rank, None
+        cap = max(rank_est, 1) if variant_kind == "rank_aware" else None
     row.fields.update(rank_est=int(rank_est), iterations=result.iterations,
                       converged=result.converged, final_residual=result.final_residual)
     row.solve, row.cap, row.stage = result, cap, "phase2"
@@ -626,6 +654,7 @@ def run_single_trial(
     per-step truth/estimate matrices, sparse estimates and solver traces
     of the steps whose estimate succeeded, with their time indices in "t".
     """
+    parse_variant(variant)
     dictionary, steps = _single_trial_draws(cfg, snr_idx, trial)
     return _trial_records(cfg, [variant], [snr_idx], trial, dictionary, steps, artifacts)
 

@@ -386,6 +386,19 @@ class TestRunSweep:
         assert len(seen) == 8 and len({id(obs) for obs in seen}) == 8
         assert not any(obs.incomplete.flags.writeable for obs in seen)
         assert not any(h.flags.writeable for h in estimates)
+        # A Phase-I completion may be shared by several rows, so it is
+        # read-only too.
+        real_complete = harness.r1mc_complete
+        solves = []
+
+        def spy_complete(*args, **kwargs):
+            solves.append(real_complete(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(harness, "r1mc_complete", spy_complete)
+        run_sweep(cfg, ("rank_aware", "fixed_rank:2", "rank_oblivious"))
+        assert len(solves) == 16
+        assert not any(result.completed.flags.writeable for result in solves)
 
     def test_step_work_done_once(self, monkeypatch):
         # Per (trial, t): the two pseudo-inverses of the coarse estimate,
@@ -432,7 +445,8 @@ class TestRunSweep:
             "coarse_channel": 12, "ber_link": 4,
         }
         # Without a baseline no coarse estimate or zero-fill rank is
-        # taken; rank_aware takes the energy-rule rank of each completion.
+        # taken; rank_aware and rank_oblivious take the energy-rule rank of
+        # each completion.
         phase1 = {"pinv": 2 * 4, "svd": 4, "observe": 12, "estimate_rank": 12,
                   "ber_link": 4, "estimate_phase2": 4}
         for variants, expected in (
@@ -440,13 +454,20 @@ class TestRunSweep:
             (("coarse_only", "somp_baseline"), {**once, "somp_baseline": 2}),
             (("rank_aware", "fixed_rank:2"), phase1),
             (("fixed_rank:2", "coarse_only", "somp_baseline", "rank_oblivious"),
-             {**once, "somp_baseline": 2, "estimate_phase2": 4}),
+             {**once, "estimate_rank": 24, "somp_baseline": 2, "estimate_phase2": 4}),
         ):
             counts.clear()
             records = run_sweep(cfg, variants)
             assert len(records) == 12 * len(variants) and not any(r.error for r in records)
             assert all(r.ber is not None for r in records)
             assert counts == expected
+        # rank_oblivious follows rank_aware's hints, so per (trial, t, SNR)
+        # the two share one Phase-I solve and its one corrected rank.
+        counting(harness, "r1mc_complete")
+        counts.clear()
+        records = run_sweep(cfg, ("rank_aware", "rank_oblivious"))
+        assert len(records) == 24 and not any(r.error for r in records)
+        assert counts == {**phase1, "r1mc_complete": 12}
         for variant, somp in (("coarse_only", 0), ("somp_baseline", 1)):
             counts.clear()
             run_single_trial(cfg, variant, snr_idx=1)
@@ -889,6 +910,32 @@ class TestRunSingleTrial:
         assert len(artifacts["estimate"]) == 2
         assert artifacts["estimate"][0].shape == (4, 4)
 
+    def test_unknown_variant_rejected_before_any_draw(self, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(harness, "_draw_trial", no_trial)
+        cfg = ExperimentConfig(**SMALL, time_steps=3)
+        for variant in ("bogus", "fixed_rank:0"):
+            with pytest.raises(ConfigError, match="variant|fixed rank"):
+                run_single_trial(cfg, variant)
+
+    def test_rank_oblivious_shares_rank_aware_solves(self):
+        # rank_oblivious differs from rank_aware only in Phase II's cap:
+        # it takes the same hints, so its solves and ranks are the same.
+        cfg = ExperimentConfig(snr_grid_db=(15.0,), n_trials=1, time_steps=3, master_seed=2)
+        arts = {"rank_aware": {}, "rank_oblivious": {}}
+        records = {v: run_single_trial(cfg, v, artifacts=a) for v, a in arts.items()}
+        aware, oblivious = records["rank_aware"], records["rank_oblivious"]
+        assert arts["rank_aware"]["trace"] == arts["rank_oblivious"]["trace"]
+        assert len(arts["rank_aware"]["trace"]) == 3 and all(arts["rank_aware"]["trace"])
+
+        def solve_fields(r):
+            return r.iterations, r.converged, r.final_residual, r.rank_est
+
+        assert [solve_fields(r) for r in aware] == [solve_fields(r) for r in oblivious]
+        assert not any(r.error for r in aware + oblivious)
+
     def test_bad_snr_index(self):
         cfg = ExperimentConfig(**SMALL)
         with pytest.raises(ConfigError):
@@ -950,7 +997,9 @@ class TestReports:
         assert np.all(gaps == 0.0)
 
     def test_gap_sign_on_schedule(self):
-        # A rank change mid-run punishes the variant that cannot follow it.
+        # Both variants follow a rank change mid-run in Phase I;
+        # rank_oblivious lacks only the rank cap on Phase II, and pays
+        # for it.
         cfg = ExperimentConfig(
             **SMALL, snr_grid_db=(25.0,), n_trials=4, time_steps=4,
             rank_schedule=((2, 3),),
@@ -1049,13 +1098,14 @@ def test_benchmark_tracer_sees_each_layer(monkeypatch):
     assert [dataclasses.replace(r, runtime_ms=0.0) for r in records] == untraced
     by_id = {sp.id: sp for sp in tracer.spans}
     solves = [sp for sp in tracer.spans if sp.name == "completion.solve"]
-    # 3 Phase-I variants x 2 SNRs x 2 trials x 2 steps.
-    assert len(solves) == 24
+    # 2 Phase-I variants x 2 SNRs x 2 trials x 2 steps; rank_oblivious
+    # takes rank_aware's solves.
+    assert len(solves) == 16
     assert all(by_id[sp.parent].name == "harness.trial" for sp in solves)
     # One Phase-II call per step and one SOMP call per trial.
     phase2 = [sp for sp in tracer.spans if sp.name == "recovery.phase2"]
     assert len(phase2) == 4 and all("atoms" in sp.info for sp in phase2)
     assert sum(sp.name == "recovery.somp" for sp in tracer.spans) == 2
     keys = {by_id[sp.parent].key for sp in solves}
-    assert keys == {f"{v}/snr{i}/trial{n}" for v in DEFAULT_ABLATION[:3] for i in (0, 1)
+    assert keys == {f"{v}/snr{i}/trial{n}" for v in DEFAULT_ABLATION[:2] for i in (0, 1)
                     for n in (0, 1)}
