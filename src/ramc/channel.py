@@ -25,9 +25,8 @@ SPEED_OF_LIGHT = 299_792_458.0
 # ``ChannelParams.velocity`` sets.
 CARRIER_WAVELENGTH = SPEED_OF_LIGHT / 28e9
 SAMPLE_PERIOD = 1e-7
-
-# Raised-cosine pulses are truncated beyond this many symbol periods.
-PULSE_SUPPORT_PERIODS = 4.0
+# Roll-off of the raised-cosine pulse that weighs each ray.
+PULSE_ROLLOFF = 0.3
 
 # Angles match a grid point when their sines agree within this tolerance.
 GRID_MATCH_TOL = 1e-9
@@ -50,32 +49,24 @@ def steering_vector(n: int, angle: float) -> np.ndarray:
     return np.exp(1j * phase * np.arange(n)) / math.sqrt(n)
 
 
-def raised_cosine(t, rolloff: float, period: float):
-    """Raised-cosine pulse in time, unit peak, truncated at +/-4 periods."""
-    if not 0.0 <= rolloff <= 1.0:
-        raise ValueError(f"rolloff must lie in [0, 1], got {rolloff}")
-    x = np.asarray(t, dtype=float) / period
-    out = np.sinc(x)
-    if rolloff > 0.0:
-        denom = 1.0 - (2.0 * rolloff * x) ** 2
-        # The removable singularity at |x| = 1/(2*rolloff) has the limit
-        # (pi/4) * sinc(1/(2*rolloff)).
-        singular = np.isclose(np.abs(denom), 0.0, atol=1e-12)
-        safe = np.where(singular, 1.0, denom)
-        out = out * np.cos(np.pi * rolloff * x) / safe
-        out = np.where(singular, (np.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff)), out)
-    out = np.where(np.abs(x) > PULSE_SUPPORT_PERIODS, 0.0, out)
-    return out.item() if np.ndim(t) == 0 else out
+def _pulse(delay: float) -> float:
+    """Unit-peak raised-cosine pulse p(-delay) of roll-off ``PULSE_ROLLOFF``;
+    ray delays lie in [0, Ts/4), far inside its first lobe."""
+    x = -delay / SAMPLE_PERIOD
+    y = math.pi * x
+    sinc = math.sin(y) / y if y else 1.0
+    return sinc * math.cos(math.pi * PULSE_ROLLOFF * x) / (1.0 - (2.0 * PULSE_ROLLOFF * x) ** 2)
 
 
 @dataclass(frozen=True)
 class ChannelParams:
     """Static geometry and waveform parameters of the channel model.
 
-    The 28 GHz carrier and 0.1 us sampling are model constants
-    (``CARRIER_WAVELENGTH``, ``SAMPLE_PERIOD``), and ``velocity`` (m/s,
-    default 120 km/h) alone sets the Doppler.  Both arrays are uniform
-    linear arrays with half-wavelength spacing, and every cluster holds
+    The 28 GHz carrier, 0.1 us sampling and 0.3 pulse roll-off are model
+    constants (``CARRIER_WAVELENGTH``, ``SAMPLE_PERIOD``,
+    ``PULSE_ROLLOFF``), and ``velocity`` (m/s, default 120 km/h) alone
+    sets the Doppler.  Both arrays are uniform linear arrays with
+    half-wavelength spacing, and every cluster holds
     ``rays_per_cluster`` rays.  Ray gains are scaled by
     sqrt(n_bs * n_ms / total ray count), so that E||H||_F^2 = n_bs * n_ms.
     """
@@ -84,7 +75,6 @@ class ChannelParams:
     n_ms: int = 8
     n_clusters: int = 2
     rays_per_cluster: int = 1
-    pulse_rolloff: float = 0.3
     angle_spread: float = 0.1
     velocity: float = 120.0 / 3.6
 
@@ -95,8 +85,6 @@ class ChannelParams:
             raise ConfigError("need at least one cluster")
         if not isinstance(self.rays_per_cluster, int) or self.rays_per_cluster < 1:
             raise ConfigError("rays_per_cluster must be a positive integer")
-        if not 0.0 <= self.pulse_rolloff <= 1.0:
-            raise ConfigError("pulse rolloff must lie in [0, 1]")
         # The angle domain is pi wide, and a bounded spread keeps every
         # drawn offset finite.
         if not 0.0 <= self.angle_spread <= math.pi:
@@ -172,12 +160,9 @@ def channel_matrix(real: ChannelRealization) -> np.ndarray:
     h = np.zeros((params.n_ms, params.n_bs), dtype=np.complex128)
     for cluster in real.clusters:
         for ray in cluster.rays:
-            pulse = raised_cosine(-ray.delay, params.pulse_rolloff, SAMPLE_PERIOD)
-            if pulse == 0.0:
-                continue
             a_ms = params.steering_ms(cluster.mean_aoa - ray.aoa_offset)
             a_bs = params.steering_bs(cluster.mean_aod - ray.aod_offset)
-            h += (scale * ray.gain * pulse) * np.outer(a_ms, a_bs.conj())
+            h += (scale * ray.gain * _pulse(ray.delay)) * np.outer(a_ms, a_bs.conj())
     return h
 
 

@@ -19,12 +19,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, config_to_dict, dump_defaults, load_config
+from .config import ExperimentConfig, dump_defaults, load_config
 from .errors import ConfigError, RamcError
 from .harness import (
     DEFAULT_ABLATION,
@@ -178,7 +178,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_config(args) -> int:
     if args.config:
-        text = json.dumps(config_to_dict(load_config(args.config)), indent=2)
+        text = json.dumps(asdict(load_config(args.config)), indent=2)
     else:
         text = dump_defaults()
     text += "\n"

@@ -4,8 +4,8 @@ Phase I of the estimation pipeline: singular-value based rank estimation
 and an augmented-Lagrangian block-coordinate solver that completes a
 masked observation matrix as a sum of rank-one factors with l1-shrunk
 weights; the achieved rank is however many weights remain positive at
-termination.  Carrying a rank hint from one time step to the next is
-the harness's job.
+termination.  The harness picks the factor count: the zero fill's
+:func:`estimate_rank` first, then a hint carried from step to step.
 """
 
 from __future__ import annotations
@@ -39,11 +39,7 @@ def estimate_rank(m) -> int:
     DegenerateSystemError
         If the matrix is numerically zero.
     """
-    return _energy_rank(np.linalg.svd(m, full_matrices=False, compute_uv=False))
-
-
-def _energy_rank(s: np.ndarray) -> int:
-    """The energy-rule count on descending singular values ``s``."""
+    s = np.linalg.svd(m, full_matrices=False, compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         raise DegenerateSystemError("cannot estimate the rank of a zero matrix")
     energy = np.cumsum(s**2)
@@ -104,7 +100,7 @@ def _update_factor(residual, u, vh):
     return u_new, vh_new, nu
 
 
-def r1mc_complete(incomplete: ObservationSet, rank_hint: int | None = None) -> CompletionResult:
+def r1mc_complete(incomplete: ObservationSet, rank_hint: int) -> CompletionResult:
     """Complete a masked matrix as an l1-regularised sum of rank-one factors.
 
     Per sweep, every active factor q is refit by one power step
@@ -154,10 +150,9 @@ def r1mc_complete(incomplete: ObservationSet, rank_hint: int | None = None) -> C
     incomplete : ObservationSet
         Masked observation; the mask must touch every row and column.
         Its ``noise_var`` sets the noise level the stop test uses.
-    rank_hint : int, optional
-        Number of rank-one factors to allocate.  Defaults to the
-        energy-rule rank of the zero-filled observation; the harness adds
-        its ``RANK_HEADROOM`` to its own hints, not here.
+    rank_hint : int
+        Number of rank-one factors to allocate, at least 1 and capped at
+        min(rows, cols); the harness picks it.
 
     Returns
     -------
@@ -185,14 +180,10 @@ def r1mc_complete(incomplete: ObservationSet, rank_hint: int | None = None) -> C
     noise_floor = math.sqrt(np.count_nonzero(observed) * incomplete.noise_var)
     mu = 1.0 / math.sqrt(max(rows, cols))
 
-    u, s, vh = np.linalg.svd(y_tilde, full_matrices=False)
-    cap = min(rows, cols)
-    if rank_hint is not None:
-        if rank_hint < 1:
-            raise ConfigError(f"rank hint must be >= 1, got {rank_hint}")
-        n_factors = min(rank_hint, cap)
-    else:
-        n_factors = min(_energy_rank(s), cap)
+    if rank_hint < 1:
+        raise ConfigError(f"rank hint must be >= 1, got {rank_hint}")
+    u, _, vh = np.linalg.svd(y_tilde, full_matrices=False)
+    n_factors = min(rank_hint, rows, cols)
 
     left = np.ascontiguousarray(u[:, :n_factors].T)
     right_h = vh[:n_factors].copy()

@@ -165,16 +165,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return _build(ExperimentConfig, data, "")
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    data = dataclasses.asdict(cfg)
-    for key, value in list(data.items()):
-        if isinstance(value, tuple):
-            data[key] = list(value)
-    if data["rank_schedule"] is not None:
-        data["rank_schedule"] = [list(pair) for pair in data["rank_schedule"]]
-    return data
-
-
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a JSON config file."""
     try:
@@ -189,7 +179,7 @@ def load_config(path) -> ExperimentConfig:
 
 def dump_defaults() -> str:
     """Default configuration as a JSON document."""
-    return json.dumps(config_to_dict(ExperimentConfig()), indent=2)
+    return json.dumps(dataclasses.asdict(ExperimentConfig()), indent=2)
 
 
 def check_snr_db(snrs, name: str) -> None:

@@ -12,15 +12,15 @@ it depends on, and shared read-only.  Per step (trial, t): the channel
 and its singular values, the pilot block with F @ S and its two
 pseudo-inverses, the observation noise and the mask.  Per (step, SNR),
 for every variant: the masked observation, the energy-rule rank of its
-zero fill and the coarse estimate.  Per (step, SNR, rank hint), for
-every Phase-I variant that gives that hint: the :func:`r1mc_complete`
-solve and the energy-rule rank of its completion.  Per trial: the
-estimates of every ``somp_baseline`` row, in one :func:`somp_baseline`
-call.  Per step: the Phase-II estimates of every row with a Phase-I
-completion, in one :func:`estimate_phase2` call on atoms built once,
-then the BER of every row with an estimate, in one :func:`ber_link`
-call.  These three stacked stages run through :func:`_stacked`, so an
-error fails its own rows and no others.
+zero fill (also the tracker's first hint) and the coarse estimate.  Per
+(step, SNR, rank hint), for every Phase-I variant that gives that hint:
+the :func:`r1mc_complete` solve and the energy-rule rank of its
+completion.  Per trial: the estimates of every ``somp_baseline`` row, in
+one :func:`somp_baseline` call.  Per step: the Phase-II estimates of
+every row with a Phase-I completion, in one :func:`estimate_phase2` call
+on atoms built once, then the BER of every row with an estimate, in one
+:func:`ber_link` call.  These three stacked stages run through
+:func:`_stacked`, so an error fails its own rows and no others.
 """
 
 from __future__ import annotations
@@ -288,15 +288,15 @@ class _Observed:
     def __init__(self, cfg: ExperimentConfig, snr_idx: int, step: _StepDraws):
         self.obs, self.error = None, None
         self.block = step.block
-        self._solves: dict[int | None, CompletionResult] = {}
-        self._ranks: dict[int | None, int] = {}
+        self._solves: dict[int, CompletionResult] = {}
+        self._ranks: dict[int, int] = {}
         try:
             self.obs = _observe_step(cfg, snr_idx, step)
             self.obs.incomplete.setflags(write=False)
         except _ERRORS as exc:
             self.error = exc
 
-    def completion(self, hint: int | None) -> CompletionResult:
+    def completion(self, hint: int) -> CompletionResult:
         """The :func:`r1mc_complete` result of ``obs`` at ``hint``, with
         a read-only ``completed``."""
         if hint not in self._solves:
@@ -305,7 +305,7 @@ class _Observed:
             self._solves[hint] = result
         return self._solves[hint]
 
-    def corrected_rank(self, hint: int | None) -> int:
+    def corrected_rank(self, hint: int) -> int:
         """The energy-rule rank of the completion at ``hint``, or its
         factor count when the completion is zero."""
         if hint not in self._ranks:
@@ -318,7 +318,8 @@ class _Observed:
 
     @cached_property
     def zero_fill_rank(self) -> int | None:
-        """The baselines' energy-rule rank of ``obs``; None when degenerate."""
+        """The energy-rule rank of ``obs``, the baselines' rank and the
+        tracker's first hint; None when degenerate."""
         try:
             return estimate_rank(self.obs.incomplete)
         except DegenerateSystemError:
@@ -363,22 +364,20 @@ DEFAULT_ABLATION = (
     "somp_baseline",
 )
 
-_FIXED_RANK_RE = re.compile(r"^fixed_rank:(\d+)$")
+_FIXED_RANK_RE = re.compile(r"fixed_rank:([1-9][0-9]*)")
 
 
 def parse_variant(name: str) -> tuple[str, int | None]:
     """Split an estimator variant name into (kind, parameter).
 
-    ``fixed_rank`` takes its rank as ``fixed_rank:k``.
+    ``fixed_rank`` takes its rank as ``fixed_rank:k``, k in ASCII digits
+    without a leading zero, so that each variant has one name.
     """
     if name in ("rank_aware", "rank_oblivious", "coarse_only", "somp_baseline"):
         return name, None
-    match = _FIXED_RANK_RE.match(name)
+    match = _FIXED_RANK_RE.fullmatch(name)
     if match:
-        k = int(match.group(1))
-        if k < 1:
-            raise ConfigError(f"fixed rank must be >= 1 in {name!r}")
-        return "fixed_rank", k
+        return "fixed_rank", int(match.group(1))
     raise ConfigError(
         f"unknown estimator variant {name!r}; expected one of {VARIANTS} "
         "(fixed_rank takes a rank, e.g. fixed_rank:3)"
@@ -428,10 +427,10 @@ def _estimate_one(variant_kind: str, variant_param: int | None, row: _Row, ranks
     variants that give the same hint share one solve.  ``fixed_rank:k``
     hints k and caps Phase II at k.  ``ranks`` holds the trial's
     corrected ranks so far: ``rank_aware`` hints its solve with the last
-    one plus ``RANK_HEADROOM`` (no hint on the first step), reports the
-    completion's corrected rank as ``rank_est`` and appends it, so a step
-    whose Phase II fails still hints the next step.  ``rank_oblivious``
-    does the same but pursues without the rank cap.
+    one plus ``RANK_HEADROOM`` (the zero fill's rank on the first step),
+    reports the completion's corrected rank as ``rank_est`` and appends
+    it, so a step whose Phase II fails still hints the next step.
+    ``rank_oblivious`` does the same but pursues without the rank cap.
     """
     seen, obs = row.seen, row.seen.obs
     if variant_kind == "coarse_only":
@@ -450,9 +449,10 @@ def _estimate_one(variant_kind: str, variant_param: int | None, row: _Row, ranks
     else:
         # rank_aware or rank_oblivious, the kinds left that parse_variant
         # returns.
-        hint = None
         if ranks:
             hint = min(ranks[-1] + RANK_HEADROOM, min(obs.incomplete.shape))
+        elif (hint := seen.zero_fill_rank) is None:
+            raise DegenerateSystemError("cannot estimate the rank of a zero matrix")
         result = seen.completion(hint)
         # Corrector: the next hint comes from the rank of the completed
         # matrix, not from the raw factor count.

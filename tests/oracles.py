@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from ramc.channel import SAMPLE_PERIOD, _grid_index, raised_cosine
-from ramc.completion import DROP_STREAK, MAX_SWEEPS, _energy_rank
+from ramc.channel import _grid_index, _pulse
+from ramc.completion import DROP_STREAK, MAX_SWEEPS
 from ramc.config import snr_to_linear
 from ramc.errors import DegenerateSystemError
 from ramc.recovery import SparseGainEstimate
@@ -59,8 +59,7 @@ def angular_factorization(real, dictionary) -> np.ndarray:
             if i is None or j is None:
                 which = "AoA" if i is None else "AoD"
                 raise ValueError(f"cluster {ci} ray {ri}: {which} off the dictionary grid")
-            pulse = raised_cosine(-ray.delay, params.pulse_rolloff, SAMPLE_PERIOD)
-            hbar[i, j] += scale * ray.gain * pulse
+            hbar[i, j] += scale * ray.gain * _pulse(ray.delay)
     return hbar
 
 
@@ -178,7 +177,7 @@ def pursuit_direct_residual(targets, atoms, cap) -> SparseGainEstimate:
     return SparseGainEstimate(gains=gains, support=tuple(support))
 
 
-def r1mc_sweeps(incomplete, rank_hint=None):
+def r1mc_sweeps(incomplete, rank_hint):
     """``ramc.completion.r1mc_complete`` on a partial mask, written as
     whole-matrix steps: factors are columns, each power step is normed
     by ``np.linalg.norm``, the residual is deflated by ``w * outer(u, vᴴ)``
@@ -194,9 +193,8 @@ def r1mc_sweeps(incomplete, rank_hint=None):
     eps = 1e-6 * float(np.linalg.norm(y_tilde))
     noise_floor = math.sqrt(np.count_nonzero(observed) * incomplete.noise_var)
     mu = 1.0 / math.sqrt(max(rows, cols))
-    u0, s, vh0 = np.linalg.svd(y_tilde, full_matrices=False)
-    cap = min(rows, cols)
-    n_factors = min(rank_hint if rank_hint is not None else _energy_rank(s), cap)
+    u0, _, vh0 = np.linalg.svd(y_tilde, full_matrices=False)
+    n_factors = min(rank_hint, rows, cols)
     left = u0[:, :n_factors].copy()
     right = vh0[:n_factors].conj().T.copy()
     weights = np.zeros(n_factors)

@@ -15,9 +15,9 @@ from ramc.channel import (
     channel_matrix,
     evolve,
     make_dictionary,
-    raised_cosine,
     sample_realization,
     steering_vector,
+    _pulse,
 )
 from ramc.errors import ConfigError
 
@@ -92,9 +92,9 @@ class TestChannelParams:
         "kwargs",
         [
             {"n_bs": 0},
+            {"n_ms": 0},
             {"n_clusters": 0},
             {"rays_per_cluster": 0},
-            {"pulse_rolloff": 1.5},
             {"angle_spread": -0.1},
             {"angle_spread": math.inf},
             {"angle_spread": math.nan},
@@ -145,7 +145,7 @@ class TestChannelMatrix:
         expected = np.zeros((params.n_ms, params.n_bs), dtype=complex)
         for cluster in real.clusters:
             for ray in cluster.rays:
-                pulse = raised_cosine(-ray.delay, params.pulse_rolloff, SAMPLE_PERIOD)
+                pulse = _pulse(ray.delay)
                 a_ms = params.steering_ms(cluster.mean_aoa - ray.aoa_offset)
                 a_bs = params.steering_bs(cluster.mean_aod - ray.aod_offset)
                 expected += scale * ray.gain * pulse * np.outer(a_ms, a_bs.conj())
@@ -237,14 +237,14 @@ class TestEvolve:
 
 class TestRaisedCosine:
     def test_nyquist_zero_crossings(self):
-        t = np.arange(-3, 4) * 0.5
-        p = raised_cosine(t, rolloff=0.3, period=0.5)
-        assert p[3] == pytest.approx(1.0)
-        others = np.delete(p, 3)
+        assert _pulse(0.0) == 1.0
+        others = [_pulse(k * SAMPLE_PERIOD) for k in (-3, -2, -1, 1, 2, 3)]
         assert np.allclose(others, 0.0, atol=1e-12)
 
-    def test_scalar_input(self):
-        assert raised_cosine(0.0, rolloff=0.5, period=1.0) == pytest.approx(1.0)
+    def test_roll_off_at_the_longest_delay(self):
+        # sinc(1/4) cos(pi beta / 4) / (1 - (beta / 2)^2) at roll-off beta = 0.3.
+        expected = math.sin(math.pi / 4) / (math.pi / 4) * math.cos(0.075 * math.pi) / 0.9775
+        assert _pulse(0.25 * SAMPLE_PERIOD) == pytest.approx(expected, rel=1e-12)
 
 
 def test_dictionary_projection_helpers():

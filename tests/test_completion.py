@@ -13,7 +13,6 @@ from ramc.channel import ChannelParams, sample_realization
 from ramc import completion
 from ramc.completion import (
     MAX_SWEEPS,
-    _energy_rank,
     _update_factor,
     estimate_rank,
     r1mc_complete,
@@ -88,7 +87,7 @@ class TestR1mcComplete:
         m = _low_rank(rng, 10, 10, 2)
         mask = np.ones((10, 10), dtype=bool)
         obs = ObservationSet(mask=mask, incomplete=m.copy())
-        result = r1mc_complete(obs)
+        result = r1mc_complete(obs, rank_hint=2)
         assert np.allclose(result.completed, m, atol=1e-12)
         assert result.iterations == 0
         assert result.rank == 2
@@ -96,14 +95,6 @@ class TestR1mcComplete:
         assert result.final_residual == 0.0
         assert result.trace == ()
         assert not np.shares_memory(result.completed, obs.incomplete)
-
-    def test_no_hint_allocates_from_data(self):
-        rng = np.random.default_rng(143)
-        m = _low_rank(rng, 20, 20, 1)
-        obs = _masked_observation(rng, m, keep=0.6)
-        result = r1mc_complete(obs)
-        rel = np.linalg.norm(result.completed - m) / np.linalg.norm(m)
-        assert rel <= 1e-3
 
     def test_observed_entries_consistent(self):
         rng = np.random.default_rng(144)
@@ -174,7 +165,7 @@ def _completion_problems(draw):
         incomplete=np.where(mask, m, 0.0),
         noise_var=draw(st.sampled_from([0.0, 1e-6, 1e-2])),
     )
-    hint = draw(st.none() | st.integers(1, 8))
+    hint = draw(st.integers(1, 8))
     return obs, hint, draw(st.sampled_from([1, 40, MAX_SWEEPS]))
 
 
@@ -294,9 +285,9 @@ def test_sweep_medians_robust_to_roundoff(monkeypatch):
 def _partial_problems(draw):
     """A noisy low-rank matrix on a partial mask with at least the
     k (rows + cols - k) entries that fix a rank-k matrix, the solver's
-    factor count k as its hint or as the energy rule's, and a cap of 1 or
-    40 sweeps.  The noise level is the one the noise was drawn at, as the
-    harness sets it."""
+    factor count k as its hint, drawn or the zero fill's
+    :func:`estimate_rank`, and a cap of 1 or 40 sweeps.  The noise level
+    is the one the noise was drawn at, as the harness sets it."""
     rows, cols = draw(st.tuples(st.integers(3, 12), st.integers(3, 12)))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     m = _low_rank(rng, rows, cols, draw(st.integers(1, min(rows, cols))))
@@ -308,9 +299,8 @@ def _partial_problems(draw):
     assume(not mask.all())
     obs = ObservationSet(mask=mask, incomplete=np.where(mask, m, 0.0), noise_var=2 * sigma**2)
     if draw(st.booleans()):
-        k = _energy_rank(np.linalg.svd(obs.incomplete, compute_uv=False))
-        assume(k * (rows + cols - k) <= n_keep)
-        hint = None
+        hint = estimate_rank(obs.incomplete)
+        assume(hint * (rows + cols - hint) <= n_keep)
     return obs, hint, draw(st.sampled_from([1, 40]))
 
 

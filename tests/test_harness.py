@@ -49,6 +49,10 @@ from oracles import (
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+# Spellings of fixed_rank:2 that are not its one name: a leading zero, a
+# non-ASCII digit and a trailing newline.
+_OTHER_SPELLINGS = ("fixed_rank:02", "fixed_rank:\uff12", "fixed_rank:2\n")
+
 # Small geometry keeps per-trial solves around a millisecond.
 SMALL = dict(
     channel=ChannelParams(n_bs=4, n_ms=4, n_clusters=2, rays_per_cluster=1),
@@ -397,7 +401,9 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "r1mc_complete", spy_complete)
         run_sweep(cfg, ("rank_aware", "fixed_rank:2", "rank_oblivious"))
-        assert len(solves) == 16
+        # 16 (variant, SNR, trial, t) solves, less the one that fixed_rank:2
+        # shares with rank_aware's first step at 25 dB in trial 0.
+        assert len(solves) == 15
         assert not any(result.completed.flags.writeable for result in solves)
 
     def test_step_work_done_once(self, monkeypatch):
@@ -444,10 +450,11 @@ class TestRunSweep:
             "pinv": 2 * 4, "svd": 4, "observe": 12, "estimate_rank": 12,
             "coarse_channel": 12, "ber_link": 4,
         }
-        # Without a baseline no coarse estimate or zero-fill rank is
-        # taken; rank_aware and rank_oblivious take the energy-rule rank of
-        # each completion.
-        phase1 = {"pinv": 2 * 4, "svd": 4, "observe": 12, "estimate_rank": 12,
+        # Without a baseline no coarse estimate is taken; rank_aware and
+        # rank_oblivious take the energy-rule rank of each completion and,
+        # for their first hint, of each first step's zero fill (2 trials x
+        # 3 SNRs).
+        phase1 = {"pinv": 2 * 4, "svd": 4, "observe": 12, "estimate_rank": 12 + 6,
                   "ber_link": 4, "estimate_phase2": 4}
         for variants, expected in (
             (("coarse_only",), once),
@@ -736,6 +743,54 @@ class TestRunSweep:
         for variants in ([], (), "rank_aware"):
             with pytest.raises(ConfigError, match="one or more names, got"):
                 run_sweep(cfg, variants)
+        # Other spellings of fixed_rank:2 would pass the repeat check and
+        # run one estimator twice under two names.
+        for name in _OTHER_SPELLINGS:
+            with pytest.raises(ConfigError, match="unknown estimator variant"):
+                run_sweep(cfg, ("fixed_rank:2", name))
+
+    def test_first_hint_is_the_zero_fill_rank(self, monkeypatch):
+        # rank_aware hints its first step's solve with the energy-rule rank
+        # of that step's zero fill, the rank that the baselines report, and
+        # that rank is taken once per (trial, t, SNR) for all five variants.
+        cfg = ExperimentConfig(**SMALL, snr_grid_db=(5.0, 25.0), n_trials=2, time_steps=2)
+        real_observe, real_rank, real_complete = (
+            harness.observe, harness.estimate_rank, harness.r1mc_complete
+        )
+        observations, ranked, solves = [], [], []
+
+        def spy_observe(*args):
+            observations.append(real_observe(*args))
+            return observations[-1]
+
+        def spy_rank(m):
+            ranked.append(m)
+            return real_rank(m)
+
+        def spy_complete(obs, rank_hint):
+            solves.append((obs, rank_hint))
+            return real_complete(obs, rank_hint)
+
+        monkeypatch.setattr(harness, "observe", spy_observe)
+        monkeypatch.setattr(harness, "estimate_rank", spy_rank)
+        monkeypatch.setattr(harness, "r1mc_complete", spy_complete)
+        records = run_sweep(cfg, DEFAULT_ABLATION)
+        assert not any(r.error for r in records)
+        # Per trial, the observations come SNR by SNR and step by step.
+        assert len(observations) == 2 * 2 * 2
+        assert [sum(m is obs.incomplete for m in ranked) for obs in observations] == [1] * 8
+        firsts = [obs for i, obs in enumerate(observations) if i % 2 == 0]
+        for obs in firsts:
+            # rank_aware comes first in DEFAULT_ABLATION, so its solve is
+            # the first on each first-step observation.
+            hints = [hint for seen, hint in solves if seen is obs]
+            assert hints[0] == completion.estimate_rank(obs.incomplete)
+        # At 25 dB in trial 0 that rank is 2, so fixed_rank:2 takes the
+        # same solve: 15 solves instead of 16, with rows as when swept alone.
+        assert [hint for seen, hint in solves if seen is firsts[1]] == [2]
+        assert len(solves) == 15
+        fixed = [r for r in self._timeless(records) if r.variant == "fixed_rank:2"]
+        assert fixed == self._timeless(run_sweep(cfg, ("fixed_rank:2",)))
 
     def test_cluster_birth_sweeps_without_failure(self):
         # A schedule that grows 2 clusters to 3 draws the new cluster with
@@ -916,8 +971,8 @@ class TestRunSingleTrial:
 
         monkeypatch.setattr(harness, "_draw_trial", no_trial)
         cfg = ExperimentConfig(**SMALL, time_steps=3)
-        for variant in ("bogus", "fixed_rank:0"):
-            with pytest.raises(ConfigError, match="variant|fixed rank"):
+        for variant in ("bogus", "fixed_rank:0", *_OTHER_SPELLINGS):
+            with pytest.raises(ConfigError, match="unknown estimator variant"):
                 run_single_trial(cfg, variant)
 
     def test_rank_oblivious_shares_rank_aware_solves(self):
@@ -957,7 +1012,7 @@ class TestRunSingleTrial:
         real_complete = harness.r1mc_complete
         real_phase2 = harness.estimate_phase2
 
-        def recording_complete(obs, rank_hint=None):
+        def recording_complete(obs, rank_hint):
             hints.append(rank_hint)
             return real_complete(obs, rank_hint=rank_hint)
 
@@ -971,7 +1026,9 @@ class TestRunSingleTrial:
         monkeypatch.setattr(harness, "estimate_phase2", fail_first_phase2)
         cfg = ExperimentConfig(snr_grid_db=(25.0,), n_trials=1, time_steps=3, master_seed=5)
         records = run_single_trial(cfg, "rank_aware")
-        assert hints == [None, 4, 4]
+        # The first step is hinted with its zero fill's rank.
+        first = completion.estimate_rank(simulate_trial(cfg)[1][0].incomplete)
+        assert hints == [first, 4, 4]
         assert [r.t for r in records if r.error] == [0]
 
 
@@ -1098,9 +1155,10 @@ def test_benchmark_tracer_sees_each_layer(monkeypatch):
     assert [dataclasses.replace(r, runtime_ms=0.0) for r in records] == untraced
     by_id = {sp.id: sp for sp in tracer.spans}
     solves = [sp for sp in tracer.spans if sp.name == "completion.solve"]
-    # 2 Phase-I variants x 2 SNRs x 2 trials x 2 steps; rank_oblivious
+    # 2 Phase-I variants x 2 SNRs x 2 trials x 2 steps, less the one
+    # solve that fixed_rank:2 shares with rank_aware; rank_oblivious
     # takes rank_aware's solves.
-    assert len(solves) == 16
+    assert len(solves) == 15
     assert all(by_id[sp.parent].name == "harness.trial" for sp in solves)
     # One Phase-II call per step and one SOMP call per trial.
     phase2 = [sp for sp in tracer.spans if sp.name == "recovery.phase2"]

@@ -299,7 +299,7 @@ class TestAngularPipeline:
         real = sample_realization(params, rng, dictionary=dic)
         block = make_pilot_block(HybridConfig(), 8, 8, seed=4)
         obs = _full_observation(real, block)
-        completed = r1mc_complete(obs).completed
+        completed = r1mc_complete(obs, rank_hint=2).completed
         est, h = _phase2(completed, block, dic, 2)
         assert nmse(real.matrix, h) <= 1e-16
         assert len(est.support) <= 4  # squared rule on rank 2
@@ -311,7 +311,7 @@ class TestAngularPipeline:
         real = sample_realization(params, rng, dictionary=dic)
         block = make_pilot_block(HybridConfig(), 8, 8, seed=5)
         obs = _full_observation(real, block)
-        est, _ = _phase2(r1mc_complete(obs).completed, block, dic, 1)
+        est, _ = _phase2(r1mc_complete(obs, rank_hint=1).completed, block, dic, 1)
         assert len(est.support) == 1
         j, i = divmod(est.support[0], dic.size_aoa)
         truth = angular_factorization(real, dic)
@@ -333,7 +333,7 @@ class TestAngularPipeline:
         block = make_pilot_block(HybridConfig(m_bs=4, m_ms=4, pilot_length=8), 4, 4, seed=6)
         real = sample_realization(ChannelParams(n_bs=4, n_ms=4), rng)
         obs = _full_observation(real, block)
-        est, _ = _phase2(r1mc_complete(obs).completed, block, dic, rank)
+        est, _ = _phase2(r1mc_complete(obs, rank_hint=rank).completed, block, dic, rank)
         assert len(est.support) <= expected
 
     def test_phase2_returns_its_pursuit_error_in_its_slot(self, monkeypatch):
