@@ -26,24 +26,30 @@ MAX_SWEEPS = 500
 ENERGY_RATIO = 0.95
 
 
-def estimate_rank(m) -> int:
-    """Estimate rank as the smallest k retaining ``ENERGY_RATIO`` of the
-    Frobenius energy.
+def estimate_rank(stack) -> list:
+    """Estimate the rank of each matrix of a (B, rows, cols) stack as the
+    smallest k retaining ``ENERGY_RATIO`` of its Frobenius energy.
 
     Energy means squared singular values.  The trace-norm reading fails
     on noisy matrices: broadband noise inflates the unsquared tail until
-    the retained fraction undershoots the ratio at the true rank.
+    the retained fraction undershoots the ratio at the true rank.  The
+    singular values come from one stacked SVD, which gives each matrix
+    bit for bit its own.
 
-    Raises
-    ------
-    DegenerateSystemError
-        If the matrix is numerically zero.
+    Returns one entry per matrix: its rank, or the
+    :class:`DegenerateSystemError` of a numerically zero matrix, which
+    fails that slot alone.
     """
-    s = np.linalg.svd(m, full_matrices=False, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        raise DegenerateSystemError("cannot estimate the rank of a zero matrix")
-    energy = np.cumsum(s**2)
-    return min(int(np.searchsorted(energy, ENERGY_RATIO * energy[-1])) + 1, s.size)
+    s = np.linalg.svd(stack, compute_uv=False)
+    energy = np.cumsum(s**2, axis=-1)
+    # The energies do not decrease, so the rank is one more than the count
+    # of them below the retained share.
+    counts = np.count_nonzero(energy < ENERGY_RATIO * energy[:, -1:], axis=-1)
+    return [
+        min(int(count) + 1, len(sv)) if len(sv) and sv[0] > 0.0
+        else DegenerateSystemError("cannot estimate the rank of a zero matrix")
+        for count, sv in zip(counts, s)
+    ]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ provides the coarse pseudo-inverse channel estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,17 +53,18 @@ class HybridConfig:
 class PilotBlock:
     """One pilot transmission: beamformers and symbols.
 
-    The products every estimate of the block reuses are formed once, on
-    construction: ``effective_precoder`` is F @ S, and ``combiner_pinv``
-    and ``precoder_pinv`` are the pseudo-inverses of W^H and of F @ S.
+    Besides its factors it holds the products that every estimate of the
+    block reuses, which :func:`make_pilot_block` forms: ``effective_precoder``
+    is F @ S, and ``combiner_pinv`` and ``precoder_pinv`` are the
+    pseudo-inverses of W^H and of F @ S.
     """
 
     f: np.ndarray
     w: np.ndarray
     s: np.ndarray
-    effective_precoder: np.ndarray = field(init=False)
-    combiner_pinv: np.ndarray = field(init=False)
-    precoder_pinv: np.ndarray = field(init=False)
+    effective_precoder: np.ndarray
+    combiner_pinv: np.ndarray
+    precoder_pinv: np.ndarray
 
     def __post_init__(self):
         if self.f.ndim != 2 or self.w.ndim != 2 or self.s.ndim != 2:
@@ -72,10 +73,6 @@ class PilotBlock:
             raise ShapeError(
                 f"precoder columns {self.f.shape[1]} != pilot rows {self.s.shape[0]}"
             )
-        fs = self.f @ self.s
-        object.__setattr__(self, "effective_precoder", fs)
-        object.__setattr__(self, "combiner_pinv", np.linalg.pinv(self.w.conj().T, rcond=1e-12))
-        object.__setattr__(self, "precoder_pinv", np.linalg.pinv(fs, rcond=1e-12))
 
 
 @dataclass(frozen=True)
@@ -116,33 +113,6 @@ def analog_stage(
     return np.exp(2j * np.pi * q / levels) / math.sqrt(n)
 
 
-def _digital_stage(m: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    q, _ = np.linalg.qr(g)
-    return q
-
-
-def make_beamformers(
-    cfg: HybridConfig,
-    n_bs: int,
-    n_ms: int,
-    seed,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw hybrid precoder F (n_bs x m_bs) and combiner W (n_ms x m_ms).
-
-    Each is a constant-modulus analog stage times a random unitary digital
-    stage, rescaled so its squared Frobenius norm equals n_streams.
-    """
-    if cfg.m_bs > n_bs or cfg.m_ms > n_ms:
-        raise ConfigError("RF chains cannot exceed antenna count")
-    rng = np.random.default_rng(seed)
-    f = analog_stage(n_bs, cfg.m_bs, cfg.phase_bits, rng) @ _digital_stage(cfg.m_bs, rng)
-    w = analog_stage(n_ms, cfg.m_ms, cfg.phase_bits, rng) @ _digital_stage(cfg.m_ms, rng)
-    f *= math.sqrt(cfg.n_streams) / np.linalg.norm(f)
-    w *= math.sqrt(cfg.n_streams) / np.linalg.norm(w)
-    return f, w
-
-
 def pilot_symbols(cfg: HybridConfig) -> np.ndarray:
     """Orthogonal pilot rows: S @ S^H == I_{m_bs}.
 
@@ -153,10 +123,40 @@ def pilot_symbols(cfg: HybridConfig) -> np.ndarray:
     return rows / math.sqrt(n)
 
 
-def make_pilot_block(cfg: HybridConfig, n_bs: int, n_ms: int, seed) -> PilotBlock:
-    """Pilot block with random hybrid beamformers and DFT pilot symbols."""
-    f, w = make_beamformers(cfg, n_bs, n_ms, seed)
-    return PilotBlock(f=f, w=w, s=pilot_symbols(cfg))
+def make_pilot_block(cfg: HybridConfig, n_bs: int, n_ms: int, seeds) -> list[PilotBlock]:
+    """Pilot blocks with random hybrid beamformers and DFT pilot symbols,
+    one per seed of the sequence ``seeds``.
+
+    A block's precoder F (n_bs x m_bs) and combiner W (n_ms x m_ms) are
+    each a constant-modulus analog stage times a random unitary digital
+    stage (the Q of a complex Gaussian's QR), rescaled so that its squared
+    Frobenius norm equals n_streams.  Each block is drawn from its own
+    seed: F's analog stage and Gaussian, then W's.  The QRs of each stage,
+    the products and both pseudo-inverses are then taken once over the
+    stack of blocks, and each block gets bit for bit what it gets in a
+    stack of one.
+    """
+    if cfg.m_bs > n_bs or cfg.m_ms > n_ms:
+        raise ConfigError("RF chains cannot exceed antenna count")
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for n, m in ((n_bs, cfg.m_bs), (n_ms, cfg.m_ms)):
+            draws.append(analog_stage(n, m, cfg.phase_bits, rng))
+            draws.append(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    if not draws:
+        return []
+    analog_f, gauss_f, analog_w, gauss_w = (np.stack(draws[i::4]) for i in range(4))
+    f = analog_f @ np.linalg.qr(gauss_f)[0]
+    w = analog_w @ np.linalg.qr(gauss_w)[0]
+    for beams in (*f, *w):
+        beams *= math.sqrt(cfg.n_streams) / np.linalg.norm(beams)
+    s = pilot_symbols(cfg)
+    fs = f @ s
+    combiner_pinv = np.linalg.pinv(w.conj().transpose(0, 2, 1), rcond=1e-12)
+    precoder_pinv = np.linalg.pinv(fs, rcond=1e-12)
+    return [PilotBlock(f[k], w[k], s, fs[k], combiner_pinv[k], precoder_pinv[k])
+            for k in range(len(f))]
 
 
 def observe(

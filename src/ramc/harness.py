@@ -7,20 +7,25 @@ reports and writes the canonical records CSV.  Seeds derive from
 regardless of scheduling order or worker count.
 
 A trial is a list of rows, one per record (variant, SNR, t), that pass
-through its stages.  Each value is computed once, at the coarsest level
-it depends on, and shared read-only.  Per step (trial, t): the channel
-and its singular values, the pilot block with F @ S and its two
-pseudo-inverses, the observation noise and the mask.  Per (step, SNR),
-for every variant: the masked observation, the energy-rule rank of its
-zero fill (also the tracker's first hint) and the coarse estimate.  Per
+through its stages, and a sweep runs its trials in chunks of
+consecutive trials (see ``CHUNK_ROWS``).  Each value is computed once,
+at the coarsest level it depends on, and shared read-only.  Per chunk:
+the pilot blocks of every step, with F @ S and their two
+pseudo-inverses, in one :func:`make_pilot_block` call; the energy-rule
+rank of every zero fill (the baselines' rank and the tracker's first
+hint), in one :func:`estimate_rank` call, when any variant reads one;
+the estimates of every ``somp_baseline`` row, in one
+:func:`somp_baseline` call; and last the BER of every row with an
+estimate, in one :func:`ber_link` call.  Per step (trial, t): the
+channel and its singular values, the noiseless observation and its
+energy, the observation noise, the mask, and the Phase-II estimates of
+every row with a Phase-I completion, in one :func:`estimate_phase2` call
+on atoms built once from the step's pilot block.  Per (step, SNR), for
+every variant: the masked observation and the coarse estimate.  Per
 (step, SNR, rank hint), for every Phase-I variant that gives that hint:
 the :func:`r1mc_complete` solve and the energy-rule rank of its
-completion.  Per trial: the estimates of every ``somp_baseline`` row, in
-one :func:`somp_baseline` call.  Per step: the Phase-II estimates of
-every row with a Phase-I completion, in one :func:`estimate_phase2` call
-on atoms built once, then the BER of every row with an estimate, in one
-:func:`ber_link` call.  These three stacked stages run through
-:func:`_stacked`, so an error fails its own rows and no others.
+completion.  The stacked stages run through :func:`_slots`, so an error
+fails its own rows and no others.
 """
 
 from __future__ import annotations
@@ -66,11 +71,11 @@ class MetricRecord:
     ``rank_aware`` and ``rank_oblivious``, k for ``fixed_rank:k``, and the
     zero fill's energy-rule rank for the baselines.  ``runtime_ms`` is
     the wall time of the record's own work before its stacked stage (its
-    Phase-I solve, or a baseline's zero-fill rank and ``coarse_only``'s
-    coarse estimate, each timed in the first record that takes it, so a
-    record that shares another's solve does not time it) and of its
-    NMSE.  It leaves out the SOMP pursuit with its coarse estimates,
-    Phase II and the BER, which run for many records at once.
+    Phase-I solve, or ``coarse_only``'s coarse estimate, each timed in
+    the first record that takes it, so a record that shares another's
+    solve does not time it) and of its NMSE.  It leaves out the pilot
+    blocks, the zero-fill ranks, the SOMP pursuit with its coarse
+    estimates, Phase II and the BER, which run for many records at once.
     """
 
     variant: str
@@ -109,15 +114,18 @@ def nmse_db(value: float) -> float:
 
 
 def ber_link(h_true, s_true, h_est, snr_db, n_streams: int) -> list:
-    """Exact QPSK bit error rates of eigen-beamformed links, one per estimate.
+    """Exact QPSK bit error rates of eigen-beamformed links, one per row.
 
-    Row k of the stack ``h_est`` is one estimate of ``h_true``, whose
-    link runs at ``snr_db[k]``.  Precoder P and combiner C are the top
+    Row k of the stacks is one link: ``h_est[k]`` estimates the channel
+    ``h_true[k]``, whose singular values are ``s_true[k]``, and the link
+    runs at ``snr_db[k]``.  Precoder P and combiner C are the top
     ``n_streams`` singular vectors of the *estimate*, from one stacked
-    SVD; transmission runs over the *true* channel (singular values
-    ``s_true``) with AWGN and per-stream scalar equalisation by the link
-    gains g = diag(C^H H P), so estimation error shows up as inter-stream
-    interference and beamforming loss.
+    SVD; transmission runs over the *true* channel with AWGN and
+    per-stream scalar equalisation by the link gains g = diag(C^H H P),
+    so estimation error shows up as inter-stream interference and
+    beamforming loss.  Each row's signal power and gain floor come from
+    its own ``s_true[k]``, and every row gets bit for bit what it gets in
+    a stack of one.
 
     The BER is the sign-error rate's expectation given the link (Proakis
     & Salehi, Digital Communications, 5th ed.).  Stream j's real and
@@ -128,7 +136,7 @@ def ber_link(h_true, s_true, h_est, snr_db, n_streams: int) -> list:
     Q(b mu / std), Q(x) = erfc(x / sqrt(2)) / 2, and the BER is the mean
     of that over the 4^s sign patterns of s streams and their 2s parts.
     At +inf dB each part is decided as the noiseless ``mu < 0``, but a
-    part below the gain floor's scale, |mu| < 1e-12 s_true[0] / |g_j|,
+    part below the gain floor's scale, |mu| < 1e-12 s_true[k, 0] / |g_j|,
     is roundoff and is decided as exactly 0: an error iff it was sent
     minus.  The cost grows as 4^s, so at most ``MAX_BER_STREAMS`` (4)
     streams are taken.
@@ -141,27 +149,31 @@ def ber_link(h_true, s_true, h_est, snr_db, n_streams: int) -> list:
     """
     h = np.asarray(h_true, dtype=np.complex128)
     est = np.asarray(h_est, dtype=np.complex128)
-    if est.ndim != 3 or est.shape[1:] != h.shape or est.shape[0] != len(snr_db):
-        raise ShapeError(f"need one {h.shape} estimate per SNR, got {est.shape} for {len(snr_db)}")
+    sv = np.asarray(s_true, dtype=np.float64)
+    if (h.ndim != 3 or est.shape != h.shape or sv.ndim != 2 or len(sv) != len(h)
+            or len(snr_db) != len(h)):
+        raise ShapeError(f"need one channel, singular values, estimate and SNR per row, got "
+                         f"{h.shape}, {sv.shape}, {est.shape} and {len(snr_db)}")
     check_snr_db(snr_db, "ber_link snr_db")
-    if n_streams > min(h.shape):
-        raise ConfigError(f"{n_streams} streams exceed channel dimensions {h.shape}")
+    if n_streams > min(h.shape[1:]):
+        raise ConfigError(f"{n_streams} streams exceed channel dimensions {h.shape[1:]}")
     if n_streams > MAX_BER_STREAMS:
         raise ConfigError(f"the exact BER takes at most {MAX_BER_STREAMS} streams, got {n_streams}")
     u, s, vh = np.linalg.svd(est)
     live = np.flatnonzero(s[:, 0] != 0.0)
     combiner_h = u[live, :, :n_streams].conj().transpose(0, 2, 1)
-    link = combiner_h @ (h @ vh[live].conj().transpose(0, 2, 1)[:, :, :n_streams])
+    link = combiner_h @ (h[live] @ vh[live].conj().transpose(0, 2, 1)[:, :, :n_streams])
     # The noise level is referenced to matched beamforming on the true
     # channel, so misaligned beams lose receive SNR rather than being
     # compensated with extra power.  At +inf dB the noise vanishes.
-    signal_power = float(np.sum(s_true[:n_streams] ** 2)) / h.shape[0]
-    sigma = np.array([math.sqrt(signal_power / snr_to_linear(snr_db[k])) for k in live])
+    signal_power = np.sum(sv[live, :n_streams] ** 2, axis=1) / h.shape[1]
+    sigma = np.array([math.sqrt(power / snr_to_linear(snr_db[k]))
+                      for k, power in zip(live, signal_power.tolist())])
     diag = np.diagonal(link, axis1=1, axis2=2)
-    # A pair of unit beams gains at most s_true[0]; a stream whose link
+    # A pair of unit beams gains at most s_true[k, 0]; a stream whose link
     # gain is roundoff next to that has no link, so it is not equalised
     # by a gain whose phase is noise.
-    floor = 1e-12 * s_true[0]
+    floor = 1e-12 * sv[live, :1]
     gains = np.where(np.abs(diag) > floor, diag, 1.0)
     # Every pattern of the 2s sign bits, one column each, as QPSK symbols.
     signs = 1.0 - 2.0 * (np.arange(4**n_streams) >> np.arange(2 * n_streams)[:, None] & 1)
@@ -175,11 +187,11 @@ def ber_link(h_true, s_true, h_est, snr_db, n_streams: int) -> list:
     # Q(b mu / std) = erfc(b mu / scale) / 2; with no noise the argument
     # is +inf where the decision mu < 0 is right and -inf where it is not,
     # and a part whose link is roundoff (below the floor scaled as mu) is 0.
-    roundoff = np.abs(parts) < floor / gain_abs
+    roundoff = np.abs(parts) < floor[:, :, None] / gain_abs
     arg = np.where((parts < 0) & ~roundoff, -np.inf, np.inf) * signs
     noisy = sigma > 0.0
     arg[noisy] = signs * parts[noisy] / scale[noisy]
-    erfc = np.array([math.erfc(x) for x in arg.ravel().tolist()]).reshape(arg.shape)
+    erfc = np.fromiter(map(math.erfc, arg.flat), float, arg.size).reshape(arg.shape)
     out: list = [DegenerateSystemError("cannot beamform on a zero channel estimate")] * len(est)
     for k, ber in zip(live, 0.5 * erfc.mean(axis=(1, 2))):
         out[k] = float(ber)
@@ -193,8 +205,8 @@ def _seed(cfg: ExperimentConfig, tag: int, trial: int, t: int = 0):
     return np.random.SeedSequence((cfg.master_seed, tag, trial, t))
 
 
-def _noise_var_for_snr(y_clean: np.ndarray, snr_db: float) -> float:
-    return float(np.linalg.norm(y_clean) ** 2 / (y_clean.size * snr_to_linear(snr_db)))
+def _noise_var_for_snr(step: _StepDraws, snr_db: float) -> float:
+    return float(step.energy / (step.y_clean.size * snr_to_linear(snr_db)))
 
 
 def _dictionary(cfg: ExperimentConfig):
@@ -225,69 +237,89 @@ def _channel_track(cfg: ExperimentConfig, trial: int, dictionary):
 class _StepDraws:
     """One step's SNR- and variant-free inputs; ``s_true`` holds the
     channel's singular values, ``y_clean`` the pilot ``block``'s noiseless
-    WᴴHFS, ``noise`` its unscaled observation noise, ``mask`` its boolean
-    sampling mask and ``error`` what a draw raised."""
+    WᴴHFS and ``energy`` its squared norm, ``noise`` its unscaled
+    observation noise, ``mask`` its boolean sampling mask and ``error``
+    what a draw raised."""
 
     real: chan.ChannelRealization
     s_true: np.ndarray
     rank_true: int
     block: PilotBlock | None = None
     y_clean: np.ndarray | None = None
+    energy: float = 0.0
     noise: np.ndarray | None = None
     mask: np.ndarray | None = None
     error: Exception | None = None
 
 
-def _draw_trial(cfg: ExperimentConfig, trial: int, dictionary) -> list[_StepDraws]:
-    """Draw one trial's SNR- and variant-free inputs, one entry per step.
+def _draw_trials(cfg: ExperimentConfig, trials, dictionary) -> list[list[_StepDraws]]:
+    """Draw the SNR- and variant-free inputs of a chunk of trials: one
+    list per trial, one entry per step.
 
-    Their seeds depend on (trial, t) only, so every (variant, SNR) of the
-    trial shares them.  The arrays are made read-only, so that no
+    Their seeds depend on (trial, t) only, so every (variant, SNR) of a
+    trial shares them, however the trials are chunked.  The pilot blocks
+    of every step of the chunk come from one :func:`make_pilot_block`
+    call, retried step by step if it raises, so that a failed block fails
+    its own step alone.  The arrays are made read-only, so that no
     evaluation can change what the next one sees.
     """
-    steps = []
-    for t, real in enumerate(_channel_track(cfg, trial, dictionary)):
-        s_true = np.linalg.svd(real.matrix, compute_uv=False)
-        # np.linalg.matrix_rank's default rule, without a second SVD.
-        rtol = max(real.matrix.shape) * np.finfo(s_true.dtype).eps
-        rank_true = int(np.count_nonzero(s_true > s_true[0] * rtol))
-        try:
-            seed = _seed(cfg, _PILOT_TAG, trial, t)
-            block = make_pilot_block(cfg.hybrid, cfg.channel.n_bs, cfg.channel.n_ms, seed=seed)
-            y_clean = block.w.conj().T @ real.matrix @ block.effective_precoder
-            rng = np.random.default_rng(_seed(cfg, _NOISE_TAG, trial, t))
-            noise = rng.normal(size=y_clean.shape) + 1j * rng.normal(size=y_clean.shape)
-            seed = _seed(cfg, _MASK_TAG, trial, t)
-            mask = subsample(*y_clean.shape, cfg.keep_fraction, seed=seed)
-            steps.append(_StepDraws(real, s_true, rank_true, block, y_clean, noise, mask))
-            shared = [block.f, block.w, block.s, block.effective_precoder, block.combiner_pinv,
-                      block.precoder_pinv, y_clean, noise, mask]
-        except _ERRORS as exc:
-            steps.append(_StepDraws(real, s_true, rank_true, error=exc))
-            shared = []
-        for array in [real.matrix, s_true, *shared]:
-            array.setflags(write=False)
-    return steps
+    tracks = [_channel_track(cfg, trial, dictionary) for trial in trials]
+    seeds = [(_seed(cfg, _PILOT_TAG, trial, t),)
+             for trial, track in zip(trials, tracks) for t in range(len(track))]
+    blocks = iter(_slots(
+        lambda group: make_pilot_block(cfg.hybrid, cfg.channel.n_bs, cfg.channel.n_ms, group),
+        seeds,
+    ))
+    out = []
+    for trial, track in zip(trials, tracks):
+        steps = []
+        for t, (real, block) in enumerate(zip(track, blocks)):
+            s_true = np.linalg.svd(real.matrix, compute_uv=False)
+            # np.linalg.matrix_rank's default rule, without a second SVD.
+            rtol = max(real.matrix.shape) * np.finfo(s_true.dtype).eps
+            rank_true = int(np.count_nonzero(s_true > s_true[0] * rtol))
+            try:
+                if isinstance(block, Exception):
+                    raise block
+                y_clean = block.w.conj().T @ real.matrix @ block.effective_precoder
+                rng = np.random.default_rng(_seed(cfg, _NOISE_TAG, trial, t))
+                noise = rng.normal(size=y_clean.shape) + 1j * rng.normal(size=y_clean.shape)
+                seed = _seed(cfg, _MASK_TAG, trial, t)
+                mask = subsample(*y_clean.shape, cfg.keep_fraction, seed=seed)
+                steps.append(_StepDraws(real, s_true, rank_true, block, y_clean,
+                                        np.linalg.norm(y_clean) ** 2, noise, mask))
+                shared = [block.f, block.w, block.s, block.effective_precoder,
+                          block.combiner_pinv, block.precoder_pinv, y_clean, noise, mask]
+            except _ERRORS as exc:
+                steps.append(_StepDraws(real, s_true, rank_true, error=exc))
+                shared = []
+            for array in [real.matrix, s_true, *shared]:
+                array.setflags(write=False)
+        out.append(steps)
+    return out
 
 
 def _observe_step(cfg: ExperimentConfig, snr_idx: int, step: _StepDraws):
     """Masked observation of one step at one SNR."""
     if step.error is not None:
         raise step.error.with_traceback(None)
-    noise_var = _noise_var_for_snr(step.y_clean, cfg.snr_grid_db[snr_idx])
+    noise_var = _noise_var_for_snr(step, cfg.snr_grid_db[snr_idx])
     return observe(step.y_clean, step.noise, noise_var, step.mask)
 
 
 class _Observed:
-    """One step's masked observation ``obs`` at one SNR, shared read-only
-    by every variant, or the ``error`` that its draws or ``observe`` raised.
+    """One ``step``'s masked observation ``obs`` at one SNR, shared
+    read-only by every variant, or the ``error`` that its draws or
+    ``observe`` raised.
 
+    Its ``zero_fill`` is the energy-rule rank of ``obs``, or the error of
+    taking it, set for a whole chunk at once by :func:`_rank_zero_fills`.
     Its Phase-I completions are shared too: one solve per rank hint, and
     the energy-rule rank of each, computed when a variant first asks."""
 
     def __init__(self, cfg: ExperimentConfig, snr_idx: int, step: _StepDraws):
-        self.obs, self.error = None, None
-        self.block = step.block
+        self.obs, self.error, self.step = None, None, step
+        self.zero_fill: int | Exception | None = None
         self._solves: dict[int, CompletionResult] = {}
         self._ranks: dict[int, int] = {}
         try:
@@ -310,37 +342,44 @@ class _Observed:
         factor count when the completion is zero."""
         if hint not in self._ranks:
             result = self.completion(hint)
-            try:
-                self._ranks[hint] = estimate_rank(result.completed)
-            except DegenerateSystemError:
-                self._ranks[hint] = result.rank
+            (rank,) = estimate_rank(result.completed[None])
+            self._ranks[hint] = result.rank if isinstance(rank, DegenerateSystemError) else rank
         return self._ranks[hint]
 
-    @cached_property
+    @property
     def zero_fill_rank(self) -> int | None:
         """The energy-rule rank of ``obs``, the baselines' rank and the
         tracker's first hint; None when degenerate."""
-        try:
-            return estimate_rank(self.obs.incomplete)
-        except DegenerateSystemError:
+        if isinstance(self.zero_fill, DegenerateSystemError):
             return None
+        if isinstance(self.zero_fill, Exception):
+            raise self.zero_fill.with_traceback(None)
+        return self.zero_fill
 
     @cached_property
     def coarse(self) -> np.ndarray:
         """The baselines' read-only coarse estimate from ``obs``."""
-        estimate = coarse_channel(self.obs, self.block)
+        estimate = coarse_channel(self.obs, self.step.block)
         estimate.setflags(write=False)
         return estimate
 
 
-def _single_trial_draws(cfg: ExperimentConfig, snr_idx: int, trial: int):
-    """Checked ``(dictionary, steps)`` of one trial run outside the sweep."""
+def _rank_zero_fills(observed: list[_Observed]) -> None:
+    """Set the ``zero_fill`` of every observation in ``observed`` from
+    one stacked :func:`estimate_rank` call."""
+    live = [seen for seen in observed if seen.error is None]
+    ranks = _slots(lambda zero_fills: estimate_rank(np.stack(zero_fills)),
+                   [(seen.obs.incomplete,) for seen in live])
+    for seen, rank in zip(live, ranks):
+        seen.zero_fill = rank
+
+
+def _check_single_trial(cfg: ExperimentConfig, snr_idx: int, trial: int) -> None:
+    """Raise ConfigError unless (snr_idx, trial) is a trial of the sweep."""
     if not 0 <= snr_idx < len(cfg.snr_grid_db):
         raise ConfigError(f"snr index {snr_idx} outside the configured grid")
     if trial < 0:
         raise ConfigError(f"trial index must be non-negative, got {trial}")
-    dictionary = _dictionary(cfg)
-    return dictionary, _draw_trial(cfg, trial, dictionary)
 
 
 def simulate_trial(cfg: ExperimentConfig, snr_idx: int = 0, trial: int = 0):
@@ -349,7 +388,8 @@ def simulate_trial(cfg: ExperimentConfig, snr_idx: int = 0, trial: int = 0):
     Returns (track, observations) with one entry per time step, drawn
     from the same seed coordinates the sweep uses.
     """
-    _, steps = _single_trial_draws(cfg, snr_idx, trial)
+    _check_single_trial(cfg, snr_idx, trial)
+    (steps,) = _draw_trials(cfg, [trial], _dictionary(cfg))
     return [s.real for s in steps], [_observe_step(cfg, snr_idx, s) for s in steps]
 
 
@@ -493,15 +533,37 @@ def _run_trial(
     return rows
 
 
+def _slots(call, args: list) -> list:
+    """One result or error per slot of one stacked ``call``.
+
+    ``args`` holds one tuple of inputs per slot, and ``call`` takes them
+    as one sequence per tuple position and returns one result or error
+    per slot.  When the whole call raises, each slot is retried as a
+    stack of one, so that it fails only on its own error.
+    """
+    if not args:
+        return []
+    try:
+        return call(*zip(*args))
+    except _ERRORS as exc:
+        if len(args) == 1:
+            return [exc]
+    out = []
+    for one in args:
+        try:
+            out += call(*zip(one))
+        except _ERRORS as exc:
+            out.append(exc)
+    return out
+
+
 def _stacked(rows: list[_Row], inputs, call, place) -> None:
     """Run one stacked stage over ``rows``.
 
     ``inputs(row)`` gives a row's tuple of inputs, and a row whose inputs
-    raise fails alone.  If any row is ready, one ``call`` takes the ready
-    rows' inputs, one sequence per tuple position in row order, and
-    returns one result per row.  A result that is an error fails its row,
-    an error of the whole call fails every ready row, and
-    ``place(row, result)`` stores each other result.
+    raise fails alone.  The ready rows go through one ``call``, as
+    :func:`_slots` makes it.  A result that is an error fails its row,
+    and ``place(row, result)`` stores each other result.
     """
     ready, args = [], []
     for row in rows:
@@ -511,33 +573,39 @@ def _stacked(rows: list[_Row], inputs, call, place) -> None:
             row.fail(exc)
         else:
             ready.append(row)
-    if not ready:
-        return
-    try:
-        results = call(*zip(*args))
-    except _ERRORS as exc:
-        results = [exc] * len(ready)
-    for row, result in zip(ready, results):
+    for row, result in zip(ready, _slots(call, args)):
         if isinstance(result, Exception):
             row.fail(result)
         else:
             place(row, result)
 
 
-def _trial_records(cfg: ExperimentConfig, variants, snr_indices, trial: int, dictionary,
-                   steps: list[_StepDraws], artifacts: dict | None = None) -> list[MetricRecord]:
-    """One trial's records of every variant at every SNR index, through
-    the stages in the order that the module docstring lists; the NMSE of
-    each row, before the BER, adds its time to ``runtime_ms``.
-    ``artifacts``, if given, receives the truth, estimate, sparse
-    estimate and solver trace of each row whose estimate succeeded, with
-    its time index in "t".
+# The most rows a chunk of trials holds, unless one trial holds more.
+# Each shared stage runs once per chunk, and a sweep holds one chunk's
+# completions and traces at a time, per worker.
+CHUNK_ROWS = 2048
+
+
+def _chunk_records(cfg: ExperimentConfig, variants, snr_indices, trials, dictionary,
+                   artifacts: dict | None = None) -> list[MetricRecord]:
+    """The records of a chunk of trials, of every variant at every SNR
+    index, through the stages in the order that the module docstring
+    lists; the NMSE of each row, before the BER, adds its time to
+    ``runtime_ms``.  ``artifacts``, if given, receives the truth,
+    estimate, sparse estimate and solver trace of each row whose estimate
+    succeeded, with its time index in "t".
     """
-    observed = [[_Observed(cfg, snr_idx, step) for step in steps] for snr_idx in snr_indices]
+    draws = _draw_trials(cfg, trials, dictionary)
+    observed = [[[_Observed(cfg, snr_idx, step) for step in steps] for snr_idx in snr_indices]
+                for steps in draws]
+    if any(parse_variant(variant)[0] != "fixed_rank" for variant in variants):
+        _rank_zero_fills([seen for per_trial in observed for per_snr in per_trial
+                          for seen in per_snr])
     rows = [
         row
+        for trial, steps, per_trial in zip(trials, draws, observed)
         for variant in variants
-        for snr_idx, seen in zip(snr_indices, observed)
+        for snr_idx, seen in zip(snr_indices, per_trial)
         for row in _run_trial(cfg, variant, snr_idx, trial, steps, seen)
     ]
 
@@ -558,8 +626,11 @@ def _trial_records(cfg: ExperimentConfig, variants, snr_indices, trial: int, dic
     )
     if artifacts is not None:
         artifacts.update(t=[], truth=[], estimate=[], sparse=[], trace=[])
-    for t, step in enumerate(steps):
-        at_t = [row for row in rows if row.fields["t"] == t]
+    by_step: dict[int, list[_Row]] = {}
+    for row in rows:
+        by_step.setdefault(id(row.seen.step), []).append(row)
+    for at_t in by_step.values():
+        step, t = at_t[0].seen.step, at_t[0].fields["t"]
         _stacked(
             [row for row in at_t if row.stage == "phase2"],
             lambda row: (row.solve.completed, row.cap),
@@ -584,15 +655,16 @@ def _trial_records(cfg: ExperimentConfig, variants, snr_indices, trial: int, dic
             except _ERRORS as exc:
                 row.fail(exc)
             row.fields["runtime_ms"] += (time.perf_counter() - started) * 1e3
-        if cfg.ber_symbols:
-            _stacked(
-                [row for row in at_t if row.h is not None],
-                lambda row: (row.h, row.fields["snr_db"]),
-                lambda estimates, snrs: ber_link(
-                    step.real.matrix, step.s_true, np.stack(estimates), snrs, cfg.hybrid.n_streams
-                ),
-                lambda row, ber: row.fields.update(ber=ber),
-            )
+    if cfg.ber_symbols:
+        _stacked(
+            [row for row in rows if row.h is not None],
+            lambda row: (row.seen.step.real.matrix, row.seen.step.s_true, row.h,
+                         row.fields["snr_db"]),
+            lambda truths, svs, estimates, snrs: ber_link(
+                np.stack(truths), np.stack(svs), np.stack(estimates), snrs, cfg.hybrid.n_streams
+            ),
+            lambda row, ber: row.fields.update(ber=ber),
+        )
     return [MetricRecord(**row.fields) for row in rows]
 
 
@@ -606,13 +678,16 @@ def run_sweep(
     grid.
 
     Every draw depends only on (trial, t), so all variants and SNRs see
-    identical data and pair trial for trial.  Workers take whole trials,
-    each run as one :func:`_trial_records`.  Module errors mark single
-    records as failed; the sweep continues.
+    identical data and pair trial for trial.  The trials are split into
+    chunks of consecutive trials whose rows fit ``CHUNK_ROWS`` (at least
+    one trial each), and workers take whole chunks, each run as one
+    :func:`_chunk_records`.  Module errors mark single records as failed;
+    the sweep continues.
 
     Records come back sorted by (variant, snr, trial, t) regardless of
-    the worker count.  No variant, a bare string, or an unknown or
-    repeated variant raises ConfigError before any trial runs.
+    the chunking and the worker count.  No variant, a bare string, an
+    unknown or repeated variant, or a ``threads`` that is not an integer
+    of at least 1 raises ConfigError before any trial runs.
     """
     names = [] if isinstance(variants, str) else list(variants)
     if not names:
@@ -622,19 +697,23 @@ def run_sweep(
     if len(set(names)) < len(names):
         raise ConfigError(f"variants must not repeat, got {names}")
     workers = threads if threads is not None else cfg.threads
+    if type(workers) is not int or workers < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {workers!r}")
     dictionary = _dictionary(cfg)
     snr_indices = range(len(cfg.snr_grid_db))
+    per_chunk = max(CHUNK_ROWS // (len(names) * len(snr_indices) * cfg.time_steps), 1)
+    chunks = [range(start, min(start + per_chunk, cfg.n_trials))
+              for start in range(0, cfg.n_trials, per_chunk)]
 
-    def trial_records(trial):
-        steps = _draw_trial(cfg, trial, dictionary)
-        return _trial_records(cfg, names, snr_indices, trial, dictionary, steps)
+    def chunk_records(trials):
+        return _chunk_records(cfg, names, snr_indices, trials, dictionary)
 
     if workers == 1:
-        chunks = [trial_records(trial) for trial in range(cfg.n_trials)]
+        done = [chunk_records(trials) for trials in chunks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(trial_records, range(cfg.n_trials)))
-    records = [record for chunk in chunks for record in chunk]
+            done = list(pool.map(chunk_records, chunks))
+    records = [record for chunk in done for record in chunk]
     records.sort(key=lambda r: (r.variant, r.snr_db, r.trial, r.t))
     return records
 
@@ -655,8 +734,8 @@ def run_single_trial(
     of the steps whose estimate succeeded, with their time indices in "t".
     """
     parse_variant(variant)
-    dictionary, steps = _single_trial_draws(cfg, snr_idx, trial)
-    return _trial_records(cfg, [variant], [snr_idx], trial, dictionary, steps, artifacts)
+    _check_single_trial(cfg, snr_idx, trial)
+    return _chunk_records(cfg, [variant], [snr_idx], [trial], _dictionary(cfg), artifacts)
 
 
 def write_records(path, records) -> None:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ramc.channel import ChannelParams, sample_realization
 from ramc import completion
 from ramc.completion import (
+    ENERGY_RATIO,
     MAX_SWEEPS,
     _update_factor,
     estimate_rank,
@@ -58,11 +59,46 @@ class TestEstimateRank:
         rng = np.random.default_rng(100 + rank)
         for _ in range(20):
             m = _low_rank(rng, 16, 16, rank)
-            assert estimate_rank(m) == rank
+            assert estimate_rank(m[None]) == [rank]
 
     def test_zero_matrix_rejected(self):
-        with pytest.raises(DegenerateSystemError):
-            estimate_rank(np.zeros((4, 4)))
+        # A zero matrix fails its own slot; the others keep their ranks.
+        m = _low_rank(np.random.default_rng(99), 4, 4, 2)
+        first, zero, last = estimate_rank(np.stack([m, np.zeros((4, 4)), m]))
+        assert first == last == 2
+        assert isinstance(zero, DegenerateSystemError)
+        assert str(zero) == "cannot estimate the rank of a zero matrix"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        kinds=st.lists(st.sampled_from(["low_rank", "noisy", "zero", "tiny"]), max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_slots_as_alone(self, shape, kinds, seed):
+        # One stacked SVD gives every slot the rank, or the error, that it
+        # gets in a stack of one, and the energy rule's own answer.
+        rng = np.random.default_rng(seed)
+        stack = np.zeros((len(kinds), *shape), dtype=complex)
+        for m, kind in zip(stack, kinds):
+            if kind != "zero":
+                m[:] = _low_rank(rng, *shape, int(rng.integers(1, min(shape) + 1)))
+            if kind == "noisy":
+                m += 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            elif kind == "tiny":
+                m *= 1e-300
+        ranks = estimate_rank(stack)
+        assert len(ranks) == len(kinds)
+        for m, rank in zip(stack, ranks):
+            (alone,) = estimate_rank(m[None])
+            s = np.linalg.svd(m, compute_uv=False)
+            if s[0] == 0.0:
+                assert isinstance(rank, DegenerateSystemError)
+                assert isinstance(alone, DegenerateSystemError)
+                continue
+            energy = np.cumsum(s**2)
+            expected = min(int(np.searchsorted(energy, ENERGY_RATIO * energy[-1])) + 1, s.size)
+            assert rank == alone == expected
 
 
 class TestR1mcComplete:
@@ -125,7 +161,7 @@ class TestR1mcComplete:
             for seed in range(4):
                 rng = np.random.default_rng(seed)
                 real = sample_realization(channel, rng)
-                block = make_pilot_block(hybrid, channel.n_bs, channel.n_ms, seed=rng)
+                block = make_pilot_block(hybrid, channel.n_bs, channel.n_ms, [rng])[0]
                 clean = block.w.conj().T @ real.matrix @ block.effective_precoder
                 noise_var = np.linalg.norm(clean) ** 2 / (clean.size * 10 ** (snr_db / 10))
                 noise = rng.normal(size=clean.shape) + 1j * rng.normal(size=clean.shape)
@@ -299,7 +335,7 @@ def _partial_problems(draw):
     assume(not mask.all())
     obs = ObservationSet(mask=mask, incomplete=np.where(mask, m, 0.0), noise_var=2 * sigma**2)
     if draw(st.booleans()):
-        hint = estimate_rank(obs.incomplete)
+        (hint,) = estimate_rank(obs.incomplete[None])
         assume(hint * (rows + cols - hint) <= n_keep)
     return obs, hint, draw(st.sampled_from([1, 40]))
 

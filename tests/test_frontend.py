@@ -19,7 +19,6 @@ from ramc.frontend import (
     analog_stage,
     coarse_channel,
     covers_all_lines,
-    make_beamformers,
     make_pilot_block,
     observe,
     pilot_symbols,
@@ -61,14 +60,15 @@ class TestHybridConfig:
         # Phase levels are int64 draws below 2**phase_bits.
         stage = analog_stage(8, 4, MAX_PHASE_BITS, np.random.default_rng(3))
         assert np.allclose(np.abs(stage), 1 / np.sqrt(8))
-        block = make_pilot_block(HybridConfig(phase_bits=MAX_PHASE_BITS), 8, 8, seed=3)
+        block = make_pilot_block(HybridConfig(phase_bits=MAX_PHASE_BITS), 8, 8, [3])[0]
         assert block.f.shape[0] == 8 and np.isfinite(block.f).all()
 
 
 class TestBeamformers:
     def test_shapes_and_power(self):
         cfg = HybridConfig(n_streams=2)
-        f, w = make_beamformers(cfg, n_bs=8, n_ms=8, seed=3)
+        (block,) = make_pilot_block(cfg, n_bs=8, n_ms=8, seeds=[3])
+        f, w = block.f, block.w
         assert f.shape == (8, 8) and w.shape == (8, 8)
         assert np.linalg.norm(f) ** 2 == pytest.approx(2.0)
         assert np.linalg.norm(w) ** 2 == pytest.approx(2.0)
@@ -90,13 +90,49 @@ class TestBeamformers:
 
     def test_more_chains_than_antennas_rejected(self):
         with pytest.raises(ConfigError):
-            make_beamformers(HybridConfig(m_bs=8), n_bs=4, n_ms=8, seed=0)
+            make_pilot_block(HybridConfig(m_bs=8), n_bs=4, n_ms=8, seeds=[0])
 
     def test_deterministic_in_seed(self):
         cfg = HybridConfig()
-        f1, w1 = make_beamformers(cfg, 8, 8, seed=42)
-        f2, w2 = make_beamformers(cfg, 8, 8, seed=42)
-        assert np.array_equal(f1, f2) and np.array_equal(w1, w2)
+        (b1,) = make_pilot_block(cfg, 8, 8, [42])
+        (b2,) = make_pilot_block(cfg, 8, 8, [42])
+        assert np.array_equal(b1.f, b2.f) and np.array_equal(b1.w, b2.w)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), max_size=6),
+        sizes=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8),
+                        st.integers(1, 8), st.integers(0, 16)),
+    )
+    def test_stack_blocks_as_alone(self, seeds, sizes):
+        # One call over n seeds gives every block bit for bit what a call
+        # over its seed alone gives, and each block is the hybrid draw
+        # that its seed makes on its own: F's analog stage and Gaussian,
+        # then W's, each Gaussian's Q taking the unitary digital stage.
+        n_bs, n_ms, m_bs, m_ms, extra = sizes
+        m_bs, m_ms = min(m_bs, n_bs), min(m_ms, n_ms)
+        cfg = HybridConfig(m_bs=m_bs, m_ms=m_ms, n_streams=1, pilot_length=m_bs + extra)
+        blocks = make_pilot_block(cfg, n_bs, n_ms, seeds)
+        assert len(blocks) == len(seeds)
+        names = ("f", "w", "s", "effective_precoder", "combiner_pinv", "precoder_pinv")
+        for seed, block in zip(seeds, blocks):
+            (alone,) = make_pilot_block(cfg, n_bs, n_ms, [seed])
+            for name in names:
+                assert getattr(block, name).tobytes() == getattr(alone, name).tobytes(), name
+            rng = np.random.default_rng(seed)
+            beams = []
+            for n, m in ((n_bs, m_bs), (n_ms, m_ms)):
+                analog = analog_stage(n, m, cfg.phase_bits, rng)
+                q, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+                beam = analog @ q
+                beams.append(beam / np.linalg.norm(beam))
+            assert np.allclose(block.f, beams[0], rtol=0, atol=1e-12)
+            assert np.allclose(block.w, beams[1], rtol=0, atol=1e-12)
+            fs = block.f @ block.s
+            assert np.array_equal(block.effective_precoder, fs)
+            assert np.allclose(block.precoder_pinv, np.linalg.pinv(fs, rcond=1e-12), atol=1e-12)
+            assert np.allclose(block.combiner_pinv, np.linalg.pinv(block.w.conj().T, rcond=1e-12),
+                               atol=1e-12)
 
 
 def test_pilot_symbols_orthogonal():
@@ -128,7 +164,7 @@ def _unit_noise(shape, seed):
 
 class TestObserve:
     def test_noiseless_model(self, realization):
-        block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
+        block = make_pilot_block(HybridConfig(), 8, 8, [1])[0]
         y = _pilot_output(realization, block)
         obs = observe(y, _unit_noise(y.shape, 0), 0.0, np.ones(y.shape, dtype=bool))
         expected = block.w.conj().T @ realization.matrix @ block.f @ block.s
@@ -136,7 +172,7 @@ class TestObserve:
         assert obs.mask.all()
 
     def test_noise_variance(self, realization):
-        block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
+        block = make_pilot_block(HybridConfig(), 8, 8, [1])[0]
         clean = _pilot_output(realization, block)
         full = np.ones(clean.shape, dtype=bool)
         noise = []
@@ -146,7 +182,7 @@ class TestObserve:
         assert np.mean(noise) == pytest.approx(0.25, rel=0.05)
 
     def test_noise_level_carried(self, realization):
-        block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
+        block = make_pilot_block(HybridConfig(), 8, 8, [1])[0]
         y = _pilot_output(realization, block)
         noise = _unit_noise(y.shape, 3)
         assert observe(y, noise, 0.25, np.ones(y.shape, dtype=bool)).noise_var == 0.25
@@ -185,7 +221,7 @@ class TestObserve:
 
     def test_measurement_matrix_identity(self, realization):
         """vec(Y) == Phi @ vec(H) ties the matrix and operator views."""
-        block = make_pilot_block(HybridConfig(), 8, 8, seed=2)
+        block = make_pilot_block(HybridConfig(), 8, 8, [2])[0]
         y = _pilot_output(realization, block)
         obs = observe(y, _unit_noise(y.shape, 0), 0.0, np.ones(y.shape, dtype=bool))
         phi = measurement_matrix(block)
@@ -195,7 +231,7 @@ class TestObserve:
 
 class TestSubsample:
     def test_keep_fraction(self, realization):
-        block = make_pilot_block(HybridConfig(), 8, 8, seed=1)
+        block = make_pilot_block(HybridConfig(), 8, 8, [1])[0]
         y = _pilot_output(realization, block)
         mask = subsample(8, 32, 0.6, seed=11)
         assert mask.dtype == bool and mask.shape == (8, 32)
@@ -266,7 +302,7 @@ class TestSubsample:
 def test_coarse_channel_full_mask_exact(realization):
     # With a square invertible frontend and no mask the pseudo-inverse
     # estimate recovers the channel.
-    block = make_pilot_block(HybridConfig(), 8, 8, seed=9)
+    block = make_pilot_block(HybridConfig(), 8, 8, [9])[0]
     y = _pilot_output(realization, block)
     obs = observe(y, _unit_noise(y.shape, 0), 0.0, np.ones(y.shape, dtype=bool))
     h = coarse_channel(obs, block)
@@ -274,7 +310,7 @@ def test_coarse_channel_full_mask_exact(realization):
 
 
 def test_coarse_channel_degrades_with_mask(realization):
-    block = make_pilot_block(HybridConfig(), 8, 8, seed=9)
+    block = make_pilot_block(HybridConfig(), 8, 8, [9])[0]
     y = _pilot_output(realization, block)
     noise = _unit_noise(y.shape, 0)
     full = observe(y, noise, 0.0, np.ones(y.shape, dtype=bool))
@@ -301,7 +337,7 @@ def test_coarse_channel_matches_two_pinvs(seed, n_bs, n_ms, keep, noise_var, dat
     cfg = HybridConfig(
         m_bs=m_bs, m_ms=m_ms, n_streams=1, pilot_length=data.draw(st.integers(m_bs, 3 * m_bs))
     )
-    block = make_pilot_block(cfg, n_bs, n_ms, seed=seed)
+    block = make_pilot_block(cfg, n_bs, n_ms, [seed])[0]
     rng = np.random.default_rng(seed)
     real = sample_realization(ChannelParams(n_bs=n_bs, n_ms=n_ms), rng)
     y = _pilot_output(real, block)
@@ -312,5 +348,8 @@ def test_coarse_channel_matches_two_pinvs(seed, n_bs, n_ms, keep, noise_var, dat
 
 
 def test_pilot_block_shape_validation():
-    with pytest.raises(Exception):
-        PilotBlock(f=np.eye(4), w=np.eye(4), s=np.ones((3, 10)))
+    products = dict(effective_precoder=np.eye(4), combiner_pinv=np.eye(4), precoder_pinv=np.eye(4))
+    with pytest.raises(ShapeError, match="precoder columns 4 != pilot rows 3"):
+        PilotBlock(f=np.eye(4), w=np.eye(4), s=np.ones((3, 10)), **products)
+    with pytest.raises(ShapeError, match="must be matrices"):
+        PilotBlock(f=np.eye(4), w=np.ones(4), s=np.ones((4, 10)), **products)

@@ -1,12 +1,15 @@
 """Tests of the Monte-Carlo harness: metrics, sweeps, reports, BER link."""
 
 import dataclasses
+import functools
 import importlib.util
 import inspect
 import math
 import sys
+import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from ramc.harness import (
     NMSE_FLOOR_DB,
     MetricRecord,
     _dictionary,
-    _draw_trial,
+    _draw_trials,
     ber_link,
     nmse,
     nmse_db,
@@ -117,8 +120,13 @@ def _sv(h):
 
 def _ber(h, h_est, snr_db, n_streams=2):
     """The BER of one estimate: ``ber_link`` on a stack of one."""
-    (ber,) = ber_link(h, _sv(h), np.asarray(h_est)[None], [snr_db], n_streams)
+    (ber,) = ber_link(h[None], _sv(h)[None], np.asarray(h_est)[None], [snr_db], n_streams)
     return ber
+
+
+def _links(h, estimates):
+    """``ber_link``'s truth and singular-value stacks for ``estimates`` of ``h``."""
+    return np.stack([h] * len(estimates)), np.stack([_sv(h)] * len(estimates))
 
 
 def _poisson_tails(count, mean):
@@ -239,7 +247,7 @@ class TestBerLink:
         middle = len(snrs) // 2
         if zero:
             estimates[middle] = np.zeros(shape)
-        bers = ber_link(h, _sv(h), np.stack(estimates), snrs, n_streams)
+        bers = ber_link(*_links(h, estimates), np.stack(estimates), snrs, n_streams)
         assert len(bers) == len(snrs)
         for k, (est, snr_db, ber) in enumerate(zip(estimates, snrs, bers)):
             if zero and k == middle:
@@ -248,6 +256,57 @@ class TestBerLink:
             else:
                 expected = ber_link_enumerated(h, est, snr_db, n_streams)
                 assert math.isclose(ber, expected, rel_tol=1e-12, abs_tol=1e-300)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(2, 6), st.integers(2, 6)),
+        seed=st.integers(0, 2**32 - 1),
+        n_streams=st.integers(1, 3),
+        links=st.lists(
+            st.tuples(
+                st.sampled_from(["full", "rank_one"]),
+                st.sampled_from(["perturbed", "second_beam", "zero"]),
+                st.sampled_from([-10.0, 0.0, 10.0, 30.0, math.inf]),
+                st.integers(-3, 3),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_mixed_truths_as_alone(self, shape, seed, n_streams, links):
+        # Each row brings its own truth, singular values and SNR, so its
+        # signal power and gain floor are its own: a stacked call over
+        # truths of different ranks and scales gives every row bit for bit
+        # the BER, or the error, of that row in a stack of one.
+        assume(min(shape) >= n_streams)
+        rng = np.random.default_rng(seed)
+        truths, estimates, snrs = [], [], []
+        for truth_kind, kind, snr_db, power in links:
+            g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            u, _, vh = np.linalg.svd(g)
+            h = 10.0**power * (np.outer(u[:, 0], vh[0]) if truth_kind == "rank_one" else g)
+            if kind == "perturbed":
+                noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                estimate = h + 0.3 * 10.0**power * noise
+            elif kind == "second_beam":
+                estimate = h + 10.0**power * np.outer(u[:, 1], vh[1])
+            else:
+                estimate = np.zeros(shape)
+            truths.append(h)
+            estimates.append(estimate)
+            snrs.append(snr_db)
+        count, stack = len(links), (len(links), *shape)
+        svs = [_sv(h) for h in truths]
+        bers = ber_link(
+            np.reshape(truths, stack), np.reshape(svs, (count, min(shape))),
+            np.reshape(estimates, stack), snrs, n_streams,
+        )
+        assert len(bers) == count
+        for h, sv, estimate, snr_db, ber in zip(truths, svs, estimates, snrs, bers):
+            (alone,) = ber_link(h[None], sv[None], estimate[None], [snr_db], n_streams)
+            if isinstance(alone, DegenerateSystemError):
+                assert isinstance(ber, DegenerateSystemError) and str(ber) == str(alone)
+            else:
+                assert type(ber) is float and ber == alone
 
     @pytest.mark.parametrize("seed", range(4))
     def test_agrees_with_a_monte_carlo_draw(self, seed):
@@ -262,7 +321,7 @@ class TestBerLink:
         noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h_est = h + 0.1 * np.linalg.norm(h) / np.linalg.norm(noise) * noise
         snrs = [0.0, 8.0, 12.0]
-        bers = ber_link(h, _sv(h), np.stack([h_est] * len(snrs)), snrs, 2)
+        bers = ber_link(*_links(h, snrs), np.stack([h_est] * len(snrs)), snrs, 2)
         n_bits = 4 * 10**6
         for k, (snr_db, ber) in enumerate(zip(snrs, bers)):
             errors = ber_link_errors_drawn(h, h_est, snr_db, 2, 10**6, seed=(seed, k))
@@ -286,23 +345,48 @@ class TestBerLink:
         # or -4000 dB raised ZeroDivisionError.  The whole call fails.
         h = np.eye(8, dtype=complex)
         with pytest.raises(ConfigError, match="ber_link snr_db"):
-            ber_link(h, _sv(h), np.stack([h, h]), [10.0, snr_db], 2)
+            ber_link(*_links(h, [h, h]), np.stack([h, h]), [10.0, snr_db], 2)
         with pytest.raises(ConfigError, match="snr_grid_db"):
             ExperimentConfig(snr_grid_db=(snr_db,))
 
     def test_one_snr_per_estimate(self):
         h = np.eye(4, dtype=complex)
         with pytest.raises(ShapeError):
-            ber_link(h, _sv(h), np.stack([h, h]), [10.0], 2)
+            ber_link(*_links(h, [h, h]), np.stack([h, h]), [10.0], 2)
+        # One truth and one set of singular values per estimate, too.
+        with pytest.raises(ShapeError):
+            ber_link(*_links(h, [h]), np.stack([h, h]), [10.0, 10.0], 2)
+        with pytest.raises(ShapeError):
+            ber_link(h, _sv(h), h[None], [10.0], 2)
 
     def test_stream_count_bounded(self):
         # 4^s sign patterns: 4 streams is the most the exact BER takes.
         h = np.eye(8, dtype=complex)
-        assert ber_link(h, _sv(h), h[None], [math.inf], 4) == [0.0]
+        assert ber_link(h[None], _sv(h)[None], h[None], [math.inf], 4) == [0.0]
         with pytest.raises(ConfigError, match="at most 4 streams, got 5"):
-            ber_link(h, _sv(h), h[None], [10.0], 5)
+            ber_link(h[None], _sv(h)[None], h[None], [10.0], 5)
         with pytest.raises(ConfigError, match="exceed channel dimensions"):
-            ber_link(h[:2], _sv(h[:2]), h[None, :2], [10.0], 3)
+            ber_link(h[None, :2], _sv(h[:2])[None], h[None, :2], [10.0], 3)
+
+
+# Three trials of 20 rows each, with one BER link per record.
+_CHUNKED = ExperimentConfig(
+    **SMALL, snr_grid_db=(5.0, 25.0), n_trials=3, time_steps=2, ber_symbols=1000,
+)
+
+
+def _canonical(records) -> bytes:
+    """The bytes that ``write_records`` writes for ``records``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        harness.write_records(path, records)
+        return path.read_bytes()
+
+
+@functools.cache
+def _one_chunk_records() -> bytes:
+    """The canonical records of ``_CHUNKED``, swept as one chunk."""
+    return _canonical(run_sweep(_CHUNKED, DEFAULT_ABLATION))
 
 
 class TestRunSweep:
@@ -323,6 +407,30 @@ class TestRunSweep:
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(15.0,), n_trials=2)
         variants = ("rank_aware",)
         assert self._timeless(run_sweep(cfg, variants)) == self._timeless(run_sweep(cfg, variants))
+
+    @settings(max_examples=12, deadline=None)
+    @given(budget=st.integers(1, 80), threads=st.integers(1, 3))
+    def test_chunking_is_invisible(self, budget, threads):
+        # Each stacked stage gives every slot its stack-of-one result, so
+        # the canonical records are the same bytes for any row budget: a
+        # chunk per trial (up to 20 rows), chunks of two trials and one
+        # (40 rows) or one chunk of the whole sweep (60 rows or more),
+        # whatever the worker count the chunks are mapped over.
+        with mock.patch.object(harness, "CHUNK_ROWS", budget):
+            records = run_sweep(_CHUNKED, DEFAULT_ABLATION, threads=threads)
+        assert _canonical(records) == _one_chunk_records()
+
+    @pytest.mark.parametrize("threads", [0, -2, 1.5, True, "2"])
+    def test_bad_thread_count_rejected_before_any_draw(self, monkeypatch, threads):
+        # As ExperimentConfig.threads: an integer of at least 1.  Before,
+        # 0 and -2 reached ThreadPoolExecutor's own ValueError and 1.5 ran.
+        def no_trial(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(harness, "_draw_trials", no_trial)
+        cfg = ExperimentConfig(**SMALL, snr_grid_db=(10.0,), n_trials=2)
+        with pytest.raises(ConfigError, match="threads must be an integer >= 1, got"):
+            run_sweep(cfg, ["coarse_only"], threads=threads)
 
     def test_thread_count_invariant(self):
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(5.0, 15.0), n_trials=2)
@@ -364,7 +472,7 @@ class TestRunSweep:
     def test_shared_arrays_read_only(self, monkeypatch):
         cfg = ExperimentConfig(**SMALL, time_steps=2, ber_symbols=1000)
         dictionary = _dictionary(cfg)
-        steps = _draw_trial(cfg, 0, dictionary)
+        (steps,) = _draw_trials(cfg, [0], dictionary)
         for step in steps:
             block = step.block
             shared = [step.real.matrix, step.s_true, block.f, block.w, block.s,
@@ -407,19 +515,20 @@ class TestRunSweep:
         assert not any(result.completed.flags.writeable for result in solves)
 
     def test_step_work_done_once(self, monkeypatch):
-        # Per (trial, t): the two pseudo-inverses of the coarse estimate,
-        # the true channel's SVD and one BER link over every (variant,
-        # SNR).  Per (trial, t, SNR), whatever the number of variants: the
-        # observation, the energy-rule rank of its zero fill and the
-        # coarse estimate.  Per trial: one stacked SOMP pursuit, if a
-        # variant runs it.  Per (trial, t): one stacked Phase II over every
-        # (variant, SNR) that runs Phase I, if any does.
+        # Per chunk of trials (here one chunk of both trials): one pilot
+        # draw, whose two pseudo-inverses are each one stacked call, one
+        # stacked energy-rule rank of every zero fill, if a variant reads
+        # one, one stacked SOMP pursuit, if a variant runs it, and one BER
+        # link over every record.  Per (trial, t): the true channel's SVD
+        # and one stacked Phase II over every (variant, SNR) that runs
+        # Phase I, if any does.  Per (trial, t, SNR), whatever the number
+        # of variants: the observation and the coarse estimate.
         cfg = ExperimentConfig(
             **SMALL, snr_grid_db=(5.0, 15.0, 25.0), n_trials=2, time_steps=2,
             ber_symbols=1000,
         )
         dictionary = _dictionary(cfg)
-        steps = [step for trial in range(2) for step in _draw_trial(cfg, trial, dictionary)]
+        steps = [step for trial in _draw_trials(cfg, [0, 1], dictionary) for step in trial]
         truths = [step.real.matrix for step in steps]
         # The rank is read off the one SVD by matrix_rank's own rule.
         assert [step.rank_true for step in steps] == [np.linalg.matrix_rank(h) for h in truths]
@@ -447,27 +556,29 @@ class TestRunSweep:
         counting(harness, "somp_baseline")
         counting(harness, "estimate_phase2")
         once = {
-            "pinv": 2 * 4, "svd": 4, "observe": 12, "estimate_rank": 12,
-            "coarse_channel": 12, "ber_link": 4,
+            "pinv": 2, "svd": 4, "observe": 12, "estimate_rank": 1,
+            "coarse_channel": 12, "ber_link": 1,
         }
         # Without a baseline no coarse estimate is taken; rank_aware and
-        # rank_oblivious take the energy-rule rank of each completion and,
-        # for their first hint, of each first step's zero fill (2 trials x
-        # 3 SNRs).
-        phase1 = {"pinv": 2 * 4, "svd": 4, "observe": 12, "estimate_rank": 12 + 6,
-                  "ber_link": 4, "estimate_phase2": 4}
+        # rank_oblivious take the energy-rule rank of each completion, a
+        # stack of one, and the zero fills' ranks for their first hint.
+        phase1 = {"pinv": 2, "svd": 4, "observe": 12, "estimate_rank": 1 + 12,
+                  "ber_link": 1, "estimate_phase2": 4}
         for variants, expected in (
             (("coarse_only",), once),
-            (("coarse_only", "somp_baseline"), {**once, "somp_baseline": 2}),
+            (("coarse_only", "somp_baseline"), {**once, "somp_baseline": 1}),
             (("rank_aware", "fixed_rank:2"), phase1),
             (("fixed_rank:2", "coarse_only", "somp_baseline", "rank_oblivious"),
-             {**once, "estimate_rank": 24, "somp_baseline": 2, "estimate_phase2": 4}),
+             {**once, "estimate_rank": 1 + 12, "somp_baseline": 1, "estimate_phase2": 4}),
+            # fixed_rank alone reads no zero fill, so none is ranked.
+            (("fixed_rank:2",), {**phase1, "estimate_rank": 0}),
         ):
             counts.clear()
             records = run_sweep(cfg, variants)
             assert len(records) == 12 * len(variants) and not any(r.error for r in records)
             assert all(r.ber is not None for r in records)
-            assert counts == expected
+            assert {name: n for name, n in counts.items() if n} == {
+                name: n for name, n in expected.items() if n}
         # rank_oblivious follows rank_aware's hints, so per (trial, t, SNR)
         # the two share one Phase-I solve and its one corrected rank.
         counting(harness, "r1mc_complete")
@@ -475,6 +586,12 @@ class TestRunSweep:
         records = run_sweep(cfg, ("rank_aware", "rank_oblivious"))
         assert len(records) == 24 and not any(r.error for r in records)
         assert counts == {**phase1, "r1mc_complete": 12}
+        # A row budget of one trial makes a chunk of each trial.
+        monkeypatch.setattr(harness, "CHUNK_ROWS", 12)
+        counts.clear()
+        run_sweep(cfg, ("coarse_only", "somp_baseline"))
+        assert counts == {**{name: 2 * n for name, n in once.items()}, "svd": 4,
+                          "observe": 12, "coarse_channel": 12, "somp_baseline": 2}
         for variant, somp in (("coarse_only", 0), ("somp_baseline", 1)):
             counts.clear()
             run_single_trial(cfg, variant, snr_idx=1)
@@ -504,7 +621,7 @@ class TestRunSweep:
         variants = ("coarse_only", "fixed_rank:2", "rank_aware", "somp_baseline")
         unpatched = self._timeless(run_sweep(cfg, variants))
         dictionary = _dictionary(cfg)
-        block = _draw_trial(cfg, 0, dictionary)[0].block
+        block = _draw_trials(cfg, [0], dictionary)[0][0].block
         composed = measurement_matrix(block) @ build_dictionary(dictionary)
         rows, cols = composed.shape
         sizes = {"measurement": rows * cols, "dictionary": cols * cols}
@@ -620,10 +737,10 @@ class TestRunSweep:
                 assert new == old
 
     def test_failed_somp_target_fails_its_own_record(self, monkeypatch):
-        # One stacked SOMP pursuit serves every (step, SNR) of a trial.  A
-        # target that fails in it (its slot holds the error, as a
-        # degenerate pivot leaves it) fails that record alone: here the
-        # first slot of trial 0, which is t=0 at the first SNR.
+        # One stacked SOMP pursuit serves every (trial, step, SNR) of a
+        # chunk of trials.  A target that fails in it (its slot holds the
+        # error, as a degenerate pivot leaves it) fails that record alone:
+        # here the first slot, which is trial 0, t=0 at the first SNR.
         cfg = ExperimentConfig(
             **SMALL, snr_grid_db=(5.0, 25.0), n_trials=2, time_steps=2, ber_symbols=1000
         )
@@ -642,7 +759,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "somp_baseline", fail_first_slot)
         records = self._timeless(run_sweep(cfg, variants))
-        assert calls == [4, 4] and len(records) == len(unpatched) == 16
+        assert calls == [8] and len(records) == len(unpatched) == 16
         for new, old in zip(records, unpatched):
             if (new.variant, new.snr_db, new.trial, new.t) == ("somp_baseline", 5.0, 0, 0):
                 assert new == dataclasses.replace(
@@ -687,22 +804,30 @@ class TestRunSweep:
         assert seeded_in_trial == []
 
     def test_failed_shared_draw_fails_its_step_everywhere(self, monkeypatch):
+        # One pilot draw serves every step of the chunk.  A seed that fails
+        # inside it fails the whole call, which is then retried step by
+        # step, so only that step's records fail, everywhere.
         real_pilot = harness.make_pilot_block
         calls = []
 
-        def fail_second_step(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 2:
+        def fail_second_step(hybrid, n_bs, n_ms, seeds):
+            calls.append([seed.entropy[2:] for seed in seeds])
+            if any(seed.entropy[2:] == (0, 1) for seed in seeds):
                 raise ConfigError("injected failure at t=1")
-            return real_pilot(*args, **kwargs)
+            return real_pilot(hybrid, n_bs, n_ms, seeds)
 
         monkeypatch.setattr(harness, "make_pilot_block", fail_second_step)
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(5.0, 25.0), n_trials=1, time_steps=3)
         records = run_sweep(cfg, variants=("rank_aware", "coarse_only"))
-        assert len(calls) == 3
+        assert calls == [[(0, 0), (0, 1), (0, 2)], [(0, 0)], [(0, 1)], [(0, 2)]]
         assert len(records) == 12
         for r in records:
             assert r.error == ("ConfigError: injected failure at t=1" if r.t == 1 else "")
+        # The steps that drew their blocks again are as in an unpatched sweep.
+        monkeypatch.undo()
+        unpatched = run_sweep(cfg, variants=("rank_aware", "coarse_only"))
+        assert self._timeless([r for r in records if r.t != 1]) == self._timeless(
+            [r for r in unpatched if r.t != 1])
 
     def test_linalg_error_fails_its_solve_alone(self, monkeypatch):
         # A LAPACK failure inside one Phase-I solve (fixed_rank:2 at 25 dB,
@@ -734,7 +859,7 @@ class TestRunSweep:
         def no_trial(*args):
             raise AssertionError("a trial was drawn")
 
-        monkeypatch.setattr(harness, "_draw_trial", no_trial)
+        monkeypatch.setattr(harness, "_draw_trials", no_trial)
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(10.0,), n_trials=1)
         with pytest.raises(ConfigError, match="repeat"):
             run_sweep(cfg, variants=("rank_aware", "coarse_only", "rank_aware"))
@@ -752,7 +877,8 @@ class TestRunSweep:
     def test_first_hint_is_the_zero_fill_rank(self, monkeypatch):
         # rank_aware hints its first step's solve with the energy-rule rank
         # of that step's zero fill, the rank that the baselines report, and
-        # that rank is taken once per (trial, t, SNR) for all five variants.
+        # that rank is taken once per (trial, t, SNR) for all five variants,
+        # in one stacked call over the chunk before any record runs.
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(5.0, 25.0), n_trials=2, time_steps=2)
         real_observe, real_rank, real_complete = (
             harness.observe, harness.estimate_rank, harness.r1mc_complete
@@ -778,13 +904,19 @@ class TestRunSweep:
         assert not any(r.error for r in records)
         # Per trial, the observations come SNR by SNR and step by step.
         assert len(observations) == 2 * 2 * 2
-        assert [sum(m is obs.incomplete for m in ranked) for obs in observations] == [1] * 8
+        # The first call ranks every zero fill; the others are the
+        # corrector's stacks of one, each a completion.
+        zero_fills, *corrected = ranked
+        assert np.array_equal(zero_fills, [obs.incomplete for obs in observations])
+        assert corrected and all(len(m) == 1 for m in corrected)
+        assert not any(np.array_equal(m[0], obs.incomplete)
+                       for m in corrected for obs in observations)
         firsts = [obs for i, obs in enumerate(observations) if i % 2 == 0]
         for obs in firsts:
             # rank_aware comes first in DEFAULT_ABLATION, so its solve is
             # the first on each first-step observation.
             hints = [hint for seen, hint in solves if seen is obs]
-            assert hints[0] == completion.estimate_rank(obs.incomplete)
+            assert [hints[0]] == completion.estimate_rank(obs.incomplete[None])
         # At 25 dB in trial 0 that rank is 2, so fixed_rank:2 takes the
         # same solve: 15 solves instead of 16, with rows as when swept alone.
         assert [hint for seen, hint in solves if seen is firsts[1]] == [2]
@@ -897,13 +1029,14 @@ class TestRunSweep:
 
 
 class TestStacked:
-    # Each row is "ready", "input" (its inputs raise) or "slot" (its slot
-    # of the call holds an error); ``whole`` is an error the call raises.
+    # Each row is "ready", "input" (its inputs raise), "slot" (its slot of
+    # the call holds an error) or "whole" (any call that holds it raises
+    # ``whole``, an error of the whole call).
     @settings(max_examples=200, deadline=None)
     @given(
-        states=st.lists(st.sampled_from(["ready", "input", "slot"]), max_size=8),
+        states=st.lists(st.sampled_from(["ready", "input", "slot", "whole"]), max_size=8),
         input_error=st.sampled_from([ShapeError, np.linalg.LinAlgError]),
-        whole=st.sampled_from([None, MatrixSizeError("whole"), np.linalg.LinAlgError("whole")]),
+        whole=st.sampled_from([MatrixSizeError, np.linalg.LinAlgError]),
     )
     def test_each_row_gets_its_own_slot_or_error(self, states, input_error, whole):
         rows = [harness._Row(dict(index=i), seen=None, h=np.ones(1), stage="phase2")
@@ -918,19 +1051,25 @@ class TestStacked:
 
         def call(indices, labels):
             calls.append((indices, labels))
-            if whole is not None:
-                raise whole
+            for i in indices:
+                if states[i] == "whole":
+                    raise whole(f"whole {i}")
             return [DegenerateSystemError(f"slot {i}") if states[i] == "slot" else f"result {i}"
                     for i in indices]
 
         harness._stacked(rows, inputs, call, lambda row, got: row.fields.update(result=got))
+        # One call over the ready rows; when it raises, one call per ready
+        # row, so that each row fails on its own error alone.
         ready = [i for i, state in enumerate(states) if state != "input"]
-        assert calls == ([(tuple(ready), tuple(f"x{i}" for i in ready))] if ready else [])
+        expected = [(tuple(ready), tuple(f"x{i}" for i in ready))] if ready else []
+        if "whole" in states and len(ready) > 1:
+            expected += [((i,), (f"x{i}",)) for i in ready]
+        assert calls == expected
         for i, (state, row) in enumerate(zip(states, rows)):
             if state == "input":
                 error = f"{input_error.__name__}: input {i}"
-            elif whole is not None:
-                error = f"{type(whole).__name__}: whole"
+            elif state == "whole":
+                error = f"{whole.__name__}: whole {i}"
             elif state == "slot":
                 error = f"DegenerateSystemError: slot {i}"
             else:
@@ -969,7 +1108,7 @@ class TestRunSingleTrial:
         def no_trial(*args):
             raise AssertionError("a trial was drawn")
 
-        monkeypatch.setattr(harness, "_draw_trial", no_trial)
+        monkeypatch.setattr(harness, "_draw_trials", no_trial)
         cfg = ExperimentConfig(**SMALL, time_steps=3)
         for variant in ("bogus", "fixed_rank:0", *_OTHER_SPELLINGS):
             with pytest.raises(ConfigError, match="unknown estimator variant"):
@@ -1027,7 +1166,7 @@ class TestRunSingleTrial:
         cfg = ExperimentConfig(snr_grid_db=(25.0,), n_trials=1, time_steps=3, master_seed=5)
         records = run_single_trial(cfg, "rank_aware")
         # The first step is hinted with its zero fill's rank.
-        first = completion.estimate_rank(simulate_trial(cfg)[1][0].incomplete)
+        (first,) = completion.estimate_rank(simulate_trial(cfg)[1][0].incomplete[None])
         assert hints == [first, 4, 4]
         assert [r.t for r in records if r.error] == [0]
 
@@ -1136,9 +1275,9 @@ def test_benchmark_tracer_sees_each_layer(monkeypatch):
     # The traced benchmark keys each job by _run_trial's (variant, SNR,
     # trial) arguments, counts a Phase-I solve only under its trial span,
     # reads the atom count of slot 0 of each Phase-II call and counts the
-    # SOMP and Phase-II calls.  With SOMP stacked per trial and Phase II
-    # per step, both outside _run_trial, all of these must still hold,
-    # and tracing must not change a record.
+    # SOMP and Phase-II calls.  With SOMP stacked per chunk of trials and
+    # Phase II per step, both outside _run_trial, all of these must still
+    # hold, and tracing must not change a record.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
@@ -1160,10 +1299,18 @@ def test_benchmark_tracer_sees_each_layer(monkeypatch):
     # takes rank_aware's solves.
     assert len(solves) == 15
     assert all(by_id[sp.parent].name == "harness.trial" for sp in solves)
-    # One Phase-II call per step and one SOMP call per trial.
+    # One Phase-II call per step, and one SOMP call and one pilot draw per
+    # chunk, here of both trials.
     phase2 = [sp for sp in tracer.spans if sp.name == "recovery.phase2"]
     assert len(phase2) == 4 and all("atoms" in sp.info for sp in phase2)
-    assert sum(sp.name == "recovery.somp" for sp in tracer.spans) == 2
+    for name in ("recovery.somp", "frontend.pilot"):
+        assert sum(sp.name == name for sp in tracer.spans) == 1, name
+    # The zero fills are ranked in one call per chunk, before any trial
+    # span; the other rank estimates are the corrector's, one per
+    # rank_aware solve, each inside its trial span.
+    ranks = [sp for sp in tracer.spans if sp.name == "completion.rank_estimate"]
+    assert ranks[0].parent is None and len(ranks) == 1 + 8
+    assert all(by_id[sp.parent].name == "harness.trial" for sp in ranks[1:])
     keys = {by_id[sp.parent].key for sp in solves}
     assert keys == {f"{v}/snr{i}/trial{n}" for v in DEFAULT_ABLATION[:2] for i in (0, 1)
                     for n in (0, 1)}

@@ -297,7 +297,7 @@ class TestAngularPipeline:
         params = ChannelParams(n_clusters=2, rays_per_cluster=1)
         dic = make_dictionary(params, size_ms=16, size_bs=16)
         real = sample_realization(params, rng, dictionary=dic)
-        block = make_pilot_block(HybridConfig(), 8, 8, seed=4)
+        block = make_pilot_block(HybridConfig(), 8, 8, [4])[0]
         obs = _full_observation(real, block)
         completed = r1mc_complete(obs, rank_hint=2).completed
         est, h = _phase2(completed, block, dic, 2)
@@ -309,7 +309,7 @@ class TestAngularPipeline:
         params = ChannelParams(n_clusters=1, rays_per_cluster=1)
         dic = make_dictionary(params, size_ms=16, size_bs=16)
         real = sample_realization(params, rng, dictionary=dic)
-        block = make_pilot_block(HybridConfig(), 8, 8, seed=5)
+        block = make_pilot_block(HybridConfig(), 8, 8, [5])[0]
         obs = _full_observation(real, block)
         est, _ = _phase2(r1mc_complete(obs, rank_hint=1).completed, block, dic, 1)
         assert len(est.support) == 1
@@ -330,7 +330,7 @@ class TestAngularPipeline:
     def test_sparsity_budget_rules(self, rank, expected):
         rng = np.random.default_rng(225)
         dic = make_dictionary(ChannelParams(n_bs=4, n_ms=4), size_ms=6, size_bs=6)
-        block = make_pilot_block(HybridConfig(m_bs=4, m_ms=4, pilot_length=8), 4, 4, seed=6)
+        block = make_pilot_block(HybridConfig(m_bs=4, m_ms=4, pilot_length=8), 4, 4, [6])[0]
         real = sample_realization(ChannelParams(n_bs=4, n_ms=4), rng)
         obs = _full_observation(real, block)
         est, _ = _phase2(r1mc_complete(obs, rank_hint=rank).completed, block, dic, rank)
@@ -348,13 +348,13 @@ class TestAngularPipeline:
 
         monkeypatch.setattr(recovery, "_pursuit", fail_second)
         dic = make_dictionary(ChannelParams(), size_ms=8, size_bs=8)
-        block = make_pilot_block(HybridConfig(), 8, 8, seed=7)
+        block = make_pilot_block(HybridConfig(), 8, 8, [7])[0]
         first, second = estimate_phase2(np.ones((2, 8, 32), dtype=complex), block, dic, [2, 2])
         assert second is failure and first.support and len(first.parameter_set) == 4
 
     def test_phase2_rejects_bad_rank(self):
         dic = make_dictionary(ChannelParams(), size_ms=16, size_bs=16)
-        block = make_pilot_block(HybridConfig(), 8, 8, seed=7)
+        block = make_pilot_block(HybridConfig(), 8, 8, [7])[0]
         with pytest.raises(ConfigError):
             estimate_phase2(np.ones((2, 8, 32), dtype=complex), block, dic, [2, 0])
 
@@ -369,7 +369,7 @@ class TestPhase2Atoms:
         dic = make_dictionary(
             params, size_ms=oversampling * params.n_ms, size_bs=oversampling * params.n_bs
         )
-        block = make_pilot_block(HybridConfig(), params.n_bs, params.n_ms, seed=8)
+        block = make_pilot_block(HybridConfig(), params.n_bs, params.n_ms, [8])[0]
         seen = []
         real_pursuit = recovery._pursuit
 
@@ -437,7 +437,7 @@ def _phase2_problems(draw):
         m_bs=n_bs, m_ms=n_ms, n_streams=1, pilot_length=draw(st.integers(n_bs, 2 * n_bs))
     )
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    block = make_pilot_block(hybrid, n_bs, n_ms, seed=seed)
+    block = make_pilot_block(hybrid, n_bs, n_ms, [seed])[0]
     # Quantised analog stages can draw parallel columns; a singular F or W
     # makes atoms exactly parallel, and their tied scores are then ordered
     # by rounding alone, differently in the two scalings.
