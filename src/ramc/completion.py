@@ -4,8 +4,9 @@ Phase I of the estimation pipeline: singular-value based rank estimation
 and an augmented-Lagrangian block-coordinate solver that completes a
 masked observation matrix as a sum of rank-one factors with l1-shrunk
 weights; the achieved rank is however many weights remain positive at
-termination.  The harness picks the factor count: the zero fill's
-:func:`estimate_rank` first, then a hint carried from step to step.
+termination.  The harness picks the factor count: first the
+:func:`threshold_rank` of the pilot least-squares fit of
+:func:`pilot_fit`, then a hint carried from step to step.
 """
 
 from __future__ import annotations
@@ -47,6 +48,67 @@ def estimate_rank(stack) -> list:
     counts = np.count_nonzero(energy < ENERGY_RATIO * energy[:, -1:], axis=-1)
     return [
         min(int(count) + 1, len(sv)) if len(sv) and sv[0] > 0.0
+        else DegenerateSystemError("cannot estimate the rank of a zero matrix")
+        for count, sv in zip(counts, s)
+    ]
+
+
+def pilot_fit(incomplete, masks, steps, pilots):
+    """Fit every row of the pilot observations Y = X·S + N by least squares.
+
+    ``incomplete`` is a (B, rows, cols) stack of zero fills, ``masks`` a
+    (K, rows, cols) stack of boolean masks, ``steps[b]`` the index of slot
+    b's mask and ``pilots`` the (n, cols) pilot matrix S.  Row i is fitted
+    on its observed entries Ω_i: x̂_i = y_i[Ω_i]·S_Ωᴴ·G_i, with
+    G_i = (S_Ω·S_Ωᴴ)⁺ built once per mask for every slot that shares it.
+    The fit's residual is the row's noise projected off the span of S_Ωᵀ,
+    whatever X is, so σ̂² = Σ‖r_i‖² / Σ(|Ω_i| − n) over the rows with
+    |Ω_i| > n estimates the noise variance; a row with |Ω_i| <= n is fitted
+    exactly and adds no degree of freedom.  x̂_i's noise has covariance
+    σ²·G_i, so the noise gain g is the mean diagonal of a mask's G_i.
+
+    Returns ``(x_hat, noise_var, gain)``: the (B, rows, n) fits and one
+    σ̂² and g per slot, each slot bit for bit as in a stack of one.  A mask
+    that leaves no degree of freedom raises :class:`InfeasibleMaskError`.
+    """
+    n = len(pilots)
+    counts = masks.sum(axis=-1)
+    dof = np.maximum(counts - n, 0).sum(axis=-1)
+    if not dof.all():
+        raise InfeasibleMaskError(
+            f"no row observes more than {n} entries, so the noise level cannot be estimated")
+    sampled = pilots * masks[:, :, None, :]
+    gram = sampled @ sampled.conj().swapaxes(-1, -2)
+    inverse = np.linalg.pinv(gram, rcond=1e-12, hermitian=True)
+    diagonals = np.diagonal(inverse, axis1=-2, axis2=-1).real
+    gain = diagonals.reshape(len(masks), -1).mean(axis=-1)
+    x_hat = ((incomplete @ pilots.conj().T)[:, :, None, :] @ inverse[steps])[:, :, 0, :]
+    fitted = (masks & (counts > n)[:, :, None])[steps]
+    residual = np.where(fitted, incomplete - x_hat @ pilots, 0.0).reshape(len(x_hat), -1)
+    noise_var = np.vecdot(residual, residual).real / dof[steps]
+    return x_hat, noise_var, gain[steps]
+
+
+def threshold_rank(x_hat, noise_var, gain) -> list:
+    """The rank of each noisy fit of a (B, rows, cols) stack: the count of
+    its singular values above the noise bulk edge σ̂·√g·(√rows + √cols),
+    at least 1, with σ̂² and g per matrix as :func:`pilot_fit` gives them.
+
+    An i.i.d. noise matrix of variance σ²g has its largest singular value
+    near that edge (Gavish & Donoho, "The Optimal Hard Threshold for
+    Singular Values is 4/√3", IEEE Trans. Inf. Theory 2014).  The edge is
+    floored at ``np.linalg.matrix_rank``'s roundoff tolerance, so a
+    noiseless fit keeps its numerical rank.  Returns one entry per
+    matrix: its rank, or the :class:`DegenerateSystemError` of a zero
+    matrix, which fails that slot alone.
+    """
+    s = np.linalg.svd(x_hat, compute_uv=False)
+    rows, cols = x_hat.shape[1:]
+    edge = np.sqrt(noise_var * gain) * (math.sqrt(rows) + math.sqrt(cols))
+    floor = s[:, 0] * max(rows, cols) * np.finfo(s.dtype).eps
+    counts = np.count_nonzero(s > np.maximum(edge, floor)[:, None], axis=-1)
+    return [
+        max(int(count), 1) if sv[0] > 0.0
         else DegenerateSystemError("cannot estimate the rank of a zero matrix")
         for count, sv in zip(counts, s)
     ]

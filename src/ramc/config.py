@@ -47,6 +47,14 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        # config_from_dict checks each key's JSON type; a config built
+        # directly gets the same check for the fields that count or seed.
+        for name in ("n_trials", "time_steps", "master_seed", "grid_oversampling",
+                     "ber_symbols", "threads"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if type(self.on_grid) is not bool:
+            raise ConfigError(f"on_grid must be true or false, got {self.on_grid!r}")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must not be empty")
         check_snr_db(self.snr_grid_db, "snr_grid_db")

@@ -11,10 +11,13 @@ through its stages, and a sweep runs its trials in chunks of
 consecutive trials (see ``CHUNK_ROWS``).  Each value is computed once,
 at the coarsest level it depends on, and shared read-only.  Per chunk:
 the pilot blocks of every step, with F @ S and their two
-pseudo-inverses, in one :func:`make_pilot_block` call; the energy-rule
-rank of every zero fill (the baselines' rank and the tracker's first
-hint), in one :func:`estimate_rank` call, when any variant reads one;
-the estimates of every ``somp_baseline`` row, in one
+pseudo-inverses, in one :func:`make_pilot_block` call; the threshold
+rank of every observation's pilot least-squares fit (the tracker's
+first hint), in one :func:`pilot_fit` and :func:`threshold_rank` call
+that builds each step's row solves once for all its SNRs, when
+``rank_aware`` or ``rank_oblivious`` runs; the energy-rule rank of every
+zero fill (the baselines' rank), in one :func:`estimate_rank` call,
+when a baseline runs; the estimates of every ``somp_baseline`` row, in one
 :func:`somp_baseline` call; and last the BER of every row with an
 estimate, in one :func:`ber_link` call.  Per step (trial, t): the
 channel and its singular values, the noiseless observation and its
@@ -41,10 +44,11 @@ from functools import cached_property
 import numpy as np
 
 from . import channel as chan
-from .completion import CompletionResult, estimate_rank, r1mc_complete
+from .completion import CompletionResult, estimate_rank, pilot_fit, r1mc_complete, threshold_rank
 from .config import MAX_BER_STREAMS, ExperimentConfig, check_snr_db, snr_to_linear
 from .errors import ConfigError, DegenerateSystemError, RamcError, ShapeError, UndefinedMetricError
-from .frontend import PilotBlock, coarse_channel, make_pilot_block, observe, subsample
+from .frontend import (PilotBlock, coarse_channel, make_pilot_block, observe, pilot_symbols,
+                       subsample)
 from .io import read_cell, write_csv
 from .recovery import SparseGainEstimate, estimate_phase2, grid_channel, somp_baseline
 
@@ -73,9 +77,12 @@ class MetricRecord:
     the wall time of the record's own work before its stacked stage (its
     Phase-I solve, or ``coarse_only``'s coarse estimate, each timed in
     the first record that takes it, so a record that shares another's
-    solve does not time it) and of its NMSE.  It leaves out the pilot
-    blocks, the zero-fill ranks, the SOMP pursuit with its coarse
-    estimates, Phase II and the BER, which run for many records at once.
+    solve does not time it) and of its NMSE.  Variants run in the order
+    given, so when ``rank_aware``'s first hint is k and it comes first,
+    ``fixed_rank:k``'s first-step solve is timed in ``rank_aware``'s row.
+    It leaves out the pilot blocks, the pilot fits and their ranks, the
+    zero-fill ranks, the SOMP pursuit with its coarse estimates, Phase II
+    and the BER, which run for many records at once.
     """
 
     variant: str
@@ -312,13 +319,16 @@ class _Observed:
     read-only by every variant, or the ``error`` that its draws or
     ``observe`` raised.
 
-    Its ``zero_fill`` is the energy-rule rank of ``obs``, or the error of
-    taking it, set for a whole chunk at once by :func:`_rank_zero_fills`.
-    Its Phase-I completions are shared too: one solve per rank hint, and
-    the energy-rule rank of each, computed when a variant first asks."""
+    Its ``pilot_rank`` is the threshold rank of the pilot least-squares
+    fit of ``obs``, and its ``zero_fill`` the energy-rule rank of ``obs``,
+    each an int or the error of taking it, set for a whole chunk at once
+    by :func:`_rank_pilot_fits` and :func:`_rank_zero_fills`.  Its
+    Phase-I completions are shared too: one solve per rank hint, and the
+    energy-rule rank of each, computed when a variant first asks."""
 
     def __init__(self, cfg: ExperimentConfig, snr_idx: int, step: _StepDraws):
         self.obs, self.error, self.step = None, None, step
+        self.pilot_rank: int | Exception | None = None
         self.zero_fill: int | Exception | None = None
         self._solves: dict[int, CompletionResult] = {}
         self._ranks: dict[int, int] = {}
@@ -348,8 +358,8 @@ class _Observed:
 
     @property
     def zero_fill_rank(self) -> int | None:
-        """The energy-rule rank of ``obs``, the baselines' rank and the
-        tracker's first hint; None when degenerate."""
+        """The energy-rule rank of ``obs``, the baselines' rank; None
+        when degenerate."""
         if isinstance(self.zero_fill, DegenerateSystemError):
             return None
         if isinstance(self.zero_fill, Exception):
@@ -362,6 +372,23 @@ class _Observed:
         estimate = coarse_channel(self.obs, self.step.block)
         estimate.setflags(write=False)
         return estimate
+
+
+def _rank_pilot_fits(observed: list[_Observed], pilots: np.ndarray) -> None:
+    """Set the ``pilot_rank`` of every observation in ``observed`` from
+    one stacked :func:`pilot_fit` and :func:`threshold_rank` call, which
+    builds the row solves of each step's mask once for all its SNRs."""
+    live = [seen for seen in observed if seen.error is None]
+
+    def ranks(zero_fills, steps):
+        unique = list({id(step): step for step in steps}.values())
+        at = {id(step): k for k, step in enumerate(unique)}
+        fit = pilot_fit(np.stack(zero_fills), np.stack([step.mask for step in unique]),
+                        [at[id(step)] for step in steps], pilots)
+        return threshold_rank(*fit)
+
+    for seen, rank in zip(live, _slots(ranks, [(seen.obs.incomplete, seen.step) for seen in live])):
+        seen.pilot_rank = rank
 
 
 def _rank_zero_fills(observed: list[_Observed]) -> None:
@@ -461,16 +488,19 @@ def _estimate_one(variant_kind: str, variant_param: int | None, row: _Row, ranks
     """Run one estimator variant on ``row.seen.obs`` up to its stacked
     stage, setting the row's ``rank_est`` and its ``h`` or ``stage``.
 
-    ``somp_baseline`` caps SOMP at the zero fill's rank (the full shape
-    when that is degenerate).  The Phase-I variants set their solve's
+    ``coarse_only`` reports the zero fill's energy-rule rank, and
+    ``somp_baseline`` caps SOMP at it (the full shape when that is
+    degenerate).  The Phase-I variants set their solve's
     :class:`CompletionResult` as ``solve``, taken from ``row.seen``, so
     variants that give the same hint share one solve.  ``fixed_rank:k``
     hints k and caps Phase II at k.  ``ranks`` holds the trial's
     corrected ranks so far: ``rank_aware`` hints its solve with the last
-    one plus ``RANK_HEADROOM`` (the zero fill's rank on the first step),
-    reports the completion's corrected rank as ``rank_est`` and appends
-    it, so a step whose Phase II fails still hints the next step.
-    ``rank_oblivious`` does the same but pursues without the rank cap.
+    one plus ``RANK_HEADROOM``, and its first step's solve with the
+    threshold rank of the pilot fit (``row.seen.pilot_rank``), so that it
+    shares ``fixed_rank:k``'s solve when that rank is k.  It reports the
+    completion's corrected rank as ``rank_est`` and appends it, so a step
+    whose Phase II fails still hints the next step.  ``rank_oblivious``
+    does the same but pursues without the rank cap.
     """
     seen, obs = row.seen, row.seen.obs
     if variant_kind == "coarse_only":
@@ -491,8 +521,8 @@ def _estimate_one(variant_kind: str, variant_param: int | None, row: _Row, ranks
         # returns.
         if ranks:
             hint = min(ranks[-1] + RANK_HEADROOM, min(obs.incomplete.shape))
-        elif (hint := seen.zero_fill_rank) is None:
-            raise DegenerateSystemError("cannot estimate the rank of a zero matrix")
+        elif isinstance(hint := seen.pilot_rank, Exception):
+            raise hint.with_traceback(None)
         result = seen.completion(hint)
         # Corrector: the next hint comes from the rank of the completed
         # matrix, not from the raw factor count.
@@ -598,9 +628,12 @@ def _chunk_records(cfg: ExperimentConfig, variants, snr_indices, trials, diction
     draws = _draw_trials(cfg, trials, dictionary)
     observed = [[[_Observed(cfg, snr_idx, step) for step in steps] for snr_idx in snr_indices]
                 for steps in draws]
-    if any(parse_variant(variant)[0] != "fixed_rank" for variant in variants):
-        _rank_zero_fills([seen for per_trial in observed for per_snr in per_trial
-                          for seen in per_snr])
+    kinds = {parse_variant(variant)[0] for variant in variants}
+    every = [seen for per_trial in observed for per_snr in per_trial for seen in per_snr]
+    if kinds & {"rank_aware", "rank_oblivious"}:
+        _rank_pilot_fits(every, pilot_symbols(cfg.hybrid))
+    if kinds & {"coarse_only", "somp_baseline"}:
+        _rank_zero_fills(every)
     rows = [
         row
         for trial, steps, per_trial in zip(trials, draws, observed)

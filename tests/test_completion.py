@@ -16,19 +16,22 @@ from ramc.completion import (
     MAX_SWEEPS,
     _update_factor,
     estimate_rank,
+    pilot_fit,
     r1mc_complete,
+    threshold_rank,
 )
 from ramc.config import ExperimentConfig
-from ramc.errors import DegenerateSystemError
+from ramc.errors import DegenerateSystemError, InfeasibleMaskError
 from ramc.frontend import (
     HybridConfig,
     ObservationSet,
     covers_all_lines,
     make_pilot_block,
     observe,
+    pilot_symbols,
     subsample,
 )
-from ramc.harness import run_sweep, summarize_records
+from ramc.harness import _dictionary, _draw_trials, run_sweep, summarize_records
 
 import oracles
 
@@ -99,6 +102,150 @@ class TestEstimateRank:
             energy = np.cumsum(s**2)
             expected = min(int(np.searchsorted(energy, ENERGY_RATIO * energy[-1])) + 1, s.size)
             assert rank == alone == expected
+
+
+def _pilot_problem(rng, hybrid, keep, channels, sigma):
+    """One mask and one noise draw of the ``hybrid`` geometry, observed
+    through each of the (m_ms, m_bs) ``channels``: the stack of zero
+    fills, the mask and the pilot matrix S."""
+    pilots = pilot_symbols(hybrid)
+    shape = (hybrid.m_ms, hybrid.pilot_length)
+    mask = subsample(*shape, keep, seed=rng)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    zero_fills = np.stack([observe(x @ pilots, noise, sigma**2, mask).incomplete
+                           for x in channels])
+    return zero_fills, mask, pilots
+
+
+def _random_x(rng, hybrid, scale=1.0):
+    shape = (hybrid.m_ms, hybrid.m_bs)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+# Geometries of the pilot fit: the default, the small test one and a
+# non-square one, each with its keep fractions.
+_PILOT_GEOMETRIES = [
+    (HybridConfig(), 0.6),
+    (HybridConfig(m_bs=4, m_ms=4, pilot_length=8), 0.8),
+    (HybridConfig(m_bs=3, m_ms=5, n_streams=2, pilot_length=12), 0.7),
+]
+
+
+class TestPilotFit:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        geometry=st.sampled_from(_PILOT_GEOMETRIES),
+        sigma=st.sampled_from([1e-3, 0.1, 1.0]),
+        scales=st.tuples(st.sampled_from([0.0, 0.1, 1.0, 10.0]),
+                         st.sampled_from([0.1, 1.0, 10.0])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_noise_level_does_not_see_the_channel(self, geometry, sigma, scales, seed):
+        # The residual of each row's fit is its noise projected off the
+        # pilots' row space, so two channels observed with the same mask,
+        # noise and S give the same noise level, to roundoff.
+        hybrid, keep = geometry
+        rng = np.random.default_rng(seed)
+        channels = [_random_x(rng, hybrid, scale) for scale in scales]
+        zero_fills, mask, pilots = _pilot_problem(rng, hybrid, keep, channels, sigma)
+        _, noise_var, gain = pilot_fit(zero_fills, mask[None], [0, 0], pilots)
+        assert noise_var[0] > 0.0 and gain[0] == gain[1]
+        assert noise_var[1] == pytest.approx(noise_var[0], rel=1e-9)
+
+    def test_noise_level_within_band(self):
+        # Over 400 default-geometry draws (about 90 complex degrees of
+        # freedom each) the ratio to the true noise variance has median
+        # within 3% of 1 and every draw within [0.6, 1.5], at every SNR.
+        hybrid, keep = _PILOT_GEOMETRIES[0]
+        rng = np.random.default_rng(2024)
+        ratios = []
+        for sigma in (0.03, 0.3, 1.0, 3.0):
+            for _ in range(100):
+                zero_fills, mask, pilots = _pilot_problem(
+                    rng, hybrid, keep, [_random_x(rng, hybrid)], sigma)
+                _, (noise_var,), _ = pilot_fit(zero_fills, mask[None], [0], pilots)
+                ratios.append(noise_var / sigma**2)
+        assert 0.97 <= np.median(ratios) <= 1.03
+        assert 0.6 <= min(ratios) and max(ratios) <= 1.5
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        geometry=st.sampled_from(_PILOT_GEOMETRIES),
+        kinds=st.lists(st.sampled_from(["signal", "noisy", "noise", "zero"]), min_size=1,
+                       max_size=8),
+        n_masks=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_slots_as_alone(self, geometry, kinds, n_masks, seed):
+        # One stacked call over several masks gives every slot, bit for
+        # bit, its fit, noise level, gain and rank in a stack of one, and
+        # each fit is the per-row least-squares solution on its observed
+        # entries.
+        hybrid, keep = geometry
+        rng = np.random.default_rng(seed)
+        pilots = pilot_symbols(hybrid)
+        shape = (hybrid.m_ms, hybrid.pilot_length)
+        masks = np.stack([subsample(*shape, keep, seed=rng) for _ in range(n_masks)])
+        steps = rng.integers(0, n_masks, size=len(kinds)).tolist()
+        zero_fills = []
+        for kind, k in zip(kinds, steps):
+            x = _random_x(rng, hybrid) if kind in ("signal", "noisy") else np.zeros(
+                (hybrid.m_ms, hybrid.m_bs))
+            noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            sigma2 = 0.0 if kind in ("signal", "zero") else 0.01
+            zero_fills.append(observe(x @ pilots, noise, sigma2, masks[k]).incomplete)
+        zero_fills = np.stack(zero_fills)
+        x_hat, noise_var, gain = pilot_fit(zero_fills, masks, steps, pilots)
+        ranks = threshold_rank(x_hat, noise_var, gain)
+        assert len(ranks) == len(kinds)
+        for b, k in enumerate(steps):
+            alone = pilot_fit(zero_fills[b:b + 1], masks[k][None], [0], pilots)
+            assert x_hat[b].tobytes() == alone[0][0].tobytes()
+            assert noise_var[b] == alone[1][0] and gain[b] == alone[2][0]
+            (rank,) = threshold_rank(*alone)
+            if kinds[b] == "zero":
+                assert isinstance(ranks[b], DegenerateSystemError)
+                assert str(rank) == "cannot estimate the rank of a zero matrix"
+            else:
+                assert ranks[b] == rank >= 1
+            for i, row in enumerate(masks[k]):
+                fit = np.linalg.lstsq(pilots[:, row].T, zero_fills[b, i, row], rcond=None)[0]
+                assert np.allclose(x_hat[b, i], fit, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("clusters", [1, 2, 3, 4])
+    def test_noiseless_on_grid_rank_is_the_true_rank(self, clusters):
+        # With no noise the threshold is matrix_rank's roundoff tolerance,
+        # so an on-grid channel's fit has the true rank (full-size RF
+        # chains keep the channel's rank in X = WᴴHF).
+        cfg = ExperimentConfig(channel=ChannelParams(n_clusters=clusters),
+                               snr_grid_db=(math.inf,))
+        steps = [step for trial in _draw_trials(cfg, range(6), _dictionary(cfg))
+                 for step in trial]
+        pilots = pilot_symbols(cfg.hybrid)
+        zero_fills = np.stack([np.where(step.mask, step.y_clean, 0.0) for step in steps])
+        fit = pilot_fit(zero_fills, np.stack([step.mask for step in steps]),
+                        range(len(steps)), pilots)
+        assert threshold_rank(*fit) == [step.rank_true for step in steps] == [clusters] * 6
+
+    def test_no_degrees_of_freedom_raises(self):
+        # A mask whose every row observes at most m_bs entries leaves no
+        # residual to measure the noise by; pilot_length = m_bs is one.
+        hybrid = HybridConfig(m_bs=4, m_ms=4, pilot_length=4)
+        rng = np.random.default_rng(7)
+        zero_fills, mask, pilots = _pilot_problem(rng, hybrid, 0.9, [_random_x(rng, hybrid)],
+                                                  0.1)
+        with pytest.raises(InfeasibleMaskError, match="no row observes more than 4 entries"):
+            pilot_fit(zero_fills, mask[None], [0], pilots)
+        # One row with a spare entry is enough.
+        hybrid = HybridConfig(m_bs=4, m_ms=4, pilot_length=8)
+        mask = np.zeros((4, 8), dtype=bool)
+        mask[:, :4] = True
+        zero_fills, _, pilots = _pilot_problem(rng, hybrid, 1.0, [_random_x(rng, hybrid)], 0.1)
+        with pytest.raises(InfeasibleMaskError):
+            pilot_fit(zero_fills * mask, mask[None], [0], pilots)
+        mask[0, 4] = True
+        (_, (noise_var,), _) = pilot_fit(zero_fills * mask, mask[None], [0], pilots)
+        assert noise_var > 0.0
 
 
 class TestR1mcComplete:

@@ -289,6 +289,23 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(**overrides)
 
+    @pytest.mark.parametrize(
+        "name", ["n_trials", "time_steps", "master_seed", "grid_oversampling", "ber_symbols",
+                 "threads"])
+    @pytest.mark.parametrize("value", [2.5, 1.0, True, "2", None])
+    def test_non_integer_count_named(self, name, value):
+        # A config built directly gets the type check that config_from_dict
+        # makes.  Before, n_trials=2.5 and time_steps=1.5 raised a bare
+        # TypeError in the sweep, master_seed=1.5 numpy's "seed must be
+        # integer" and grid_oversampling=1.5 ran a whole sweep.
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value!r}$"):
+            ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [1, 0, "yes", None])
+    def test_non_bool_on_grid_named(self, value):
+        with pytest.raises(ConfigError, match=f"^on_grid must be true or false, got {value!r}$"):
+            ExperimentConfig(on_grid=value)
+
     def test_ber_symbols_off_or_large(self):
         # 0 is off and any positive count is on: the BER is exact, so the
         # count sets no sample size.

@@ -26,7 +26,7 @@ from ramc.errors import (
     ShapeError,
     UndefinedMetricError,
 )
-from ramc.frontend import HybridConfig
+from ramc.frontend import HybridConfig, pilot_symbols
 from ramc.harness import (
     DEFAULT_ABLATION,
     NMSE_FLOOR_DB,
@@ -509,20 +509,25 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "r1mc_complete", spy_complete)
         run_sweep(cfg, ("rank_aware", "fixed_rank:2", "rank_oblivious"))
-        # 16 (variant, SNR, trial, t) solves, less the one that fixed_rank:2
-        # shares with rank_aware's first step at 25 dB in trial 0.
-        assert len(solves) == 15
+        # 16 (variant, SNR, trial, t) solves, less the three that
+        # fixed_rank:2 shares with rank_aware's first step, where the
+        # pilot-fit rank is 2: at 25 dB in trial 0 and at both SNRs in
+        # trial 1.
+        assert len(solves) == 13
         assert not any(result.completed.flags.writeable for result in solves)
 
     def test_step_work_done_once(self, monkeypatch):
         # Per chunk of trials (here one chunk of both trials): one pilot
         # draw, whose two pseudo-inverses are each one stacked call, one
-        # stacked energy-rule rank of every zero fill, if a variant reads
-        # one, one stacked SOMP pursuit, if a variant runs it, and one BER
-        # link over every record.  Per (trial, t): the true channel's SVD
-        # and one stacked Phase II over every (variant, SNR) that runs
-        # Phase I, if any does.  Per (trial, t, SNR), whatever the number
-        # of variants: the observation and the coarse estimate.
+        # stacked pilot fit and threshold rank of every observation, whose
+        # row solves are one more pseudo-inverse, if rank_aware or
+        # rank_oblivious runs, one stacked energy-rule rank of every zero
+        # fill, if a baseline runs, one stacked SOMP pursuit, if a variant
+        # runs it, and one BER link over every record.  Per (trial, t):
+        # the true channel's SVD and one stacked Phase II over every
+        # (variant, SNR) that runs Phase I, if any does.  Per (trial, t,
+        # SNR), whatever the number of variants: the observation and the
+        # coarse estimate.
         cfg = ExperimentConfig(
             **SMALL, snr_grid_db=(5.0, 15.0, 25.0), n_trials=2, time_steps=2,
             ber_symbols=1000,
@@ -551,6 +556,8 @@ class TestRunSweep:
         counting(np.linalg, "svd", is_truth)
         counting(harness, "observe")
         counting(harness, "estimate_rank")
+        counting(harness, "pilot_fit")
+        counting(harness, "threshold_rank")
         counting(harness, "coarse_channel")
         counting(harness, "ber_link")
         counting(harness, "somp_baseline")
@@ -559,19 +566,23 @@ class TestRunSweep:
             "pinv": 2, "svd": 4, "observe": 12, "estimate_rank": 1,
             "coarse_channel": 12, "ber_link": 1,
         }
-        # Without a baseline no coarse estimate is taken; rank_aware and
-        # rank_oblivious take the energy-rule rank of each completion, a
-        # stack of one, and the zero fills' ranks for their first hint.
-        phase1 = {"pinv": 2, "svd": 4, "observe": 12, "estimate_rank": 1 + 12,
-                  "ber_link": 1, "estimate_phase2": 4}
+        # Without a baseline no coarse estimate is taken and no zero fill
+        # is ranked; rank_aware and rank_oblivious take the energy-rule
+        # rank of each completion, a stack of one, and the pilot fits'
+        # ranks for their first hint.
+        phase1 = {"pinv": 2 + 1, "svd": 4, "observe": 12, "estimate_rank": 12,
+                  "pilot_fit": 1, "threshold_rank": 1, "ber_link": 1, "estimate_phase2": 4}
         for variants, expected in (
             (("coarse_only",), once),
             (("coarse_only", "somp_baseline"), {**once, "somp_baseline": 1}),
             (("rank_aware", "fixed_rank:2"), phase1),
             (("fixed_rank:2", "coarse_only", "somp_baseline", "rank_oblivious"),
-             {**once, "estimate_rank": 1 + 12, "somp_baseline": 1, "estimate_phase2": 4}),
-            # fixed_rank alone reads no zero fill, so none is ranked.
-            (("fixed_rank:2",), {**phase1, "estimate_rank": 0}),
+             {**once, "pinv": 2 + 1, "estimate_rank": 1 + 12, "somp_baseline": 1,
+              "estimate_phase2": 4, "pilot_fit": 1, "threshold_rank": 1}),
+            # fixed_rank alone reads no zero fill and no pilot fit, so
+            # neither is taken.
+            (("fixed_rank:2",), {**phase1, "pinv": 2, "estimate_rank": 0, "pilot_fit": 0,
+                                 "threshold_rank": 0}),
         ):
             counts.clear()
             records = run_sweep(cfg, variants)
@@ -874,55 +885,94 @@ class TestRunSweep:
             with pytest.raises(ConfigError, match="unknown estimator variant"):
                 run_sweep(cfg, ("fixed_rank:2", name))
 
-    def test_first_hint_is_the_zero_fill_rank(self, monkeypatch):
-        # rank_aware hints its first step's solve with the energy-rule rank
-        # of that step's zero fill, the rank that the baselines report, and
-        # that rank is taken once per (trial, t, SNR) for all five variants,
-        # in one stacked call over the chunk before any record runs.
+    def test_first_hint_is_the_pilot_fit_rank(self, monkeypatch):
+        # rank_aware hints its first step's solve with the threshold rank
+        # of that step's pilot least-squares fit, taken once per (trial, t,
+        # SNR) in one stacked call over the chunk before any record runs.
+        # The baselines still report the zero fill's energy-rule rank.
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(5.0, 25.0), n_trials=2, time_steps=2)
-        real_observe, real_rank, real_complete = (
-            harness.observe, harness.estimate_rank, harness.r1mc_complete
+        real_observe, real_fit, real_complete = (
+            harness.observe, harness.pilot_fit, harness.r1mc_complete
         )
-        observations, ranked, solves = [], [], []
+        observations, fitted, solves = [], [], []
 
         def spy_observe(*args):
             observations.append(real_observe(*args))
             return observations[-1]
 
-        def spy_rank(m):
-            ranked.append(m)
-            return real_rank(m)
+        def spy_fit(zero_fills, masks, steps, pilots):
+            fitted.append((zero_fills, masks, steps))
+            return real_fit(zero_fills, masks, steps, pilots)
 
         def spy_complete(obs, rank_hint):
             solves.append((obs, rank_hint))
             return real_complete(obs, rank_hint)
 
         monkeypatch.setattr(harness, "observe", spy_observe)
-        monkeypatch.setattr(harness, "estimate_rank", spy_rank)
+        monkeypatch.setattr(harness, "pilot_fit", spy_fit)
         monkeypatch.setattr(harness, "r1mc_complete", spy_complete)
         records = run_sweep(cfg, DEFAULT_ABLATION)
         assert not any(r.error for r in records)
-        # Per trial, the observations come SNR by SNR and step by step.
+        # Per trial, the observations come SNR by SNR and step by step, and
+        # one fit takes them all, with one mask per step.
         assert len(observations) == 2 * 2 * 2
-        # The first call ranks every zero fill; the others are the
-        # corrector's stacks of one, each a completion.
-        zero_fills, *corrected = ranked
+        ((zero_fills, masks, steps),) = fitted
         assert np.array_equal(zero_fills, [obs.incomplete for obs in observations])
-        assert corrected and all(len(m) == 1 for m in corrected)
-        assert not any(np.array_equal(m[0], obs.incomplete)
-                       for m in corrected for obs in observations)
-        firsts = [obs for i, obs in enumerate(observations) if i % 2 == 0]
-        for obs in firsts:
+        assert len(masks) == 4 and len(steps) == 8
+        assert all(np.array_equal(masks[k], obs.mask) for k, obs in zip(steps, observations))
+        pilots = pilot_symbols(cfg.hybrid)
+        shared = []
+        for i, obs in enumerate(observations):
+            trial, snr_db, t = i // 4, cfg.snr_grid_db[i // 2 % 2], i % 2
+            at = {r.variant: r for r in records if (r.trial, r.snr_db, r.t) == (trial, snr_db, t)}
+            assert at["coarse_only"].rank_est == completion.estimate_rank(obs.incomplete[None])[0]
+            if t:
+                continue
             # rank_aware comes first in DEFAULT_ABLATION, so its solve is
             # the first on each first-step observation.
             hints = [hint for seen, hint in solves if seen is obs]
-            assert [hints[0]] == completion.estimate_rank(obs.incomplete[None])
-        # At 25 dB in trial 0 that rank is 2, so fixed_rank:2 takes the
-        # same solve: 15 solves instead of 16, with rows as when swept alone.
-        assert [hint for seen, hint in solves if seen is firsts[1]] == [2]
-        assert len(solves) == 15
+            (rank,) = completion.threshold_rank(
+                *completion.pilot_fit(obs.incomplete[None], obs.mask[None], [0], pilots))
+            assert hints[0] == rank
+            if rank == 2:
+                # fixed_rank:2 takes rank_aware's solve rather than its own.
+                assert hints == [2]
+                aware, fixed = at["rank_aware"], at["fixed_rank:2"]
+                assert (aware.iterations, aware.converged, aware.final_residual) == (
+                    fixed.iterations, fixed.converged, fixed.final_residual)
+                shared.append(obs)
+        # Three first steps have pilot-fit rank 2: 13 solves instead of
+        # 16, with fixed_rank:2's rows as when it is swept alone.
+        assert len(shared) == 3 and len(solves) == 13
         fixed = [r for r in self._timeless(records) if r.variant == "fixed_rank:2"]
         assert fixed == self._timeless(run_sweep(cfg, ("fixed_rank:2",)))
+
+    def test_no_pilot_degrees_of_freedom_fails_before_any_solve(self, monkeypatch):
+        # With pilot_length = m_bs no row of a mask observes more entries
+        # than the fit has unknowns, so the noise level, and the first
+        # hint, cannot be had.  rank_aware's and rank_oblivious's rows fail
+        # with the fit's error before their solve; fixed_rank:2 and the
+        # baselines need no first hint and run.
+        small = dict(SMALL, hybrid=HybridConfig(m_bs=4, m_ms=4, n_streams=2, pilot_length=4),
+                     keep_fraction=0.9)
+        cfg = ExperimentConfig(**small, snr_grid_db=(15.0,), n_trials=2, time_steps=2)
+        real_complete = harness.r1mc_complete
+        hints = []
+
+        def spy_complete(obs, rank_hint):
+            hints.append(rank_hint)
+            return real_complete(obs, rank_hint)
+
+        monkeypatch.setattr(harness, "r1mc_complete", spy_complete)
+        records = run_sweep(cfg, DEFAULT_ABLATION)
+        assert hints == [2] * 4
+        for r in records:
+            if r.variant in ("rank_aware", "rank_oblivious"):
+                assert r.error == ("InfeasibleMaskError: no row observes more than 4 entries, "
+                                   "so the noise level cannot be estimated")
+                assert (r.iterations, r.converged) == (0, None)
+            else:
+                assert not r.error
 
     def test_cluster_birth_sweeps_without_failure(self):
         # A schedule that grows 2 clusters to 3 draws the new cluster with
@@ -1165,8 +1215,10 @@ class TestRunSingleTrial:
         monkeypatch.setattr(harness, "estimate_phase2", fail_first_phase2)
         cfg = ExperimentConfig(snr_grid_db=(25.0,), n_trials=1, time_steps=3, master_seed=5)
         records = run_single_trial(cfg, "rank_aware")
-        # The first step is hinted with its zero fill's rank.
-        (first,) = completion.estimate_rank(simulate_trial(cfg)[1][0].incomplete[None])
+        # The first step is hinted with its pilot fit's threshold rank.
+        obs = simulate_trial(cfg)[1][0]
+        (first,) = completion.threshold_rank(*completion.pilot_fit(
+            obs.incomplete[None], obs.mask[None], [0], pilot_symbols(cfg.hybrid)))
         assert hints == [first, 4, 4]
         assert [r.t for r in records if r.error] == [0]
 
@@ -1294,10 +1346,10 @@ def test_benchmark_tracer_sees_each_layer(monkeypatch):
     assert [dataclasses.replace(r, runtime_ms=0.0) for r in records] == untraced
     by_id = {sp.id: sp for sp in tracer.spans}
     solves = [sp for sp in tracer.spans if sp.name == "completion.solve"]
-    # 2 Phase-I variants x 2 SNRs x 2 trials x 2 steps, less the one
-    # solve that fixed_rank:2 shares with rank_aware; rank_oblivious
-    # takes rank_aware's solves.
-    assert len(solves) == 15
+    # 2 Phase-I variants x 2 SNRs x 2 trials x 2 steps, less the three
+    # first-step solves that fixed_rank:2 shares with rank_aware, whose
+    # pilot-fit rank is 2 there; rank_oblivious takes rank_aware's solves.
+    assert len(solves) == 13
     assert all(by_id[sp.parent].name == "harness.trial" for sp in solves)
     # One Phase-II call per step, and one SOMP call and one pilot draw per
     # chunk, here of both trials.
