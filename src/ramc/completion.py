@@ -1,12 +1,13 @@
 """Rank-aware low-rank matrix completion.
 
-Phase I of the estimation pipeline: singular-value based rank estimation
-and an augmented-Lagrangian block-coordinate solver that completes a
-masked observation matrix as a sum of rank-one factors with l1-shrunk
-weights; the achieved rank is however many weights remain positive at
-termination.  The harness picks the factor count: first the
-:func:`threshold_rank` of the pilot least-squares fit of
-:func:`pilot_fit`, then a hint carried from step to step.
+Phase I of the estimation pipeline: the rank of each observation, and
+an augmented-Lagrangian block-coordinate solver that completes a masked
+observation matrix as a sum of rank-one factors with l1-shrunk weights;
+the achieved rank is however many weights remain positive at
+termination.  The rank is :func:`estimate_rank`, the threshold rank of
+the pilot least-squares fit of :func:`pilot_fit`, taken per observation
+with no history, and the harness hints every solve but ``fixed_rank``'s
+with it.
 """
 
 from __future__ import annotations
@@ -23,34 +24,6 @@ from .frontend import ObservationSet, covers_all_lines
 DROP_STREAK = 3
 # Sweeps after which a solve that has not converged stops.
 MAX_SWEEPS = 500
-# Share of the Frobenius energy that the rank estimate retains.
-ENERGY_RATIO = 0.95
-
-
-def estimate_rank(stack) -> list:
-    """Estimate the rank of each matrix of a (B, rows, cols) stack as the
-    smallest k retaining ``ENERGY_RATIO`` of its Frobenius energy.
-
-    Energy means squared singular values.  The trace-norm reading fails
-    on noisy matrices: broadband noise inflates the unsquared tail until
-    the retained fraction undershoots the ratio at the true rank.  The
-    singular values come from one stacked SVD, which gives each matrix
-    bit for bit its own.
-
-    Returns one entry per matrix: its rank, or the
-    :class:`DegenerateSystemError` of a numerically zero matrix, which
-    fails that slot alone.
-    """
-    s = np.linalg.svd(stack, compute_uv=False)
-    energy = np.cumsum(s**2, axis=-1)
-    # The energies do not decrease, so the rank is one more than the count
-    # of them below the retained share.
-    counts = np.count_nonzero(energy < ENERGY_RATIO * energy[:, -1:], axis=-1)
-    return [
-        min(int(count) + 1, len(sv)) if len(sv) and sv[0] > 0.0
-        else DegenerateSystemError("cannot estimate the rank of a zero matrix")
-        for count, sv in zip(counts, s)
-    ]
 
 
 def pilot_fit(incomplete, masks, steps, pilots):
@@ -89,19 +62,22 @@ def pilot_fit(incomplete, masks, steps, pilots):
     return x_hat, noise_var, gain[steps]
 
 
-def threshold_rank(x_hat, noise_var, gain) -> list:
-    """The rank of each noisy fit of a (B, rows, cols) stack: the count of
-    its singular values above the noise bulk edge σ̂·√g·(√rows + √cols),
-    at least 1, with σ̂² and g per matrix as :func:`pilot_fit` gives them.
+def estimate_rank(incomplete, masks, steps, pilots) -> list:
+    """The rank of each observation of a stack, as the count of the
+    singular values of its :func:`pilot_fit` X̂ above the noise bulk edge
+    σ̂·√g·(√rows + √cols), at least 1.  The arguments are
+    :func:`pilot_fit`'s.
 
     An i.i.d. noise matrix of variance σ²g has its largest singular value
     near that edge (Gavish & Donoho, "The Optimal Hard Threshold for
     Singular Values is 4/√3", IEEE Trans. Inf. Theory 2014).  The edge is
     floored at ``np.linalg.matrix_rank``'s roundoff tolerance, so a
-    noiseless fit keeps its numerical rank.  Returns one entry per
-    matrix: its rank, or the :class:`DegenerateSystemError` of a zero
-    matrix, which fails that slot alone.
+    noiseless fit keeps its numerical rank.  Returns one entry per slot:
+    its rank, or the :class:`DegenerateSystemError` of a zero fit, which
+    fails that slot alone; a mask that leaves no degree of freedom raises
+    :func:`pilot_fit`'s :class:`InfeasibleMaskError`.
     """
+    x_hat, noise_var, gain = pilot_fit(incomplete, masks, steps, pilots)
     s = np.linalg.svd(x_hat, compute_uv=False)
     rows, cols = x_hat.shape[1:]
     edge = np.sqrt(noise_var * gain) * (math.sqrt(rows) + math.sqrt(cols))

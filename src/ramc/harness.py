@@ -11,24 +11,22 @@ through its stages, and a sweep runs its trials in chunks of
 consecutive trials (see ``CHUNK_ROWS``).  Each value is computed once,
 at the coarsest level it depends on, and shared read-only.  Per chunk:
 the pilot blocks of every step, with F @ S and their two
-pseudo-inverses, in one :func:`make_pilot_block` call; the threshold
-rank of every observation's pilot least-squares fit (the tracker's
-first hint), in one :func:`pilot_fit` and :func:`threshold_rank` call
-that builds each step's row solves once for all its SNRs, when
-``rank_aware`` or ``rank_oblivious`` runs; the energy-rule rank of every
-zero fill (the baselines' rank), in one :func:`estimate_rank` call,
-when a baseline runs; the estimates of every ``somp_baseline`` row, in one
-:func:`somp_baseline` call; and last the BER of every row with an
-estimate, in one :func:`ber_link` call.  Per step (trial, t): the
-channel and its singular values, the noiseless observation and its
-energy, the observation noise, the mask, and the Phase-II estimates of
-every row with a Phase-I completion, in one :func:`estimate_phase2` call
-on atoms built once from the step's pilot block.  Per (step, SNR), for
+pseudo-inverses, in one :func:`make_pilot_block` call; the rank of
+every observation, the threshold rank of its pilot least-squares fit,
+in one :func:`estimate_rank` call that builds each step's row solves
+once for all its SNRs, unless every variant is ``fixed_rank``; the
+estimates of every ``somp_baseline`` row, in one :func:`somp_baseline`
+call; and last the BER of every row with an estimate, in one
+:func:`ber_link` call.  Per step (trial, t): the channel and its
+singular values, the noiseless observation and its energy, the
+observation noise, the mask, and the Phase-II estimates of every row
+with a Phase-I completion, in one :func:`estimate_phase2` call on atoms
+built once from the step's pilot block.  Per (step, SNR), for
 every variant: the masked observation and the coarse estimate.  Per
 (step, SNR, rank hint), for every Phase-I variant that gives that hint:
-the :func:`r1mc_complete` solve and the energy-rule rank of its
-completion.  The stacked stages run through :func:`_slots`, so an error
-fails its own rows and no others.
+the :func:`r1mc_complete` solve.  No stage reads another step's result,
+so each record depends on its own step alone.  The stacked stages run
+through :func:`_slots`, so an error fails its own rows and no others.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from . import channel as chan
-from .completion import CompletionResult, estimate_rank, pilot_fit, r1mc_complete, threshold_rank
+from .completion import CompletionResult, estimate_rank, r1mc_complete
 from .config import MAX_BER_STREAMS, ExperimentConfig, check_snr_db, snr_to_linear
 from .errors import ConfigError, DegenerateSystemError, RamcError, ShapeError, UndefinedMetricError
 from .frontend import (PilotBlock, coarse_channel, make_pilot_block, observe, pilot_symbols,
@@ -71,18 +69,19 @@ class MetricRecord:
     ``iterations``, ``converged`` and ``final_residual`` (the observed-entry
     fit of the completion) come from the Phase-I completion solve; they
     are 0, None and None for variants without Phase I and for failed
-    records.  ``rank_est`` is the energy-rule rank of the completion for
-    ``rank_aware`` and ``rank_oblivious``, k for ``fixed_rank:k``, and the
-    zero fill's energy-rule rank for the baselines.  ``runtime_ms`` is
-    the wall time of the record's own work before its stacked stage (its
-    Phase-I solve, or ``coarse_only``'s coarse estimate, each timed in
-    the first record that takes it, so a record that shares another's
-    solve does not time it) and of its NMSE.  Variants run in the order
-    given, so when ``rank_aware``'s first hint is k and it comes first,
-    ``fixed_rank:k``'s first-step solve is timed in ``rank_aware``'s row.
-    It leaves out the pilot blocks, the pilot fits and their ranks, the
-    zero-fill ranks, the SOMP pursuit with its coarse estimates, Phase II
-    and the BER, which run for many records at once.
+    records.  ``rank_est`` is k for ``fixed_rank:k`` and the step's own
+    :func:`estimate_rank` for every other variant: 0 for ``coarse_only``
+    and the full shape for ``somp_baseline`` when that rank fails.
+    ``runtime_ms`` is the wall time of the record's own work before its
+    stacked stage (its Phase-I solve, or ``coarse_only``'s coarse
+    estimate, each timed in the first record that takes it, so a record
+    that shares another's solve does not time it) and of its NMSE.
+    Variants run in the order given, so when a step's rank is k and
+    ``rank_aware`` comes first, ``fixed_rank:k``'s solve of that step is
+    timed in ``rank_aware``'s row.
+    It leaves out the pilot blocks, the ranks, the SOMP pursuit with its
+    coarse estimates, Phase II and the BER, which run for many records at
+    once.
     """
 
     variant: str
@@ -319,19 +318,15 @@ class _Observed:
     read-only by every variant, or the ``error`` that its draws or
     ``observe`` raised.
 
-    Its ``pilot_rank`` is the threshold rank of the pilot least-squares
-    fit of ``obs``, and its ``zero_fill`` the energy-rule rank of ``obs``,
-    each an int or the error of taking it, set for a whole chunk at once
-    by :func:`_rank_pilot_fits` and :func:`_rank_zero_fills`.  Its
-    Phase-I completions are shared too: one solve per rank hint, and the
-    energy-rule rank of each, computed when a variant first asks."""
+    Its ``rank`` is the :func:`estimate_rank` of ``obs``, an int or the
+    error of taking it, set for a whole chunk at once by
+    :func:`_rank_observations`.  Its Phase-I completions are shared too:
+    one solve per rank hint, computed when a variant first asks."""
 
     def __init__(self, cfg: ExperimentConfig, snr_idx: int, step: _StepDraws):
         self.obs, self.error, self.step = None, None, step
-        self.pilot_rank: int | Exception | None = None
-        self.zero_fill: int | Exception | None = None
+        self.rank: int | Exception | None = None
         self._solves: dict[int, CompletionResult] = {}
-        self._ranks: dict[int, int] = {}
         try:
             self.obs = _observe_step(cfg, snr_idx, step)
             self.obs.incomplete.setflags(write=False)
@@ -347,25 +342,6 @@ class _Observed:
             self._solves[hint] = result
         return self._solves[hint]
 
-    def corrected_rank(self, hint: int) -> int:
-        """The energy-rule rank of the completion at ``hint``, or its
-        factor count when the completion is zero."""
-        if hint not in self._ranks:
-            result = self.completion(hint)
-            (rank,) = estimate_rank(result.completed[None])
-            self._ranks[hint] = result.rank if isinstance(rank, DegenerateSystemError) else rank
-        return self._ranks[hint]
-
-    @property
-    def zero_fill_rank(self) -> int | None:
-        """The energy-rule rank of ``obs``, the baselines' rank; None
-        when degenerate."""
-        if isinstance(self.zero_fill, DegenerateSystemError):
-            return None
-        if isinstance(self.zero_fill, Exception):
-            raise self.zero_fill.with_traceback(None)
-        return self.zero_fill
-
     @cached_property
     def coarse(self) -> np.ndarray:
         """The baselines' read-only coarse estimate from ``obs``."""
@@ -374,31 +350,20 @@ class _Observed:
         return estimate
 
 
-def _rank_pilot_fits(observed: list[_Observed], pilots: np.ndarray) -> None:
-    """Set the ``pilot_rank`` of every observation in ``observed`` from
-    one stacked :func:`pilot_fit` and :func:`threshold_rank` call, which
-    builds the row solves of each step's mask once for all its SNRs."""
+def _rank_observations(observed: list[_Observed], pilots: np.ndarray) -> None:
+    """Set the ``rank`` of every observation in ``observed`` from one
+    stacked :func:`estimate_rank` call, which builds the row solves of
+    each step's mask once for all its SNRs."""
     live = [seen for seen in observed if seen.error is None]
 
     def ranks(zero_fills, steps):
         unique = list({id(step): step for step in steps}.values())
         at = {id(step): k for k, step in enumerate(unique)}
-        fit = pilot_fit(np.stack(zero_fills), np.stack([step.mask for step in unique]),
-                        [at[id(step)] for step in steps], pilots)
-        return threshold_rank(*fit)
+        return estimate_rank(np.stack(zero_fills), np.stack([step.mask for step in unique]),
+                             [at[id(step)] for step in steps], pilots)
 
     for seen, rank in zip(live, _slots(ranks, [(seen.obs.incomplete, seen.step) for seen in live])):
-        seen.pilot_rank = rank
-
-
-def _rank_zero_fills(observed: list[_Observed]) -> None:
-    """Set the ``zero_fill`` of every observation in ``observed`` from
-    one stacked :func:`estimate_rank` call."""
-    live = [seen for seen in observed if seen.error is None]
-    ranks = _slots(lambda zero_fills: estimate_rank(np.stack(zero_fills)),
-                   [(seen.obs.incomplete,) for seen in live])
-    for seen, rank in zip(live, ranks):
-        seen.zero_fill = rank
+        seen.rank = rank
 
 
 def _check_single_trial(cfg: ExperimentConfig, snr_idx: int, trial: int) -> None:
@@ -451,11 +416,6 @@ def parse_variant(name: str) -> tuple[str, int | None]:
     )
 
 
-# Factors that rank_aware grants above the previous step's rank, so that
-# an understated rank can grow back.
-RANK_HEADROOM = 2
-
-
 @dataclass
 class _Row:
     """One record on its way through a trial's stages: its
@@ -484,54 +444,38 @@ class _Row:
         self.h = self.sparse = self.solve = self.stage = None
 
 
-def _estimate_one(variant_kind: str, variant_param: int | None, row: _Row, ranks: list[int]):
+def _estimate_one(variant_kind: str, variant_param: int | None, row: _Row):
     """Run one estimator variant on ``row.seen.obs`` up to its stacked
     stage, setting the row's ``rank_est`` and its ``h`` or ``stage``.
 
-    ``coarse_only`` reports the zero fill's energy-rule rank, and
-    ``somp_baseline`` caps SOMP at it (the full shape when that is
-    degenerate).  The Phase-I variants set their solve's
+    ``fixed_rank:k`` takes k as its rank, and every other variant its
+    step's own ``row.seen.rank``, with no state carried between steps.
+    ``coarse_only`` reports the rank and ``somp_baseline`` caps SOMP at
+    it; when the rank failed, they report 0 and cap at the full shape.
+    The Phase-I variants hint their solve with the rank and set its
     :class:`CompletionResult` as ``solve``, taken from ``row.seen``, so
-    variants that give the same hint share one solve.  ``fixed_rank:k``
-    hints k and caps Phase II at k.  ``ranks`` holds the trial's
-    corrected ranks so far: ``rank_aware`` hints its solve with the last
-    one plus ``RANK_HEADROOM``, and its first step's solve with the
-    threshold rank of the pilot fit (``row.seen.pilot_rank``), so that it
-    shares ``fixed_rank:k``'s solve when that rank is k.  It reports the
-    completion's corrected rank as ``rank_est`` and appends it, so a step
-    whose Phase II fails still hints the next step.  ``rank_oblivious``
-    does the same but pursues without the rank cap.
+    variants that give the same hint share one solve.  ``rank_aware`` and
+    ``fixed_rank:k`` cap Phase II at the rank, and ``rank_oblivious``
+    pursues without a cap.  ``rank_aware`` and ``rank_oblivious`` fail
+    with a failed rank.
     """
-    seen, obs = row.seen, row.seen.obs
+    seen = row.seen
+    rank = variant_param if variant_kind == "fixed_rank" else seen.rank
+    if isinstance(rank, Exception):
+        if variant_kind not in ("coarse_only", "somp_baseline"):
+            raise rank.with_traceback(None)
+        rank = 0 if variant_kind == "coarse_only" else min(seen.obs.incomplete.shape)
+    row.fields["rank_est"] = rank
     if variant_kind == "coarse_only":
-        rank = seen.zero_fill_rank
-        row.fields["rank_est"] = 0 if rank is None else rank
         row.h = seen.coarse
-        return
-    if variant_kind == "somp_baseline":
-        rank = seen.zero_fill_rank
-        row.cap = row.fields["rank_est"] = min(obs.incomplete.shape) if rank is None else rank
-        row.stage = "somp"
-        return
-    if variant_kind == "fixed_rank":
-        result = seen.completion(variant_param)
-        rank_est = cap = variant_param
+    elif variant_kind == "somp_baseline":
+        row.cap, row.stage = rank, "somp"
     else:
-        # rank_aware or rank_oblivious, the kinds left that parse_variant
-        # returns.
-        if ranks:
-            hint = min(ranks[-1] + RANK_HEADROOM, min(obs.incomplete.shape))
-        elif isinstance(hint := seen.pilot_rank, Exception):
-            raise hint.with_traceback(None)
-        result = seen.completion(hint)
-        # Corrector: the next hint comes from the rank of the completed
-        # matrix, not from the raw factor count.
-        rank_est = seen.corrected_rank(hint)
-        ranks.append(max(rank_est, 1))
-        cap = max(rank_est, 1) if variant_kind == "rank_aware" else None
-    row.fields.update(rank_est=int(rank_est), iterations=result.iterations,
-                      converged=result.converged, final_residual=result.final_residual)
-    row.solve, row.cap, row.stage = result, cap, "phase2"
+        result = seen.completion(rank)
+        row.fields.update(iterations=result.iterations, converged=result.converged,
+                          final_residual=result.final_residual)
+        row.solve, row.stage = result, "phase2"
+        row.cap = None if variant_kind == "rank_oblivious" else rank
 
 
 def _run_trial(
@@ -546,7 +490,6 @@ def _run_trial(
     per step, its ``runtime_ms`` the wall time of its estimate so far."""
     kind, param = parse_variant(variant)
     snr_db = cfg.snr_grid_db[snr_idx]
-    ranks: list[int] = []
     rows = []
     for t, (step, seen) in enumerate(zip(steps, observed)):
         started = time.perf_counter()
@@ -555,7 +498,7 @@ def _run_trial(
         try:
             if seen.error is not None:
                 raise seen.error.with_traceback(None)
-            _estimate_one(kind, param, row, ranks)
+            _estimate_one(kind, param, row)
         except _ERRORS as exc:
             row.fail(exc)
         row.fields["runtime_ms"] = (time.perf_counter() - started) * 1e3
@@ -630,10 +573,8 @@ def _chunk_records(cfg: ExperimentConfig, variants, snr_indices, trials, diction
                 for steps in draws]
     kinds = {parse_variant(variant)[0] for variant in variants}
     every = [seen for per_trial in observed for per_snr in per_trial for seen in per_snr]
-    if kinds & {"rank_aware", "rank_oblivious"}:
-        _rank_pilot_fits(every, pilot_symbols(cfg.hybrid))
-    if kinds & {"coarse_only", "somp_baseline"}:
-        _rank_zero_fills(every)
+    if kinds != {"fixed_rank"}:
+        _rank_observations(every, pilot_symbols(cfg.hybrid))
     rows = [
         row
         for trial, steps, per_trial in zip(trials, draws, observed)

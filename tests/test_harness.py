@@ -509,21 +509,20 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "r1mc_complete", spy_complete)
         run_sweep(cfg, ("rank_aware", "fixed_rank:2", "rank_oblivious"))
-        # 16 (variant, SNR, trial, t) solves, less the three that
-        # fixed_rank:2 shares with rank_aware's first step, where the
-        # pilot-fit rank is 2: at 25 dB in trial 0 and at both SNRs in
-        # trial 1.
-        assert len(solves) == 13
+        # 16 (variant, SNR, trial, t) solves, less the five that
+        # fixed_rank:2 shares with rank_aware, whose hint is the step's
+        # pilot-fit rank: 2 at every step at 25 dB and at 5 dB in trial 1,
+        # t=0, and 1 at the other three steps.
+        assert len(solves) == 11
         assert not any(result.completed.flags.writeable for result in solves)
 
     def test_step_work_done_once(self, monkeypatch):
         # Per chunk of trials (here one chunk of both trials): one pilot
         # draw, whose two pseudo-inverses are each one stacked call, one
-        # stacked pilot fit and threshold rank of every observation, whose
-        # row solves are one more pseudo-inverse, if rank_aware or
-        # rank_oblivious runs, one stacked energy-rule rank of every zero
-        # fill, if a baseline runs, one stacked SOMP pursuit, if a variant
-        # runs it, and one BER link over every record.  Per (trial, t):
+        # stacked rank of every observation, whose pilot fit's row solves
+        # are one more pseudo-inverse, unless only fixed_rank runs, one
+        # stacked SOMP pursuit, if a variant runs it, and one BER link
+        # over every record.  Per (trial, t):
         # the true channel's SVD and one stacked Phase II over every
         # (variant, SNR) that runs Phase I, if any does.  Per (trial, t,
         # SNR), whatever the number of variants: the observation and the
@@ -556,33 +555,26 @@ class TestRunSweep:
         counting(np.linalg, "svd", is_truth)
         counting(harness, "observe")
         counting(harness, "estimate_rank")
-        counting(harness, "pilot_fit")
-        counting(harness, "threshold_rank")
         counting(harness, "coarse_channel")
         counting(harness, "ber_link")
         counting(harness, "somp_baseline")
         counting(harness, "estimate_phase2")
         once = {
-            "pinv": 2, "svd": 4, "observe": 12, "estimate_rank": 1,
+            "pinv": 2 + 1, "svd": 4, "observe": 12, "estimate_rank": 1,
             "coarse_channel": 12, "ber_link": 1,
         }
-        # Without a baseline no coarse estimate is taken and no zero fill
-        # is ranked; rank_aware and rank_oblivious take the energy-rule
-        # rank of each completion, a stack of one, and the pilot fits'
-        # ranks for their first hint.
-        phase1 = {"pinv": 2 + 1, "svd": 4, "observe": 12, "estimate_rank": 12,
-                  "pilot_fit": 1, "threshold_rank": 1, "ber_link": 1, "estimate_phase2": 4}
+        # Without a baseline no coarse estimate is taken.  No variant
+        # ranks anything else: the one stacked rank is every variant's.
+        phase1 = {"pinv": 2 + 1, "svd": 4, "observe": 12, "estimate_rank": 1, "ber_link": 1,
+                  "estimate_phase2": 4}
         for variants, expected in (
             (("coarse_only",), once),
             (("coarse_only", "somp_baseline"), {**once, "somp_baseline": 1}),
             (("rank_aware", "fixed_rank:2"), phase1),
             (("fixed_rank:2", "coarse_only", "somp_baseline", "rank_oblivious"),
-             {**once, "pinv": 2 + 1, "estimate_rank": 1 + 12, "somp_baseline": 1,
-              "estimate_phase2": 4, "pilot_fit": 1, "threshold_rank": 1}),
-            # fixed_rank alone reads no zero fill and no pilot fit, so
-            # neither is taken.
-            (("fixed_rank:2",), {**phase1, "pinv": 2, "estimate_rank": 0, "pilot_fit": 0,
-                                 "threshold_rank": 0}),
+             {**once, "somp_baseline": 1, "estimate_phase2": 4}),
+            # fixed_rank alone reads no rank, so none is taken.
+            (("fixed_rank:2",), {**phase1, "pinv": 2, "estimate_rank": 0}),
         ):
             counts.clear()
             records = run_sweep(cfg, variants)
@@ -590,8 +582,8 @@ class TestRunSweep:
             assert all(r.ber is not None for r in records)
             assert {name: n for name, n in counts.items() if n} == {
                 name: n for name, n in expected.items() if n}
-        # rank_oblivious follows rank_aware's hints, so per (trial, t, SNR)
-        # the two share one Phase-I solve and its one corrected rank.
+        # rank_oblivious takes rank_aware's hints, so per (trial, t, SNR)
+        # the two share one Phase-I solve.
         counting(harness, "r1mc_complete")
         counts.clear()
         records = run_sweep(cfg, ("rank_aware", "rank_oblivious"))
@@ -886,73 +878,72 @@ class TestRunSweep:
                 run_sweep(cfg, ("fixed_rank:2", name))
 
     def test_first_hint_is_the_pilot_fit_rank(self, monkeypatch):
-        # rank_aware hints its first step's solve with the threshold rank
-        # of that step's pilot least-squares fit, taken once per (trial, t,
-        # SNR) in one stacked call over the chunk before any record runs.
-        # The baselines still report the zero fill's energy-rule rank.
+        # Every variant but fixed_rank takes the threshold rank of its own
+        # step's pilot least-squares fit, at every step, taken once per
+        # (trial, t, SNR) in one stacked call over the chunk before any
+        # record runs: rank_aware and rank_oblivious hint their solve with
+        # it, and the baselines report it.
         cfg = ExperimentConfig(**SMALL, snr_grid_db=(5.0, 25.0), n_trials=2, time_steps=2)
-        real_observe, real_fit, real_complete = (
-            harness.observe, harness.pilot_fit, harness.r1mc_complete
+        real_observe, real_rank, real_complete = (
+            harness.observe, harness.estimate_rank, harness.r1mc_complete
         )
-        observations, fitted, solves = [], [], []
+        observations, ranked, solves = [], [], []
 
         def spy_observe(*args):
             observations.append(real_observe(*args))
             return observations[-1]
 
-        def spy_fit(zero_fills, masks, steps, pilots):
-            fitted.append((zero_fills, masks, steps))
-            return real_fit(zero_fills, masks, steps, pilots)
+        def spy_rank(zero_fills, masks, steps, pilots):
+            ranked.append((zero_fills, masks, steps))
+            return real_rank(zero_fills, masks, steps, pilots)
 
         def spy_complete(obs, rank_hint):
             solves.append((obs, rank_hint))
             return real_complete(obs, rank_hint)
 
         monkeypatch.setattr(harness, "observe", spy_observe)
-        monkeypatch.setattr(harness, "pilot_fit", spy_fit)
+        monkeypatch.setattr(harness, "estimate_rank", spy_rank)
         monkeypatch.setattr(harness, "r1mc_complete", spy_complete)
         records = run_sweep(cfg, DEFAULT_ABLATION)
         assert not any(r.error for r in records)
         # Per trial, the observations come SNR by SNR and step by step, and
-        # one fit takes them all, with one mask per step.
+        # one call ranks them all, with one mask per step.
         assert len(observations) == 2 * 2 * 2
-        ((zero_fills, masks, steps),) = fitted
+        ((zero_fills, masks, steps),) = ranked
         assert np.array_equal(zero_fills, [obs.incomplete for obs in observations])
         assert len(masks) == 4 and len(steps) == 8
         assert all(np.array_equal(masks[k], obs.mask) for k, obs in zip(steps, observations))
         pilots = pilot_symbols(cfg.hybrid)
-        shared = []
+        shared = 0
         for i, obs in enumerate(observations):
             trial, snr_db, t = i // 4, cfg.snr_grid_db[i // 2 % 2], i % 2
             at = {r.variant: r for r in records if (r.trial, r.snr_db, r.t) == (trial, snr_db, t)}
-            assert at["coarse_only"].rank_est == completion.estimate_rank(obs.incomplete[None])[0]
-            if t:
-                continue
+            (rank,) = completion.estimate_rank(obs.incomplete[None], obs.mask[None], [0], pilots)
+            assert {v: r.rank_est for v, r in at.items()} == {
+                **dict.fromkeys(DEFAULT_ABLATION, rank), "fixed_rank:2": 2}
             # rank_aware comes first in DEFAULT_ABLATION, so its solve is
-            # the first on each first-step observation.
+            # the first on each observation, and rank_oblivious takes it.
             hints = [hint for seen, hint in solves if seen is obs]
-            (rank,) = completion.threshold_rank(
-                *completion.pilot_fit(obs.incomplete[None], obs.mask[None], [0], pilots))
-            assert hints[0] == rank
+            assert hints == ([2] if rank == 2 else [rank, 2])
             if rank == 2:
                 # fixed_rank:2 takes rank_aware's solve rather than its own.
-                assert hints == [2]
                 aware, fixed = at["rank_aware"], at["fixed_rank:2"]
                 assert (aware.iterations, aware.converged, aware.final_residual) == (
                     fixed.iterations, fixed.converged, fixed.final_residual)
-                shared.append(obs)
-        # Three first steps have pilot-fit rank 2: 13 solves instead of
-        # 16, with fixed_rank:2's rows as when it is swept alone.
-        assert len(shared) == 3 and len(solves) == 13
+                shared += 1
+        # Five observations have rank 2: 11 solves instead of 16, with
+        # fixed_rank:2's rows as when it is swept alone.
+        assert shared == 5 and len(solves) == 11
         fixed = [r for r in self._timeless(records) if r.variant == "fixed_rank:2"]
         assert fixed == self._timeless(run_sweep(cfg, ("fixed_rank:2",)))
 
     def test_no_pilot_degrees_of_freedom_fails_before_any_solve(self, monkeypatch):
         # With pilot_length = m_bs no row of a mask observes more entries
-        # than the fit has unknowns, so the noise level, and the first
-        # hint, cannot be had.  rank_aware's and rank_oblivious's rows fail
-        # with the fit's error before their solve; fixed_rank:2 and the
-        # baselines need no first hint and run.
+        # than the fit has unknowns, so the noise level, and the rank,
+        # cannot be had.  rank_aware's and rank_oblivious's rows fail with
+        # the fit's error before their solve.  fixed_rank:2 needs no rank,
+        # and the baselines run without it: coarse_only reports rank 0 and
+        # somp_baseline pursues up to the full shape.
         small = dict(SMALL, hybrid=HybridConfig(m_bs=4, m_ms=4, n_streams=2, pilot_length=4),
                      keep_fraction=0.9)
         cfg = ExperimentConfig(**small, snr_grid_db=(15.0,), n_trials=2, time_steps=2)
@@ -973,6 +964,36 @@ class TestRunSweep:
                 assert (r.iterations, r.converged) == (0, None)
             else:
                 assert not r.error
+                assert r.rank_est == {"fixed_rank:2": 2, "coarse_only": 0,
+                                      "somp_baseline": 4}[r.variant]
+
+    @pytest.mark.parametrize("stage", ["r1mc_complete", "estimate_phase2"])
+    def test_record_depends_on_its_own_step(self, monkeypatch, stage):
+        # Each step takes its own rank, so a step whose Phase I or Phase II
+        # fails leaves every later step's rows as they are without the
+        # failure.
+        cfg = ExperimentConfig(snr_grid_db=(25.0,), n_trials=1, time_steps=3, master_seed=5)
+        variants = ("rank_aware", "rank_oblivious")
+        unpatched = self._timeless(run_sweep(cfg, variants))
+        real = getattr(harness, stage)
+        keys = []
+
+        def fail_first_step(*args, **kwargs):
+            # Step 0's solves share its mask, and its Phase-II call and the
+            # per-slot retries of that call share its pilot block.
+            keys.append(args[0].mask if stage == "r1mc_complete" else args[1])
+            if keys[-1] is keys[0]:
+                raise DegenerateSystemError("injected failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, stage, fail_first_step)
+        records = self._timeless(run_sweep(cfg, variants))
+        assert len(records) == len(unpatched) == 6
+        for new, old in zip(records, unpatched):
+            if new.t == 0:
+                assert new.error == "DegenerateSystemError: injected failure"
+            else:
+                assert new == old and not new.error
 
     def test_cluster_birth_sweeps_without_failure(self):
         # A schedule that grows 2 clusters to 3 draws the new cluster with
@@ -1192,36 +1213,6 @@ class TestRunSingleTrial:
         with pytest.raises(ConfigError, match="trial index"):
             simulate_trial(cfg, trial=-3)
 
-    def test_rank_hint_survives_failed_phase2(self, monkeypatch):
-        # rank_aware hints each solve with the previous step's corrected
-        # rank plus the headroom.  That rank is kept before Phase II runs,
-        # so a step whose Phase II fails still hints the next step.
-        hints = []
-        phase2_calls = []
-        real_complete = harness.r1mc_complete
-        real_phase2 = harness.estimate_phase2
-
-        def recording_complete(obs, rank_hint):
-            hints.append(rank_hint)
-            return real_complete(obs, rank_hint=rank_hint)
-
-        def fail_first_phase2(*args, **kwargs):
-            phase2_calls.append(None)
-            if len(phase2_calls) == 1:
-                raise DegenerateSystemError("injected Phase-II failure")
-            return real_phase2(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "r1mc_complete", recording_complete)
-        monkeypatch.setattr(harness, "estimate_phase2", fail_first_phase2)
-        cfg = ExperimentConfig(snr_grid_db=(25.0,), n_trials=1, time_steps=3, master_seed=5)
-        records = run_single_trial(cfg, "rank_aware")
-        # The first step is hinted with its pilot fit's threshold rank.
-        obs = simulate_trial(cfg)[1][0]
-        (first,) = completion.threshold_rank(*completion.pilot_fit(
-            obs.incomplete[None], obs.mask[None], [0], pilot_symbols(cfg.hybrid)))
-        assert hints == [first, 4, 4]
-        assert [r.t for r in records if r.error] == [0]
-
 
 def test_simulate_trial_shapes():
     cfg = ExperimentConfig(**SMALL, snr_grid_db=(10.0,), time_steps=2)
@@ -1346,10 +1337,10 @@ def test_benchmark_tracer_sees_each_layer(monkeypatch):
     assert [dataclasses.replace(r, runtime_ms=0.0) for r in records] == untraced
     by_id = {sp.id: sp for sp in tracer.spans}
     solves = [sp for sp in tracer.spans if sp.name == "completion.solve"]
-    # 2 Phase-I variants x 2 SNRs x 2 trials x 2 steps, less the three
-    # first-step solves that fixed_rank:2 shares with rank_aware, whose
-    # pilot-fit rank is 2 there; rank_oblivious takes rank_aware's solves.
-    assert len(solves) == 13
+    # 2 Phase-I variants x 2 SNRs x 2 trials x 2 steps, less the five
+    # solves that fixed_rank:2 shares with rank_aware, whose pilot-fit
+    # rank is 2 there; rank_oblivious takes rank_aware's solves.
+    assert len(solves) == 11
     assert all(by_id[sp.parent].name == "harness.trial" for sp in solves)
     # One Phase-II call per step, and one SOMP call and one pilot draw per
     # chunk, here of both trials.
@@ -1357,12 +1348,12 @@ def test_benchmark_tracer_sees_each_layer(monkeypatch):
     assert len(phase2) == 4 and all("atoms" in sp.info for sp in phase2)
     for name in ("recovery.somp", "frontend.pilot"):
         assert sum(sp.name == name for sp in tracer.spans) == 1, name
-    # The zero fills are ranked in one call per chunk, before any trial
-    # span; the other rank estimates are the corrector's, one per
-    # rank_aware solve, each inside its trial span.
+    # Every observation is ranked in one call per chunk, before any trial
+    # span, and nothing else takes a rank.
     ranks = [sp for sp in tracer.spans if sp.name == "completion.rank_estimate"]
-    assert ranks[0].parent is None and len(ranks) == 1 + 8
-    assert all(by_id[sp.parent].name == "harness.trial" for sp in ranks[1:])
+    assert len(ranks) == 1 and ranks[0].parent is None
+    # At 25 dB every step has rank 2, so fixed_rank:2 solves at 5 dB only.
     keys = {by_id[sp.parent].key for sp in solves}
-    assert keys == {f"{v}/snr{i}/trial{n}" for v in DEFAULT_ABLATION[:2] for i in (0, 1)
-                    for n in (0, 1)}
+    assert keys == {f"{v}/snr{i}/trial{n}" for v, snrs in (("rank_aware", (0, 1)),
+                                                           ("fixed_rank:2", (0,)))
+                    for i in snrs for n in (0, 1)}
